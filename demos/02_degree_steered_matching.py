@@ -14,7 +14,7 @@ g = nc.gen_directed_ba(nc.BaParams(n=800, m_attach=2, m0=3, p=0.5, seed=42))
 print(f"model network: N={g.node_count}, L={g.edge_count}, <k>={nc.average_degree(g):.3f}")
 
 # Baseline: what do randomly sampled driver sets look like?
-summary, _ = nc.sample_mds(g, 500, seed=7)
+summary = nc.sample_mds(g, 500, seed=7)
 print(f"\n500 random samples: n_d={summary.n_d}, "
       f"<k_D> mean={summary.mean_kd:.3f} min={summary.min_kd:.3f} max={summary.max_kd:.3f}")
 

@@ -28,6 +28,7 @@ from .graph import (
     DirectedGraph,
     average_degree,
     degrees,
+    out_csr,
     parse_edge_list,
     read_edge_list,
     to_edge_list,
@@ -36,9 +37,11 @@ from .graph import (
 from .matching import Matching, MatchingState, max_matching, verify_maximum
 from .mds import (
     MdsResult,
+    MdsSample,
     NodeOrder,
     SampleSummary,
     drivers,
+    iter_samples,
     preferential_mds,
     sample_mds,
 )
@@ -53,7 +56,7 @@ from .stats import (
     sweep_rows_to_csv,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "__version__",
@@ -69,6 +72,7 @@ __all__ = [
     "to_edge_list",
     "write_edge_list",
     "degrees",
+    "out_csr",
     "average_degree",
     "Matching",
     "MatchingState",
@@ -76,9 +80,11 @@ __all__ = [
     "verify_maximum",
     "NodeOrder",
     "MdsResult",
+    "MdsSample",
     "SampleSummary",
     "drivers",
     "preferential_mds",
+    "iter_samples",
     "sample_mds",
     "BaParams",
     "ReversalParams",

@@ -23,7 +23,7 @@ from .errors import (
     ValidationError,
 )
 from .generators import BaParams, ReversalParams, gen_directed_ba, gen_directed_er, reverse_edges
-from .graph import DirectedGraph, average_degree, read_edge_list, to_edge_list
+from .graph import DirectedGraph, average_degree, read_edge_list, read_text, to_edge_list
 from .matching import max_matching
 from .mds import MdsResult, NodeOrder, drivers, preferential_mds, sample_mds
 from .stats import driver_degree_histogram, sweep_p, sweep_r, sweep_rows_to_csv
@@ -128,11 +128,7 @@ def _build_order(config: RunConfig, graph: DirectedGraph) -> NodeOrder:
         return NodeOrder.random(graph, config.seed)
     if spec.startswith("file:"):
         path = spec[len("file:"):]
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                names = [line.strip() for line in fh if line.strip()]
-        except OSError as exc:
-            raise IngestionError(f"cannot read order file {path}: {exc}") from exc
+        names = [line.strip() for line in read_text(path).splitlines() if line.strip()]
         try:
             perm = [graph.index_of(name) for name in names]
         except KeyError as exc:
@@ -210,6 +206,10 @@ def _rows_payload(rows) -> dict:
 def run(config: RunConfig) -> str:
     """Execute one command and return the report document."""
     command = config.command
+    # every seed feeds numpy's SeedSequence, whose domain is the
+    # non-negative integers
+    if config.seed < 0:
+        raise UsageError(f"seed must be a non-negative integer, got {config.seed}")
 
     if command == "generate":
         if config.gen is None:
@@ -253,17 +253,18 @@ def run(config: RunConfig) -> str:
         if config.format != "json":
             raise UsageError(f"{command} reports are JSON; --format {config.format} is not supported")
         graph = _build_graph(config)
-        order = _build_order(config, graph)
         if command == "analyze":
+            order = _build_order(config, graph)
             result = drivers(graph, max_matching(graph, order), order)
             return _json_report(config, _mds_payload(graph, result, order), graph)
         if command == "preferential":
+            order = _build_order(config, graph)
             m = config.m if config.m is not None else graph.node_count
             result = preferential_mds(graph, order, m)
             payload = _mds_payload(graph, result, order)
             payload["m"] = m
             return _json_report(config, payload, graph)
-        summary, _ = sample_mds(graph, config.samples, config.seed, dedupe=config.dedupe)
+        summary = sample_mds(graph, config.samples, config.seed, dedupe=config.dedupe)
         payload = {
             "sample_count": summary.sample_count,
             "n_d": summary.n_d,

@@ -23,6 +23,7 @@ __all__ = [
     "to_edge_list",
     "write_edge_list",
     "degrees",
+    "out_csr",
     "average_degree",
 ]
 
@@ -47,6 +48,7 @@ class DirectedGraph:
         "_label_index",
         "_edge_set",
         "_degree_view",
+        "_out_csr",
         "duplicate_count",
         "provenance",
     )
@@ -88,6 +90,7 @@ class DirectedGraph:
         self._label_index = {s: i for i, s in enumerate(labels)}
         self._edge_set = seen
         self._degree_view = None
+        self._out_csr = None
         self.duplicate_count = int(duplicate_count)
         self.provenance = tuple(provenance)
 
@@ -156,6 +159,26 @@ def degrees(graph: DirectedGraph) -> DegreeView:
     return view
 
 
+def out_csr(graph: DirectedGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Out-adjacency as compressed sparse rows (cached on the graph).
+
+    Returns ``(ptr, heads)``: the heads of tail u are
+    ``heads[ptr[u]:ptr[u + 1]]``, in ``out_adjacency`` order. Both arrays
+    are read-only.
+    """
+    csr = graph._out_csr
+    if csr is None:
+        ptr = np.zeros(graph.node_count + 1, dtype=np.int64)
+        np.cumsum(degrees(graph).out_degree, out=ptr[1:])
+        heads = np.fromiter(
+            (v for adj in graph.out_adjacency for v in adj), dtype=np.int64, count=graph.edge_count
+        )
+        ptr.flags.writeable = False
+        heads.flags.writeable = False
+        csr = graph._out_csr = (ptr, heads)
+    return csr
+
+
 def average_degree(graph: DirectedGraph) -> float:
     """Network average total degree, 2L/N."""
     return 2.0 * graph.edge_count / graph.node_count
@@ -164,7 +187,8 @@ def average_degree(graph: DirectedGraph) -> float:
 def parse_edge_list(text: str) -> DirectedGraph:
     """Parse edge-list text into a graph.
 
-    Format: UTF-8 text, one ``tail<ws>head`` pair of labels per line.
+    Format: UTF-8 text (a leading byte-order mark is dropped when reading
+    a file), one ``tail<ws>head`` pair of labels per line.
     Lines starting with '#' or '%' are comments; blank lines are ignored.
     Duplicate (tail, head) lines collapse to one edge and are tallied in
     ``duplicate_count``. Self-loops are retained.
@@ -206,14 +230,21 @@ def parse_edge_list(text: str) -> DirectedGraph:
     return DirectedGraph(labels, edges, duplicate_count=duplicates)
 
 
-def read_edge_list(path) -> DirectedGraph:
-    """Parse an edge-list file; unreadable paths raise IngestionError."""
+def read_text(path) -> str:
+    """Read a UTF-8 text file, dropping a leading byte-order mark.
+
+    Unreadable paths and bytes that are not UTF-8 raise IngestionError.
+    """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise IngestionError(f"cannot read {path}: {exc}") from exc
-    return parse_edge_list(text)
+
+
+def read_edge_list(path) -> DirectedGraph:
+    """Parse an edge-list file; unreadable or non-UTF-8 files raise IngestionError."""
+    return parse_edge_list(read_text(path))
 
 
 def to_edge_list(graph: DirectedGraph) -> str:

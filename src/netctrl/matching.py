@@ -17,8 +17,10 @@ from __future__ import annotations
 from bisect import insort
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from .errors import UsageError, ValidationError
-from .graph import DirectedGraph
+from .graph import DirectedGraph, out_csr
 
 __all__ = ["Matching", "MatchingState", "max_matching", "verify_maximum"]
 
@@ -133,8 +135,11 @@ class MatchingState:
     after every step. Single-owner: mutate from one thread only; many
     states may share one immutable graph.
 
-    ``scan_adjacency`` overrides the neighbor scan order per tail (used
-    for randomized sampling); the default scans in ascending rank.
+    ``order`` is a NodeOrder or any sequence of node indices in rank
+    order. ``scan_heads`` overrides the neighbor scan order (used for
+    randomized sampling): it holds the heads of the graph's ``out_csr``
+    layout, reordered within each tail's segment; the default scans each
+    segment in ascending rank.
     """
 
     def __init__(
@@ -144,25 +149,28 @@ class MatchingState:
         *,
         active: Iterable[int] = (),
         matching=None,
-        scan_adjacency: list[list[int]] | None = None,
+        scan_heads: list[int] | None = None,
     ):
         n = graph.node_count
-        permutation = order.permutation
-        if len(permutation) != n:
-            raise UsageError(f"order covers {len(permutation)} nodes, graph has {n}")
+        perm = np.asarray(getattr(order, "permutation", order), dtype=np.int64)
+        if perm.shape != (n,):
+            raise UsageError(f"order covers {perm.size} nodes, graph has {n}")
+        rank = np.full(n, -1, dtype=np.int64)
+        if perm.min() >= 0 and perm.max() < n:
+            rank[perm] = np.arange(n)
+        if rank.min() < 0:
+            raise UsageError("order must contain each node index exactly once")
         self.graph = graph
-        self.order = order
-        rank = [0] * n
-        for pos, v in enumerate(permutation):
-            rank[v] = pos
-        self._rank = rank
-        if scan_adjacency is None:
-            key = rank.__getitem__
-            self._scan = [sorted(adj, key=key) for adj in graph.out_adjacency]
-        else:
-            if len(scan_adjacency) != n:
-                raise UsageError("scan_adjacency must cover every node")
-            self._scan = scan_adjacency
+        ptr, heads = out_csr(graph)
+        if scan_heads is None:
+            tails = np.repeat(np.arange(n), np.diff(ptr))
+            scan_heads = heads[np.argsort(tails * n + rank[heads])].tolist()
+        elif len(scan_heads) != len(heads):
+            raise UsageError("scan_heads must hold one entry per edge")
+        self._order = perm.tolist()
+        self._rank = rank.tolist()
+        self._ptr = ptr.tolist()
+        self._heads = scan_heads
         self._active = bytearray(n)
         self._mh = [-1] * n  # tail -> matched head
         self._mt = [-1] * n  # head -> matched tail
@@ -197,6 +205,24 @@ class MatchingState:
     @property
     def matching(self) -> Matching:
         return Matching(self._mh, self._mt)
+
+    def matching_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The matching as ``(head_by_tail, tail_by_head)`` int64 arrays.
+
+        A snapshot without the ``Matching`` object: the arrays are checked
+        to be exact inverses of each other, holding ``size`` pairs, and
+        ValidationError is raised otherwise.
+        """
+        mh = np.array(self._mh, dtype=np.int64)
+        mt = np.array(self._mt, dtype=np.int64)
+        tails = np.flatnonzero(mh >= 0)
+        if (
+            tails.size != self._size
+            or np.count_nonzero(mt >= 0) != tails.size
+            or not np.array_equal(mt[mh[tails]], tails)
+        ):
+            raise ValidationError("tail_by_head is not the inverse of head_by_tail")
+        return mh, mt
 
     @property
     def active_nodes(self) -> frozenset[int]:
@@ -240,7 +266,7 @@ class MatchingState:
             raise UsageError(f"node {node} is already active")
         self._admit(node)
         self._stamp += 1
-        if self._scan[node] and self._try_augment(node):
+        if self._ptr[node] < self._ptr[node + 1] and self._try_augment(node):
             self._stamp += 1
         # a second augmenting path can only involve the new in-role (it ends
         # there, or routes through it when the first path claimed it), so the
@@ -260,11 +286,11 @@ class MatchingState:
             active[v] = 1
         self._stamp += 1
         mh = self._mh
-        scan = self._scan
-        for u in self.order.permutation:
-            if mh[u] < 0 and scan[u] and self._try_augment(u):
+        ptr = self._ptr
+        for u in self._order:
+            if mh[u] < 0 and ptr[u] < ptr[u + 1] and self._try_augment(u):
                 self._stamp += 1
-        self._free_scan = [u for u in self.order.permutation if mh[u] < 0 and scan[u]]
+        self._free_scan = [u for u in self._order if mh[u] < 0 and ptr[u] < ptr[u + 1]]
 
     # --- internals ----------------------------------------------------
 
@@ -272,7 +298,7 @@ class MatchingState:
         if self._active[node]:
             raise UsageError(f"node {node} is already active")
         self._active[node] = 1
-        if self._scan[node]:
+        if self._ptr[node] < self._ptr[node + 1]:
             insort(self._free_scan, node, key=self._rank.__getitem__)
 
     def _rescan_free_tails(self, skip: int) -> None:
@@ -293,50 +319,46 @@ class MatchingState:
         self._free_scan = kept
 
     def _try_augment(self, root: int) -> bool:
-        # Iterative alternating DFS, frames split across parallel lists to
-        # keep the hot loop allocation-free. Heads marked with the current
-        # stamp are dead ends for as long as the matching and active set are
-        # unchanged; callers advance the stamp after any change.
-        scan = self._scan
+        # Iterative alternating DFS. The frame being scanned lives in locals
+        # (u, i, end); each ancestor is stacked as (tail, slot to resume,
+        # head it descended through), so a search that fails at the root,
+        # the common case while rescanning, allocates nothing. Heads marked
+        # with the current stamp are dead ends for as long as the matching
+        # and active set are unchanged; callers advance the stamp after any
+        # change.
+        heads, ptr = self._heads, self._ptr
         active = self._active
         mh, mt = self._mh, self._mt
         visited = self._visited
         stamp = self._stamp
-        tails = [root]
-        cursor = [0]
-        entered = [-1]  # head through which each stacked tail was reached
-        while tails:
-            u = tails[-1]
-            i = cursor[-1]
-            lst = scan[u]
-            length = len(lst)
-            pushed = False
-            while i < length:
-                v = lst[i]
+        stack: list[tuple[int, int, int]] = []
+        u = root
+        i = ptr[u]
+        end = ptr[u + 1]
+        while True:
+            while i < end:
+                v = heads[i]
                 i += 1
                 if visited[v] == stamp or not active[v]:
                     continue
                 visited[v] = stamp
                 w = mt[v]
                 if w < 0:
-                    for j in range(len(tails) - 1, -1, -1):
-                        uj = tails[j]
-                        mh[uj] = v
-                        mt[v] = uj
-                        v = entered[j]
+                    mh[u] = v
+                    mt[v] = u
+                    for t, _, h in stack:
+                        mh[t] = h
+                        mt[h] = t
                     self._size += 1
                     return True
-                cursor[-1] = i
-                tails.append(w)
-                cursor.append(0)
-                entered.append(v)
-                pushed = True
-                break
-            if not pushed:
-                tails.pop()
-                cursor.pop()
-                entered.pop()
-        return False
+                stack.append((u, i, v))
+                u = w
+                i = ptr[u]
+                end = ptr[u + 1]
+            if not stack:
+                return False
+            u, i, _ = stack.pop()
+            end = ptr[u + 1]
 
 
 def max_matching(graph: DirectedGraph, order) -> Matching:

@@ -10,21 +10,25 @@ nodes stay unmatched.
 
 from __future__ import annotations
 
-import random
+import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .errors import UsageError, ValidationError
-from .graph import DirectedGraph, degrees
+from .graph import DirectedGraph, degrees, out_csr
 from .matching import Matching, MatchingState, verify_maximum
+from .seeding import spawn_seed
 
 __all__ = [
     "NodeOrder",
     "MdsResult",
+    "MdsSample",
     "SampleSummary",
     "drivers",
     "preferential_mds",
+    "iter_samples",
     "sample_mds",
 ]
 
@@ -87,6 +91,20 @@ class MdsResult:
 
 
 @dataclass(frozen=True)
+class MdsSample:
+    """One sampled driver node set, without the matching that certifies it.
+
+    As in MdsResult, a perfect matching designates one driver, the first
+    node of the sample's random order.
+    """
+
+    drivers: tuple[int, ...]
+    n_d: int
+    perfect_matching: bool
+    avg_degree_d: float
+
+
+@dataclass(frozen=True)
 class SampleSummary:
     """Ensemble statistics over sampled driver node sets."""
 
@@ -98,7 +116,16 @@ class SampleSummary:
     distinct_driver_sets: int | None = None
 
 
-def _drivers_unchecked(graph: DirectedGraph, matching: Matching, order: NodeOrder) -> MdsResult:
+def drivers(graph: DirectedGraph, matching: Matching, order: NodeOrder) -> MdsResult:
+    """Driver node set certified by a maximum matching.
+
+    The drivers are exactly the nodes whose in-role the matching leaves
+    unmatched (nodes with zero in-degree are always among them unless the
+    matching is perfect). Raises ValidationError when the matching is
+    invalid or not maximum.
+    """
+    if not verify_maximum(graph, matching):
+        raise ValidationError("matching is not maximum; driver extraction needs a maximum matching")
     n = graph.node_count
     tail_by_head = matching.tail_by_head
     unmatched = [v for v in range(n) if tail_by_head[v] < 0]
@@ -119,19 +146,6 @@ def _drivers_unchecked(graph: DirectedGraph, matching: Matching, order: NodeOrde
         perfect_matching=perfect,
         witness=matching,
     )
-
-
-def drivers(graph: DirectedGraph, matching: Matching, order: NodeOrder) -> MdsResult:
-    """Driver node set certified by a maximum matching.
-
-    The drivers are exactly the nodes whose in-role the matching leaves
-    unmatched (nodes with zero in-degree are always among them unless the
-    matching is perfect). Raises ValidationError when the matching is
-    invalid or not maximum.
-    """
-    if not verify_maximum(graph, matching):
-        raise ValidationError("matching is not maximum; driver extraction needs a maximum matching")
-    return _drivers_unchecked(graph, matching, order)
 
 
 def preferential_mds(graph: DirectedGraph, order: NodeOrder, m: int) -> MdsResult:
@@ -156,48 +170,99 @@ def preferential_mds(graph: DirectedGraph, order: NodeOrder, m: int) -> MdsResul
     return drivers(graph, state.matching, order)
 
 
-def sample_mds(
-    graph: DirectedGraph,
-    count: int,
-    seed: int,
-    dedupe: bool = False,
-) -> tuple[SampleSummary, list[MdsResult]]:
+def _sample_stream(graph: DirectedGraph, count: int, seed: int, start: int = 0):
+    """Yield ``(drivers, n_d, perfect_matching, avg_degree_d)`` per sample.
+
+    ``drivers`` is an int64 array. Sample i draws from
+    ``default_rng(spawn_seed(seed, i))``: one permutation for the node
+    order, then one random key per edge that shuffles every tail's
+    neighbor scan (a sort of the CSR slots by tail, then key). Nothing of
+    a sample outlives its iteration.
+    """
+    if count < 1:
+        raise UsageError(f"sample count must be >= 1, got {count}")
+    if start < 0:
+        raise UsageError(f"first sample index must be >= 0, got {start}")
+    n = graph.node_count
+    ptr, heads = out_csr(graph)
+    tot = degrees(graph).total_degree
+    # tail in the high 32 bits, the random key in the low 32: sorting the
+    # sum keeps each tail's segment in place and shuffles within it
+    segment_key = np.repeat(np.arange(n, dtype=np.int64), np.diff(ptr)) << 32
+
+    def draw():
+        n_d = None
+        for i in range(start, start + count):
+            rng = np.random.default_rng(spawn_seed(seed, i))
+            perm = rng.permutation(n)
+            keys = rng.integers(0, 1 << 32, size=heads.size, dtype=np.int64)
+            scan = heads[np.argsort(segment_key | keys)]
+            state = MatchingState(graph, perm, scan_heads=scan.tolist())
+            # the completing pass ends with every free tail failing its
+            # search, which is the Berge certificate of maximality
+            state.complete()
+            _, tail_by_head = state.matching_arrays()
+            unmatched = np.flatnonzero(tail_by_head < 0)
+            perfect = unmatched.size == 0
+            if perfect:
+                unmatched = perm[:1]
+            sample_n_d = max(n - state.size, 1)
+            if n_d is None:
+                n_d = sample_n_d
+            elif sample_n_d != n_d:
+                raise ValidationError("sampled driver-set sizes disagree; matching engine is broken")
+            yield unmatched, n_d, perfect, float(tot[unmatched].mean())
+
+    return draw()
+
+
+def iter_samples(
+    graph: DirectedGraph, count: int, seed: int, *, start: int = 0
+) -> Iterator[MdsSample]:
+    """Stream samples ``start .. start + count - 1`` of ``sample_mds``'s ensemble.
+
+    Sample i depends only on (seed, i), so ``start=i, count=1`` replays
+    one sample in isolation. Raises UsageError on a bad count or start
+    and ValidationError when two samples disagree on n_d.
+    """
+    return (
+        MdsSample(tuple(drivers_.tolist()), n_d, perfect, kd)
+        for drivers_, n_d, perfect, kd in _sample_stream(graph, count, seed, start)
+    )
+
+
+def sample_mds(graph: DirectedGraph, count: int, seed: int, dedupe: bool = False) -> SampleSummary:
     """Sample driver node sets from independent randomized maximum matchings.
 
     Each sample runs a full maximum matching under a uniformly random node
     order with independently shuffled neighbor scans; sample i's random
-    stream is derived from (seed, i), so any sample is reproducible in
-    isolation. Samples are not forced to be distinct; with ``dedupe`` the
-    summary reports how many distinct driver sets occurred (duplicates stay
-    in the aggregate).
+    stream is derived from ``spawn_seed(seed, i)``, so any sample is
+    reproducible in isolation (see ``iter_samples``). Samples are folded
+    into running statistics as they are drawn, so memory does not grow
+    with ``count``. Samples are not forced to be distinct; with ``dedupe``
+    the summary reports how many distinct driver sets occurred (duplicates
+    stay in the aggregate), counted by a 16-byte digest per distinct set.
     """
-    if count < 1:
-        raise UsageError(f"sample count must be >= 1, got {count}")
-    n = graph.node_count
-    out_adj = graph.out_adjacency
-    results: list[MdsResult] = []
-    for i in range(count):
-        rng = random.Random(f"{seed}:{i}")
-        perm = list(range(n))
-        rng.shuffle(perm)
-        order = NodeOrder(tuple(perm), f"random(seed={seed},sample={i})")
-        scan = [rng.sample(adj, len(adj)) if len(adj) > 1 else list(adj) for adj in out_adj]
-        state = MatchingState(graph, order, scan_adjacency=scan)
-        state.complete()
-        # the completing pass ends with every free tail failing its search,
-        # which is the Berge certificate of maximality
-        results.append(_drivers_unchecked(graph, state.matching, order))
-    kds = np.array([r.avg_degree_d for r in results])
-    n_d = results[0].n_d
-    if any(r.n_d != n_d for r in results):
-        raise ValidationError("sampled driver-set sizes disagree; matching engine is broken")
-    distinct = len({r.drivers for r in results}) if dedupe else None
-    summary = SampleSummary(
+    if dedupe:
+        # imported here: loading hashlib adds about 4 ms to every start of
+        # the command line tool, and only --dedupe needs it
+        from hashlib import blake2b
+    kd_sum = 0.0
+    kd_min = math.inf
+    kd_max = -math.inf
+    digests: set[bytes] | None = set() if dedupe else None
+    n_d = 0
+    for drivers_, n_d, _, kd in _sample_stream(graph, count, seed):
+        kd_sum += kd
+        kd_min = min(kd_min, kd)
+        kd_max = max(kd_max, kd)
+        if digests is not None:
+            digests.add(blake2b(drivers_.tobytes(), digest_size=16).digest())
+    return SampleSummary(
         sample_count=count,
         n_d=n_d,
-        mean_kd=float(kds.mean()),
-        min_kd=float(kds.min()),
-        max_kd=float(kds.max()),
-        distinct_driver_sets=distinct,
+        mean_kd=kd_sum / count,
+        min_kd=kd_min,
+        max_kd=kd_max,
+        distinct_driver_sets=None if digests is None else len(digests),
     )
-    return summary, results

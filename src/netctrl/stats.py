@@ -119,7 +119,7 @@ def sweep_p(grid, ba_base: BaParams, samples: int = 1000, seed: int = 0) -> list
         point_seed = spawn_seed(seed, i)
         graph = gen_directed_ba(replace(ba_base, p=p, seed=point_seed))
         f = f_hi_lo(graph)
-        summary, _ = sample_mds(graph, samples, point_seed)
+        summary = sample_mds(graph, samples, point_seed)
         k = average_degree(graph)
         rows.append(
             SweepRow(
@@ -145,7 +145,7 @@ def sweep_r(graph: DirectedGraph, grid, samples: int = 1000, seed: int = 0) -> l
         point_seed = spawn_seed(seed, i)
         transformed = reverse_edges(graph, ReversalParams(r=r, seed=point_seed)).graph
         f = f_hi_lo(transformed)
-        summary, _ = sample_mds(transformed, samples, point_seed)
+        summary = sample_mds(transformed, samples, point_seed)
         k = average_degree(transformed)
         rows.append(
             SweepRow(

@@ -26,6 +26,7 @@ from netctrl import (
     drivers,
     f_hi_lo,
     gen_directed_ba,
+    iter_samples,
     max_matching,
     preferential_mds,
     read_edge_list,
@@ -84,10 +85,12 @@ def test_criterion_1_oracle_equivalence(corpus):
 def test_criterion_2_n_d_invariance(corpus):
     with _Criterion(2, "n_d identical across 100 random samples plus asc/desc preferential"):
         for idx, g in enumerate(corpus):
-            summary, results = sample_mds(g, 100, seed=idx)
+            summary = sample_mds(g, 100, seed=idx)
+            samples = list(iter_samples(g, 100, seed=idx))
             asc = preferential_mds(g, NodeOrder.degree_ascending(g), g.node_count)
             desc = preferential_mds(g, NodeOrder.degree_descending(g), g.node_count)
-            values = {summary.n_d, asc.n_d, desc.n_d} | {r.n_d for r in results}
+            values = {summary.n_d, asc.n_d, desc.n_d} | {s.n_d for s in samples}
+            assert len(samples) == 100
             assert values == {summary.n_d}, f"graph {idx}: n_d varied: {values}"
 
 
@@ -95,7 +98,7 @@ def test_criterion_3_preferential_steering():
     with _Criterion(3, "ascending preferential exceeds the random mean, descending falls below"):
         for seed in range(5):
             g = gen_directed_ba(BaParams(n=1000, m_attach=2, m0=3, p=0.5, seed=seed))
-            summary, _ = sample_mds(g, 1000, seed=seed + 100)
+            summary = sample_mds(g, 1000, seed=seed + 100)
             asc = preferential_mds(g, NodeOrder.degree_ascending(g), g.node_count)
             desc = preferential_mds(g, NodeOrder.degree_descending(g), g.node_count)
             assert asc.avg_degree_d > summary.mean_kd, f"seed {seed}: ascending did not exceed"
@@ -121,13 +124,13 @@ def test_criterion_5_ratio_below_one_at_half_above_one_at_one():
     with _Criterion(5, "mean driver degree ratio: < 1 at p=0.5, > 1 at p=1 for all sizes") as crit:
         for seed in (0, 1):
             g = gen_directed_ba(BaParams(n=1000, m_attach=2, m0=3, p=0.5, seed=seed))
-            summary, _ = sample_mds(g, 1000, seed=seed + 50)
+            summary = sample_mds(g, 1000, seed=seed + 50)
             ratio = summary.mean_kd / average_degree(g)
             assert ratio < 1.0, f"p=0.5 seed {seed}: ratio {ratio:.3f} not < 1"
         for n in (500, 1000, 2000):
             for seed in (0, 1):
                 g = gen_directed_ba(BaParams(n=n, m_attach=2, m0=3, p=1.0, seed=seed))
-                summary, _ = sample_mds(g, 1000, seed=seed + 60)
+                summary = sample_mds(g, 1000, seed=seed + 60)
                 ratio = summary.mean_kd / average_degree(g)
                 assert ratio > 1.0, f"p=1 n={n} seed {seed}: ratio {ratio:.3f} not > 1"
         assert crit.elapsed < 300.0, f"criterion 5 took {crit.elapsed:.1f}s, budget 300s"
@@ -227,7 +230,7 @@ def test_criterion_8_real_network_rows():
             order = NodeOrder.degree_ascending(g)
             result = drivers(g, max_matching(g, order), order)
             assert result.n_d == nd_ref, f"{name}: n_d {result.n_d} != {nd_ref}"
-            summary, _ = sample_mds(g, 10_000, seed=1)
+            summary = sample_mds(g, 10_000, seed=1)
             assert summary.mean_kd == pytest.approx(kd_ref, rel=0.10), (
                 f"{name}: sampled mean kd {summary.mean_kd:.3f} vs table {kd_ref} (+-10%)"
             )

@@ -6,7 +6,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from netctrl import parse_edge_list
+from netctrl import parse_edge_list, read_edge_list
 from netctrl.cli import RunConfig, main, run
 
 
@@ -146,6 +146,71 @@ class TestSample:
         monkeypatch.setenv("NETCTRL_SEED", "nope")
         code, _ = run_cli(capsys, "sample", "--input", star_file)
         assert code == 2
+
+
+class TestSeedDomain:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "--gen", "er:n=5,l=4"],
+            ["preferential", "--gen", "er:n=5,l=4", "--order", "random"],
+            ["sample", "--gen", "er:n=5,l=4", "--samples", "3"],
+            ["generate", "--gen", "er:n=5,l=4"],
+            ["reverse", "--gen", "er:n=5,l=4", "--R", "0.5"],
+            ["sweep-p", "--gen", "ba:n=20,m=2,m0=3", "--grid", "0,1", "--samples", "2"],
+            ["sweep-r", "--gen", "er:n=5,l=4", "--grid", "0,1", "--samples", "2"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_negative_seed_is_usage_error(self, capsys, argv):
+        code = main(argv + ["--seed", "-1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "seed must be a non-negative integer" in captured.err
+
+    def test_negative_env_seed_is_usage_error(self, capsys, star_file, monkeypatch):
+        monkeypatch.setenv("NETCTRL_SEED", "-3")
+        code, _ = run_cli(capsys, "sample", "--input", star_file, "--samples", "3")
+        assert code == 2
+
+    def test_explicit_seed_overrides_a_negative_env_seed(self, capsys, star_file, monkeypatch):
+        monkeypatch.setenv("NETCTRL_SEED", "-3")
+        code, _ = run_cli(capsys, "sample", "--input", star_file, "--samples", "3", "--seed", "4")
+        assert code == 0
+
+
+class TestEncoding:
+    def test_non_utf8_edge_list_is_ingestion_error(self, capsys, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes("caf\xe9 b\nb c\n".encode("latin-1"))
+        code, out = run_cli(capsys, "analyze", "--input", str(path))
+        assert code == 3
+        assert out == ""
+
+    def test_non_utf8_order_file_is_ingestion_error(self, capsys, star_file, tmp_path):
+        order_path = tmp_path / "order.txt"
+        order_path.write_bytes(b"a\nb\nc\nh\xffub\n")
+        code, _ = run_cli(
+            capsys, "preferential", "--input", star_file, "--order", f"file:{order_path}"
+        )
+        assert code == 3
+
+    def test_byte_order_mark_is_not_part_of_a_label(self, capsys, tmp_path):
+        path = tmp_path / "bom.txt"
+        path.write_bytes("\ufeffhub a\nhub b\nhub c\n".encode("utf-8"))
+        code, out = run_cli(capsys, "analyze", "--input", str(path))
+        assert code == 0
+        assert sorted(json.loads(out)["result"]["drivers"]) == ["b", "c", "hub"]
+        assert read_edge_list(path) == parse_edge_list(STAR_TEXT)
+
+    def test_order_file_byte_order_mark_is_dropped(self, capsys, star_file, tmp_path):
+        order_path = tmp_path / "order.txt"
+        order_path.write_bytes("\ufeffa\nb\nc\nhub\n".encode("utf-8"))
+        code, _ = run_cli(
+            capsys, "preferential", "--input", star_file, "--order", f"file:{order_path}"
+        )
+        assert code == 0
 
 
 class TestGenerateAndReverse:

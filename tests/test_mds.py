@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,12 +16,13 @@ from netctrl import (
     degrees,
     drivers,
     gen_directed_ba,
+    iter_samples,
     max_matching,
     preferential_mds,
     sample_mds,
 )
 
-from oracles import enumerate_driver_sets
+from oracles import brute_force_max_matching_size, enumerate_driver_sets
 
 
 def intern_order(graph):
@@ -113,41 +116,100 @@ class TestPreferential:
 
 class TestSampling:
     def test_perfect_matching_always_one_driver(self, cycle3):
-        summary, results = sample_mds(cycle3, 50, seed=3)
+        summary = sample_mds(cycle3, 50, seed=3)
+        samples = list(iter_samples(cycle3, 50, seed=3))
         assert summary.n_d == 1
-        assert all(r.n_d == 1 and r.perfect_matching for r in results)
+        assert len(samples) == 50
+        assert all(s.n_d == 1 and s.perfect_matching and len(s.drivers) == 1 for s in samples)
 
     def test_two_matchings_hit_only_legal_driver_sets(self, two_matchings):
-        summary, results = sample_mds(two_matchings, 1000, seed=1, dedupe=True)
+        summary = sample_mds(two_matchings, 1000, seed=1, dedupe=True)
         legal = enumerate_driver_sets(two_matchings)
         assert legal == {(1,), (2,)}
-        seen = {r.drivers for r in results}
+        seen = {s.drivers for s in iter_samples(two_matchings, 1000, seed=1)}
         assert seen <= legal
         assert summary.n_d == 1
         assert 1.0 <= summary.mean_kd <= 2.0
         assert summary.distinct_driver_sets == len(seen)
 
     def test_star_sampling_is_degenerate_in_kd(self, star):
-        summary, results = sample_mds(star, 100, seed=7)
+        summary = sample_mds(star, 100, seed=7)
         assert summary.n_d == 3
         assert summary.min_kd == summary.max_kd == pytest.approx((3 + 1 + 1) / 3)
-        for r in results:
-            assert 0 in r.drivers  # the hub's in-role is never matched
-            assert len(r.drivers) == 3
+        for s in iter_samples(star, 100, seed=7):
+            assert 0 in s.drivers  # the hub's in-role is never matched
+            assert len(s.drivers) == 3
 
     def test_same_seed_reproduces(self, two_matchings):
-        a, ra = sample_mds(two_matchings, 40, seed=11)
-        b, rb = sample_mds(two_matchings, 40, seed=11)
-        assert a == b
-        assert [r.drivers for r in ra] == [r.drivers for r in rb]
+        assert sample_mds(two_matchings, 40, seed=11) == sample_mds(two_matchings, 40, seed=11)
+        assert list(iter_samples(two_matchings, 40, seed=11)) == list(
+            iter_samples(two_matchings, 40, seed=11)
+        )
 
     def test_count_must_be_positive(self, star):
         with pytest.raises(UsageError):
             sample_mds(star, 0, seed=1)
+        with pytest.raises(UsageError):
+            iter_samples(star, 0, seed=1)
+        with pytest.raises(UsageError):
+            iter_samples(star, 1, seed=1, start=-1)
 
     def test_dedupe_off_reports_none(self, star):
-        summary, _ = sample_mds(star, 5, seed=1)
+        summary = sample_mds(star, 5, seed=1)
         assert summary.distinct_driver_sets is None
+
+    def test_summary_folds_the_stream(self):
+        g = gen_directed_ba(BaParams(n=120, m_attach=2, m0=3, p=0.5, seed=4))
+        samples = list(iter_samples(g, 60, seed=5))
+        summary = sample_mds(g, 60, seed=5, dedupe=True)
+        kds = [s.avg_degree_d for s in samples]
+        assert summary.sample_count == 60
+        assert summary.n_d == samples[0].n_d
+        assert summary.mean_kd == pytest.approx(sum(kds) / len(kds), rel=1e-12)
+        assert (summary.min_kd, summary.max_kd) == (min(kds), max(kds))
+        assert summary.distinct_driver_sets == len({s.drivers for s in samples})
+
+    def test_sample_i_alone_equals_sample_i_of_a_longer_run(self):
+        g = gen_directed_ba(BaParams(n=150, m_attach=2, m0=3, p=0.5, seed=6))
+        run = list(iter_samples(g, 25, seed=8))
+        for i in (0, 1, 7, 24):
+            (alone,) = iter_samples(g, 1, seed=8, start=i)
+            assert alone == run[i]
+        assert list(iter_samples(g, 5, seed=8, start=20)) == run[20:]
+        assert len({s.drivers for s in run}) > 1  # the samples do differ
+
+    def test_memory_does_not_grow_with_the_sample_count(self):
+        # a kept witness would cost about 7 kB per sample here, so 200
+        # samples would peak near ten times higher than 10
+        g = gen_directed_ba(BaParams(n=300, m_attach=2, m0=3, p=0.5, seed=1))
+
+        def peak(count: int) -> int:
+            sample_mds(g, 2, seed=0)  # warm the graph's cached arrays
+            tracemalloc.start()
+            try:
+                sample_mds(g, count, seed=3)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        few, many = peak(10), peak(200)
+        assert many <= 1.5 * few, f"peak {many} B at 200 samples vs {few} B at 10"
+
+
+@settings(max_examples=60, deadline=None)
+@given(digraphs(), st.integers(min_value=0, max_value=10**6))
+def test_sampled_sets_are_legal_driver_sets(g, seed):
+    zero_in = {v for v in range(g.node_count) if not g.in_adjacency[v]}
+    legal = enumerate_driver_sets(g)
+    n_d = max(g.node_count - brute_force_max_matching_size(g), 1)
+    for s in iter_samples(g, 8, seed):
+        assert s.n_d == n_d
+        assert len(s.drivers) == n_d
+        if s.perfect_matching:
+            assert not zero_in
+        else:
+            assert zero_in <= set(s.drivers)
+            assert s.drivers in legal
 
 
 @settings(max_examples=60, deadline=None)
@@ -187,7 +249,7 @@ def test_driver_legality_no_driver_in_role_matched(g, seed):
 
 def test_order_steering_on_a_model_network():
     g = gen_directed_ba(BaParams(n=500, m_attach=2, m0=3, p=0.5, seed=21))
-    summary, _ = sample_mds(g, 200, seed=22)
+    summary = sample_mds(g, 200, seed=22)
     asc = preferential_mds(g, NodeOrder.degree_ascending(g), g.node_count)
     desc = preferential_mds(g, NodeOrder.degree_descending(g), g.node_count)
     assert asc.avg_degree_d > summary.mean_kd > desc.avg_degree_d

@@ -142,7 +142,7 @@ class TestSweeps:
         g = gen_directed_ba(BaParams(n=200, m_attach=2, m0=3, p=0.5, seed=2))
         rows = sweep_r(g, [0.0, 0.5], samples=50, seed=17)
         row0 = rows[0]
-        summary, _ = sample_mds(g, 50, row0.seed)
+        summary = sample_mds(g, 50, row0.seed)
         assert row0.mean_kd == summary.mean_kd
         assert row0.f_hi_lo == f_hi_lo(g)
         assert row0.avg_degree == average_degree(g)
@@ -151,7 +151,7 @@ class TestSweeps:
         g = gen_directed_ba(BaParams(n=200, m_attach=2, m0=3, p=0.5, seed=2))
         row = sweep_r(g, [0.5], samples=50, seed=17)[0]
         transformed = reverse_edges(g, ReversalParams(r=0.5, seed=row.seed)).graph
-        summary, _ = sample_mds(transformed, 50, row.seed)
+        summary = sample_mds(transformed, 50, row.seed)
         assert row.mean_kd == summary.mean_kd
 
     def test_csv_serialization_round_trips(self, p_rows):
