@@ -49,6 +49,7 @@ class DirectedGraph:
         "_edge_set",
         "_degree_view",
         "_out_csr",
+        "_out_ptr",
         "duplicate_count",
         "provenance",
     )
@@ -91,6 +92,7 @@ class DirectedGraph:
         self._edge_set = seen
         self._degree_view = None
         self._out_csr = None
+        self._out_ptr = None
         self.duplicate_count = int(duplicate_count)
         self.provenance = tuple(provenance)
 
@@ -177,6 +179,18 @@ def out_csr(graph: DirectedGraph) -> tuple[np.ndarray, np.ndarray]:
         heads.flags.writeable = False
         csr = graph._out_csr = (ptr, heads)
     return csr
+
+
+def out_ptr_list(graph: DirectedGraph) -> list[int]:
+    """``out_csr``'s row pointer as a list (cached on the graph).
+
+    For loops that index the pointer one element at a time, which is
+    faster on a list than on an array.
+    """
+    ptr = graph._out_ptr
+    if ptr is None:
+        ptr = graph._out_ptr = out_csr(graph)[0].tolist()
+    return ptr
 
 
 def average_degree(graph: DirectedGraph) -> float:

@@ -10,19 +10,36 @@ Augmenting-path search is depth-first and deterministic: free tails are
 processed in ascending rank of a caller-supplied node order, and candidate
 in-roles are scanned lowest rank first. The deterministic scan is what
 lets a degree-sorted order steer which nodes end up unmatched.
+
+Every search runs in one core, ``MatchingState._augment``, which prunes
+across the roots of one call (a Hungarian forest): within a call the
+active set is fixed, and the in-roles visited by a search that failed stay
+marked, while a search that succeeds clears only the marks it made. This
+is exact. When a search fails, every out-edge of every tail in its tree
+ends at a marked in-role, and every in-role in the tree is matched to a
+tail in the tree. So no augmenting path can enter the tree, flipping one
+leaves the tree as it was, and its in-roles stay dead ends for the rest
+of the call. Skipping them changes no search's result or the order in
+which it visits the live in-roles, so the matchings are those of a search
+without the pruning. Marks do not outlive a call: admitting a node can
+open a path through them.
 """
 
 from __future__ import annotations
 
+import sys
 from bisect import insort
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from .errors import UsageError, ValidationError
-from .graph import DirectedGraph, out_csr
+from .graph import DirectedGraph, out_csr, out_ptr_list
 
 __all__ = ["Matching", "MatchingState", "max_matching", "verify_maximum"]
+
+# the mark of a head outside the active set: reads as visited under every stamp
+_INACTIVE = sys.maxsize
 
 
 class Matching:
@@ -92,28 +109,13 @@ class Matching:
     def tail_by_head(self) -> tuple[int, ...]:
         return self._tail_by_head
 
-    def head_of(self, tail: int) -> int:
-        return self._head_by_tail[tail]
-
     def tail_of(self, head: int) -> int:
         return self._tail_by_head[head]
-
-    @property
-    def tail_to_head(self) -> dict[int, int]:
-        return {u: v for u, v in enumerate(self._head_by_tail) if v >= 0}
-
-    @property
-    def head_to_tail(self) -> dict[int, int]:
-        return {v: u for v, u in enumerate(self._tail_by_head) if u >= 0}
 
     def pairs(self) -> Iterator[tuple[int, int]]:
         for u, v in enumerate(self._head_by_tail):
             if v >= 0:
                 yield (u, v)
-
-    def is_perfect(self) -> bool:
-        """True when every node's in-role is matched."""
-        return self._size == len(self._head_by_tail)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matching):
@@ -161,25 +163,33 @@ class MatchingState:
         if rank.min() < 0:
             raise UsageError("order must contain each node index exactly once")
         self.graph = graph
-        ptr, heads = out_csr(graph)
         if scan_heads is None:
+            ptr, heads = out_csr(graph)
             tails = np.repeat(np.arange(n), np.diff(ptr))
             scan_heads = heads[np.argsort(tails * n + rank[heads])].tolist()
-        elif len(scan_heads) != len(heads):
+        elif len(scan_heads) != graph.edge_count:
             raise UsageError("scan_heads must hold one entry per edge")
         self._order = perm.tolist()
-        self._rank = rank.tolist()
-        self._ptr = ptr.tolist()
+        self._rank = rank  # an array: only the rank property and insort read it
+        self._ptr = out_ptr_list(graph)
         self._heads = scan_heads
-        self._active = bytearray(n)
         self._mh = [-1] * n  # tail -> matched head
         self._mt = [-1] * n  # head -> matched tail
         self._size = 0
-        self._visited = [0] * n  # stamp marks on heads
+        # per head: _INACTIVE until admitted, then the stamp of the search
+        # that last marked it, 0 when unmarked (see _augment)
+        self._mark = [_INACTIVE] * n
         self._stamp = 0
-        self._free_scan: list[int] = []  # active free tails with out-edges, rank ascending
+        mark = self._mark
+        admitted = False
         for v in active:
-            self._admit(int(v))
+            v = int(v)
+            if not 0 <= v < n:
+                raise UsageError(f"node {v} out of range")
+            if mark[v] != _INACTIVE:
+                raise UsageError(f"node {v} is already active")
+            mark[v] = 0
+            admitted = True
         if matching is not None:
             if not isinstance(matching, Matching):
                 matching = Matching.from_pairs(graph, matching)
@@ -188,13 +198,21 @@ class MatchingState:
                     f"matching covers {len(matching.head_by_tail)} nodes, graph has {n}"
                 )
             for u, v in matching.pairs():
-                if not (self._active[u] and self._active[v]):
+                if mark[u] == _INACTIVE or mark[v] == _INACTIVE:
                     raise ValidationError(f"matched pair ({u}, {v}) outside the active set")
                 if not graph.has_edge(u, v):
                     raise ValidationError(f"({u}, {v}) is not an edge of the graph")
                 self._mh[u] = v
                 self._mt[v] = u
             self._size = matching.size
+        # the roots of extend_with_node's rescan: active free tails with
+        # out-edges, in ascending rank
+        self._free_scan: list[int] = []
+        if admitted:
+            ptr, mh = self._ptr, self._mh
+            self._free_scan = [
+                u for u in self._order if mark[u] == 0 and mh[u] < 0 and ptr[u] < ptr[u + 1]
+            ]
 
     # --- queries ------------------------------------------------------
 
@@ -226,14 +244,14 @@ class MatchingState:
 
     @property
     def active_nodes(self) -> frozenset[int]:
-        return frozenset(v for v in range(len(self._active)) if self._active[v])
+        return frozenset(v for v, m in enumerate(self._mark) if m != _INACTIVE)
 
     def is_active(self, node: int) -> bool:
-        return bool(self._active[node])
+        return self._mark[node] != _INACTIVE
 
     @property
     def rank(self) -> tuple[int, ...]:
-        return tuple(self._rank)
+        return tuple(self._rank.tolist())
 
     # --- mutation -----------------------------------------------------
 
@@ -244,13 +262,16 @@ class MatchingState:
         default). Returns True and grows the matching by one when a path
         to a free in-role exists, otherwise leaves the matching unchanged.
         """
-        n = len(self._mh)
-        if not (0 <= free_tail < n) or not self._active[free_tail]:
+        if not (0 <= free_tail < len(self._mh)) or not self.is_active(free_tail):
             raise UsageError(f"node {free_tail} is not active")
         if self._mh[free_tail] >= 0:
             raise UsageError(f"out-role of node {free_tail} is already matched")
         self._stamp += 1
-        return self._try_augment(free_tail)
+        if self._augment((free_tail,)) < 0:
+            return False
+        if free_tail in self._free_scan:
+            self._free_scan.remove(free_tail)
+        return True
 
     def extend_with_node(self, node: int) -> None:
         """Admit one node plus its induced edges, then restore maximality.
@@ -259,21 +280,27 @@ class MatchingState:
         remaining free out-roles in ascending rank. Previously matched
         roles stay matched; the matching grows by 0, 1, or 2.
         """
-        n = len(self._mh)
-        if not (0 <= node < n):
+        if not (0 <= node < len(self._mh)):
             raise UsageError(f"node {node} out of range")
-        if self._active[node]:
+        mark = self._mark
+        if mark[node] != _INACTIVE:
             raise UsageError(f"node {node} is already active")
-        self._admit(node)
+        mark[node] = 0
         self._stamp += 1
-        if self._ptr[node] < self._ptr[node + 1] and self._try_augment(node):
-            self._stamp += 1
+        stays_free = self._augment((node,)) < 0
         # a second augmenting path can only involve the new in-role (it ends
         # there, or routes through it when the first path claimed it), so the
-        # rescan is needed exactly when that in-role has an active edge
-        active = self._active
-        if any(active[t] for t in self.graph.in_adjacency[node]):
-            self._rescan_free_tails(skip=node)
+        # rescan is needed exactly when that in-role has an active edge, and
+        # it stops at its first success
+        if any(mark[t] != _INACTIVE for t in self.graph.in_adjacency[node]):
+            root = self._augment(self._free_scan, first_only=True)
+            if root >= 0:
+                self._free_scan.remove(root)
+        # the rescan cannot match the new out-role: it is free, so it lies on
+        # no alternating path but its own
+        ptr = self._ptr
+        if stays_free and ptr[node] < ptr[node + 1]:
+            insort(self._free_scan, node, key=self._rank.item)
 
     def complete(self) -> None:
         """Admit all remaining nodes and finish to a maximum matching.
@@ -281,84 +308,79 @@ class MatchingState:
         One pass over free out-roles in ascending rank; a failed search
         stays failed under later augmentations, so one pass suffices.
         """
-        active = self._active
-        for v in range(len(active)):
-            active[v] = 1
+        self._mark = [0] * len(self._mh)
         self._stamp += 1
-        mh = self._mh
-        ptr = self._ptr
-        for u in self._order:
-            if mh[u] < 0 and ptr[u] < ptr[u + 1] and self._try_augment(u):
-                self._stamp += 1
-        self._free_scan = [u for u in self._order if mh[u] < 0 and ptr[u] < ptr[u + 1]]
+        self._augment(self._order)
+        self._free_scan = []  # no node is left to admit
 
     # --- internals ----------------------------------------------------
 
-    def _admit(self, node: int) -> None:
-        if self._active[node]:
-            raise UsageError(f"node {node} is already active")
-        self._active[node] = 1
-        if self._ptr[node] < self._ptr[node + 1]:
-            insort(self._free_scan, node, key=self._rank.__getitem__)
+    def _augment(self, roots: Iterable[int], first_only: bool = False) -> int:
+        """Search an augmenting path from each free root in turn; flip each found.
 
-    def _rescan_free_tails(self, skip: int) -> None:
-        # Only a path ending at the newly exposed in-role can exist, so at
-        # most one scan succeeds; failures share the stamp (dead heads stay
-        # dead while the matching is unchanged) and are dropped lazily.
-        mh = self._mh
-        kept = []
-        augmented = False
-        for u in self._free_scan:
-            if mh[u] >= 0:
-                continue
-            if not augmented and u != skip and self._try_augment(u):
-                self._stamp += 1
-                augmented = True
-                continue
-            kept.append(u)
-        self._free_scan = kept
-
-    def _try_augment(self, root: int) -> bool:
-        # Iterative alternating DFS. The frame being scanned lives in locals
-        # (u, i, end); each ancestor is stacked as (tail, slot to resume,
-        # head it descended through), so a search that fails at the root,
-        # the common case while rescanning, allocates nothing. Heads marked
-        # with the current stamp are dead ends for as long as the matching
-        # and active set are unchanged; callers advance the stamp after any
-        # change.
+        The one alternating-DFS core: ``complete`` passes every node in rank
+        order, ``augment_from`` and the admission a single root, the
+        rescan the free tails with ``first_only``. Returns the last root
+        whose search succeeded, or -1. Heads marked with the current stamp
+        (or inactive) count as visited. A failed search keeps its marks,
+        a successful one clears the marks it made (the module docstring
+        says why); callers advance the stamp whenever the active set
+        changes.
+        """
         heads, ptr = self._heads, self._ptr
-        active = self._active
         mh, mt = self._mh, self._mt
-        visited = self._visited
+        mark = self._mark
         stamp = self._stamp
+        trail: list[int] = []  # heads marked by the running search
         stack: list[tuple[int, int, int]] = []
-        u = root
-        i = ptr[u]
-        end = ptr[u + 1]
-        while True:
-            while i < end:
-                v = heads[i]
-                i += 1
-                if visited[v] == stamp or not active[v]:
-                    continue
-                visited[v] = stamp
-                w = mt[v]
-                if w < 0:
+        found = 0
+        last = -1
+        for root in roots:
+            if mh[root] >= 0:
+                continue
+            # The frame being scanned lives in locals (u, i, end); each
+            # ancestor is stacked as (tail, slot to resume, head it
+            # descended through), so a search that fails at its root
+            # allocates nothing.
+            u = root
+            i = ptr[u]
+            end = ptr[u + 1]
+            while True:
+                if i < end:
+                    v = heads[i]
+                    i += 1
+                    if mark[v] >= stamp:
+                        continue
+                    mark[v] = stamp
+                    trail.append(v)
+                    w = mt[v]
+                    if w >= 0:
+                        stack.append((u, i, v))
+                        u = w
+                        i = ptr[u]
+                        end = ptr[u + 1]
+                        continue
                     mh[u] = v
                     mt[v] = u
                     for t, _, h in stack:
                         mh[t] = h
                         mt[h] = t
-                    self._size += 1
-                    return True
-                stack.append((u, i, v))
-                u = w
-                i = ptr[u]
-                end = ptr[u + 1]
-            if not stack:
-                return False
-            u, i, _ = stack.pop()
-            end = ptr[u + 1]
+                    stack.clear()
+                    for h in trail:
+                        mark[h] = 0
+                    found += 1
+                    last = root
+                elif stack:
+                    u, i, _ = stack.pop()
+                    end = ptr[u + 1]
+                    continue
+                if trail:
+                    trail.clear()
+                break
+            if first_only and last >= 0:
+                break
+        self._size += found
+        return last
 
 
 def max_matching(graph: DirectedGraph, order) -> Matching:
@@ -378,57 +400,13 @@ def verify_maximum(graph: DirectedGraph, matching: Matching, active: Iterable[in
 
     Validates the matching first (pairs must be edges of the induced
     subgraph, injective both ways) and raises ValidationError otherwise.
-    Never mutates the matching.
+    Never mutates the matching: the search runs on a copy and stops at
+    the first augmenting path.
     """
     n = graph.node_count
-    if len(matching.head_by_tail) != n:
-        raise ValidationError(
-            f"matching covers {len(matching.head_by_tail)} nodes, graph has {n}"
-        )
-    if active is None:
-        act = bytearray(b"\x01") * n
-    else:
-        act = bytearray(n)
-        for v in active:
-            act[int(v)] = 1
-    mt = [-1] * n
-    for u, v in matching.pairs():
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValidationError(f"matched pair ({u}, {v}) out of range")
-        if not (act[u] and act[v]):
-            raise ValidationError(f"matched pair ({u}, {v}) outside the active set")
-        if not graph.has_edge(u, v):
-            raise ValidationError(f"({u}, {v}) is not an edge of the graph")
-        if mt[v] >= 0:
-            raise ValidationError(f"head {v} matched twice")
-        mt[v] = u
-    mh = list(matching.head_by_tail)
-
-    # Failure marks are shared across all start tails: nothing mutates, so a
-    # head seen to be a dead end stays one.
-    adj = graph.out_adjacency
-    visited = bytearray(n)
-    for root in range(n):
-        if not act[root] or mh[root] >= 0 or not adj[root]:
-            continue
-        stack = [(root, 0)]
-        while stack:
-            u, i = stack[-1]
-            lst = adj[u]
-            pushed = False
-            while i < len(lst):
-                v = lst[i]
-                i += 1
-                if visited[v] or not act[v]:
-                    continue
-                visited[v] = 1
-                w = mt[v]
-                if w < 0:
-                    return False
-                stack[-1] = (u, i)
-                stack.append((w, 0))
-                pushed = True
-                break
-            if not pushed:
-                stack.pop()
-    return True
+    nodes = range(n) if active is None else {int(v) for v in active}
+    # any scan order will do; the adjacency's own shares its int objects
+    scan = [v for adj in graph.out_adjacency for v in adj]
+    state = MatchingState(graph, range(n), active=nodes, matching=matching, scan_heads=scan)
+    state._stamp += 1
+    return state._augment(state._free_scan, first_only=True) < 0

@@ -7,20 +7,26 @@ Tests compare final matchings pair for pair.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from netctrl import DirectedGraph
-from netctrl.mds import NodeOrder
 
 
 class NaiveState:
-    def __init__(self, graph: DirectedGraph, order: NodeOrder):
+    """``order`` is a NodeOrder or a permutation; ``scan[u]`` lists tail u's
+    heads in the order its search tries them (default: ascending rank)."""
+
+    def __init__(self, graph: DirectedGraph, order, scan: Sequence[Sequence[int]] | None = None):
         n = graph.node_count
         self.graph = graph
-        self.order = order
+        self.order = tuple(int(v) for v in getattr(order, "permutation", order))
         self.rank = [0] * n
-        for pos, v in enumerate(order.permutation):
+        for pos, v in enumerate(self.order):
             self.rank[v] = pos
-        key = self.rank.__getitem__
-        self.scan = [sorted(adj, key=key) for adj in graph.out_adjacency]
+        if scan is None:
+            key = self.rank.__getitem__
+            scan = [sorted(adj, key=key) for adj in graph.out_adjacency]
+        self.scan = [[int(v) for v in heads] for heads in scan]
         self.active = [False] * n
         self.mh = [-1] * n
         self.mt = [-1] * n
@@ -41,7 +47,7 @@ class NaiveState:
         return self._search(u, set())
 
     def rescan_free_tails(self, skip: int = -1) -> None:
-        for u in self.order.permutation:
+        for u in self.order:
             if self.active[u] and u != skip and self.mh[u] < 0:
                 self.augment(u)
 
@@ -54,7 +60,7 @@ class NaiveState:
     def complete(self) -> None:
         for v in range(len(self.active)):
             self.active[v] = True
-        for u in self.order.permutation:
+        for u in self.order:
             if self.mh[u] < 0:
                 self.augment(u)
 
@@ -62,13 +68,13 @@ class NaiveState:
         return {(u, v) for u, v in enumerate(self.mh) if v >= 0}
 
 
-def naive_max_matching_pairs(graph: DirectedGraph, order: NodeOrder) -> set[tuple[int, int]]:
-    state = NaiveState(graph, order)
+def naive_max_matching_pairs(graph: DirectedGraph, order, scan=None) -> set[tuple[int, int]]:
+    state = NaiveState(graph, order, scan)
     state.complete()
     return state.pairs()
 
 
-def naive_preferential_pairs(graph: DirectedGraph, order: NodeOrder, m: int) -> set[tuple[int, int]]:
+def naive_preferential_pairs(graph: DirectedGraph, order, m: int) -> set[tuple[int, int]]:
     state = NaiveState(graph, order)
     for node in order.permutation[:m]:
         state.extend_with_node(node)

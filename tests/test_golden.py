@@ -1,7 +1,8 @@
 """Committed reports for pinned seeds, compared byte for byte.
 
 The analyze and preferential goldens pin the deterministic matching path;
-the sample and sweep-r goldens pin the sampler's random stream. A change
+the sample, sweep-r and sweep-p goldens pin the sampler's random stream;
+the generate and reverse goldens pin the generators' edge lists. A change
 that alters a stream on purpose regenerates the files with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -25,17 +26,25 @@ CASES = {
     "analyze-er40-random.json": [
         "analyze", "--gen", "er:n=40,l=90", "--order", "random", "--seed", "5",
     ],
+    "generate-er30.txt": ["generate", "--gen", "er:n=30,l=60", "--seed", "7"],
     "preferential-ba80-desc.json": [
         "preferential", "--gen", "ba:n=80,m=2,m0=3,p=0.7", "--order", "desc", "--seed", "5",
     ],
     "preferential-er50-asc-m20.json": [
         "preferential", "--gen", "er:n=50,l=120", "--order", "asc", "--m", "20", "--seed", "2",
     ],
+    "reverse-ba40-r0.5.txt": [
+        "reverse", "--gen", "ba:n=40,m=2,m0=3,p=0.5", "--R", "0.5", "--seed", "2",
+    ],
     "sample-ba60-dedupe.json": [
         "sample", "--gen", "ba:n=60,m=2,m0=3,p=0.5", "--samples", "40", "--seed", "3", "--dedupe",
     ],
     "sweep-r-ba60.csv": [
         "sweep-r", "--gen", "ba:n=60,m=2,m0=3,p=0.5", "--grid", "0,0.5,1",
+        "--samples", "10", "--seed", "4",
+    ],
+    "sweep-p-ba60.csv": [
+        "sweep-p", "--gen", "ba:n=60,m=2,m0=3,p=0.5", "--grid", "0,0.5,1",
         "--samples", "10", "--seed", "4",
     ],
 }

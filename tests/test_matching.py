@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,10 +16,12 @@ from netctrl import (
     max_matching,
     verify_maximum,
 )
+from netctrl.generators import BaParams, gen_directed_ba, gen_directed_er
+from netctrl.graph import out_csr
 from netctrl.mds import NodeOrder
 
 from oracles import brute_force_max_matching_size, enumerate_maximum_matchings
-from reference import naive_max_matching_pairs, naive_preferential_pairs
+from naive import naive_max_matching_pairs, naive_preferential_pairs
 
 
 def intern_order(graph):
@@ -174,6 +177,18 @@ class TestExtendWithNode:
         with pytest.raises(UsageError):
             state.extend_with_node(0)
 
+    def test_dead_head_revives_after_a_later_admission(self):
+        # s->h, t->h, s->x admitted as s, h, t, x: admitting t searches
+        # t -> h -> s and fails, so h is a dead end then; admitting x gives
+        # s a free head, and the rescan from t must pass through h again
+        g = DirectedGraph(["s", "h", "t", "x"], [(0, 1), (2, 1), (0, 3)])
+        state = MatchingState(g, intern_order(g))
+        for node in range(3):
+            state.extend_with_node(node)
+        assert set(state.matching.pairs()) == {(0, 1)}
+        state.extend_with_node(3)
+        assert set(state.matching.pairs()) == {(0, 3), (2, 1)}
+
     def test_self_loop_matched_on_admission(self):
         g = DirectedGraph(["v"], [(0, 0)])
         state = MatchingState(g, intern_order(g))
@@ -256,3 +271,39 @@ def test_incremental_agrees_with_naive_reference(pair, m_raw):
     if m < g.node_count:
         state.complete()
     assert set(state.matching.pairs()) == naive_preferential_pairs(g, order, m)
+
+
+@st.composite
+def sparse_graph_and_seed(draw):
+    # sparse ER/BA graphs leave many tails free, so many searches fail and
+    # the completing pass prunes heads behind them; from an average degree
+    # of about 4 the searches also grow deep enough to pass through the
+    # failed subtrees of successful searches
+    n = draw(st.integers(min_value=4, max_value=300))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    if draw(st.booleans()):
+        edges = draw(st.integers(min_value=n // 2, max_value=min(4 * n, n * (n - 1))))
+        g = gen_directed_er(n, edges, seed=seed)
+    else:
+        m = draw(st.sampled_from([1, 2, 3]))
+        g = gen_directed_ba(BaParams(n=n, m_attach=m, p=draw(st.floats(0.0, 1.0)), seed=seed))
+    return g, draw(st.integers(min_value=0, max_value=2**32 - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_graph_and_seed())
+def test_randomized_complete_agrees_with_naive_reference(case):
+    # the sampler's randomization: one permutation, then one key per edge
+    # that shuffles each tail's scan segment
+    g, seed = case
+    n = g.node_count
+    ptr, heads = out_csr(g)
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(n)
+    keys = rng.integers(0, 1 << 32, size=heads.size, dtype=np.int64)
+    segment_key = np.repeat(np.arange(n, dtype=np.int64), np.diff(ptr)) << 32
+    scan = heads[np.argsort(segment_key | keys)]
+    state = MatchingState(g, perm, scan_heads=scan.tolist())
+    state.complete()
+    per_tail = [scan[ptr[u]:ptr[u + 1]] for u in range(n)]
+    assert set(state.matching.pairs()) == naive_max_matching_pairs(g, perm, per_tail)
