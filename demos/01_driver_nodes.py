@@ -39,7 +39,8 @@ for v in result.drivers:
 print(f"average driver degree <k_D> = {result.avg_degree_d:.3f}")
 
 # Sources (zero in-degree) can never be matched, so they always drive.
-sources = [g.label_of(v) for v in range(g.node_count) if not g.in_adjacency[v]]
+in_degree = nc.degrees(g).in_degree
+sources = [g.label_of(v) for v in range(g.node_count) if in_degree[v] == 0]
 print(f"\nzero in-degree nodes (always drivers): {sources}")
 
 # A perfect matching still needs one driver; the designated node is the

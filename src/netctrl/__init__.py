@@ -28,7 +28,6 @@ from .graph import (
     DirectedGraph,
     average_degree,
     degrees,
-    out_csr,
     parse_edge_list,
     read_edge_list,
     to_edge_list,
@@ -72,7 +71,6 @@ __all__ = [
     "to_edge_list",
     "write_edge_list",
     "degrees",
-    "out_csr",
     "average_degree",
     "Matching",
     "MatchingState",

@@ -152,7 +152,6 @@ def _graph_block(graph: DirectedGraph) -> dict:
 
 def _mds_payload(graph: DirectedGraph, result: MdsResult, order: NodeOrder) -> dict:
     labels = graph.labels
-    histogram = driver_degree_histogram(graph, result)
     return {
         "n_d": result.n_d,
         "lambda_d": result.lambda_d,
@@ -162,10 +161,7 @@ def _mds_payload(graph: DirectedGraph, result: MdsResult, order: NodeOrder) -> d
         "order": order.key_spec,
         "drivers": [labels[v] for v in result.drivers],
         "witness": [[labels[u], labels[v]] for u, v in result.witness.pairs()],
-        "histogram": {
-            str(k): {"population": p, "drivers": d}
-            for k, (p, d) in sorted(histogram.counts.items())
-        },
+        "histogram": driver_degree_histogram(graph, result).as_mapping(),
     }
 
 
@@ -187,20 +183,7 @@ def _csv_report(config: RunConfig, rows) -> str:
 
 
 def _rows_payload(rows) -> dict:
-    return {
-        "rows": [
-            {
-                "knob": row.knob,
-                "f_hi_lo": row.f_hi_lo,
-                "mean_kd": row.mean_kd,
-                "avg_degree": row.avg_degree,
-                "ratio": row.ratio,
-                "samples": row.sample_count,
-                "seed": row.seed,
-            }
-            for row in rows
-        ]
-    }
+    return {"rows": [row.columns() for row in rows]}
 
 
 def run(config: RunConfig) -> str:
@@ -265,15 +248,8 @@ def run(config: RunConfig) -> str:
             payload["m"] = m
             return _json_report(config, payload, graph)
         summary = sample_mds(graph, config.samples, config.seed, dedupe=config.dedupe)
-        payload = {
-            "sample_count": summary.sample_count,
-            "n_d": summary.n_d,
-            "lambda_d": summary.n_d / graph.node_count,
-            "mean_kd": summary.mean_kd,
-            "min_kd": summary.min_kd,
-            "max_kd": summary.max_kd,
-            "distinct_driver_sets": summary.distinct_driver_sets,
-        }
+        payload = asdict(summary)
+        payload["lambda_d"] = summary.n_d / graph.node_count
         return _json_report(config, payload, graph)
 
     raise UsageError(f"unknown command {command!r}")
@@ -297,9 +273,11 @@ def _build_parser(default_seed: int) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, fmt_default="json"):
+        # fmt_default=None: the command emits edge-list text and takes no --format
         p.add_argument("--seed", type=int, default=default_seed,
                        help="random seed (default: NETCTRL_SEED or 0)")
-        p.add_argument("--format", choices=("json", "csv"), default=fmt_default)
+        if fmt_default is not None:
+            p.add_argument("--format", choices=("json", "csv"), default=fmt_default)
         p.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
 
     p = sub.add_parser("analyze", help="maximum matching, driver set, and degree histogram")
@@ -323,12 +301,12 @@ def _build_parser(default_seed: int) -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="emit a generated network as edge-list text")
     _add_graph_source(p, gen_only=True)
-    common(p)
+    common(p, fmt_default=None)
 
     p = sub.add_parser("reverse", help="flip low-to-high-degree edges with probability R")
     _add_graph_source(p)
     p.add_argument("--R", dest="r", type=float, required=True, metavar="FLOAT")
-    common(p)
+    common(p, fmt_default=None)
 
     p = sub.add_parser("sweep-p", help="sweep attachment direction p over generated networks")
     _add_graph_source(p, gen_only=True)
@@ -357,7 +335,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         dedupe=getattr(args, "dedupe", False),
         grid=getattr(args, "grid", None),
         r=getattr(args, "r", None),
-        format=args.format,
+        format=getattr(args, "format", "json"),
     )
 
 

@@ -127,12 +127,9 @@ def gen_directed_er(n: int, l: int, seed: int = 0) -> DirectedGraph:
             if k not in picked:
                 picked.add(k)
                 chosen.append(k)
-    edges = []
-    for k in chosen:
-        k = int(k)
-        u, r = divmod(k, n - 1) if n > 1 else (0, 0)
-        v = r + 1 if r >= u else r
-        edges.append((u, v))
+    # pair k is (u, v) for u, r = divmod(k, n - 1), skipping v = u
+    u, r = np.divmod(np.asarray(chosen, dtype=np.int64), max(n - 1, 1))
+    edges = np.column_stack((u, r + (r >= u)))
     labels = [str(i) for i in range(n)]
     provenance = (f"er n={n} l={l} seed={seed}",)
     return DirectedGraph(labels, edges, provenance=provenance)
@@ -149,22 +146,23 @@ def reverse_edges(graph: DirectedGraph, params: ReversalParams) -> ReversalResul
     """
     rng = np.random.default_rng(params.seed)
     r = params.r
-    tot = degrees(graph).total_degree.tolist()
-    edges = list(graph.edges)
-    edge_set = set(edges)
-    reversed_count = 0
-    skipped = 0
-    for idx, (u, v) in enumerate(edges):
-        if tot[u] < tot[v] and rng.random() < r:
-            if (v, u) in edge_set:
-                skipped += 1
-                continue
-            edge_set.discard((u, v))
-            edge_set.add((v, u))
-            edges[idx] = (v, u)
-            reversed_count += 1
+    tot = degrees(graph).total_degree
+    tails, heads = graph.tails, graph.heads
+    eligible = np.flatnonzero(tot[tails] < tot[heads])
+    # one draw per eligible edge, in edge order: the same stream as one
+    # scalar draw per edge. Flipping in one step is exact, because a flip
+    # of (u, v) can only meet the input edge (v, u): two distinct edges
+    # never flip to the same pair, and (v, u) runs from higher to lower
+    # degree, so it is never flipped away itself.
+    flips = eligible[rng.random(eligible.size) < r]
+    collides = graph.has_edge(heads[flips], tails[flips])
+    flips = flips[~collides]
+    pairs = np.column_stack((tails, heads))
+    pairs[flips] = pairs[flips, ::-1]
+    reversed_count = int(flips.size)
+    skipped = int(np.count_nonzero(collides))
     provenance = graph.provenance + (
         f"reverse r={r} seed={params.seed} reversed={reversed_count} skipped={skipped}",
     )
-    out = DirectedGraph(graph.labels, edges, provenance=provenance)
+    out = DirectedGraph(graph.labels, pairs, provenance=provenance)
     return ReversalResult(graph=out, reversed_count=reversed_count, skipped_count=skipped)

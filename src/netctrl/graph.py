@@ -23,7 +23,6 @@ __all__ = [
     "to_edge_list",
     "write_edge_list",
     "degrees",
-    "out_csr",
     "average_degree",
 ]
 
@@ -31,7 +30,15 @@ _COMMENT_PREFIXES = ("#", "%")
 
 
 class DirectedGraph:
-    """Immutable directed graph with out/in adjacency.
+    """Immutable directed graph stored as numpy edge arrays.
+
+    ``tails`` and ``heads`` hold the edges in input order. ``out_ptr`` and
+    ``out_heads`` are the out-adjacency as compressed sparse rows (the
+    heads of tail u are ``out_heads[out_ptr[u]:out_ptr[u + 1]]``), and
+    ``in_ptr`` and ``in_tails`` the in-adjacency; each row keeps input
+    order. ``out_offsets`` is ``out_ptr`` as a list, for loops that index
+    it one element at a time, which is faster on a list than on an array.
+    All arrays are read-only.
 
     Construction validates that node indices are dense, labels are unique,
     and no (tail, head) pair repeats. ``duplicate_count`` records how many
@@ -42,14 +49,15 @@ class DirectedGraph:
 
     __slots__ = (
         "_labels",
-        "_edges",
-        "_out",
-        "_in",
         "_label_index",
-        "_edge_set",
-        "_degree_view",
-        "_out_csr",
-        "_out_ptr",
+        "_keys",
+        "tails",
+        "heads",
+        "out_ptr",
+        "out_heads",
+        "out_offsets",
+        "in_ptr",
+        "in_tails",
         "duplicate_count",
         "provenance",
     )
@@ -66,33 +74,40 @@ class DirectedGraph:
         n = len(labels)
         if n < 1:
             raise ValueError("graph needs at least one node")
-        if len(set(labels)) != n:
+        label_index = {s: i for i, s in enumerate(labels)}
+        if len(label_index) != n:
             raise ValueError("node labels must be unique")
-        edge_list = []
-        seen: set[tuple[int, int]] = set()
-        out: list[list[int]] = [[] for _ in range(n)]
-        inc: list[list[int]] = [[] for _ in range(n)]
-        for tail, head in edges:
-            tail = int(tail)
-            head = int(head)
-            if not (0 <= tail < n and 0 <= head < n):
-                raise ValueError(f"edge ({tail}, {head}) out of range for {n} nodes")
-            pair = (tail, head)
-            if pair in seen:
-                raise ValueError(f"duplicate edge ({tail}, {head})")
-            seen.add(pair)
-            edge_list.append(pair)
-            out[tail].append(head)
-            inc[head].append(tail)
+        pairs = np.array(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+        if pairs.size and pairs.shape[1:] != (2,):
+            raise ValueError("edges must be (tail, head) pairs")
+        pairs = pairs.reshape(-1, 2)
+        outside = np.flatnonzero(((pairs < 0) | (pairs >= n)).any(axis=1))
+        if outside.size:
+            tail, head = pairs[outside[0]].tolist()
+            raise ValueError(f"edge ({tail}, {head}) out of range for {n} nodes")
+        tails, heads = pairs.T.copy()
+        # one key per edge, tail * n + head: sorted, it answers has_edge
+        # and equality, and a repeat is a duplicate edge
+        keys = np.sort(tails * n + heads)
+        repeats = np.flatnonzero(keys[1:] == keys[:-1])
+        if repeats.size:
+            tail, head = divmod(int(keys[repeats[0]]), n)
+            raise ValueError(f"duplicate edge ({tail}, {head})")
+        # stable sorts, so each row keeps input order
+        out_rows = np.argsort(tails, kind="stable")
+        in_rows = np.argsort(heads, kind="stable")
         self._labels = labels
-        self._edges = tuple(edge_list)
-        self._out = tuple(tuple(a) for a in out)
-        self._in = tuple(tuple(a) for a in inc)
-        self._label_index = {s: i for i, s in enumerate(labels)}
-        self._edge_set = seen
-        self._degree_view = None
-        self._out_csr = None
-        self._out_ptr = None
+        self._label_index = label_index
+        self._keys = keys
+        self.tails = tails
+        self.heads = heads
+        self.out_ptr = np.searchsorted(tails[out_rows], np.arange(n + 1))
+        self.out_heads = heads[out_rows]
+        self.in_ptr = np.searchsorted(heads[in_rows], np.arange(n + 1))
+        self.in_tails = tails[in_rows]
+        for array in (keys, tails, heads, self.out_ptr, self.out_heads, self.in_ptr, self.in_tails):
+            array.flags.writeable = False
+        self.out_offsets = self.out_ptr.tolist()
         self.duplicate_count = int(duplicate_count)
         self.provenance = tuple(provenance)
 
@@ -102,23 +117,16 @@ class DirectedGraph:
 
     @property
     def edge_count(self) -> int:
-        return len(self._edges)
+        return self.tails.size
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
-        return self._edges
+        """The edges as (tail, head) tuples in input order, built on each call."""
+        return tuple(zip(self.tails.tolist(), self.heads.tolist()))
 
     @property
     def labels(self) -> tuple[str, ...]:
         return self._labels
-
-    @property
-    def out_adjacency(self) -> tuple[tuple[int, ...], ...]:
-        return self._out
-
-    @property
-    def in_adjacency(self) -> tuple[tuple[int, ...], ...]:
-        return self._in
 
     def index_of(self, label: str) -> int:
         return self._label_index[label]
@@ -126,16 +134,29 @@ class DirectedGraph:
     def label_of(self, node: int) -> str:
         return self._labels[node]
 
-    def has_edge(self, tail: int, head: int) -> bool:
-        return (tail, head) in self._edge_set
+    def has_edge(self, tail, head):
+        """Whether tail -> head is an edge; element-wise on arrays.
+
+        Returns a bool for scalar arguments and a bool array otherwise.
+        Indices outside ``0..N-1`` are never edges.
+        """
+        n = len(self._labels)
+        tail = np.asarray(tail, dtype=np.int64)
+        head = np.asarray(head, dtype=np.int64)
+        key = tail * n + head
+        keys = self._keys
+        found = (0 <= tail) & (tail < n) & (0 <= head) & (head < n) & (keys.size > 0)
+        if keys.size:
+            found &= keys[np.searchsorted(keys, key).clip(max=keys.size - 1)] == key
+        return bool(found) if found.ndim == 0 else found
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DirectedGraph):
             return NotImplemented
-        return self._labels == other._labels and self._edge_set == other._edge_set
+        return self._labels == other._labels and np.array_equal(self._keys, other._keys)
 
     def __hash__(self):
-        return hash((self._labels, frozenset(self._edge_set)))
+        return hash((self._labels, self._keys.tobytes()))
 
     def __repr__(self) -> str:
         return f"DirectedGraph(nodes={self.node_count}, edges={self.edge_count})"
@@ -151,46 +172,10 @@ class DegreeView:
 
 
 def degrees(graph: DirectedGraph) -> DegreeView:
-    """Exact in/out/total degrees for every node (cached on the graph)."""
-    view = graph._degree_view
-    if view is None:
-        out = np.fromiter((len(a) for a in graph.out_adjacency), dtype=np.int64, count=graph.node_count)
-        inc = np.fromiter((len(a) for a in graph.in_adjacency), dtype=np.int64, count=graph.node_count)
-        view = DegreeView(in_degree=inc, out_degree=out, total_degree=inc + out)
-        graph._degree_view = view
-    return view
-
-
-def out_csr(graph: DirectedGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Out-adjacency as compressed sparse rows (cached on the graph).
-
-    Returns ``(ptr, heads)``: the heads of tail u are
-    ``heads[ptr[u]:ptr[u + 1]]``, in ``out_adjacency`` order. Both arrays
-    are read-only.
-    """
-    csr = graph._out_csr
-    if csr is None:
-        ptr = np.zeros(graph.node_count + 1, dtype=np.int64)
-        np.cumsum(degrees(graph).out_degree, out=ptr[1:])
-        heads = np.fromiter(
-            (v for adj in graph.out_adjacency for v in adj), dtype=np.int64, count=graph.edge_count
-        )
-        ptr.flags.writeable = False
-        heads.flags.writeable = False
-        csr = graph._out_csr = (ptr, heads)
-    return csr
-
-
-def out_ptr_list(graph: DirectedGraph) -> list[int]:
-    """``out_csr``'s row pointer as a list (cached on the graph).
-
-    For loops that index the pointer one element at a time, which is
-    faster on a list than on an array.
-    """
-    ptr = graph._out_ptr
-    if ptr is None:
-        ptr = graph._out_ptr = out_csr(graph)[0].tolist()
-    return ptr
+    """Exact in/out/total degrees for every node, from the CSR row pointers."""
+    out = np.diff(graph.out_ptr)
+    inc = np.diff(graph.in_ptr)
+    return DegreeView(in_degree=inc, out_degree=out, total_degree=inc + out)
 
 
 def average_degree(graph: DirectedGraph) -> float:
@@ -211,37 +196,26 @@ def parse_edge_list(text: str) -> DirectedGraph:
     exactly two tokens.
     """
     label_index: dict[str, int] = {}
-    labels: list[str] = []
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    duplicates = 0
-
-    def intern(label: str) -> int:
-        idx = label_index.get(label)
-        if idx is None:
-            idx = len(labels)
-            label_index[label] = idx
-            labels.append(label)
-        return idx
-
+    ends: list[int] = []  # tail, head, tail, head, ... in line order
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith(_COMMENT_PREFIXES):
+        tokens = raw.split()
+        if not tokens or tokens[0].startswith(_COMMENT_PREFIXES):
             continue
-        tokens = line.split()
         if len(tokens) != 2:
             raise IngestionError(
-                f"line {lineno}: expected 'tail head', got {len(tokens)} token(s): {line!r}"
+                f"line {lineno}: expected 'tail head', got {len(tokens)} token(s): {raw.strip()!r}"
             )
-        pair = (intern(tokens[0]), intern(tokens[1]))
-        if pair in seen:
-            duplicates += 1
-            continue
-        seen.add(pair)
-        edges.append(pair)
-    if not labels:
+        ends.append(label_index.setdefault(tokens[0], len(label_index)))
+        ends.append(label_index.setdefault(tokens[1], len(label_index)))
+    if not label_index:
         raise IngestionError("no edges found in input")
-    return DirectedGraph(labels, edges, duplicate_count=duplicates)
+    pairs = np.array(ends, dtype=np.int64).reshape(-1, 2)
+    # keep the first line of each (tail, head) pair, in line order
+    _, first = np.unique(pairs[:, 0] * len(label_index) + pairs[:, 1], return_index=True)
+    first.sort()
+    return DirectedGraph(
+        list(label_index), pairs[first], duplicate_count=len(pairs) - first.size
+    )
 
 
 def read_text(path) -> str:

@@ -34,7 +34,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import UsageError, ValidationError
-from .graph import DirectedGraph, out_csr, out_ptr_list
+from .graph import DirectedGraph
 
 __all__ = ["Matching", "MatchingState", "max_matching", "verify_maximum"]
 
@@ -139,9 +139,9 @@ class MatchingState:
 
     ``order`` is a NodeOrder or any sequence of node indices in rank
     order. ``scan_heads`` overrides the neighbor scan order (used for
-    randomized sampling): it holds the heads of the graph's ``out_csr``
-    layout, reordered within each tail's segment; the default scans each
-    segment in ascending rank.
+    randomized sampling): it holds the graph's ``out_heads``, reordered
+    within each tail's CSR segment; the default scans each segment in
+    ascending rank.
     """
 
     def __init__(
@@ -164,14 +164,12 @@ class MatchingState:
             raise UsageError("order must contain each node index exactly once")
         self.graph = graph
         if scan_heads is None:
-            ptr, heads = out_csr(graph)
-            tails = np.repeat(np.arange(n), np.diff(ptr))
-            scan_heads = heads[np.argsort(tails * n + rank[heads])].tolist()
+            scan_heads = graph.heads[np.lexsort((rank[graph.heads], graph.tails))].tolist()
         elif len(scan_heads) != graph.edge_count:
             raise UsageError("scan_heads must hold one entry per edge")
         self._order = perm.tolist()
         self._rank = rank  # an array: only the rank property and insort read it
-        self._ptr = out_ptr_list(graph)
+        self._ptr = graph.out_offsets
         self._heads = scan_heads
         self._mh = [-1] * n  # tail -> matched head
         self._mt = [-1] * n  # head -> matched tail
@@ -197,13 +195,17 @@ class MatchingState:
                 raise ValidationError(
                     f"matching covers {len(matching.head_by_tail)} nodes, graph has {n}"
                 )
-            for u, v in matching.pairs():
-                if mark[u] == _INACTIVE or mark[v] == _INACTIVE:
+            tails, heads = np.array(list(matching.pairs()), dtype=np.int64).reshape(-1, 2).T
+            inactive = np.array(mark) == _INACTIVE
+            outside = inactive[tails] | inactive[heads]
+            bad = np.flatnonzero(outside | ~graph.has_edge(tails, heads))
+            if bad.size:
+                u, v = int(tails[bad[0]]), int(heads[bad[0]])
+                if outside[bad[0]]:
                     raise ValidationError(f"matched pair ({u}, {v}) outside the active set")
-                if not graph.has_edge(u, v):
-                    raise ValidationError(f"({u}, {v}) is not an edge of the graph")
-                self._mh[u] = v
-                self._mt[v] = u
+                raise ValidationError(f"({u}, {v}) is not an edge of the graph")
+            self._mh = list(matching.head_by_tail)
+            self._mt = list(matching.tail_by_head)
             self._size = matching.size
         # the roots of extend_with_node's rescan: active free tails with
         # out-edges, in ascending rank
@@ -292,7 +294,8 @@ class MatchingState:
         # there, or routes through it when the first path claimed it), so the
         # rescan is needed exactly when that in-role has an active edge, and
         # it stops at its first success
-        if any(mark[t] != _INACTIVE for t in self.graph.in_adjacency[node]):
+        g = self.graph
+        if any(mark[t] != _INACTIVE for t in g.in_tails[g.in_ptr[node]:g.in_ptr[node + 1]].tolist()):
             root = self._augment(self._free_scan, first_only=True)
             if root >= 0:
                 self._free_scan.remove(root)
@@ -405,8 +408,8 @@ def verify_maximum(graph: DirectedGraph, matching: Matching, active: Iterable[in
     """
     n = graph.node_count
     nodes = range(n) if active is None else {int(v) for v in active}
-    # any scan order will do; the adjacency's own shares its int objects
-    scan = [v for adj in graph.out_adjacency for v in adj]
+    # any scan order will do: take the out-CSR's own
+    scan = graph.out_heads.tolist()
     state = MatchingState(graph, range(n), active=nodes, matching=matching, scan_heads=scan)
     state._stamp += 1
     return state._augment(state._free_scan, first_only=True) < 0

@@ -17,7 +17,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import UsageError, ValidationError
-from .graph import DirectedGraph, degrees, out_csr
+from .graph import DirectedGraph, degrees
 from .matching import Matching, MatchingState, verify_maximum
 from .seeding import spawn_seed
 
@@ -53,15 +53,13 @@ class NodeOrder:
 
     @classmethod
     def degree_ascending(cls, graph: DirectedGraph) -> NodeOrder:
-        tot = degrees(graph).total_degree.tolist()
-        perm = sorted(range(graph.node_count), key=lambda v: (tot[v], v))
-        return cls(tuple(perm), "degree-ascending")
+        perm = np.argsort(degrees(graph).total_degree, kind="stable")
+        return cls(tuple(perm.tolist()), "degree-ascending")
 
     @classmethod
     def degree_descending(cls, graph: DirectedGraph) -> NodeOrder:
-        tot = degrees(graph).total_degree.tolist()
-        perm = sorted(range(graph.node_count), key=lambda v: (-tot[v], v))
-        return cls(tuple(perm), "degree-descending")
+        perm = np.argsort(-degrees(graph).total_degree, kind="stable")
+        return cls(tuple(perm.tolist()), "degree-descending")
 
     @classmethod
     def random(cls, graph: DirectedGraph, seed: int) -> NodeOrder:
@@ -184,7 +182,7 @@ def _sample_stream(graph: DirectedGraph, count: int, seed: int, start: int = 0):
     if start < 0:
         raise UsageError(f"first sample index must be >= 0, got {start}")
     n = graph.node_count
-    ptr, heads = out_csr(graph)
+    ptr, heads = graph.out_ptr, graph.out_heads
     tot = degrees(graph).total_degree
     # tail in the high 32 bits, the random key in the low 32: sorting the
     # sum keeps each tail's segment in place and shuffles within it

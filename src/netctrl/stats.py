@@ -9,7 +9,7 @@ the sweep seed, one child seed per grid point.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
@@ -30,7 +30,9 @@ __all__ = [
     "sweep_rows_to_csv",
 ]
 
-SWEEP_CSV_HEADER = "knob,f_hi_lo,mean_kd,avg_degree,ratio,samples,seed"
+# the CSV columns and JSON keys of a sweep row: one per SweepRow field, in field order
+SWEEP_COLUMNS = ("knob", "f_hi_lo", "mean_kd", "avg_degree", "ratio", "samples", "seed")
+SWEEP_CSV_HEADER = ",".join(SWEEP_COLUMNS)
 
 
 def f_hi_lo(graph: DirectedGraph) -> float:
@@ -41,8 +43,7 @@ def f_hi_lo(graph: DirectedGraph) -> float:
     if graph.edge_count == 0:
         raise UndefinedStatisticError("f_hi_lo is undefined on an edgeless graph")
     tot = degrees(graph).total_degree
-    e = np.asarray(graph.edges, dtype=np.int64)
-    return float(np.count_nonzero(tot[e[:, 0]] > tot[e[:, 1]]) / graph.edge_count)
+    return float(np.count_nonzero(tot[graph.tails] > tot[graph.heads]) / graph.edge_count)
 
 
 def avg_degree_of(graph: DirectedGraph, nodes) -> float:
@@ -69,12 +70,15 @@ class DegreeHistogram:
     def degrees(self) -> list[int]:
         return sorted(self.counts)
 
-    def to_json(self) -> str:
-        obj = {
+    def as_mapping(self) -> dict[str, dict[str, int]]:
+        """``{degree: {"population": p, "drivers": d}}`` in ascending degree."""
+        return {
             str(k): {"population": p, "drivers": d}
             for k, (p, d) in sorted(self.counts.items())
         }
-        return json.dumps(obj, indent=2) + "\n"
+
+    def to_json(self) -> str:
+        return json.dumps(self.as_mapping(), indent=2) + "\n"
 
 
 def driver_degree_histogram(graph: DirectedGraph, mds: MdsResult) -> DegreeHistogram:
@@ -98,66 +102,56 @@ class SweepRow:
     sample_count: int
     seed: int
 
+    def columns(self) -> dict[str, float | int]:
+        """The row keyed by ``SWEEP_COLUMNS`` names, in that order."""
+        return dict(zip(SWEEP_COLUMNS, astuple(self)))
 
-def _check_grid(grid) -> list[float]:
+
+def _check_grid(grid, samples: int) -> list[float]:
     values = [float(x) for x in grid]
     if not values:
         raise UsageError("grid must hold at least one value")
     for x in values:
         if not 0.0 <= x <= 1.0:
             raise UsageError(f"grid values must lie in [0, 1], got {x}")
+    if samples < 1:
+        raise UsageError(f"samples must be >= 1, got {samples}")
     return values
+
+
+def _measure_point(knob: float, graph: DirectedGraph, samples: int, point_seed: int) -> SweepRow:
+    """One sweep row: f_hi_lo and the sampled mean driver degree of ``graph``."""
+    f = f_hi_lo(graph)
+    summary = sample_mds(graph, samples, point_seed)
+    k = average_degree(graph)
+    return SweepRow(
+        knob=knob,
+        f_hi_lo=f,
+        mean_kd=summary.mean_kd,
+        avg_degree=k,
+        ratio=summary.mean_kd / k,
+        sample_count=samples,
+        seed=point_seed,
+    )
 
 
 def sweep_p(grid, ba_base: BaParams, samples: int = 1000, seed: int = 0) -> list[SweepRow]:
     """For each attachment-direction p: generate, measure f_hi_lo, sample MDSs."""
-    values = _check_grid(grid)
-    if samples < 1:
-        raise UsageError(f"samples must be >= 1, got {samples}")
     rows = []
-    for i, p in enumerate(values):
+    for i, p in enumerate(_check_grid(grid, samples)):
         point_seed = spawn_seed(seed, i)
         graph = gen_directed_ba(replace(ba_base, p=p, seed=point_seed))
-        f = f_hi_lo(graph)
-        summary = sample_mds(graph, samples, point_seed)
-        k = average_degree(graph)
-        rows.append(
-            SweepRow(
-                knob=p,
-                f_hi_lo=f,
-                mean_kd=summary.mean_kd,
-                avg_degree=k,
-                ratio=summary.mean_kd / k,
-                sample_count=samples,
-                seed=point_seed,
-            )
-        )
+        rows.append(_measure_point(p, graph, samples, point_seed))
     return rows
 
 
 def sweep_r(graph: DirectedGraph, grid, samples: int = 1000, seed: int = 0) -> list[SweepRow]:
     """For each reversal probability R: transform the graph and sample MDSs."""
-    values = _check_grid(grid)
-    if samples < 1:
-        raise UsageError(f"samples must be >= 1, got {samples}")
     rows = []
-    for i, r in enumerate(values):
+    for i, r in enumerate(_check_grid(grid, samples)):
         point_seed = spawn_seed(seed, i)
         transformed = reverse_edges(graph, ReversalParams(r=r, seed=point_seed)).graph
-        f = f_hi_lo(transformed)
-        summary = sample_mds(transformed, samples, point_seed)
-        k = average_degree(transformed)
-        rows.append(
-            SweepRow(
-                knob=r,
-                f_hi_lo=f,
-                mean_kd=summary.mean_kd,
-                avg_degree=k,
-                ratio=summary.mean_kd / k,
-                sample_count=samples,
-                seed=point_seed,
-            )
-        )
+        rows.append(_measure_point(r, transformed, samples, point_seed))
     return rows
 
 
@@ -165,8 +159,5 @@ def sweep_rows_to_csv(rows) -> str:
     """Fixed-header CSV, floats in shortest round-trip form."""
     lines = [SWEEP_CSV_HEADER]
     for row in rows:
-        lines.append(
-            f"{row.knob!r},{row.f_hi_lo!r},{row.mean_kd!r},{row.avg_degree!r},"
-            f"{row.ratio!r},{row.sample_count},{row.seed}"
-        )
+        lines.append(",".join(repr(value) for value in row.columns().values()))
     return "\n".join(lines) + "\n"

@@ -1,15 +1,21 @@
-"""Naive reference implementation of the deterministic matching discipline.
+"""Naive reference implementations of the matcher and the edge reversal.
 
-Recursive alternating search with per-search visited marks and none of the
-shared-failure or rescan-pruning shortcuts used by the production code.
-Tests compare final matchings pair for pair.
+The matcher is a recursive alternating search with per-search visited
+marks and none of the shared-failure or rescan-pruning shortcuts used by
+the production code; tests compare final matchings pair for pair. The
+reversal flips one edge at a time against a live edge set; tests compare
+its edges and tallies with the vectorized transform.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from netctrl import DirectedGraph
+import numpy as np
+
+from netctrl import DirectedGraph, ReversalParams
+
+from oracles import out_lists
 
 
 class NaiveState:
@@ -25,7 +31,7 @@ class NaiveState:
             self.rank[v] = pos
         if scan is None:
             key = self.rank.__getitem__
-            scan = [sorted(adj, key=key) for adj in graph.out_adjacency]
+            scan = [sorted(adj, key=key) for adj in out_lists(graph)]
         self.scan = [[int(v) for v in heads] for heads in scan]
         self.active = [False] * n
         self.mh = [-1] * n
@@ -81,3 +87,28 @@ def naive_preferential_pairs(graph: DirectedGraph, order, m: int) -> set[tuple[i
     if m < graph.node_count:
         state.complete()
     return state.pairs()
+
+
+def naive_reverse_edges(
+    graph: DirectedGraph, params: ReversalParams
+) -> tuple[tuple[tuple[int, int], ...], int, int]:
+    """``(edges, reversed_count, skipped_count)`` of one edge-by-edge reversal pass."""
+    rng = np.random.default_rng(params.seed)
+    edges = list(graph.edges)
+    tot = [0] * graph.node_count  # total degrees of the input graph
+    for u, v in edges:
+        tot[u] += 1
+        tot[v] += 1
+    edge_set = set(edges)
+    reversed_count = 0
+    skipped = 0
+    for idx, (u, v) in enumerate(edges):
+        if tot[u] < tot[v] and rng.random() < params.r:
+            if (v, u) in edge_set:
+                skipped += 1
+                continue
+            edge_set.discard((u, v))
+            edge_set.add((v, u))
+            edges[idx] = (v, u)
+            reversed_count += 1
+    return tuple(edges), reversed_count, skipped

@@ -10,10 +10,18 @@ from __future__ import annotations
 from netctrl import DirectedGraph
 
 
+def out_lists(graph: DirectedGraph) -> list[list[int]]:
+    """Each tail's heads in edge order, read from ``graph.edges`` alone."""
+    adj: list[list[int]] = [[] for _ in range(graph.node_count)]
+    for u, v in graph.edges:
+        adj[u].append(v)
+    return adj
+
+
 def brute_force_max_matching_size(graph: DirectedGraph, active=None) -> int:
     """Maximum matching size by exhaustive search over tail assignments."""
     act = set(range(graph.node_count)) if active is None else {int(v) for v in active}
-    adj = graph.out_adjacency
+    adj = out_lists(graph)
     tails = [u for u in sorted(act) if any(v in act for v in adj[u])]
     best = 0
 
@@ -38,7 +46,7 @@ def brute_force_max_matching_size(graph: DirectedGraph, active=None) -> int:
 def enumerate_maximum_matchings(graph: DirectedGraph) -> list[frozenset[tuple[int, int]]]:
     """All maximum matchings of a small graph, as frozensets of pairs."""
     best = brute_force_max_matching_size(graph)
-    adj = graph.out_adjacency
+    adj = out_lists(graph)
     tails = [u for u in range(graph.node_count) if adj[u]]
     found: set[frozenset[tuple[int, int]]] = set()
 

@@ -241,6 +241,20 @@ class TestGenerateAndReverse:
         assert out == ""
         assert parse_edge_list(out_path.read_text()).edge_count == 3
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["generate", "--gen", "er:n=5,l=3"], ["reverse", "--gen", "er:n=5,l=3", "--R", "0.5"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_format_is_not_an_option(self, capsys, argv):
+        # both commands emit edge-list text only
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--format", "csv"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --format" in captured.err
+
     def test_generated_er_is_seed_stable(self, capsys):
         _, a = run_cli(capsys, "generate", "--gen", "er:n=12,l=30", "--seed", "8")
         _, b = run_cli(capsys, "generate", "--gen", "er:n=12,l=30", "--seed", "8")

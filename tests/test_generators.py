@@ -20,6 +20,8 @@ from netctrl import (
     reverse_edges,
 )
 
+from naive import naive_reverse_edges
+
 
 class TestDirectedBa:
     def test_edge_count_formula(self):
@@ -171,3 +173,23 @@ def test_er_graph_shape(n, seed):
     assert g.node_count == n
     assert g.edge_count == l
     assert all(u != v for u, v in g.edges)
+
+
+@st.composite
+def dense_er_graphs(draw):
+    # more than half of all ordered pairs: reciprocal edges are certain, so
+    # flips can collide and be skipped
+    n = draw(st.integers(min_value=3, max_value=40))
+    capacity = n * (n - 1)
+    l = draw(st.integers(min_value=capacity // 2 + 1, max_value=capacity))
+    return gen_directed_er(n, l, seed=draw(st.integers(min_value=0, max_value=2**32 - 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(dense_er_graphs(), st.floats(min_value=0.0, max_value=1.0), st.integers(min_value=0, max_value=2**32 - 1))
+def test_reverse_edges_equals_the_edge_by_edge_reference(g, r, seed):
+    params = ReversalParams(r=r, seed=seed)
+    result = reverse_edges(g, params)
+    edges, reversed_count, skipped = naive_reverse_edges(g, params)
+    assert result.graph.edges == edges
+    assert (result.reversed_count, result.skipped_count) == (reversed_count, skipped)

@@ -55,6 +55,12 @@ class TestParse:
         assert g.node_count == 1
         assert g.edges == ((0, 0),)
 
+    def test_interleaved_duplicates_keep_first_occurrence_order(self):
+        g = parse_edge_list("a b\nc d\na b\nb c")
+        assert g.labels == ("a", "b", "c", "d")
+        assert g.edges == ((0, 1), (2, 3), (1, 2))
+        assert g.duplicate_count == 1
+
     def test_intern_order_is_first_appearance(self):
         g = parse_edge_list("x y\nz x")
         assert g.labels == ("x", "y", "z")
@@ -126,16 +132,57 @@ class TestConstruction:
         with pytest.raises(ValueError):
             DirectedGraph(["a"], [(0, 1)])
 
+    def test_rejects_edges_that_are_not_pairs(self):
+        with pytest.raises(ValueError):
+            DirectedGraph(["a", "b", "c"], [(0, 1, 2), (1, 2, 0)])
+
+    def test_edges_from_an_array_or_a_generator(self):
+        pairs = np.array([[0, 1], [1, 2]])
+        g = DirectedGraph(["a", "b", "c"], pairs)
+        assert g.edges == ((0, 1), (1, 2))
+        assert DirectedGraph(["a", "b", "c"], ((u, v) for u, v in pairs.tolist())) == g
+
+    def test_arrays_are_read_only(self, star):
+        for array in (star.tails, star.heads, star.out_ptr, star.out_heads, star.in_ptr, star.in_tails):
+            with pytest.raises(ValueError):
+                array[0] = 1
+
 
 @settings(max_examples=60)
 @given(digraphs())
-def test_adjacency_mutually_consistent(g):
-    for u in range(g.node_count):
-        for v in g.out_adjacency[u]:
-            assert u in g.in_adjacency[v]
-    for v in range(g.node_count):
-        for u in g.in_adjacency[v]:
-            assert v in g.out_adjacency[u]
+def test_csr_rows_hold_the_edges_in_input_order(g):
+    n = g.node_count
+    assert g.out_ptr[0] == g.in_ptr[0] == 0
+    assert g.out_ptr.size == g.in_ptr.size == n + 1
+    assert g.out_offsets == g.out_ptr.tolist()
+    # one row per node, each holding that node's edges in input order
+    for u in range(n):
+        assert g.out_heads[g.out_ptr[u]:g.out_ptr[u + 1]].tolist() == [v for t, v in g.edges if t == u]
+        assert g.in_tails[g.in_ptr[u]:g.in_ptr[u + 1]].tolist() == [t for t, v in g.edges if v == u]
+    # the rows partition the edges: together they hold the same multiset
+    out_rows = np.repeat(np.arange(n), np.diff(g.out_ptr))
+    in_rows = np.repeat(np.arange(n), np.diff(g.in_ptr))
+    from_out = sorted(zip(out_rows.tolist(), g.out_heads.tolist()))
+    from_in = sorted(zip(g.in_tails.tolist(), in_rows.tolist()))
+    assert from_out == from_in == sorted(g.edges)
+    assert g.edges == tuple(zip(g.tails.tolist(), g.heads.tolist()))
+
+
+@settings(max_examples=60)
+@given(digraphs())
+def test_has_edge_on_scalars_and_arrays(g):
+    n = g.node_count
+    edges = set(g.edges)
+    tails, heads = np.divmod(np.arange(n * n), n)
+    expected = [(u, v) in edges for u, v in zip(tails.tolist(), heads.tolist())]
+    assert g.has_edge(tails, heads).tolist() == expected
+    assert [g.has_edge(u, v) for u, v in zip(tails.tolist(), heads.tolist())] == expected
+    assert all(type(g.has_edge(u, v)) is bool for u, v in [(0, 0), (n - 1, 0)])
+    # indices outside 0..N-1 are never edges, even where tail * N + head
+    # is the key of one
+    outside = np.array([[-1, 0], [0, n], [0, -1], [n, 0], [-1, n]])
+    assert not g.has_edge(outside[:, 0], outside[:, 1]).any()
+    assert not any(g.has_edge(u, v) for u, v in outside.tolist())
 
 
 @settings(max_examples=60)

@@ -17,7 +17,6 @@ from netctrl import (
     verify_maximum,
 )
 from netctrl.generators import BaParams, gen_directed_ba, gen_directed_er
-from netctrl.graph import out_csr
 from netctrl.mds import NodeOrder
 
 from oracles import brute_force_max_matching_size, enumerate_maximum_matchings
@@ -297,7 +296,7 @@ def test_randomized_complete_agrees_with_naive_reference(case):
     # that shuffles each tail's scan segment
     g, seed = case
     n = g.node_count
-    ptr, heads = out_csr(g)
+    ptr, heads = g.out_ptr, g.out_heads
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
     keys = rng.integers(0, 1 << 32, size=heads.size, dtype=np.int64)

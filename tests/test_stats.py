@@ -164,6 +164,18 @@ class TestSweeps:
         assert float(first[2]) == p_rows[0].mean_kd
         assert int(first[5]) == p_rows[0].sample_count
 
+    def test_row_columns_name_every_field(self, p_rows):
+        row = p_rows[0]
+        assert row.columns() == {
+            "knob": row.knob,
+            "f_hi_lo": row.f_hi_lo,
+            "mean_kd": row.mean_kd,
+            "avg_degree": row.avg_degree,
+            "ratio": row.ratio,
+            "samples": row.sample_count,
+            "seed": row.seed,
+        }
+
     def test_sweep_r_degree_column_is_invariant(self):
         g = gen_directed_er(80, 320, seed=5)
         rows = sweep_r(g, [0.0, 1.0], samples=20, seed=3)
