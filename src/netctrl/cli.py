@@ -30,9 +30,6 @@ from .stats import driver_degree_histogram, sweep_p, sweep_r, sweep_rows_to_csv
 
 __all__ = ["RunConfig", "run", "main"]
 
-_GRAPH_COMMANDS = {"analyze", "preferential", "sample", "reverse", "sweep-r"}
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """One validated CLI invocation; all fields are echoed in the report."""
@@ -78,7 +75,10 @@ def _parse_gen_spec(spec: str, seed: int):
             key, eq, value = item.partition("=")
             if not eq:
                 raise UsageError(f"bad generator field {item!r} in {spec!r}")
-            fields[key.strip()] = value.strip()
+            key = key.strip()
+            if key in fields:
+                raise UsageError(f"generator field {key!r} given twice in {spec!r}")
+            fields[key] = value.strip()
     try:
         if kind == "ba":
             allowed = {"n", "m", "p", "m0"}
@@ -176,14 +176,13 @@ def _json_report(config: RunConfig, payload: dict, graph: DirectedGraph | None) 
         report["graph"] = _graph_block(graph)
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
-def _csv_report(config: RunConfig, rows) -> str:
+
+def _sweep_report(config: RunConfig, rows, graph: DirectedGraph | None) -> str:
+    if config.format == "json":
+        return _json_report(config, {"rows": [row.columns() for row in rows]}, graph)
     echo = json.dumps(asdict(config), sort_keys=True)
     header = f"# netctrl {__version__} {config.command}\n# config {echo}\n"
     return header + sweep_rows_to_csv(rows)
-
-
-def _rows_payload(rows) -> dict:
-    return {"rows": [row.columns() for row in rows]}
 
 
 def run(config: RunConfig) -> str:
@@ -219,18 +218,14 @@ def run(config: RunConfig) -> str:
         if not isinstance(base, BaParams):
             raise UsageError("sweep-p sweeps the ba model; use --gen ba:...")
         rows = sweep_p(config.grid, base, samples=config.samples, seed=config.seed)
-        if config.format == "json":
-            return _json_report(config, _rows_payload(rows), None)
-        return _csv_report(config, rows)
+        return _sweep_report(config, rows, None)
 
     if command == "sweep-r":
         if config.grid is None:
             raise UsageError("sweep-r requires --grid")
         graph = _build_graph(config)
         rows = sweep_r(graph, config.grid, samples=config.samples, seed=config.seed)
-        if config.format == "json":
-            return _json_report(config, _rows_payload(rows), graph)
-        return _csv_report(config, rows)
+        return _sweep_report(config, rows, graph)
 
     if command in {"analyze", "preferential", "sample"}:
         if config.format != "json":

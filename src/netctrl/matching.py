@@ -46,33 +46,43 @@ class Matching:
     """Immutable snapshot of a matching.
 
     ``head_by_tail[u]`` is the head matched to tail u (-1 if u's out-role
-    is free); ``tail_by_head`` is the exact inverse.
+    is free); ``tail_by_head`` is the exact inverse. Both are read-only
+    int64 arrays, and a negative entry given for either reads as -1.
     """
 
     __slots__ = ("_head_by_tail", "_tail_by_head", "_size")
 
     def __init__(self, head_by_tail: Iterable[int], tail_by_head: Iterable[int] | None = None):
-        heads = tuple(int(h) if int(h) >= 0 else -1 for h in head_by_tail)
-        n = len(heads)
-        tails = [-1] * n
-        for u, v in enumerate(heads):
-            if v >= 0:
-                if v >= n:
-                    raise ValidationError(f"head index {v} out of range for {n} nodes")
-                if tails[v] >= 0:
-                    raise ValidationError(f"two tails matched to head {v}")
-                tails[v] = u
-        if tail_by_head is not None:
-            given = tuple(int(t) if int(t) >= 0 else -1 for t in tail_by_head)
-            if given != tuple(tails):
-                raise ValidationError("tail_by_head is not the inverse of head_by_tail")
+        heads = np.maximum(np.fromiter(head_by_tail, dtype=np.int64), -1)
+        n = heads.size
+        tails = np.flatnonzero(heads >= 0)
+        matched = heads[tails]
+        if matched.max(initial=-1) >= n:
+            raise ValidationError(f"head index {matched.max()} out of range for {n} nodes")
+        if tail_by_head is None:
+            inverse = np.full(n, -1, dtype=np.int64)
+            inverse[matched] = tails
+        else:
+            inverse = np.maximum(np.fromiter(tail_by_head, dtype=np.int64), -1)
+        # one entry per matched tail, each matched head pointing back at its
+        # tail: so no head has two tails and the inverse is exact
+        if (
+            inverse.shape != (n,)
+            or np.count_nonzero(inverse >= 0) != tails.size
+            or not np.array_equal(inverse[matched], tails)
+        ):
+            if tail_by_head is None:
+                raise ValidationError(f"two tails matched to head {matched[inverse[matched] != tails][0]}")
+            raise ValidationError("tail_by_head is not the inverse of head_by_tail")
+        heads.flags.writeable = False
+        inverse.flags.writeable = False
         self._head_by_tail = heads
-        self._tail_by_head = tuple(tails)
-        self._size = sum(1 for h in heads if h >= 0)
+        self._tail_by_head = inverse
+        self._size = tails.size
 
     @classmethod
     def empty(cls, node_count: int) -> Matching:
-        return cls([-1] * node_count, [-1] * node_count)
+        return cls(np.full(node_count, -1))
 
     @classmethod
     def from_pairs(cls, graph: DirectedGraph, pairs: Iterable[tuple[int, int]]) -> Matching:
@@ -81,49 +91,45 @@ class Matching:
         Raises ValidationError when a pair is not a graph edge or when two
         pairs share a tail or share a head.
         """
-        n = graph.node_count
-        heads = [-1] * n
-        tails = [-1] * n
-        for tail, head in pairs:
-            tail = int(tail)
-            head = int(head)
-            if not graph.has_edge(tail, head):
-                raise ValidationError(f"({tail}, {head}) is not an edge of the graph")
-            if heads[tail] >= 0:
-                raise ValidationError(f"tail {tail} matched twice")
-            if tails[head] >= 0:
-                raise ValidationError(f"head {head} matched twice")
-            heads[tail] = head
-            tails[head] = tail
-        return cls(heads, tails)
+        pairs = np.array(list(pairs), dtype=np.int64)
+        if pairs.size and pairs.shape[1:] != (2,):
+            raise ValidationError("a matching is given as (tail, head) pairs")
+        tails, heads = pairs.reshape(-1, 2).T
+        bad = np.flatnonzero(~graph.has_edge(tails, heads))
+        if bad.size:
+            raise ValidationError(f"({tails[bad[0]]}, {heads[bad[0]]}) is not an edge of the graph")
+        head_by_tail = np.full(graph.node_count, -1, dtype=np.int64)
+        head_by_tail[tails] = heads
+        if np.count_nonzero(head_by_tail >= 0) != tails.size:
+            raise ValidationError("two pairs share a tail")
+        return cls(head_by_tail)
 
     @property
     def size(self) -> int:
         return self._size
 
     @property
-    def head_by_tail(self) -> tuple[int, ...]:
+    def head_by_tail(self) -> np.ndarray:
         return self._head_by_tail
 
     @property
-    def tail_by_head(self) -> tuple[int, ...]:
+    def tail_by_head(self) -> np.ndarray:
         return self._tail_by_head
 
     def tail_of(self, head: int) -> int:
-        return self._tail_by_head[head]
+        return int(self._tail_by_head[head])
 
     def pairs(self) -> Iterator[tuple[int, int]]:
-        for u, v in enumerate(self._head_by_tail):
-            if v >= 0:
-                yield (u, v)
+        tails = np.flatnonzero(self._head_by_tail >= 0)
+        return zip(tails.tolist(), self._head_by_tail[tails].tolist())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matching):
             return NotImplemented
-        return self._head_by_tail == other._head_by_tail
+        return np.array_equal(self._head_by_tail, other._head_by_tail)
 
     def __hash__(self):
-        return hash(self._head_by_tail)
+        return hash(self._head_by_tail.tobytes())
 
     def __repr__(self) -> str:
         return f"Matching(size={self._size})"
@@ -168,7 +174,7 @@ class MatchingState:
         elif len(scan_heads) != graph.edge_count:
             raise UsageError("scan_heads must hold one entry per edge")
         self._order = perm.tolist()
-        self._rank = rank  # an array: only the rank property and insort read it
+        self._rank = rank  # an array: only insort reads it
         self._ptr = graph.out_offsets
         self._heads = scan_heads
         self._mh = [-1] * n  # tail -> matched head
@@ -191,11 +197,12 @@ class MatchingState:
         if matching is not None:
             if not isinstance(matching, Matching):
                 matching = Matching.from_pairs(graph, matching)
-            elif len(matching.head_by_tail) != n:
+            elif matching.head_by_tail.size != n:
                 raise ValidationError(
-                    f"matching covers {len(matching.head_by_tail)} nodes, graph has {n}"
+                    f"matching covers {matching.head_by_tail.size} nodes, graph has {n}"
                 )
-            tails, heads = np.array(list(matching.pairs()), dtype=np.int64).reshape(-1, 2).T
+            tails = np.flatnonzero(matching.head_by_tail >= 0)
+            heads = matching.head_by_tail[tails]
             inactive = np.array(mark) == _INACTIVE
             outside = inactive[tails] | inactive[heads]
             bad = np.flatnonzero(outside | ~graph.has_edge(tails, heads))
@@ -204,8 +211,8 @@ class MatchingState:
                 if outside[bad[0]]:
                     raise ValidationError(f"matched pair ({u}, {v}) outside the active set")
                 raise ValidationError(f"({u}, {v}) is not an edge of the graph")
-            self._mh = list(matching.head_by_tail)
-            self._mt = list(matching.tail_by_head)
+            self._mh = matching.head_by_tail.tolist()
+            self._mt = matching.tail_by_head.tolist()
             self._size = matching.size
         # the roots of extend_with_node's rescan: active free tails with
         # out-edges, in ascending rank
@@ -224,36 +231,14 @@ class MatchingState:
 
     @property
     def matching(self) -> Matching:
-        return Matching(self._mh, self._mt)
-
-    def matching_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The matching as ``(head_by_tail, tail_by_head)`` int64 arrays.
-
-        A snapshot without the ``Matching`` object: the arrays are checked
-        to be exact inverses of each other, holding ``size`` pairs, and
-        ValidationError is raised otherwise.
-        """
-        mh = np.array(self._mh, dtype=np.int64)
-        mt = np.array(self._mt, dtype=np.int64)
-        tails = np.flatnonzero(mh >= 0)
-        if (
-            tails.size != self._size
-            or np.count_nonzero(mt >= 0) != tails.size
-            or not np.array_equal(mt[mh[tails]], tails)
-        ):
-            raise ValidationError("tail_by_head is not the inverse of head_by_tail")
-        return mh, mt
-
-    @property
-    def active_nodes(self) -> frozenset[int]:
-        return frozenset(v for v, m in enumerate(self._mark) if m != _INACTIVE)
+        """A snapshot of the matching, checked against the pair count kept here."""
+        snapshot = Matching(self._mh, self._mt)
+        if snapshot.size != self._size:
+            raise ValidationError(f"matching holds {snapshot.size} pairs, the state counted {self._size}")
+        return snapshot
 
     def is_active(self, node: int) -> bool:
         return self._mark[node] != _INACTIVE
-
-    @property
-    def rank(self) -> tuple[int, ...]:
-        return tuple(self._rank.tolist())
 
     # --- mutation -----------------------------------------------------
 

@@ -45,7 +45,7 @@ class NodeOrder:
     key_spec: str = "explicit"
 
     def __post_init__(self):
-        perm = tuple(int(v) for v in self.permutation)
+        perm = tuple(np.fromiter(self.permutation, dtype=np.int64).tolist())
         object.__setattr__(self, "permutation", perm)
         n = len(perm)
         if n and (len(set(perm)) != n or min(perm) != 0 or max(perm) != n - 1):
@@ -54,21 +54,20 @@ class NodeOrder:
     @classmethod
     def degree_ascending(cls, graph: DirectedGraph) -> NodeOrder:
         perm = np.argsort(degrees(graph).total_degree, kind="stable")
-        return cls(tuple(perm.tolist()), "degree-ascending")
+        return cls(perm, "degree-ascending")
 
     @classmethod
     def degree_descending(cls, graph: DirectedGraph) -> NodeOrder:
         perm = np.argsort(-degrees(graph).total_degree, kind="stable")
-        return cls(tuple(perm.tolist()), "degree-descending")
+        return cls(perm, "degree-descending")
 
     @classmethod
     def random(cls, graph: DirectedGraph, seed: int) -> NodeOrder:
-        perm = np.random.default_rng(seed).permutation(graph.node_count)
-        return cls(tuple(int(v) for v in perm), f"random(seed={seed})")
+        return cls(np.random.default_rng(seed).permutation(graph.node_count), f"random(seed={seed})")
 
     @classmethod
     def explicit(cls, permutation) -> NodeOrder:
-        return cls(tuple(int(v) for v in permutation), "explicit")
+        return cls(permutation, "explicit")
 
 
 @dataclass(frozen=True)
@@ -124,26 +123,31 @@ def drivers(graph: DirectedGraph, matching: Matching, order: NodeOrder) -> MdsRe
     """
     if not verify_maximum(graph, matching):
         raise ValidationError("matching is not maximum; driver extraction needs a maximum matching")
-    n = graph.node_count
-    tail_by_head = matching.tail_by_head
-    unmatched = [v for v in range(n) if tail_by_head[v] < 0]
-    if unmatched:
-        driver_set = tuple(unmatched)
-        perfect = False
-    else:
-        driver_set = (order.permutation[0],)
-        perfect = True
-    n_d = max(n - matching.size, 1)
     tot = degrees(graph).total_degree
-    avg_kd = float(tot[list(driver_set)].mean())
+    driver_set, n_d, perfect, avg_kd = _driver_set(matching, order.permutation[:1], tot)
     return MdsResult(
-        drivers=driver_set,
+        drivers=tuple(driver_set.tolist()),
         n_d=n_d,
-        lambda_d=n_d / n,
+        lambda_d=n_d / graph.node_count,
         avg_degree_d=avg_kd,
         perfect_matching=perfect,
         witness=matching,
     )
+
+
+def _driver_set(matching: Matching, first, tot: np.ndarray) -> tuple[np.ndarray, int, bool, float]:
+    """``(drivers, n_d, perfect_matching, avg_degree_d)`` of a maximum matching.
+
+    The drivers are the unmatched in-roles in ascending order, or ``first``
+    (the order's first node) when the matching is perfect; ``tot`` holds
+    the total degrees.
+    """
+    unmatched = np.flatnonzero(matching.tail_by_head < 0)
+    perfect = unmatched.size == 0
+    if perfect:
+        unmatched = np.asarray(first, dtype=np.int64)
+    n_d = max(tot.size - matching.size, 1)
+    return unmatched, n_d, perfect, float(tot[unmatched].mean())
 
 
 def preferential_mds(graph: DirectedGraph, order: NodeOrder, m: int) -> MdsResult:
@@ -199,17 +203,11 @@ def _sample_stream(graph: DirectedGraph, count: int, seed: int, start: int = 0):
             # the completing pass ends with every free tail failing its
             # search, which is the Berge certificate of maximality
             state.complete()
-            _, tail_by_head = state.matching_arrays()
-            unmatched = np.flatnonzero(tail_by_head < 0)
-            perfect = unmatched.size == 0
-            if perfect:
-                unmatched = perm[:1]
-            sample_n_d = max(n - state.size, 1)
-            if n_d is None:
-                n_d = sample_n_d
-            elif sample_n_d != n_d:
+            sample = _driver_set(state.matching, perm[:1], tot)
+            if n_d not in (None, sample[1]):
                 raise ValidationError("sampled driver-set sizes disagree; matching engine is broken")
-            yield unmatched, n_d, perfect, float(tot[unmatched].mean())
+            n_d = sample[1]
+            yield sample
 
     return draw()
 

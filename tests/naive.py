@@ -1,10 +1,12 @@
-"""Naive reference implementations of the matcher and the edge reversal.
+"""Naive reference implementations of the matcher, the matching check and the edge reversal.
 
 The matcher is a recursive alternating search with per-search visited
 marks and none of the shared-failure or rescan-pruning shortcuts used by
 the production code; tests compare final matchings pair for pair. The
-reversal flips one edge at a time against a live edge set; tests compare
-its edges and tallies with the vectorized transform.
+matching check walks the tails one at a time, as the tuple-based
+``Matching`` did; tests compare what it accepts and rejects with the array
+check. The reversal flips one edge at a time against a live edge set;
+tests compare its edges and tallies with the vectorized transform.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from netctrl import DirectedGraph, ReversalParams
+from netctrl import DirectedGraph, ReversalParams, ValidationError
 
 from oracles import out_lists
 
@@ -87,6 +89,48 @@ def naive_preferential_pairs(graph: DirectedGraph, order, m: int) -> set[tuple[i
     if m < graph.node_count:
         state.complete()
     return state.pairs()
+
+
+def naive_matching(head_by_tail, tail_by_head=None) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``(head_by_tail, tail_by_head)`` checked one tail at a time; negatives read as -1.
+
+    Raises ValidationError for a head out of range, a head with two tails,
+    or a given ``tail_by_head`` that is not the exact inverse.
+    """
+    heads = tuple(int(h) if int(h) >= 0 else -1 for h in head_by_tail)
+    n = len(heads)
+    tails = [-1] * n
+    for u, v in enumerate(heads):
+        if v >= 0:
+            if v >= n:
+                raise ValidationError(f"head index {v} out of range for {n} nodes")
+            if tails[v] >= 0:
+                raise ValidationError(f"two tails matched to head {v}")
+            tails[v] = u
+    if tail_by_head is not None:
+        given = tuple(int(t) if int(t) >= 0 else -1 for t in tail_by_head)
+        if given != tuple(tails):
+            raise ValidationError("tail_by_head is not the inverse of head_by_tail")
+    return heads, tuple(tails)
+
+
+def naive_matching_from_pairs(graph: DirectedGraph, pairs) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``naive_matching`` of (tail, head) pairs, each checked to be an edge, one pair at a time."""
+    n = graph.node_count
+    heads = [-1] * n
+    tails = [-1] * n
+    for tail, head in pairs:
+        tail = int(tail)
+        head = int(head)
+        if not graph.has_edge(tail, head):
+            raise ValidationError(f"({tail}, {head}) is not an edge of the graph")
+        if heads[tail] >= 0:
+            raise ValidationError(f"tail {tail} matched twice")
+        if tails[head] >= 0:
+            raise ValidationError(f"head {head} matched twice")
+        heads[tail] = head
+        tails[head] = tail
+    return naive_matching(heads, tails)
 
 
 def naive_reverse_edges(

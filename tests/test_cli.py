@@ -66,6 +66,23 @@ class TestAnalyze:
         code, _ = run_cli(capsys, "analyze", "--input", star_file, "--gen", "er:n=3,l=2")
         assert code == 2
 
+    @pytest.mark.parametrize("spec", ["er:n=5,l=3,l=4", "ba:n=10,n=20"], ids=["er", "ba"])
+    def test_repeated_generator_field_is_usage_error(self, capsys, spec):
+        code = main(["analyze", "--gen", spec])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "given twice" in captured.err
+
+    def test_unwritable_out_path_is_io_error(self, capsys, star_file, tmp_path):
+        code = main(["analyze", "--input", star_file, "--out", str(tmp_path / "missing" / "report.json")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("netctrl: i/o error:")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
     def test_validates_against_committed_schema(self, capsys, star_file, report_schema):
         _, out = run_cli(capsys, "analyze", "--input", star_file)
         jsonschema.validate(json.loads(out), report_schema)

@@ -20,7 +20,12 @@ from netctrl.generators import BaParams, gen_directed_ba, gen_directed_er
 from netctrl.mds import NodeOrder
 
 from oracles import brute_force_max_matching_size, enumerate_maximum_matchings
-from naive import naive_max_matching_pairs, naive_preferential_pairs
+from naive import (
+    naive_matching,
+    naive_matching_from_pairs,
+    naive_max_matching_pairs,
+    naive_preferential_pairs,
+)
 
 
 def intern_order(graph):
@@ -141,6 +146,112 @@ class TestVerifyMaximum:
         m = Matching.from_pairs(path3, [(1, 2)])
         with pytest.raises(ValidationError):
             verify_maximum(path3, m, active=(0, 1))
+
+
+class TestMatchingSnapshot:
+    def test_arrays_are_read_only_int64(self, path3):
+        m = max_matching(path3, intern_order(path3))
+        for array in (m.head_by_tail, m.tail_by_head):
+            assert array.dtype == np.int64
+            with pytest.raises(ValueError):
+                array[0] = 2
+        assert m.head_by_tail.tolist() == [1, 2, -1]
+        assert m.tail_by_head.tolist() == [-1, 0, 1]
+        assert m.tail_of(2) == 1 and m.tail_of(0) == -1
+
+    def test_snapshot_does_not_follow_its_source(self):
+        heads = np.array([1, -1])
+        m = Matching(heads)
+        heads[1] = 0
+        assert m.head_by_tail.tolist() == [1, -1]
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda s: s._mt.__setitem__(1, -1),  # a matched head reads free
+            lambda s: s._mt.__setitem__(0, 2),  # a free head reads matched
+            lambda s: s._mt.__setitem__(slice(1, 3), [1, 0]),  # heads point at each other's tails
+            lambda s: setattr(s, "_size", s._size + 1),
+            lambda s: setattr(s, "_size", s._size - 1),
+        ],
+        ids=["head-freed", "head-claimed", "heads-swapped", "size-high", "size-low"],
+    )
+    def test_state_snapshot_rejects_a_corrupted_state(self, path3, corrupt):
+        state = MatchingState(path3, intern_order(path3))
+        state.complete()
+        assert set(state.matching.pairs()) == {(0, 1), (1, 2)}
+        corrupt(state)
+        with pytest.raises(ValidationError):
+            state.matching
+
+
+@st.composite
+def matching_inputs(draw):
+    # head_by_tail as a partial injection or as arbitrary entries (repeats,
+    # heads out of range, negatives other than -1); tail_by_head absent,
+    # the exact inverse, the inverse with one entry changed, or arbitrary
+    # and possibly of another length
+    n = draw(st.integers(min_value=0, max_value=6))
+    entries = st.integers(min_value=-3, max_value=n + 1)
+    negative = st.integers(min_value=-3, max_value=-1)
+    if draw(st.booleans()):
+        perm = draw(st.permutations(range(n)))
+        heads = [v if draw(st.booleans()) else draw(negative) for v in perm]
+    else:
+        heads = draw(st.lists(entries, min_size=n, max_size=n))
+    inverse = [-1] * n
+    for u, v in enumerate(heads):
+        if 0 <= v < n:
+            inverse[v] = u
+    kind = draw(st.sampled_from(["absent", "inverse", "edited", "arbitrary"]))
+    if kind == "absent":
+        tails = None
+    elif kind == "inverse":
+        tails = [t if t >= 0 else draw(negative) for t in inverse]
+    elif kind == "edited" and n:
+        tails = list(inverse)
+        tails[draw(st.integers(min_value=0, max_value=n - 1))] = draw(entries)
+    else:
+        tails = draw(st.lists(entries, min_size=max(n - 1, 0), max_size=n + 1))
+    return heads, tails
+
+
+def assert_same_matching(m: Matching, expected) -> None:
+    heads, tails = expected
+    assert m.head_by_tail.tolist() == list(heads)
+    assert m.tail_by_head.tolist() == list(tails)
+    assert list(m.pairs()) == [(u, v) for u, v in enumerate(heads) if v >= 0]
+    assert m.size == sum(1 for v in heads if v >= 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(matching_inputs())
+def test_matching_check_agrees_with_the_loop_reference(case):
+    heads, tails = case
+    try:
+        expected = naive_matching(heads, tails)
+    except ValidationError:
+        with pytest.raises(ValidationError):
+            Matching(heads, tails)
+        return
+    assert_same_matching(Matching(heads, tails), expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(digraphs(max_n=6), st.data())
+def test_from_pairs_agrees_with_the_loop_reference(g, data):
+    nodes = st.integers(min_value=-1, max_value=g.node_count)
+    pair = st.tuples(nodes, nodes)
+    if g.edge_count:
+        pair = st.one_of(st.sampled_from(list(g.edges)), pair)
+    pairs = data.draw(st.lists(pair, max_size=6))
+    try:
+        expected = naive_matching_from_pairs(g, pairs)
+    except ValidationError:
+        with pytest.raises(ValidationError):
+            Matching.from_pairs(g, pairs)
+        return
+    assert_same_matching(Matching.from_pairs(g, pairs), expected)
 
 
 class TestExtendWithNode:
