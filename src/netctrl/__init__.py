@@ -31,7 +31,6 @@ from .graph import (
     parse_edge_list,
     read_edge_list,
     to_edge_list,
-    write_edge_list,
 )
 from .matching import Matching, MatchingState, max_matching, verify_maximum
 from .mds import (
@@ -47,7 +46,6 @@ from .mds import (
 from .stats import (
     DegreeHistogram,
     SweepRow,
-    avg_degree_of,
     driver_degree_histogram,
     f_hi_lo,
     sweep_p,
@@ -55,7 +53,7 @@ from .stats import (
     sweep_rows_to_csv,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "__version__",
@@ -69,7 +67,6 @@ __all__ = [
     "parse_edge_list",
     "read_edge_list",
     "to_edge_list",
-    "write_edge_list",
     "degrees",
     "average_degree",
     "Matching",
@@ -93,7 +90,6 @@ __all__ = [
     "DegreeHistogram",
     "SweepRow",
     "f_hi_lo",
-    "avg_degree_of",
     "driver_degree_histogram",
     "sweep_p",
     "sweep_r",

@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 from . import __version__
 from .errors import (
@@ -267,12 +267,12 @@ def _build_parser(default_seed: int) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, fmt_default="json"):
-        # fmt_default=None: the command emits edge-list text and takes no --format
+    def common(p, sweep=False):
+        # only the sweeps choose a format: the other reports are JSON or edge-list text
         p.add_argument("--seed", type=int, default=default_seed,
                        help="random seed (default: NETCTRL_SEED or 0)")
-        if fmt_default is not None:
-            p.add_argument("--format", choices=("json", "csv"), default=fmt_default)
+        if sweep:
+            p.add_argument("--format", choices=("json", "csv"), default="csv")
         p.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
 
     p = sub.add_parser("analyze", help="maximum matching, driver set, and degree histogram")
@@ -296,42 +296,32 @@ def _build_parser(default_seed: int) -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="emit a generated network as edge-list text")
     _add_graph_source(p, gen_only=True)
-    common(p, fmt_default=None)
+    common(p)
 
     p = sub.add_parser("reverse", help="flip low-to-high-degree edges with probability R")
     _add_graph_source(p)
     p.add_argument("--R", dest="r", type=float, required=True, metavar="FLOAT")
-    common(p, fmt_default=None)
+    common(p)
 
     p = sub.add_parser("sweep-p", help="sweep attachment direction p over generated networks")
     _add_graph_source(p, gen_only=True)
     p.add_argument("--grid", type=_parse_grid, required=True, metavar="CSV-of-reals")
     p.add_argument("--samples", type=int, default=1000)
-    common(p, fmt_default="csv")
+    common(p, sweep=True)
 
     p = sub.add_parser("sweep-r", help="sweep reversal probability R over one network")
     _add_graph_source(p)
     p.add_argument("--grid", type=_parse_grid, required=True, metavar="CSV-of-reals")
     p.add_argument("--samples", type=int, default=1000)
-    common(p, fmt_default="csv")
+    common(p, sweep=True)
 
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        input=getattr(args, "input", None),
-        gen=getattr(args, "gen", None),
-        order=getattr(args, "order", "asc"),
-        m=getattr(args, "m", None),
-        samples=getattr(args, "samples", 1000),
-        seed=args.seed,
-        dedupe=getattr(args, "dedupe", False),
-        grid=getattr(args, "grid", None),
-        r=getattr(args, "r", None),
-        format=getattr(args, "format", "json"),
-    )
+    # a field the subcommand does not take keeps RunConfig's default
+    given = {f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
+    return RunConfig(**given)
 
 
 def main(argv=None) -> int:

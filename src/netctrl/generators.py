@@ -114,6 +114,9 @@ def gen_directed_er(n: int, l: int, seed: int = 0) -> DirectedGraph:
     if n < 1:
         raise UsageError(f"n must be >= 1, got {n}")
     capacity = n * (n - 1)
+    # pair indices are drawn as int64
+    if capacity >= 2**63:
+        raise UsageError(f"n={n} gives more node pairs than int64 indexes")
     if not 0 <= l <= capacity:
         raise UsageError(f"l must lie in [0, {capacity}] for n={n}, got {l}")
     rng = np.random.default_rng(seed)

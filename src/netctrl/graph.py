@@ -21,7 +21,6 @@ __all__ = [
     "parse_edge_list",
     "read_edge_list",
     "to_edge_list",
-    "write_edge_list",
     "degrees",
     "average_degree",
 ]
@@ -246,8 +245,3 @@ def to_edge_list(graph: DirectedGraph) -> str:
     for tail, head in graph.edges:
         lines.append(f"{labels[tail]} {labels[head]}")
     return "\n".join(lines) + "\n"
-
-
-def write_edge_list(graph: DirectedGraph, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(to_edge_list(graph))

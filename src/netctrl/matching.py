@@ -81,10 +81,6 @@ class Matching:
         self._size = tails.size
 
     @classmethod
-    def empty(cls, node_count: int) -> Matching:
-        return cls(np.full(node_count, -1))
-
-    @classmethod
     def from_pairs(cls, graph: DirectedGraph, pairs: Iterable[tuple[int, int]]) -> Matching:
         """Build and validate a matching from (tail, head) pairs.
 
@@ -116,9 +112,6 @@ class Matching:
     def tail_by_head(self) -> np.ndarray:
         return self._tail_by_head
 
-    def tail_of(self, head: int) -> int:
-        return int(self._tail_by_head[head])
-
     def pairs(self) -> Iterator[tuple[int, int]]:
         tails = np.flatnonzero(self._head_by_tail >= 0)
         return zip(tails.tolist(), self._head_by_tail[tails].tolist())
@@ -147,7 +140,8 @@ class MatchingState:
     order. ``scan_heads`` overrides the neighbor scan order (used for
     randomized sampling): it holds the graph's ``out_heads``, reordered
     within each tail's CSR segment; the default scans each segment in
-    ascending rank.
+    ascending rank. ``matching`` seeds the state; its pairs must be edges
+    between ``active`` nodes.
     """
 
     def __init__(
@@ -156,7 +150,7 @@ class MatchingState:
         order,
         *,
         active: Iterable[int] = (),
-        matching=None,
+        matching: Matching | None = None,
         scan_heads: list[int] | None = None,
     ):
         n = graph.node_count
@@ -195,9 +189,7 @@ class MatchingState:
             mark[v] = 0
             admitted = True
         if matching is not None:
-            if not isinstance(matching, Matching):
-                matching = Matching.from_pairs(graph, matching)
-            elif matching.head_by_tail.size != n:
+            if matching.head_by_tail.size != n:
                 raise ValidationError(
                     f"matching covers {matching.head_by_tail.size} nodes, graph has {n}"
                 )
@@ -237,28 +229,7 @@ class MatchingState:
             raise ValidationError(f"matching holds {snapshot.size} pairs, the state counted {self._size}")
         return snapshot
 
-    def is_active(self, node: int) -> bool:
-        return self._mark[node] != _INACTIVE
-
     # --- mutation -----------------------------------------------------
-
-    def augment_from(self, free_tail: int) -> bool:
-        """Search an alternating path from a free out-role; flip it if found.
-
-        Candidate in-roles are visited in scan order (ascending rank by
-        default). Returns True and grows the matching by one when a path
-        to a free in-role exists, otherwise leaves the matching unchanged.
-        """
-        if not (0 <= free_tail < len(self._mh)) or not self.is_active(free_tail):
-            raise UsageError(f"node {free_tail} is not active")
-        if self._mh[free_tail] >= 0:
-            raise UsageError(f"out-role of node {free_tail} is already matched")
-        self._stamp += 1
-        if self._augment((free_tail,)) < 0:
-            return False
-        if free_tail in self._free_scan:
-            self._free_scan.remove(free_tail)
-        return True
 
     def extend_with_node(self, node: int) -> None:
         """Admit one node plus its induced edges, then restore maximality.
@@ -307,13 +278,12 @@ class MatchingState:
         """Search an augmenting path from each free root in turn; flip each found.
 
         The one alternating-DFS core: ``complete`` passes every node in rank
-        order, ``augment_from`` and the admission a single root, the
-        rescan the free tails with ``first_only``. Returns the last root
-        whose search succeeded, or -1. Heads marked with the current stamp
-        (or inactive) count as visited. A failed search keeps its marks,
-        a successful one clears the marks it made (the module docstring
-        says why); callers advance the stamp whenever the active set
-        changes.
+        order, the admission a single root, the rescan the free tails with
+        ``first_only``. Returns the last root whose search succeeded, or -1.
+        Heads marked with the current stamp (or inactive) count as visited.
+        A failed search keeps its marks, a successful one clears the marks
+        it made (the module docstring says why); callers advance the stamp
+        whenever the active set changes.
         """
         heads, ptr = self._heads, self._ptr
         mh, mt = self._mh, self._mt

@@ -8,7 +8,6 @@ the sweep seed, one child seed per grid point.
 
 from __future__ import annotations
 
-import json
 from dataclasses import astuple, dataclass, replace
 
 import numpy as np
@@ -23,7 +22,6 @@ __all__ = [
     "DegreeHistogram",
     "SweepRow",
     "f_hi_lo",
-    "avg_degree_of",
     "driver_degree_histogram",
     "sweep_p",
     "sweep_r",
@@ -46,29 +44,11 @@ def f_hi_lo(graph: DirectedGraph) -> float:
     return float(np.count_nonzero(tot[graph.tails] > tot[graph.heads]) / graph.edge_count)
 
 
-def avg_degree_of(graph: DirectedGraph, nodes) -> float:
-    """Mean total degree over a non-empty node set."""
-    idx = [int(v) for v in nodes]
-    if not idx:
-        raise UsageError("node set must be non-empty")
-    tot = degrees(graph).total_degree
-    return float(tot[idx].mean())
-
-
 @dataclass(frozen=True)
 class DegreeHistogram:
     """Per-degree node counts: (population, drivers) keyed by total degree."""
 
     counts: dict[int, tuple[int, int]]
-
-    def population(self, k: int) -> int:
-        return self.counts.get(k, (0, 0))[0]
-
-    def driver_count(self, k: int) -> int:
-        return self.counts.get(k, (0, 0))[1]
-
-    def degrees(self) -> list[int]:
-        return sorted(self.counts)
 
     def as_mapping(self) -> dict[str, dict[str, int]]:
         """``{degree: {"population": p, "drivers": d}}`` in ascending degree."""
@@ -76,9 +56,6 @@ class DegreeHistogram:
             str(k): {"population": p, "drivers": d}
             for k, (p, d) in sorted(self.counts.items())
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_mapping(), indent=2) + "\n"
 
 
 def driver_degree_histogram(graph: DirectedGraph, mds: MdsResult) -> DegreeHistogram:

@@ -54,10 +54,6 @@ class TestAnalyze:
         assert sorted(report["result"]["drivers"]) == ["b", "c", "hub"]
         assert report["config"]["seed"] == 1
 
-    def test_csv_format_rejected(self, capsys, star_file):
-        code, _ = run_cli(capsys, "analyze", "--input", star_file, "--format", "csv")
-        assert code == 2
-
     def test_missing_input_is_ingestion_error(self, capsys, tmp_path):
         code, _ = run_cli(capsys, "analyze", "--input", str(tmp_path / "nope.txt"))
         assert code == 3
@@ -73,6 +69,15 @@ class TestAnalyze:
         assert code == 2
         assert captured.out == ""
         assert "given twice" in captured.err
+
+    def test_er_pair_space_beyond_int64_is_usage_error(self, capsys):
+        code = main(["analyze", "--gen", "er:n=99999999999,l=1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("netctrl: usage error:")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
 
     def test_unwritable_out_path_is_io_error(self, capsys, star_file, tmp_path):
         code = main(["analyze", "--input", star_file, "--out", str(tmp_path / "missing" / "report.json")])
@@ -260,11 +265,17 @@ class TestGenerateAndReverse:
 
     @pytest.mark.parametrize(
         "argv",
-        [["generate", "--gen", "er:n=5,l=3"], ["reverse", "--gen", "er:n=5,l=3", "--R", "0.5"]],
+        [
+            ["generate", "--gen", "er:n=5,l=3"],
+            ["reverse", "--gen", "er:n=5,l=3", "--R", "0.5"],
+            ["analyze", "--gen", "er:n=5,l=3"],
+            ["preferential", "--gen", "er:n=5,l=3"],
+            ["sample", "--gen", "er:n=5,l=3", "--samples", "2"],
+        ],
         ids=lambda argv: argv[0],
     )
     def test_format_is_not_an_option(self, capsys, argv):
-        # both commands emit edge-list text only
+        # these commands emit edge-list text or JSON only: only the sweeps take --format
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--format", "csv"])
         assert exc.value.code == 2

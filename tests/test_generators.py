@@ -109,6 +109,13 @@ class TestDirectedEr:
         with pytest.raises(UsageError):
             gen_directed_er(3, 7, seed=0)
 
+    # 3037000501 is the least n with n * (n - 1) >= 2**63; a small l keeps
+    # the rejected call from allocating anything even if the check failed
+    @pytest.mark.parametrize("n", [3037000501, 99999999999])
+    def test_pair_space_beyond_int64_rejected(self, n):
+        with pytest.raises(UsageError, match="int64"):
+            gen_directed_er(n, 1, seed=0)
+
     def test_no_self_loops_or_duplicates(self):
         g = gen_directed_er(12, 60, seed=9)
         assert len(set(g.edges)) == 60

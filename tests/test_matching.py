@@ -50,35 +50,28 @@ def digraph_and_order(draw, max_n: int = 8):
 
 
 class TestAugmentFrom:
+    """The search from one root: the out-role of a node being admitted."""
+
     def test_single_edge(self):
         g = DirectedGraph(["a", "b"], [(0, 1)])
-        state = MatchingState(g, intern_order(g), active=(0, 1))
-        assert state.augment_from(0) is True
+        state = MatchingState(g, intern_order(g), active=(1,))
+        state.extend_with_node(0)
         assert dict(state.matching.pairs()) == {0: 1}
 
     def test_leaf_with_no_out_edges(self, star):
-        state = MatchingState(star, intern_order(star), active=(0, 1, 2, 3), matching=[(0, 1)])
-        for leaf in (1, 2, 3):
-            assert state.augment_from(leaf) is False
-        assert state.matching.size == 1
+        state = MatchingState(
+            star, intern_order(star), active=(0, 1), matching=Matching.from_pairs(star, [(0, 1)])
+        )
+        for leaf in (2, 3):
+            state.extend_with_node(leaf)
+        assert set(state.matching.pairs()) == {(0, 1)}
 
     def test_alternating_flip_on_path(self, path3):
-        state = MatchingState(path3, intern_order(path3), active=(0, 1, 2), matching=[(1, 2)])
-        assert state.augment_from(0) is True
+        seed = Matching.from_pairs(path3, [(1, 2)])
+        state = MatchingState(path3, intern_order(path3), active=(1, 2), matching=seed)
+        state.extend_with_node(0)
         assert set(state.matching.pairs()) == {(0, 1), (1, 2)}
         assert state.matching.size == brute_force_max_matching_size(path3)
-
-    def test_matched_tail_rejected(self):
-        g = DirectedGraph(["a", "b"], [(0, 1)])
-        state = MatchingState(g, intern_order(g), active=(0, 1), matching=[(0, 1)])
-        with pytest.raises(UsageError):
-            state.augment_from(0)
-
-    def test_inactive_tail_rejected(self):
-        g = DirectedGraph(["a", "b"], [(0, 1)])
-        state = MatchingState(g, intern_order(g), active=(0,))
-        with pytest.raises(UsageError):
-            state.augment_from(1)
 
 
 class TestMaxMatching:
@@ -111,7 +104,7 @@ class TestVerifyMaximum:
 
     def test_edgeless_empty_is_maximum(self):
         g = DirectedGraph(["a", "b"], [])
-        assert verify_maximum(g, Matching.empty(2)) is True
+        assert verify_maximum(g, Matching([-1, -1])) is True
 
     def test_non_edge_pair_rejected(self, path3):
         with pytest.raises(ValidationError):
@@ -157,7 +150,6 @@ class TestMatchingSnapshot:
                 array[0] = 2
         assert m.head_by_tail.tolist() == [1, 2, -1]
         assert m.tail_by_head.tolist() == [-1, 0, 1]
-        assert m.tail_of(2) == 1 and m.tail_of(0) == -1
 
     def test_snapshot_does_not_follow_its_source(self):
         heads = np.array([1, -1])
@@ -183,6 +175,23 @@ class TestMatchingSnapshot:
         corrupt(state)
         with pytest.raises(ValidationError):
             state.matching
+
+
+@pytest.mark.parametrize(
+    "given, error, message",
+    [
+        ({"order": [0, 1]}, UsageError, "covers 2 nodes"),
+        ({"order": [0, 0, 1]}, UsageError, "exactly once"),
+        ({"order": [0, 1, 3]}, UsageError, "exactly once"),
+        ({"scan_heads": [1]}, UsageError, "one entry per edge"),
+        # built from arrays, so nothing checked (2, 1) against the graph before
+        ({"active": range(3), "matching": Matching([-1, -1, 1])}, ValidationError, "not an edge"),
+    ],
+    ids=["order-short", "order-repeat", "order-out-of-range", "scan-heads-short", "non-edge-pair"],
+)
+def test_state_checks_its_own_inputs(path3, given, error, message):
+    with pytest.raises(error, match=message):
+        MatchingState(path3, **{"order": range(3), **given})
 
 
 @st.composite
@@ -257,7 +266,8 @@ def test_from_pairs_agrees_with_the_loop_reference(g, data):
 class TestExtendWithNode:
     def test_isolated_node_changes_nothing(self):
         g = DirectedGraph(["a", "b", "c"], [(0, 1)])
-        state = MatchingState(g, intern_order(g), active=(0, 1), matching=[(0, 1)])
+        m = Matching.from_pairs(g, [(0, 1)])
+        state = MatchingState(g, intern_order(g), active=(0, 1), matching=m)
         state.extend_with_node(2)
         assert state.matching.size == 1
 
@@ -265,7 +275,8 @@ class TestExtendWithNode:
         # active {1, 2} fully matched on 1<->2; node 3 only receives 1->3
         g = DirectedGraph(["1", "2", "3"], [(0, 1), (1, 0), (0, 2)])
         order = NodeOrder.explicit([0, 1, 2])
-        state = MatchingState(g, order, active=(0, 1), matching=[(0, 1), (1, 0)])
+        m = Matching.from_pairs(g, [(0, 1), (1, 0)])
+        state = MatchingState(g, order, active=(0, 1), matching=m)
         state.extend_with_node(2)
         assert state.matching.size == 2 == brute_force_max_matching_size(g)
         assert set(state.matching.pairs()) == {(0, 1), (1, 0)}

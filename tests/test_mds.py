@@ -245,7 +245,7 @@ def test_driver_legality_no_driver_in_role_matched(g, seed):
     result = drivers(g, max_matching(g, order), order)
     if not result.perfect_matching:
         for v in result.drivers:
-            assert result.witness.tail_of(v) < 0
+            assert result.witness.tail_by_head[v] < 0
 
 
 def test_order_steering_on_a_model_network():

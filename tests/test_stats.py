@@ -11,7 +11,6 @@ from netctrl import (
     UndefinedStatisticError,
     UsageError,
     average_degree,
-    avg_degree_of,
     degrees,
     driver_degree_histogram,
     drivers,
@@ -57,39 +56,22 @@ class TestFHiLo:
             f_hi_lo(g)
 
 
-class TestAvgDegreeOf:
-    def test_full_node_set_equals_average_degree(self, star):
-        assert avg_degree_of(star, range(4)) == pytest.approx(average_degree(star))
-
-    def test_single_hub(self, star):
-        assert avg_degree_of(star, [0]) == pytest.approx(3.0)
-
-    def test_empty_set_rejected(self, star):
-        with pytest.raises(UsageError):
-            avg_degree_of(star, [])
-
-
 class TestHistogram:
     def test_star_histogram(self, star):
         order = NodeOrder.explicit(range(4))
         mds = drivers(star, max_matching(star, order), order)
         hist = driver_degree_histogram(star, mds)
         assert hist.counts == {3: (1, 1), 1: (3, 2)}
-        assert hist.population(1) == 3
-        assert hist.driver_count(3) == 1
-        assert hist.degrees() == [1, 3]
 
     def test_json_serialization_keyed_by_degree(self, star):
         order = NodeOrder.explicit(range(4))
         mds = drivers(star, max_matching(star, order), order)
-        text = driver_degree_histogram(star, mds).to_json()
-        import json
-
-        obj = json.loads(text)
-        assert obj == {
-            "1": {"population": 3, "drivers": 2},
-            "3": {"population": 1, "drivers": 1},
-        }
+        mapping = driver_degree_histogram(star, mds).as_mapping()
+        # string keys, in ascending degree, as the JSON report carries them
+        assert list(mapping.items()) == [
+            ("1", {"population": 3, "drivers": 2}),
+            ("3", {"population": 1, "drivers": 1}),
+        ]
 
 
 @settings(max_examples=60, deadline=None)
