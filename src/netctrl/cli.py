@@ -267,6 +267,11 @@ def _build_parser(default_seed: int) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def command(name, summary):
+        # an option left out stays out of the namespace, so RunConfig holds
+        # every default but the seed's and the sweeps' format
+        return sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
+
     def common(p, sweep=False):
         # only the sweeps choose a format: the other reports are JSON or edge-list text
         p.add_argument("--seed", type=int, default=default_seed,
@@ -275,44 +280,42 @@ def _build_parser(default_seed: int) -> argparse.ArgumentParser:
             p.add_argument("--format", choices=("json", "csv"), default="csv")
         p.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
 
-    p = sub.add_parser("analyze", help="maximum matching, driver set, and degree histogram")
+    p = command("analyze", "maximum matching, driver set, and degree histogram")
     _add_graph_source(p)
-    p.add_argument("--order", default="asc", help="asc|desc|random|file:PATH")
+    p.add_argument("--order", help="asc|desc|random|file:PATH")
     common(p)
 
-    p = sub.add_parser("preferential", help="degree-steered driver set via incremental matching")
+    p = command("preferential", "degree-steered driver set via incremental matching")
     _add_graph_source(p)
-    p.add_argument("--order", default="asc", help="asc|desc|random|file:PATH")
-    p.add_argument("--m", type=int, default=None,
-                   help="number of preferentially admitted nodes (default: all)")
+    p.add_argument("--order", help="asc|desc|random|file:PATH")
+    p.add_argument("--m", type=int, help="number of preferentially admitted nodes (default: all)")
     common(p)
 
-    p = sub.add_parser("sample", help="ensemble of randomized driver sets")
+    p = command("sample", "ensemble of randomized driver sets")
     _add_graph_source(p)
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--dedupe", action="store_true",
-                   help="also count distinct driver sets")
+    p.add_argument("--samples", type=int)
+    p.add_argument("--dedupe", action="store_true", help="also count distinct driver sets")
     common(p)
 
-    p = sub.add_parser("generate", help="emit a generated network as edge-list text")
+    p = command("generate", "emit a generated network as edge-list text")
     _add_graph_source(p, gen_only=True)
     common(p)
 
-    p = sub.add_parser("reverse", help="flip low-to-high-degree edges with probability R")
+    p = command("reverse", "flip low-to-high-degree edges with probability R")
     _add_graph_source(p)
     p.add_argument("--R", dest="r", type=float, required=True, metavar="FLOAT")
     common(p)
 
-    p = sub.add_parser("sweep-p", help="sweep attachment direction p over generated networks")
+    p = command("sweep-p", "sweep attachment direction p over generated networks")
     _add_graph_source(p, gen_only=True)
     p.add_argument("--grid", type=_parse_grid, required=True, metavar="CSV-of-reals")
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=int)
     common(p, sweep=True)
 
-    p = sub.add_parser("sweep-r", help="sweep reversal probability R over one network")
+    p = command("sweep-r", "sweep reversal probability R over one network")
     _add_graph_source(p)
     p.add_argument("--grid", type=_parse_grid, required=True, metavar="CSV-of-reals")
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=int)
     common(p, sweep=True)
 
     return parser
@@ -329,8 +332,9 @@ def main(argv=None) -> int:
         parser = _build_parser(_default_seed())
         args = parser.parse_args(argv)
         text = run(_config_from_args(args))
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
+        out = getattr(args, "out", None)
+        if out:
+            with open(out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         else:
             sys.stdout.write(text)

@@ -11,10 +11,12 @@ processed in ascending rank of a caller-supplied node order, and candidate
 in-roles are scanned lowest rank first. The deterministic scan is what
 lets a degree-sorted order steer which nodes end up unmatched.
 
-Every search runs in one core, ``MatchingState._augment``, which prunes
-across the roots of one call (a Hungarian forest): within a call the
-active set is fixed, and the in-roles visited by a search that failed stay
-marked, while a search that succeeds clears only the marks it made. This
+Every search runs in one core, ``MatchingState._augment``; the pass that
+completes a matching runs the same search compiled (``_core.c``) when a C
+compiler is at hand. The core prunes across the roots of one call (a
+Hungarian forest): within a call the active set is fixed, and the
+in-roles visited by a search that failed stay marked, while a search
+that succeeds clears only the marks it made. This
 is exact. When a search fails, every out-edge of every tail in its tree
 ends at a marked in-role, and every in-role in the tree is matched to a
 tail in the tree. So no augmenting path can enter the tree, flipping one
@@ -42,6 +44,13 @@ __all__ = ["Matching", "MatchingState", "max_matching", "verify_maximum"]
 _INACTIVE = sys.maxsize
 
 
+def _clipped(values: Iterable[int]) -> np.ndarray:
+    """A new int64 array of ``values``, each negative entry made -1."""
+    if not isinstance(values, np.ndarray):
+        values = list(values)
+    return np.maximum(np.asarray(values, dtype=np.int64), -1)
+
+
 class Matching:
     """Immutable snapshot of a matching.
 
@@ -53,7 +62,9 @@ class Matching:
     __slots__ = ("_head_by_tail", "_tail_by_head", "_size")
 
     def __init__(self, head_by_tail: Iterable[int], tail_by_head: Iterable[int] | None = None):
-        heads = np.maximum(np.fromiter(head_by_tail, dtype=np.int64), -1)
+        heads = _clipped(head_by_tail)
+        if heads.ndim != 1:
+            raise ValidationError("head_by_tail must be one-dimensional")
         n = heads.size
         tails = np.flatnonzero(heads >= 0)
         matched = heads[tails]
@@ -63,7 +74,7 @@ class Matching:
             inverse = np.full(n, -1, dtype=np.int64)
             inverse[matched] = tails
         else:
-            inverse = np.maximum(np.fromiter(tail_by_head, dtype=np.int64), -1)
+            inverse = _clipped(tail_by_head)
         # one entry per matched tail, each matched head pointing back at its
         # tail: so no head has two tails and the inverse is exact
         if (
@@ -151,10 +162,10 @@ class MatchingState:
         *,
         active: Iterable[int] = (),
         matching: Matching | None = None,
-        scan_heads: list[int] | None = None,
+        scan_heads: Iterable[int] | None = None,
     ):
         n = graph.node_count
-        perm = np.asarray(getattr(order, "permutation", order), dtype=np.int64)
+        perm = np.ascontiguousarray(getattr(order, "permutation", order), dtype=np.int64)
         if perm.shape != (n,):
             raise UsageError(f"order covers {perm.size} nodes, graph has {n}")
         rank = np.full(n, -1, dtype=np.int64)
@@ -164,15 +175,18 @@ class MatchingState:
             raise UsageError("order must contain each node index exactly once")
         self.graph = graph
         if scan_heads is None:
-            scan_heads = graph.heads[np.lexsort((rank[graph.heads], graph.tails))].tolist()
-        elif len(scan_heads) != graph.edge_count:
-            raise UsageError("scan_heads must hold one entry per edge")
-        self._order = perm.tolist()
-        self._rank = rank  # an array: only insort reads it
+            scan = graph.heads[np.lexsort((rank[graph.heads], graph.tails))]
+        else:
+            scan = _checked_scan(graph, scan_heads)
+        # The state is kept as int64 arrays, which the compiled completing
+        # pass takes; _augment swaps them for lists, which it indexes faster.
+        self._perm = perm
+        self._rank = rank  # only insort reads it
         self._ptr = graph.out_offsets
-        self._heads = scan_heads
-        self._mh = [-1] * n  # tail -> matched head
-        self._mt = [-1] * n  # head -> matched tail
+        self._scan = scan
+        self._heads: list[int] | None = None  # _scan as a list, made by _augment
+        self._mh = np.full(n, -1, dtype=np.int64)  # tail -> matched head
+        self._mt = np.full(n, -1, dtype=np.int64)  # head -> matched tail
         self._size = 0
         # per head: _INACTIVE until admitted, then the stamp of the search
         # that last marked it, 0 when unmarked (see _augment)
@@ -203,17 +217,15 @@ class MatchingState:
                 if outside[bad[0]]:
                     raise ValidationError(f"matched pair ({u}, {v}) outside the active set")
                 raise ValidationError(f"({u}, {v}) is not an edge of the graph")
-            self._mh = matching.head_by_tail.tolist()
-            self._mt = matching.tail_by_head.tolist()
+            self._mh = matching.head_by_tail.copy()
+            self._mt = matching.tail_by_head.copy()
             self._size = matching.size
         # the roots of extend_with_node's rescan: active free tails with
         # out-edges, in ascending rank
         self._free_scan: list[int] = []
         if admitted:
-            ptr, mh = self._ptr, self._mh
-            self._free_scan = [
-                u for u in self._order if mark[u] == 0 and mh[u] < 0 and ptr[u] < ptr[u + 1]
-            ]
+            free = (np.array(mark) == 0) & (self._mh < 0) & (np.diff(graph.out_ptr) > 0)
+            self._free_scan = perm[free[perm]].tolist()
 
     # --- queries ------------------------------------------------------
 
@@ -265,12 +277,27 @@ class MatchingState:
         """Admit all remaining nodes and finish to a maximum matching.
 
         One pass over free out-roles in ascending rank; a failed search
-        stays failed under later augmentations, so one pass suffices.
+        stays failed under later augmentations, so one pass suffices. The
+        pass runs compiled when the kernel of ``_core.c`` can be built,
+        and in ``_augment`` otherwise, with the same result.
         """
-        self._mark = [0] * len(self._mh)
-        self._stamp += 1
-        self._augment(self._order)
+        # imported on first use, so that `import netctrl` leaves the loader out
+        from ._kernel import completion_kernel
+
+        self._mark = [0] * len(self._mark)
         self._free_scan = []  # no node is left to admit
+        kernel = completion_kernel()
+        if kernel is None:
+            self._stamp += 1
+            self._augment(self._perm.tolist())
+            return
+        mh = np.asarray(self._mh, dtype=np.int64)
+        mt = np.asarray(self._mt, dtype=np.int64)
+        ptr = np.asarray(self.graph.out_ptr, dtype=np.int64)
+        size = kernel(ptr, self._scan, self._perm, mh, mt)
+        if size < 0:
+            raise MemoryError("no memory for the completing pass")
+        self._mh, self._mt, self._size = mh, mt, size
 
     # --- internals ----------------------------------------------------
 
@@ -285,6 +312,10 @@ class MatchingState:
         it made (the module docstring says why); callers advance the stamp
         whenever the active set changes.
         """
+        if self._heads is None:
+            self._heads = self._scan.tolist()
+        if not isinstance(self._mh, list):
+            self._mh, self._mt = self._mh.tolist(), self._mt.tolist()
         heads, ptr = self._heads, self._ptr
         mh, mt = self._mh, self._mt
         mark = self._mark
@@ -341,6 +372,27 @@ class MatchingState:
         return last
 
 
+def _checked_scan(graph: DirectedGraph, scan_heads) -> np.ndarray:
+    """``scan_heads`` as an int64 array, checked to be the out-CSR's heads
+    reordered within each tail's segment; raises UsageError otherwise."""
+    scan = np.asarray(scan_heads)
+    if scan.shape != (graph.edge_count,):
+        raise UsageError("scan_heads must hold one entry per edge")
+    if scan.size and scan.dtype.kind not in "iu":
+        raise UsageError(f"scan_heads must hold node indices, got {scan.dtype}")
+    scan = np.ascontiguousarray(scan, dtype=np.int64)
+    n = graph.node_count
+    if scan.size and not (scan.min() >= 0 and scan.max() < n):
+        raise UsageError(f"scan_heads holds a node index outside 0..{n - 1}")
+    # The graph's sorted edge keys tail * n + head list the tails slot by
+    # slot, as the out-CSR does. With every head in range, the slots' keys
+    # sort to the edge keys exactly when each segment holds its tail's heads.
+    keys = graph._keys
+    if not np.array_equal(np.sort(keys // n * n + scan), keys):
+        raise UsageError("scan_heads must reorder the heads within each tail's CSR segment")
+    return scan
+
+
 def max_matching(graph: DirectedGraph, order) -> Matching:
     """Deterministic maximum matching of the whole graph under an order.
 
@@ -364,7 +416,6 @@ def verify_maximum(graph: DirectedGraph, matching: Matching, active: Iterable[in
     n = graph.node_count
     nodes = range(n) if active is None else {int(v) for v in active}
     # any scan order will do: take the out-CSR's own
-    scan = graph.out_heads.tolist()
-    state = MatchingState(graph, range(n), active=nodes, matching=matching, scan_heads=scan)
+    state = MatchingState(graph, range(n), active=nodes, matching=matching, scan_heads=graph.out_heads)
     state._stamp += 1
     return state._augment(state._free_scan, first_only=True) < 0

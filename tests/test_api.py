@@ -1,4 +1,4 @@
-"""The package's export lists and its version string."""
+"""The package's export lists, its version string and its package data."""
 
 from __future__ import annotations
 
@@ -29,3 +29,15 @@ def test_exports_and_version_agree():
 
     version = re.search(r'^version = "([^"]+)"$', PYPROJECT.read_text(), re.MULTILINE)
     assert version is not None and version.group(1) == netctrl.__version__
+
+
+def test_package_data_ships_the_files_read_at_run_time():
+    # an installed netctrl reads its report schema and builds its kernel from _core.c
+    section = PYPROJECT.read_text().split("[tool.setuptools.package-data]", 1)[1]
+    listed = re.search(r"^netctrl = \[(.*)\]$", section, re.MULTILINE)
+    assert listed is not None
+    data = re.findall(r'"([^"]+)"', listed.group(1))
+    package = Path(netctrl.__file__).parent
+    assert set(data) == {"report_schema.json", "_core.c"}
+    for name in data:
+        assert (package / name).is_file()

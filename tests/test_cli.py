@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from importlib import resources
 
 import jsonschema
 import pytest
 
 from netctrl import parse_edge_list, read_edge_list
-from netctrl.cli import RunConfig, main, run
+from netctrl.cli import RunConfig, _build_parser, _config_from_args, main, run
 
 
 def config_from_echo(echo: dict) -> RunConfig:
@@ -348,3 +349,22 @@ class TestSweeps:
     def test_bad_grid_value(self, capsys, star_file):
         code, _ = run_cli(capsys, "sweep-r", "--input", star_file, "--grid", "0,2.5")
         assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, required",
+    [
+        (["analyze"], {}),
+        (["preferential"], {}),
+        (["sample"], {}),
+        (["generate"], {}),
+        (["reverse", "--R", "0.5"], {"r": 0.5}),
+        (["sweep-p", "--grid", "0,1"], {"grid": (0.0, 1.0), "format": "csv"}),
+        (["sweep-r", "--grid", "0,1"], {"grid": (0.0, 1.0), "format": "csv"}),
+    ],
+    ids=lambda value: value[0] if isinstance(value, list) else None,
+)
+def test_options_left_out_take_run_configs_defaults(argv, required):
+    # RunConfig holds the defaults; only the sweeps' csv format differs
+    config = _config_from_args(_build_parser(0).parse_args(argv))
+    assert config == replace(RunConfig(command=argv[0]), **required)

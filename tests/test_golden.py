@@ -2,7 +2,9 @@
 
 The analyze and preferential goldens pin the deterministic matching path;
 the sample, sweep-r and sweep-p goldens pin the sampler's random stream;
-the generate and reverse goldens pin the generators' edge lists. A change
+the generate and reverse goldens pin the generators' edge lists. Each
+report is checked once with the compiled completing pass (when a C
+compiler can build it) and once with the Python search. A change
 that alters a stream on purpose regenerates the files with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -17,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from netctrl import _kernel
 from netctrl.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -50,11 +53,22 @@ CASES = {
 }
 
 
+@pytest.fixture
+def python_core(monkeypatch):
+    """Run MatchingState.complete() on the Python search, as without a compiler."""
+    monkeypatch.setattr(_kernel, "_kernel", None)
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_matches_golden(name, tmp_path):
     out = tmp_path / name
     assert main(CASES[name] + ["--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN_DIR / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_matches_golden_on_the_python_core(name, tmp_path, python_core):
+    test_report_matches_golden(name, tmp_path)
 
 
 if __name__ == "__main__":

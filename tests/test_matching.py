@@ -16,6 +16,7 @@ from netctrl import (
     max_matching,
     verify_maximum,
 )
+from netctrl import _kernel
 from netctrl.generators import BaParams, gen_directed_ba, gen_directed_er
 from netctrl.mds import NodeOrder
 
@@ -192,6 +193,31 @@ class TestMatchingSnapshot:
 def test_state_checks_its_own_inputs(path3, given, error, message):
     with pytest.raises(error, match=message):
         MatchingState(path3, **{"order": range(3), **given})
+
+
+# 0 -> {1, 2}, 1 -> {0, 2}: the out-CSR's heads are [1, 2 | 0, 2]
+TWO_SEGMENTS = DirectedGraph(["a", "b", "c"], [(0, 1), (0, 2), (1, 0), (1, 2)])
+
+
+@pytest.mark.parametrize(
+    "scan, message",
+    [
+        ([1, 0, 0, 2], "within each tail's CSR segment"),  # 0 -> 0 is no edge
+        ([1, 3, 0, 2], "outside 0..2"),
+        ([1, 2, -1, 2], "outside 0..2"),
+        ([1, 1, 0, 2], "within each tail's CSR segment"),
+        ([0, 2, 1, 2], "within each tail's CSR segment"),  # 0 and 1 swapped segments
+        ([1.0, 2.0, 0.0, 2.0], "node indices"),
+    ],
+    ids=["non-edge", "out-of-range", "negative", "repeat-in-segment", "other-segment", "float"],
+)
+def test_scan_heads_must_reorder_each_segment(scan, message):
+    with pytest.raises(UsageError, match=message):
+        MatchingState(TWO_SEGMENTS, range(3), scan_heads=scan)
+    # reordering within the segments is what scan_heads is for
+    state = MatchingState(TWO_SEGMENTS, range(3), scan_heads=np.array([2, 1, 2, 0]))
+    state.complete()
+    assert set(state.matching.pairs()) == {(0, 1), (1, 2)}
 
 
 @st.composite
@@ -428,3 +454,66 @@ def test_randomized_complete_agrees_with_naive_reference(case):
     state.complete()
     per_tail = [scan[ptr[u]:ptr[u + 1]] for u in range(n)]
     assert set(state.matching.pairs()) == naive_max_matching_pairs(g, perm, per_tail)
+
+
+@pytest.fixture(scope="module")
+def compiled_kernel(tmp_path_factory):
+    """The compiled completing pass, built into a cache of the tests' own."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
+        patch.setattr(_kernel, "_kernel", _kernel._UNSET)
+        kernel = _kernel.completion_kernel()
+    if kernel is None:
+        # tests/test_core_build.py fails when a compiler is found and the
+        # kernel still cannot be built
+        pytest.skip("the compiled kernel cannot be built here")
+    return kernel
+
+
+def completed_both_ways(kernel, g, perm, scan, admitted=()):
+    """``(head_by_tail, tail_by_head, size)`` after ``complete()``, from the
+    compiled kernel and from the Python core, after admitting ``admitted``."""
+    results = []
+    for core in (kernel, None):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_kernel, "_kernel", core)
+            state = MatchingState(g, perm, scan_heads=scan)
+            for node in admitted:
+                state.extend_with_node(node)
+            state.complete()
+            m = state.matching
+            results.append((m.head_by_tail.tolist(), m.tail_by_head.tolist(), state.size))
+    return results
+
+
+def shuffled_segments(g, rng) -> np.ndarray:
+    ptr, heads = g.out_ptr, g.out_heads
+    slots = [ptr[u] + rng.permutation(ptr[u + 1] - ptr[u]) for u in range(g.node_count)]
+    return heads[np.concatenate(slots)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(digraphs(max_n=10), st.integers(min_value=0, max_value=2**32 - 1), st.data())
+def test_compiled_completion_agrees_with_the_python_core(compiled_kernel, g, seed, data):
+    # small digraphs, self-loops included, under a random order and random
+    # within-segment scans, some with nodes admitted one at a time first
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(g.node_count)
+    m = data.draw(st.integers(min_value=0, max_value=g.node_count))
+    compiled, python = completed_both_ways(
+        compiled_kernel, g, perm, shuffled_segments(g, rng), perm[:m].tolist()
+    )
+    assert compiled == python
+
+
+@settings(max_examples=40, deadline=None)
+@given(sparse_graph_and_seed(), st.integers(min_value=0, max_value=2))
+def test_compiled_completion_agrees_on_deep_alternating_paths(compiled_kernel, case, admitted):
+    # ER and BA graphs with up to 300 nodes, where searches run deep
+    g, seed = case
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(g.node_count)
+    compiled, python = completed_both_ways(
+        compiled_kernel, g, perm, shuffled_segments(g, rng), perm[:admitted].tolist()
+    )
+    assert compiled == python
