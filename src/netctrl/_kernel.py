@@ -1,76 +1,121 @@
-"""The compiled completing pass: ``_core.c``, built on first use and loaded with ctypes.
+"""The compiled core: ``_core.c``, built on first use and loaded with ctypes.
 
-``completion_kernel()`` returns ``run(ptr, heads, order, mh, mt) -> size``,
-which completes the matching ``mh``/``mt`` in place (see ``_core.c``), or
-None when the kernel cannot be had: no ``cc`` on the PATH, a cache
-directory that cannot be written, a build that fails or a library that
-will not load. ``MatchingState.complete`` then runs the Python search,
-which gives the same matchings.
+The library has two entry points (see ``_core.c``). ``core()`` returns a
+``Core`` holding both, or None when the library cannot be had: no ``cc``
+on the PATH, a cache directory that cannot be written, a build that fails
+or a library that will not load. ``MatchingState.complete`` then runs the
+Python search and ``parse_edge_list`` its line loop, which give the same
+results. Setting ``_kernel`` to None forces both Python paths.
 
 The library is compiled with ``cc -O2 -shared -fPIC`` into
-``${XDG_CACHE_HOME:-~/.cache}/netctrl/_core-<sha256 of the source>.so``,
-so an edited source gets a file of its own. A build writes a temporary
-file in that directory and renames it into place, so processes building
-at once each load a whole library and leave one file. A cached file that
-will not load is built again once.
+``${XDG_CACHE_HOME:-~/.cache}/netctrl/_core-<hash of the source>.so``,
+so an edited source gets a file of its own. The hash is
+``importlib.util.source_hash``, the 64-bit hash CPython keys hash-based
+``.pyc`` files with: it needs no import, where hashlib's would cost a
+process about 4 ms. A build writes a temporary file in that directory and
+renames it into place, so processes building at once each load a whole
+library and leave one file. A cached file that will not load is built
+again once.
 
 ``import netctrl`` does not import this module: the first ``complete()``
-call imports it and loads the kernel. The modules only a build needs are
-imported by the build, which saves a process that finds the library
-cached about 6 ms.
+or ``parse_edge_list`` call imports it and loads the library. The modules
+only a build needs are imported by the build, which saves a process that
+finds the library cached about 6 ms.
 """
 
 from __future__ import annotations
 
 import ctypes
-import hashlib
 import os
+from importlib.util import source_hash
 from pathlib import Path
 
+import numpy as np
+
 _UNSET = object()
-# the loaded kernel, None when it cannot be had, _UNSET until the first call
+# the loaded core, None when it cannot be had, _UNSET until the first call
 _kernel = _UNSET
 
+# maps every ASCII line break of str.splitlines to \n, for counting lines
+_BREAKS_TO_NEWLINE = bytes.maketrans(b"\r\x0b\x0c\x1c\x1d\x1e", b"\n" * 6)
 
-def completion_kernel():
-    """The compiled completing pass, or None; built or loaded once per process."""
+
+class Core:
+    """The two entry points of a loaded ``_core.c``.
+
+    Raw addresses are passed in place of ``ndarray.ctypes.data_as`` and
+    ndpointer argtypes, which leave reference-cycle garbage behind on
+    every call.
+    """
+
+    __slots__ = ("_complete", "_tokenize")
+
+    def __init__(self, library: ctypes.CDLL):
+        self._complete = library.netctrl_complete
+        self._complete.argtypes = (ctypes.c_int64,) + (ctypes.c_void_p,) * 5
+        self._complete.restype = ctypes.c_int64
+        self._tokenize = library.netctrl_tokenize
+        self._tokenize.argtypes = (ctypes.c_char_p,) + (ctypes.c_int64,) * 2 + (ctypes.c_void_p,) * 4
+        self._tokenize.restype = ctypes.c_int64
+
+    def complete(self, ptr, heads, order, mh, mt) -> int:
+        """Complete the matching ``mh``/``mt`` in place; the number of pairs, or -1 out of memory."""
+        return self._complete(
+            mh.size, ptr.ctypes.data, heads.ctypes.data, order.ctypes.data,
+            mh.ctypes.data, mt.ctypes.data,
+        )
+
+    def tokenize(self, data: bytes):
+        """``(ends, offsets, lengths)`` of ASCII edge-list bytes, or None.
+
+        ``ends`` holds the (tail, head) label ids of every edge line in
+        line order, and label i is ``data[offsets[i]:offsets[i] + lengths[i]]``,
+        in order of first appearance. None when a line that is neither
+        blank nor a comment does not hold two tokens.
+        """
+        # a bound on the line count: \r\n counts twice
+        lines = data.translate(_BREAKS_TO_NEWLINE).count(b"\n") + 1
+        ends = np.empty(2 * lines, dtype=np.int64)
+        offsets = np.empty(2 * lines, dtype=np.int64)
+        lengths = np.empty(2 * lines, dtype=np.int64)
+        labels = ctypes.c_int64()
+        edges = self._tokenize(
+            data, len(data), lines, ends.ctypes.data, offsets.ctypes.data,
+            lengths.ctypes.data, ctypes.addressof(labels),
+        )
+        if edges == -2:
+            raise MemoryError("no memory for the tokenizer's hash table")
+        if edges < 0:
+            return None
+        return ends[:2 * edges], offsets[:labels.value], lengths[:labels.value]
+
+
+def core() -> Core | None:
+    """The compiled core, or None; built or loaded once per process."""
     global _kernel
     if _kernel is _UNSET:
         _kernel = _load()
     return _kernel
 
 
-def _load():
+def _load() -> Core | None:
     try:
         source = Path(__file__).with_name("_core.c")
-        digest = hashlib.sha256(source.read_bytes()).hexdigest()
+        digest = source_hash(source.read_bytes()).hex()
         cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "netctrl"
     except (OSError, RuntimeError):  # RuntimeError: no home directory
         return None
     library = cache / f"_core-{digest}.so"
-    complete = _open(library)
-    if complete is None and _build(source, library):
-        complete = _open(library)
-    if complete is None:
-        return None
-    complete.argtypes = (ctypes.c_int64,) + (ctypes.c_void_p,) * 5
-    complete.restype = ctypes.c_int64
-
-    def run(ptr, heads, order, mh, mt) -> int:
-        # raw addresses: ndarray.ctypes.data_as and ndpointer argtypes leave
-        # reference-cycle garbage behind on every call
-        return complete(
-            mh.size, ptr.ctypes.data, heads.ctypes.data, order.ctypes.data,
-            mh.ctypes.data, mt.ctypes.data,
-        )
-
-    return run
+    loaded = _open(library)
+    if loaded is None and _build(source, library):
+        loaded = _open(library)
+    return loaded
 
 
-def _open(library: Path):
-    """The kernel's entry point in ``library``, or None when it will not load."""
+def _open(library: Path) -> Core | None:
+    """The core in ``library``, or None when it will not load."""
     try:
-        return ctypes.CDLL(str(library)).netctrl_complete
+        return Core(ctypes.CDLL(str(library)))
     except (OSError, AttributeError):  # missing, truncated or foreign
         return None
 

@@ -92,17 +92,26 @@ class DirectedGraph:
         if repeats.size:
             tail, head = divmod(int(keys[repeats[0]]), n)
             raise ValueError(f"duplicate edge ({tail}, {head})")
-        # stable sorts, so each row keeps input order
-        out_rows = np.argsort(tails, kind="stable")
-        in_rows = np.argsort(heads, kind="stable")
+        # Each row keeps input order: the keys row * width + slot are unique
+        # (width is the edge count, at least 1), so sorting them orders the
+        # slots by row and, within a row, by slot. The row pointers are
+        # prefix sums of the row lengths.
+        width = max(tails.size, 1)
+        slots = np.arange(tails.size)
+        out_rows = np.sort(tails * width + slots) % width
+        in_rows = np.sort(heads * width + slots) % width
+        out_ptr = np.zeros(n + 1, dtype=np.int64)
+        in_ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(tails, minlength=n), out=out_ptr[1:])
+        np.cumsum(np.bincount(heads, minlength=n), out=in_ptr[1:])
         self._labels = labels
         self._label_index = label_index
         self._keys = keys
         self.tails = tails
         self.heads = heads
-        self.out_ptr = np.searchsorted(tails[out_rows], np.arange(n + 1))
+        self.out_ptr = out_ptr
         self.out_heads = heads[out_rows]
-        self.in_ptr = np.searchsorted(heads[in_rows], np.arange(n + 1))
+        self.in_ptr = in_ptr
         self.in_tails = tails[in_rows]
         for array in (keys, tails, heads, self.out_ptr, self.out_heads, self.in_ptr, self.in_tails):
             array.flags.writeable = False
@@ -193,7 +202,41 @@ def parse_edge_list(text: str) -> DirectedGraph:
 
     Raises IngestionError on empty input or on a line that does not hold
     exactly two tokens.
+
+    ASCII text is tokenized by the compiled core (``_core.c``) when it
+    loads; other text, and text with a line the core rejects, goes through
+    the line loop, which gives the same graph or reports the line.
     """
+    labels, pairs = (_intern_compiled(text) if text.isascii() else None) or _intern_lines(text)
+    if not labels:
+        raise IngestionError("no edges found in input")
+    # keep the first line of each (tail, head) pair, in line order
+    _, first = np.unique(pairs[:, 0] * len(labels) + pairs[:, 1], return_index=True)
+    first.sort()
+    return DirectedGraph(labels, pairs[first], duplicate_count=len(pairs) - first.size)
+
+
+def _intern_compiled(text: str) -> tuple[list[str], np.ndarray] | None:
+    """The labels in first-appearance order and the (tail, head) id pairs in
+    line order, from the compiled tokenizer; None when it is not at hand or
+    rejects a line."""
+    # imported on first use, so that `import netctrl` leaves the loader out
+    from ._kernel import core
+
+    compiled = core()
+    found = None if compiled is None else compiled.tokenize(text.encode("ascii"))
+    if found is None:
+        return None
+    ends, offsets, lengths = found
+    # ASCII: byte offsets are character offsets
+    labels = [text[a:b] for a, b in zip(offsets.tolist(), (offsets + lengths).tolist())]
+    return labels, ends.reshape(-1, 2)
+
+
+def _intern_lines(text: str) -> tuple[list[str], np.ndarray]:
+    """``_intern_compiled``'s result from a loop over the lines, which also
+    serves text that is not ASCII; raises IngestionError on a line that
+    does not hold two tokens."""
     label_index: dict[str, int] = {}
     ends: list[int] = []  # tail, head, tail, head, ... in line order
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -206,15 +249,7 @@ def parse_edge_list(text: str) -> DirectedGraph:
             )
         ends.append(label_index.setdefault(tokens[0], len(label_index)))
         ends.append(label_index.setdefault(tokens[1], len(label_index)))
-    if not label_index:
-        raise IngestionError("no edges found in input")
-    pairs = np.array(ends, dtype=np.int64).reshape(-1, 2)
-    # keep the first line of each (tail, head) pair, in line order
-    _, first = np.unique(pairs[:, 0] * len(label_index) + pairs[:, 1], return_index=True)
-    first.sort()
-    return DirectedGraph(
-        list(label_index), pairs[first], duplicate_count=len(pairs) - first.size
-    )
+    return list(label_index), np.array(ends, dtype=np.int64).reshape(-1, 2)
 
 
 def read_text(path) -> str:

@@ -173,31 +173,17 @@ class MatchingState:
             rank[perm] = np.arange(n)
         if rank.min() < 0:
             raise UsageError("order must contain each node index exactly once")
-        self.graph = graph
         if scan_heads is None:
             scan = graph.heads[np.lexsort((rank[graph.heads], graph.tails))]
         else:
             scan = _checked_scan(graph, scan_heads)
-        # The state is kept as int64 arrays, which the compiled completing
-        # pass takes; _augment swaps them for lists, which it indexes faster.
-        self._perm = perm
-        self._rank = rank  # only insort reads it
-        self._ptr = graph.out_offsets
-        self._scan = scan
-        self._heads: list[int] | None = None  # _scan as a list, made by _augment
-        self._mh = np.full(n, -1, dtype=np.int64)  # tail -> matched head
-        self._mt = np.full(n, -1, dtype=np.int64)  # head -> matched tail
-        self._size = 0
-        # per head: _INACTIVE until admitted, then the stamp of the search
-        # that last marked it, 0 when unmarked (see _augment)
-        self._mark = [_INACTIVE] * n
-        self._stamp = 0
-        mark = self._mark
+        self._start(graph, perm, rank, scan)
         admitted = False
         for v in active:
             v = int(v)
             if not 0 <= v < n:
                 raise UsageError(f"node {v} out of range")
+            mark = self._marks()
             if mark[v] != _INACTIVE:
                 raise UsageError(f"node {v} is already active")
             mark[v] = 0
@@ -209,7 +195,7 @@ class MatchingState:
                 )
             tails = np.flatnonzero(matching.head_by_tail >= 0)
             heads = matching.head_by_tail[tails]
-            inactive = np.array(mark) == _INACTIVE
+            inactive = np.array(self._marks()) == _INACTIVE
             outside = inactive[tails] | inactive[heads]
             bad = np.flatnonzero(outside | ~graph.has_edge(tails, heads))
             if bad.size:
@@ -220,12 +206,42 @@ class MatchingState:
             self._mh = matching.head_by_tail.copy()
             self._mt = matching.tail_by_head.copy()
             self._size = matching.size
+        if admitted:
+            free = (np.array(self._mark) == 0) & (self._mh < 0) & (np.diff(graph.out_ptr) > 0)
+            self._free_scan = perm[free[perm]].tolist()
+
+    @classmethod
+    def _sampling(cls, graph: DirectedGraph, perm: np.ndarray, scan: np.ndarray) -> MatchingState:
+        """A state with no node active for a permutation and a scan that the
+        sampler drew itself, as int64 arrays; neither is checked."""
+        rank = np.empty_like(perm)
+        rank[perm] = np.arange(perm.size)
+        state = cls.__new__(cls)
+        state._start(graph, perm, rank, scan)
+        return state
+
+    def _start(self, graph: DirectedGraph, perm: np.ndarray, rank: np.ndarray, scan: np.ndarray) -> None:
+        """Set up a state with no node active and an empty matching."""
+        n = graph.node_count
+        self.graph = graph
+        # The state is kept as int64 arrays, which the compiled completing
+        # pass takes; _augment swaps them for lists, which it indexes faster.
+        self._perm = perm
+        self._rank = rank  # only insort reads it
+        self._ptr = graph.out_offsets
+        self._scan = scan
+        self._heads: list[int] | None = None  # _scan as a list, made by _augment
+        self._mh = np.full(n, -1, dtype=np.int64)  # tail -> matched head
+        self._mt = np.full(n, -1, dtype=np.int64)  # head -> matched tail
+        self._size = 0
+        # per head: _INACTIVE until admitted, then the stamp of the search
+        # that last marked it, 0 when unmarked (see _augment); held as the
+        # one value every head has until _marks() makes the list
+        self._mark: list[int] | int = _INACTIVE
+        self._stamp = 0
         # the roots of extend_with_node's rescan: active free tails with
         # out-edges, in ascending rank
         self._free_scan: list[int] = []
-        if admitted:
-            free = (np.array(mark) == 0) & (self._mh < 0) & (np.diff(graph.out_ptr) > 0)
-            self._free_scan = perm[free[perm]].tolist()
 
     # --- queries ------------------------------------------------------
 
@@ -252,7 +268,7 @@ class MatchingState:
         """
         if not (0 <= node < len(self._mh)):
             raise UsageError(f"node {node} out of range")
-        mark = self._mark
+        mark = self._marks()
         if mark[node] != _INACTIVE:
             raise UsageError(f"node {node} is already active")
         mark[node] = 0
@@ -282,24 +298,30 @@ class MatchingState:
         and in ``_augment`` otherwise, with the same result.
         """
         # imported on first use, so that `import netctrl` leaves the loader out
-        from ._kernel import completion_kernel
+        from ._kernel import core
 
-        self._mark = [0] * len(self._mark)
+        self._mark = 0  # every head admitted and unmarked
         self._free_scan = []  # no node is left to admit
-        kernel = completion_kernel()
-        if kernel is None:
+        compiled = core()
+        if compiled is None:
             self._stamp += 1
             self._augment(self._perm.tolist())
             return
         mh = np.asarray(self._mh, dtype=np.int64)
         mt = np.asarray(self._mt, dtype=np.int64)
         ptr = np.asarray(self.graph.out_ptr, dtype=np.int64)
-        size = kernel(ptr, self._scan, self._perm, mh, mt)
+        size = compiled.complete(ptr, self._scan, self._perm, mh, mt)
         if size < 0:
             raise MemoryError("no memory for the completing pass")
         self._mh, self._mt, self._size = mh, mt, size
 
     # --- internals ----------------------------------------------------
+
+    def _marks(self) -> list[int]:
+        """The per-head marks as a list, made from their one common value on first use."""
+        if not isinstance(self._mark, list):
+            self._mark = [self._mark] * len(self._mh)
+        return self._mark
 
     def _augment(self, roots: Iterable[int], first_only: bool = False) -> int:
         """Search an augmenting path from each free root in turn; flip each found.
@@ -318,7 +340,7 @@ class MatchingState:
             self._mh, self._mt = self._mh.tolist(), self._mt.tolist()
         heads, ptr = self._heads, self._ptr
         mh, mt = self._mh, self._mt
-        mark = self._mark
+        mark = self._marks()
         stamp = self._stamp
         trail: list[int] = []  # heads marked by the running search
         stack: list[tuple[int, int, int]] = []

@@ -199,7 +199,7 @@ def _sample_stream(graph: DirectedGraph, count: int, seed: int, start: int = 0):
             perm = rng.permutation(n)
             keys = rng.integers(0, 1 << 32, size=heads.size, dtype=np.int64)
             scan = heads[np.argsort(segment_key | keys)]
-            state = MatchingState(graph, perm, scan_heads=scan)
+            state = MatchingState._sampling(graph, perm, scan)
             # the completing pass ends with every free tail failing its
             # search, which is the Berge certificate of maximality
             state.complete()

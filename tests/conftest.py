@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from netctrl import DirectedGraph
+from netctrl import DirectedGraph, _kernel
 
 
 @pytest.fixture
@@ -34,3 +34,17 @@ def fixture_corpus():
     from corpus import build_fixture_corpus
 
     return build_fixture_corpus()
+
+
+@pytest.fixture(scope="session")
+def compiled_kernel(tmp_path_factory):
+    """The compiled core, built into a cache of the tests' own."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
+        patch.setattr(_kernel, "_kernel", _kernel._UNSET)
+        kernel = _kernel.core()
+    if kernel is None:
+        # tests/test_core_build.py fails when a compiler is found and the
+        # kernel still cannot be built
+        pytest.skip("the compiled kernel cannot be built here")
+    return kernel

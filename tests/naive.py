@@ -1,4 +1,5 @@
-"""Naive reference implementations of the matcher, the matching check and the edge reversal.
+"""Naive reference implementations of the matcher, the matching check,
+the edge reversal and the adjacency arrays.
 
 The matcher is a recursive alternating search with per-search visited
 marks and none of the shared-failure or rescan-pruning shortcuts used by
@@ -6,7 +7,9 @@ the production code; tests compare final matchings pair for pair. The
 matching check walks the tails one at a time, as the tuple-based
 ``Matching`` did; tests compare what it accepts and rejects with the array
 check. The reversal flips one edge at a time against a live edge set;
-tests compare its edges and tallies with the vectorized transform.
+tests compare its edges and tallies with the vectorized transform. The
+adjacency arrays come from stable argsorts and binary searches, as
+``DirectedGraph`` once built them; tests compare them with its CSR.
 """
 
 from __future__ import annotations
@@ -156,3 +159,17 @@ def naive_reverse_edges(
             edges[idx] = (v, u)
             reversed_count += 1
     return tuple(edges), reversed_count, skipped
+
+
+def naive_csr(graph: DirectedGraph) -> tuple[list[int], list[int], list[int], list[int]]:
+    """``(out_ptr, out_heads, in_ptr, in_tails)`` from stable argsorts of the edge arrays."""
+    tails, heads = graph.tails, graph.heads
+    rows = np.arange(graph.node_count + 1)
+    out_rows = np.argsort(tails, kind="stable")
+    in_rows = np.argsort(heads, kind="stable")
+    return (
+        np.searchsorted(tails[out_rows], rows).tolist(),
+        heads[out_rows].tolist(),
+        np.searchsorted(heads[in_rows], rows).tolist(),
+        tails[in_rows].tolist(),
+    )

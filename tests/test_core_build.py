@@ -1,22 +1,23 @@
-"""Building and loading the compiled completing pass (``_core.c``).
+"""Building and loading the compiled core (``_core.c``).
 
 Each test builds into a cache of its own under ``tmp_path``. Whatever
-goes wrong with the build, the sampler must give the golden report, print
-nothing and leave no temporary file behind.
+goes wrong with the build, the sampler must give the golden report,
+``read_edge_list`` the same graph, print nothing and leave no temporary
+file behind.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
 import shutil
 import subprocess
 import sys
+from importlib.util import source_hash
 from pathlib import Path
 
 import pytest
 
-from netctrl import _kernel
+from netctrl import DirectedGraph, _kernel, read_edge_list
 from netctrl.cli import main
 
 from test_golden import CASES, GOLDEN_DIR
@@ -36,7 +37,7 @@ def cache(tmp_path, monkeypatch):
 
 
 def library_name() -> str:
-    digest = hashlib.sha256((SRC / "_core.c").read_bytes()).hexdigest()
+    digest = source_hash((SRC / "_core.c").read_bytes()).hex()
     return f"_core-{digest}.so"
 
 
@@ -48,12 +49,21 @@ def assert_golden_sample(tmp_path, capfd) -> None:
     assert captured.out == "" and captured.err == ""
 
 
+def assert_reads_edge_list(path: Path) -> None:
+    path.write_text("# header\r\nb a\r\n\r\na c\r\nb a\r\n% note\r\nc c\r\n")
+    expected = DirectedGraph(["b", "a", "c"], [(0, 1), (1, 2), (2, 2)], duplicate_count=1)
+    g = read_edge_list(path)
+    assert g == expected and g.duplicate_count == 1
+    assert g.out_ptr.tolist() == [0, 1, 2, 3] and g.in_tails.tolist() == [0, 1, 2]
+
+
 def test_no_compiler_falls_back_to_the_python_core(cache, tmp_path, monkeypatch, capfd):
     empty = tmp_path / "bin"
     empty.mkdir()
     monkeypatch.setenv("PATH", str(empty))
     assert_golden_sample(tmp_path, capfd)
-    assert _kernel.completion_kernel() is None
+    assert_reads_edge_list(tmp_path / "edges.txt")
+    assert _kernel.core() is None
     assert not cache.exists()
 
 
@@ -64,24 +74,27 @@ def test_unwritable_cache_falls_back_to_the_python_core(cache, tmp_path, monkeyp
     blocker.write_text("not a directory\n")
     monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
     assert_golden_sample(tmp_path, capfd)
-    assert _kernel.completion_kernel() is None
+    assert_reads_edge_list(tmp_path / "edges.txt")
+    assert _kernel.core() is None
     assert blocker.read_text() == "not a directory\n"
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["blocker", GOLDEN])
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["blocker", "edges.txt", GOLDEN])
 
 
 def test_corrupt_cached_library_is_built_again(cache, tmp_path, capfd):
     cache.mkdir(parents=True)
     (cache / library_name()).write_bytes(b"\x7fELF but truncated")
+    assert_reads_edge_list(tmp_path / "edges.txt")
     assert_golden_sample(tmp_path, capfd)
     assert sorted(p.name for p in cache.iterdir()) == [library_name()]
     # without a compiler the corrupt file stays and the Python core runs
-    assert (_kernel.completion_kernel() is None) == (shutil.which("cc") is None)
+    assert (_kernel.core() is None) == (shutil.which("cc") is None)
 
 
 @needs_cc
 def test_kernel_is_active_when_a_compiler_is_found(cache, tmp_path, capfd):
     assert_golden_sample(tmp_path, capfd)
-    assert _kernel.completion_kernel() is not None
+    assert_reads_edge_list(tmp_path / "edges.txt")
+    assert _kernel.core() is not None
     assert sorted(p.name for p in cache.iterdir()) == [library_name()]
 
 
@@ -92,7 +105,7 @@ def test_two_processes_building_at_once_both_succeed(cache, tmp_path):
         "from netctrl import _kernel\n"
         "from netctrl.cli import main\n"
         "code = main(sys.argv[2:])\n"
-        "sys.exit(code or (0 if _kernel.completion_kernel() else 7))\n"
+        "sys.exit(code or (0 if _kernel.core() else 7))\n"
     )
     env = {**os.environ, "XDG_CACHE_HOME": str(cache.parent), "PYTHONPATH": str(SRC.parent)}
     outs = [tmp_path / f"report{i}.json" for i in range(2)]

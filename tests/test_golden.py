@@ -2,9 +2,10 @@
 
 The analyze and preferential goldens pin the deterministic matching path;
 the sample, sweep-r and sweep-p goldens pin the sampler's random stream;
-the generate and reverse goldens pin the generators' edge lists. Each
-report is checked once with the compiled completing pass (when a C
-compiler can build it) and once with the Python search. A change
+the generate and reverse goldens pin the generators' edge lists, which
+are also read back and written again. Each report is checked once with
+the compiled core (when a C compiler can build it) and once with the
+Python search and line loop. A change
 that alters a stream on purpose regenerates the files with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from netctrl import _kernel
+from netctrl import _kernel, read_edge_list, to_edge_list
 from netctrl.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -55,7 +56,8 @@ CASES = {
 
 @pytest.fixture
 def python_core(monkeypatch):
-    """Run MatchingState.complete() on the Python search, as without a compiler."""
+    """Run MatchingState.complete() on the Python search and parse_edge_list
+    on its line loop, as without a compiler."""
     monkeypatch.setattr(_kernel, "_kernel", None)
 
 
@@ -69,6 +71,22 @@ def test_report_matches_golden(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_matches_golden_on_the_python_core(name, tmp_path, python_core):
     test_report_matches_golden(name, tmp_path)
+
+
+EDGE_LISTS = sorted(name for name in CASES if name.endswith(".txt"))
+
+
+@pytest.mark.parametrize("name", EDGE_LISTS)
+def test_edge_list_golden_reads_back(name):
+    # the serializer writes no comments for a parsed graph
+    lines = (GOLDEN_DIR / name).read_text().splitlines(keepends=True)
+    edges = "".join(line for line in lines if not line.startswith("#"))
+    assert to_edge_list(read_edge_list(GOLDEN_DIR / name)) == edges
+
+
+@pytest.mark.parametrize("name", EDGE_LISTS)
+def test_edge_list_golden_reads_back_on_the_python_core(name, python_core):
+    test_edge_list_golden_reads_back(name)
 
 
 if __name__ == "__main__":

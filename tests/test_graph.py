@@ -2,18 +2,21 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netctrl import (
     DirectedGraph,
     IngestionError,
+    _kernel,
     average_degree,
     degrees,
     gen_directed_er,
     parse_edge_list,
     to_edge_list,
 )
+
+from naive import naive_csr
 
 
 @st.composite
@@ -168,6 +171,17 @@ def test_csr_rows_hold_the_edges_in_input_order(g):
     assert g.edges == tuple(zip(g.tails.tolist(), g.heads.tolist()))
 
 
+@settings(max_examples=100)
+@given(digraphs(max_n=12))
+@example(DirectedGraph(["0"], []))
+@example(DirectedGraph(["0"], [(0, 0)]))
+@example(DirectedGraph(["0", "1", "2"], []))
+def test_csr_equals_the_stable_argsort_reference(g):
+    assert (g.out_ptr.tolist(), g.out_heads.tolist(), g.in_ptr.tolist(), g.in_tails.tolist()) == naive_csr(g)
+    for array in (g.out_ptr, g.out_heads, g.in_ptr, g.in_tails):
+        assert array.dtype == np.int64
+
+
 @settings(max_examples=60)
 @given(digraphs())
 def test_has_edge_on_scalars_and_arrays(g):
@@ -218,3 +232,93 @@ def test_round_trip_of_parsed_graph_is_identical():
     # serializer reproduces exactly
     g = parse_edge_list("b a\na c\nc c\n")
     assert parse_edge_list(to_edge_list(g)) == g
+
+
+# What the compiled tokenizer must split exactly as str.splitlines and
+# str.split do: every ASCII line break, every other ASCII blank, comment
+# marks at line start, after leading blanks and inside tokens, and labels
+# drawn from a few so that lines repeat and loop.
+LINE_BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
+BLANKS = " \t\x1f"
+LABELS = ["a", "b", "c", "10", "a#", "x%y", "#h", "%p"]
+
+
+@st.composite
+def edge_list_lines(draw):
+    count = draw(st.sampled_from([0, 1, 2, 2, 2, 2, 2, 3]))
+    tokens = [draw(st.sampled_from(LABELS)) for _ in range(count)]
+    text = draw(st.text(BLANKS, max_size=2)) + draw(st.sampled_from(["", "", "", "#", "%", "# ", "%a "]))
+    for token in tokens:
+        text += token + draw(st.text(BLANKS, min_size=1, max_size=2))
+    return text + draw(st.sampled_from(LINE_BREAKS))
+
+
+@st.composite
+def edge_list_texts(draw):
+    text = "".join(draw(st.lists(edge_list_lines(), max_size=10)))
+    if draw(st.booleans()):
+        text = text.rstrip("".join(LINE_BREAKS))  # a last line with no break
+    return text
+
+
+def parsed_both_ways(core, text: str) -> list:
+    """What ``parse_edge_list`` gives with the compiled tokenizer and with
+    the line loop: the graph's arrays, or the IngestionError's text."""
+    results = []
+    for compiled in (core, None):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_kernel, "_kernel", compiled)
+            try:
+                g = parse_edge_list(text)
+            except IngestionError as exc:
+                results.append(str(exc))
+                continue
+        arrays = (g.tails, g.heads, g.out_ptr, g.out_heads, g.in_ptr, g.in_tails)
+        results.append((g.labels, [a.tolist() for a in arrays], g.duplicate_count))
+    return results
+
+
+def assert_tokenizer_agrees_with_the_line_loop(core, text: str) -> None:
+    compiled, loop = parsed_both_ways(core, text)
+    assert compiled == loop
+    # the compiled tokenizer ran, except on a line the loop reports
+    rejected = core.tokenize(text.encode("ascii")) is None
+    assert rejected == (isinstance(loop, str) and loop.startswith("line "))
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_list_texts())
+@example("a b\r\nb a\r\n\r\n  # c d e\n%\x1fx\na a\na b\x1c\x1fb\tc\x1f")
+@example(" a\tb \n\x0bc #d\n")
+@example("# only comments\n\n% here\n")
+def test_compiled_tokenizer_agrees_with_the_line_loop(compiled_kernel, text):
+    assert_tokenizer_agrees_with_the_line_loop(compiled_kernel, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(BLANKS + "".join(LINE_BREAKS) + "#%ab\x00\x7f", max_size=30))
+def test_compiled_tokenizer_agrees_with_the_line_loop_on_any_ascii(compiled_kernel, text):
+    assert_tokenizer_agrees_with_the_line_loop(compiled_kernel, text)
+
+
+def test_compiled_tokenizer_agrees_on_thousands_of_labels(compiled_kernel):
+    # labels of a few lengths fill the hash table enough to collide, so
+    # the probe chains compare labels of equal length
+    text = to_edge_list(gen_directed_er(3000, 6000, seed=1))
+    text += "".join(text.splitlines(keepends=True)[:50])  # duplicate lines
+    assert_tokenizer_agrees_with_the_line_loop(compiled_kernel, text)
+
+
+def test_non_ascii_text_and_a_missing_core_take_the_line_loop(monkeypatch):
+    class Refuses:
+        def tokenize(self, data):
+            raise AssertionError("the compiled tokenizer ran")
+
+    monkeypatch.setattr(_kernel, "_kernel", Refuses())
+    g = parse_edge_list("α β\nβ γ\nα β\n")
+    assert g.labels == ("α", "β", "γ") and g.edges == ((0, 1), (1, 2)) and g.duplicate_count == 1
+    with pytest.raises(AssertionError, match="tokenizer ran"):
+        parse_edge_list("a b\n")
+    # a library that will not load leaves the core None
+    monkeypatch.setattr(_kernel, "_kernel", None)
+    assert parse_edge_list("a b\r\nb c\r\n").edges == ((0, 1), (1, 2))

@@ -324,6 +324,17 @@ class TestExtendWithNode:
         with pytest.raises(UsageError):
             state.extend_with_node(0)
 
+    @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "python"])
+    def test_every_node_is_active_after_complete(self, path3, compiled, request, monkeypatch):
+        core = request.getfixturevalue("compiled_kernel") if compiled else None
+        monkeypatch.setattr(_kernel, "_kernel", core)
+        state = MatchingState(path3, intern_order(path3))
+        state.complete()
+        for node in range(path3.node_count):
+            with pytest.raises(UsageError, match="already active"):
+                state.extend_with_node(node)
+        assert state.size == 2
+
     def test_dead_head_revives_after_a_later_admission(self):
         # s->h, t->h, s->x admitted as s, h, t, x: admitting t searches
         # t -> h -> s and fails, so h is a dead end then; admitting x gives
@@ -454,20 +465,6 @@ def test_randomized_complete_agrees_with_naive_reference(case):
     state.complete()
     per_tail = [scan[ptr[u]:ptr[u + 1]] for u in range(n)]
     assert set(state.matching.pairs()) == naive_max_matching_pairs(g, perm, per_tail)
-
-
-@pytest.fixture(scope="module")
-def compiled_kernel(tmp_path_factory):
-    """The compiled completing pass, built into a cache of the tests' own."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
-        patch.setattr(_kernel, "_kernel", _kernel._UNSET)
-        kernel = _kernel.completion_kernel()
-    if kernel is None:
-        # tests/test_core_build.py fails when a compiler is found and the
-        # kernel still cannot be built
-        pytest.skip("the compiled kernel cannot be built here")
-    return kernel
 
 
 def completed_both_ways(kernel, g, perm, scan, admitted=()):
