@@ -354,6 +354,9 @@ def main(argv=None) -> int:
     except NetctrlError as exc:
         print(f"netctrl: error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print(f"netctrl: error: out of memory: {exc}", file=sys.stderr)
+        return 1
     except OSError as exc:
         print(f"netctrl: i/o error: {exc}", file=sys.stderr)
         return 1

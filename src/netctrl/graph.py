@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import IngestionError
+from .errors import IngestionError, UsageError
 
 __all__ = [
     "DirectedGraph",
@@ -35,9 +35,7 @@ class DirectedGraph:
     ``out_heads`` are the out-adjacency as compressed sparse rows (the
     heads of tail u are ``out_heads[out_ptr[u]:out_ptr[u + 1]]``), and
     ``in_ptr`` and ``in_tails`` the in-adjacency; each row keeps input
-    order. ``out_offsets`` is ``out_ptr`` as a list, for loops that index
-    it one element at a time, which is faster on a list than on an array.
-    All arrays are read-only.
+    order. All arrays are read-only.
 
     Construction validates that node indices are dense, labels are unique,
     and no (tail, head) pair repeats. ``duplicate_count`` records how many
@@ -54,7 +52,6 @@ class DirectedGraph:
         "heads",
         "out_ptr",
         "out_heads",
-        "out_offsets",
         "in_ptr",
         "in_tails",
         "duplicate_count",
@@ -115,7 +112,6 @@ class DirectedGraph:
         self.in_tails = tails[in_rows]
         for array in (keys, tails, heads, self.out_ptr, self.out_heads, self.in_ptr, self.in_tails):
             array.flags.writeable = False
-        self.out_offsets = self.out_ptr.tolist()
         self.duplicate_count = int(duplicate_count)
         self.provenance = tuple(provenance)
 
@@ -273,10 +269,18 @@ def to_edge_list(graph: DirectedGraph) -> str:
     """Serialize to edge-list text, emitting provenance lines as comments.
 
     Isolated nodes are not representable in this format; reparsing the
-    output of a graph that has them yields a smaller graph.
+    output of a graph that has them yields a smaller graph. Raises
+    UsageError when a label would not read back as itself: one that is
+    empty, holds whitespace, or starts with '#' or '%' (a comment line).
     """
-    lines = [f"# {note}" for note in graph.provenance]
     labels = graph.labels
+    for label in labels:
+        if label.startswith(_COMMENT_PREFIXES) or label.split() != [label]:
+            raise UsageError(
+                f"node label {label!r} cannot be written to an edge list: a label is one "
+                "token that does not start with '#' or '%'"
+            )
+    lines = [f"# {note}" for note in graph.provenance]
     for tail, head in graph.edges:
         lines.append(f"{labels[tail]} {labels[head]}")
     return "\n".join(lines) + "\n"

@@ -12,7 +12,8 @@ in-roles are scanned lowest rank first. The deterministic scan is what
 lets a degree-sorted order steer which nodes end up unmatched.
 
 Every search runs in one core, ``MatchingState._augment``; the pass that
-completes a matching runs the same search compiled (``_core.c``) when a C
+completes a matching, which is also the maximality check of
+``verify_maximum``, runs the same search compiled (``_core.c``) when a C
 compiler is at hand. The core prunes across the roots of one call (a
 Hungarian forest): within a call the active set is fixed, and the
 in-roles visited by a search that failed stay marked, while a search
@@ -148,22 +149,10 @@ class MatchingState:
     states may share one immutable graph.
 
     ``order`` is a NodeOrder or any sequence of node indices in rank
-    order. ``scan_heads`` overrides the neighbor scan order (used for
-    randomized sampling): it holds the graph's ``out_heads``, reordered
-    within each tail's CSR segment; the default scans each segment in
-    ascending rank. ``matching`` seeds the state; its pairs must be edges
-    between ``active`` nodes.
+    order; each tail's neighbors are scanned in ascending rank.
     """
 
-    def __init__(
-        self,
-        graph: DirectedGraph,
-        order,
-        *,
-        active: Iterable[int] = (),
-        matching: Matching | None = None,
-        scan_heads: Iterable[int] | None = None,
-    ):
+    def __init__(self, graph: DirectedGraph, order):
         n = graph.node_count
         perm = np.ascontiguousarray(getattr(order, "permutation", order), dtype=np.int64)
         if perm.shape != (n,):
@@ -173,47 +162,13 @@ class MatchingState:
             rank[perm] = np.arange(n)
         if rank.min() < 0:
             raise UsageError("order must contain each node index exactly once")
-        if scan_heads is None:
-            scan = graph.heads[np.lexsort((rank[graph.heads], graph.tails))]
-        else:
-            scan = _checked_scan(graph, scan_heads)
+        scan = graph.heads[np.lexsort((rank[graph.heads], graph.tails))]
         self._start(graph, perm, rank, scan)
-        admitted = False
-        for v in active:
-            v = int(v)
-            if not 0 <= v < n:
-                raise UsageError(f"node {v} out of range")
-            mark = self._marks()
-            if mark[v] != _INACTIVE:
-                raise UsageError(f"node {v} is already active")
-            mark[v] = 0
-            admitted = True
-        if matching is not None:
-            if matching.head_by_tail.size != n:
-                raise ValidationError(
-                    f"matching covers {matching.head_by_tail.size} nodes, graph has {n}"
-                )
-            tails = np.flatnonzero(matching.head_by_tail >= 0)
-            heads = matching.head_by_tail[tails]
-            inactive = np.array(self._marks()) == _INACTIVE
-            outside = inactive[tails] | inactive[heads]
-            bad = np.flatnonzero(outside | ~graph.has_edge(tails, heads))
-            if bad.size:
-                u, v = int(tails[bad[0]]), int(heads[bad[0]])
-                if outside[bad[0]]:
-                    raise ValidationError(f"matched pair ({u}, {v}) outside the active set")
-                raise ValidationError(f"({u}, {v}) is not an edge of the graph")
-            self._mh = matching.head_by_tail.copy()
-            self._mt = matching.tail_by_head.copy()
-            self._size = matching.size
-        if admitted:
-            free = (np.array(self._mark) == 0) & (self._mh < 0) & (np.diff(graph.out_ptr) > 0)
-            self._free_scan = perm[free[perm]].tolist()
 
     @classmethod
     def _sampling(cls, graph: DirectedGraph, perm: np.ndarray, scan: np.ndarray) -> MatchingState:
         """A state with no node active for a permutation and a scan that the
-        sampler drew itself, as int64 arrays; neither is checked."""
+        library built itself, as int64 arrays; neither is checked."""
         rank = np.empty_like(perm)
         rank[perm] = np.arange(perm.size)
         state = cls.__new__(cls)
@@ -228,9 +183,10 @@ class MatchingState:
         # pass takes; _augment swaps them for lists, which it indexes faster.
         self._perm = perm
         self._rank = rank  # only insort reads it
-        self._ptr = graph.out_offsets
         self._scan = scan
-        self._heads: list[int] | None = None  # _scan as a list, made by _augment
+        # _scan and the out-CSR's row pointers as lists, made by _augment
+        self._heads: list[int] | None = None
+        self._ptr: list[int] | None = None
         self._mh = np.full(n, -1, dtype=np.int64)  # tail -> matched head
         self._mt = np.full(n, -1, dtype=np.int64)  # head -> matched tail
         self._size = 0
@@ -273,7 +229,7 @@ class MatchingState:
             raise UsageError(f"node {node} is already active")
         mark[node] = 0
         self._stamp += 1
-        stays_free = self._augment((node,)) < 0
+        stays_free = self._augment((node,)) < 0  # makes self._ptr
         # a second augmenting path can only involve the new in-role (it ends
         # there, or routes through it when the first path claimed it), so the
         # rescan is needed exactly when that in-role has an active edge, and
@@ -336,6 +292,7 @@ class MatchingState:
         """
         if self._heads is None:
             self._heads = self._scan.tolist()
+            self._ptr = self.graph.out_ptr.tolist()
         if not isinstance(self._mh, list):
             self._mh, self._mt = self._mh.tolist(), self._mt.tolist()
         heads, ptr = self._heads, self._ptr
@@ -394,27 +351,6 @@ class MatchingState:
         return last
 
 
-def _checked_scan(graph: DirectedGraph, scan_heads) -> np.ndarray:
-    """``scan_heads`` as an int64 array, checked to be the out-CSR's heads
-    reordered within each tail's segment; raises UsageError otherwise."""
-    scan = np.asarray(scan_heads)
-    if scan.shape != (graph.edge_count,):
-        raise UsageError("scan_heads must hold one entry per edge")
-    if scan.size and scan.dtype.kind not in "iu":
-        raise UsageError(f"scan_heads must hold node indices, got {scan.dtype}")
-    scan = np.ascontiguousarray(scan, dtype=np.int64)
-    n = graph.node_count
-    if scan.size and not (scan.min() >= 0 and scan.max() < n):
-        raise UsageError(f"scan_heads holds a node index outside 0..{n - 1}")
-    # The graph's sorted edge keys tail * n + head list the tails slot by
-    # slot, as the out-CSR does. With every head in range, the slots' keys
-    # sort to the edge keys exactly when each segment holds its tail's heads.
-    keys = graph._keys
-    if not np.array_equal(np.sort(keys // n * n + scan), keys):
-        raise UsageError("scan_heads must reorder the heads within each tail's CSR segment")
-    return scan
-
-
 def max_matching(graph: DirectedGraph, order) -> Matching:
     """Deterministic maximum matching of the whole graph under an order.
 
@@ -427,17 +363,27 @@ def max_matching(graph: DirectedGraph, order) -> Matching:
     return state.matching
 
 
-def verify_maximum(graph: DirectedGraph, matching: Matching, active: Iterable[int] | None = None) -> bool:
+def verify_maximum(graph: DirectedGraph, matching: Matching) -> bool:
     """Berge check: True iff no augmenting path leaves any free out-role.
 
-    Validates the matching first (pairs must be edges of the induced
-    subgraph, injective both ways) and raises ValidationError otherwise.
-    Never mutates the matching: the search runs on a copy and stops at
-    the first augmenting path.
+    Raises ValidationError when the matching does not cover the graph's
+    nodes or holds a pair that is not an edge. Never mutates the matching:
+    a completing pass runs on a copy. It augments along a path exactly
+    when one exists (the module docstring says why one pass is exact), so
+    the matching is maximum when the pass adds no pair.
     """
     n = graph.node_count
-    nodes = range(n) if active is None else {int(v) for v in active}
-    # any scan order will do: take the out-CSR's own
-    state = MatchingState(graph, range(n), active=nodes, matching=matching, scan_heads=graph.out_heads)
-    state._stamp += 1
-    return state._augment(state._free_scan, first_only=True) < 0
+    if matching.head_by_tail.size != n:
+        raise ValidationError(f"matching covers {matching.head_by_tail.size} nodes, graph has {n}")
+    tails = np.flatnonzero(matching.head_by_tail >= 0)
+    heads = matching.head_by_tail[tails]
+    bad = np.flatnonzero(~graph.has_edge(tails, heads))
+    if bad.size:
+        raise ValidationError(f"({tails[bad[0]]}, {heads[bad[0]]}) is not an edge of the graph")
+    # any order and scan will do: take the node indices and the out-CSR's own
+    state = MatchingState._sampling(graph, np.arange(n, dtype=np.int64), graph.out_heads)
+    state._mh = matching.head_by_tail.copy()
+    state._mt = matching.tail_by_head.copy()
+    state._size = matching.size
+    state.complete()
+    return state.size == matching.size

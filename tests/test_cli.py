@@ -7,7 +7,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from netctrl import parse_edge_list, read_edge_list
+from netctrl import _kernel, parse_edge_list, read_edge_list
 from netctrl.cli import RunConfig, _build_parser, _config_from_args, main, run
 
 
@@ -86,6 +86,22 @@ class TestAnalyze:
         assert code == 1
         assert captured.out == ""
         assert captured.err.startswith("netctrl: i/o error:")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
+    def test_out_of_memory_is_one_line(self, capsys, monkeypatch):
+        class NoMemory:
+            """A compiled core whose completing pass finds no memory."""
+
+            def complete(self, *arrays):
+                return -1
+
+        monkeypatch.setattr(_kernel, "_kernel", NoMemory())
+        code = main(["sample", "--gen", "er:n=20,l=30", "--samples", "2"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("netctrl: error: out of memory: ")
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
 
@@ -283,6 +299,19 @@ class TestGenerateAndReverse:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "unrecognized arguments: --format" in captured.err
+
+    def test_label_that_would_read_as_a_comment_is_usage_error(self, capsys, tmp_path):
+        # flipped, each edge would be written as '#a x', which reads as a comment
+        graph = tmp_path / "g.txt"
+        graph.write_text("x #a\ny #a\nz #a\n")
+        out_path = tmp_path / "r.txt"
+        code = main(["reverse", "--input", str(graph), "--R", "1", "--out", str(out_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("netctrl: usage error: node label '#a' cannot be written")
+        assert captured.err.count("\n") == 1
+        assert not out_path.exists()
 
     def test_generated_er_is_seed_stable(self, capsys):
         _, a = run_cli(capsys, "generate", "--gen", "er:n=12,l=30", "--seed", "8")

@@ -7,12 +7,17 @@ from hypothesis import strategies as st
 
 from netctrl import (
     DirectedGraph,
+    BaParams,
     IngestionError,
+    ReversalParams,
+    UsageError,
     _kernel,
     average_degree,
     degrees,
+    gen_directed_ba,
     gen_directed_er,
     parse_edge_list,
+    reverse_edges,
     to_edge_list,
 )
 
@@ -157,7 +162,7 @@ def test_csr_rows_hold_the_edges_in_input_order(g):
     n = g.node_count
     assert g.out_ptr[0] == g.in_ptr[0] == 0
     assert g.out_ptr.size == g.in_ptr.size == n + 1
-    assert g.out_offsets == g.out_ptr.tolist()
+    assert g.out_ptr[-1] == g.in_ptr[-1] == g.edge_count
     # one row per node, each holding that node's edges in input order
     for u in range(n):
         assert g.out_heads[g.out_ptr[u]:g.out_ptr[u + 1]].tolist() == [v for t, v in g.edges if t == u]
@@ -234,6 +239,29 @@ def test_round_trip_of_parsed_graph_is_identical():
     assert parse_edge_list(to_edge_list(g)) == g
 
 
+@pytest.mark.parametrize("label", ["#a", "%a", "", " ", "a b", "a\tb", "a\x1cb", "a\n"])
+def test_label_that_would_not_read_back_is_refused(label):
+    g = DirectedGraph(["x", label], [(0, 1)])
+    with pytest.raises(UsageError, match="cannot be written to an edge list"):
+        to_edge_list(g)
+
+
+def labeled_edges(g) -> list[tuple[str, str]]:
+    return [(g.label_of(u), g.label_of(v)) for u, v in g.edges]
+
+
+@pytest.mark.parametrize("r", [0.0, 0.5, 1.0])
+def test_reverse_output_of_a_parsed_graph_reads_back(r):
+    # comment marks inside labels, where they are no comment
+    ba = gen_directed_ba(BaParams(n=60, m_attach=2, m0=3, p=0.5, seed=4))
+    names = [f"n{i}#" if i % 2 else f"x%{i}" for i in range(ba.node_count)]
+    g = parse_edge_list("".join(f"{names[u]} {names[v]}\n" for u, v in ba.edges))
+    result = reverse_edges(g, ReversalParams(r=r, seed=9))
+    assert (result.reversed_count > 0) == (r > 0)
+    again = parse_edge_list(to_edge_list(result.graph))
+    assert labeled_edges(again) == labeled_edges(result.graph)
+
+
 # What the compiled tokenizer must split exactly as str.splitlines and
 # str.split do: every ASCII line break, every other ASCII blank, comment
 # marks at line start, after leading blanks and inside tokens, and labels
@@ -259,6 +287,21 @@ def edge_list_texts(draw):
     if draw(st.booleans()):
         text = text.rstrip("".join(LINE_BREAKS))  # a last line with no break
     return text
+
+
+@settings(max_examples=150, deadline=None)
+@given(edge_list_texts(), st.sampled_from([0.0, 0.5, 1.0]), st.integers(0, 2**32 - 1))
+def test_reverse_output_reads_back_or_is_refused(text, r, seed):
+    try:
+        g = parse_edge_list(text)
+    except IngestionError:
+        return
+    flipped = reverse_edges(g, ReversalParams(r=r, seed=seed)).graph
+    if any(label.startswith(("#", "%")) for label in flipped.labels):
+        with pytest.raises(UsageError):
+            to_edge_list(flipped)
+        return
+    assert labeled_edges(parse_edge_list(to_edge_list(flipped))) == labeled_edges(flipped)
 
 
 def parsed_both_ways(core, text: str) -> list:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 import random
 
 import numpy as np
@@ -22,6 +23,7 @@ from netctrl.mds import NodeOrder
 
 from oracles import brute_force_max_matching_size, enumerate_maximum_matchings
 from naive import (
+    NaiveState,
     naive_matching,
     naive_matching_from_pairs,
     naive_max_matching_pairs,
@@ -31,6 +33,18 @@ from naive import (
 
 def intern_order(graph):
     return NodeOrder.explicit(range(graph.node_count))
+
+
+def admit_prefix(graph, order, m):
+    """A state with the first ``m`` nodes of ``order`` admitted one at a
+    time, checked pair for pair against the naive reference."""
+    state = MatchingState(graph, order)
+    naive = NaiveState(graph, order)
+    for node in order.permutation[:m]:
+        state.extend_with_node(node)
+        naive.extend_with_node(node)
+    assert set(state.matching.pairs()) == naive.pairs()
+    return state
 
 
 @st.composite
@@ -55,23 +69,27 @@ class TestAugmentFrom:
 
     def test_single_edge(self):
         g = DirectedGraph(["a", "b"], [(0, 1)])
-        state = MatchingState(g, intern_order(g), active=(1,))
+        order = NodeOrder.explicit([1, 0])
+        state = admit_prefix(g, order, 1)
+        assert state.size == 0
         state.extend_with_node(0)
         assert dict(state.matching.pairs()) == {0: 1}
 
     def test_leaf_with_no_out_edges(self, star):
-        state = MatchingState(
-            star, intern_order(star), active=(0, 1), matching=Matching.from_pairs(star, [(0, 1)])
-        )
+        state = admit_prefix(star, intern_order(star), 2)
+        assert set(state.matching.pairs()) == {(0, 1)}
         for leaf in (2, 3):
             state.extend_with_node(leaf)
         assert set(state.matching.pairs()) == {(0, 1)}
+        assert set(state.matching.pairs()) == naive_preferential_pairs(star, intern_order(star), 4)
 
     def test_alternating_flip_on_path(self, path3):
-        seed = Matching.from_pairs(path3, [(1, 2)])
-        state = MatchingState(path3, intern_order(path3), active=(1, 2), matching=seed)
+        order = NodeOrder.explicit([1, 2, 0])
+        state = admit_prefix(path3, order, 2)
+        assert set(state.matching.pairs()) == {(1, 2)}
         state.extend_with_node(0)
         assert set(state.matching.pairs()) == {(0, 1), (1, 2)}
+        assert set(state.matching.pairs()) == naive_preferential_pairs(path3, order, 3)
         assert state.matching.size == brute_force_max_matching_size(path3)
 
 
@@ -111,7 +129,7 @@ class TestVerifyMaximum:
         with pytest.raises(ValidationError):
             Matching.from_pairs(path3, [(2, 1)])
         bogus = Matching([-1, -1, 1])  # pair (2, 1) is not an edge
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"\(2, 1\) is not an edge"):
             verify_maximum(path3, bogus)
 
     def test_injectivity_breach_rejected(self):
@@ -127,19 +145,16 @@ class TestVerifyMaximum:
             Matching([5, -1])
 
     def test_size_mismatch_rejected(self, star):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="covers 2 nodes, graph has 4"):
             verify_maximum(star, Matching([-1, -1]))
 
-    def test_respects_active_subset(self, path3):
-        # on the subgraph {v1, v2} the single pair (v1, v2) is maximum
+    def test_leaves_the_matching_as_it_was(self, path3):
+        # the compiled pass writes through raw pointers, which a read-only
+        # flag does not stop: the check must complete a copy
         m = Matching.from_pairs(path3, [(0, 1)])
-        assert verify_maximum(path3, m, active=(0, 1)) is True
         assert verify_maximum(path3, m) is False
-
-    def test_matched_node_outside_active_rejected(self, path3):
-        m = Matching.from_pairs(path3, [(1, 2)])
-        with pytest.raises(ValidationError):
-            verify_maximum(path3, m, active=(0, 1))
+        assert list(m.pairs()) == [(0, 1)]
+        assert m.tail_by_head.tolist() == [-1, 0, -1]
 
 
 class TestMatchingSnapshot:
@@ -179,45 +194,25 @@ class TestMatchingSnapshot:
 
 
 @pytest.mark.parametrize(
-    "given, error, message",
+    "build, error, message",
     [
-        ({"order": [0, 1]}, UsageError, "covers 2 nodes"),
-        ({"order": [0, 0, 1]}, UsageError, "exactly once"),
-        ({"order": [0, 1, 3]}, UsageError, "exactly once"),
-        ({"scan_heads": [1]}, UsageError, "one entry per edge"),
-        # built from arrays, so nothing checked (2, 1) against the graph before
-        ({"active": range(3), "matching": Matching([-1, -1, 1])}, ValidationError, "not an edge"),
+        (lambda g: MatchingState(g, [0, 1]), UsageError, "covers 2 nodes"),
+        (lambda g: MatchingState(g, [0, 0, 1]), UsageError, "exactly once"),
+        (lambda g: MatchingState(g, [0, 1, 3]), UsageError, "exactly once"),
+        # the check seeds a state with the matching's arrays; built from
+        # arrays, so nothing checked (2, 1) against the graph before
+        (lambda g: verify_maximum(g, Matching([-1, -1, 1])), ValidationError, "not an edge"),
     ],
-    ids=["order-short", "order-repeat", "order-out-of-range", "scan-heads-short", "non-edge-pair"],
+    ids=["order-short", "order-repeat", "order-out-of-range", "non-edge-pair"],
 )
-def test_state_checks_its_own_inputs(path3, given, error, message):
+def test_state_checks_its_own_inputs(path3, build, error, message):
     with pytest.raises(error, match=message):
-        MatchingState(path3, **{"order": range(3), **given})
+        build(path3)
 
 
-# 0 -> {1, 2}, 1 -> {0, 2}: the out-CSR's heads are [1, 2 | 0, 2]
-TWO_SEGMENTS = DirectedGraph(["a", "b", "c"], [(0, 1), (0, 2), (1, 0), (1, 2)])
-
-
-@pytest.mark.parametrize(
-    "scan, message",
-    [
-        ([1, 0, 0, 2], "within each tail's CSR segment"),  # 0 -> 0 is no edge
-        ([1, 3, 0, 2], "outside 0..2"),
-        ([1, 2, -1, 2], "outside 0..2"),
-        ([1, 1, 0, 2], "within each tail's CSR segment"),
-        ([0, 2, 1, 2], "within each tail's CSR segment"),  # 0 and 1 swapped segments
-        ([1.0, 2.0, 0.0, 2.0], "node indices"),
-    ],
-    ids=["non-edge", "out-of-range", "negative", "repeat-in-segment", "other-segment", "float"],
-)
-def test_scan_heads_must_reorder_each_segment(scan, message):
-    with pytest.raises(UsageError, match=message):
-        MatchingState(TWO_SEGMENTS, range(3), scan_heads=scan)
-    # reordering within the segments is what scan_heads is for
-    state = MatchingState(TWO_SEGMENTS, range(3), scan_heads=np.array([2, 1, 2, 0]))
-    state.complete()
-    assert set(state.matching.pairs()) == {(0, 1), (1, 2)}
+def test_constructor_takes_the_graph_and_the_order_only():
+    assert list(inspect.signature(MatchingState).parameters) == ["graph", "order"]
+    assert list(inspect.signature(verify_maximum).parameters) == ["graph", "matching"]
 
 
 @st.composite
@@ -292,35 +287,39 @@ def test_from_pairs_agrees_with_the_loop_reference(g, data):
 class TestExtendWithNode:
     def test_isolated_node_changes_nothing(self):
         g = DirectedGraph(["a", "b", "c"], [(0, 1)])
-        m = Matching.from_pairs(g, [(0, 1)])
-        state = MatchingState(g, intern_order(g), active=(0, 1), matching=m)
+        state = admit_prefix(g, intern_order(g), 2)
+        assert set(state.matching.pairs()) == {(0, 1)}
         state.extend_with_node(2)
-        assert state.matching.size == 1
+        assert set(state.matching.pairs()) == {(0, 1)}
+        assert set(state.matching.pairs()) == naive_preferential_pairs(g, intern_order(g), 3)
 
     def test_saturated_pair_resists_new_leaf(self):
         # active {1, 2} fully matched on 1<->2; node 3 only receives 1->3
         g = DirectedGraph(["1", "2", "3"], [(0, 1), (1, 0), (0, 2)])
         order = NodeOrder.explicit([0, 1, 2])
-        m = Matching.from_pairs(g, [(0, 1), (1, 0)])
-        state = MatchingState(g, order, active=(0, 1), matching=m)
+        state = admit_prefix(g, order, 2)
+        assert set(state.matching.pairs()) == {(0, 1), (1, 0)}
         state.extend_with_node(2)
         assert state.matching.size == 2 == brute_force_max_matching_size(g)
         assert set(state.matching.pairs()) == {(0, 1), (1, 0)}
+        assert set(state.matching.pairs()) == naive_preferential_pairs(g, order, 3)
 
     def test_rank_preferring_scan_picks_low_rank_head(self):
         # active {3, 2} edgeless; adding 1 under order 3 < 2 < 1 must pick
         # the maximum matching that leaves node 2 unmatched
         g = DirectedGraph(["1", "2", "3"], [(0, 1), (1, 0), (0, 2)])
         order = NodeOrder.explicit([2, 1, 0])
-        state = MatchingState(g, order, active=(2, 1))
+        state = admit_prefix(g, order, 2)
+        assert state.size == 0
         state.extend_with_node(0)
         assert set(state.matching.pairs()) == {(1, 0), (0, 2)}
+        assert set(state.matching.pairs()) == naive_preferential_pairs(g, order, 3)
         assert state.matching.size == 2
         expected = {frozenset({(0, 1), (1, 0)}), frozenset({(1, 0), (0, 2)})}
         assert set(enumerate_maximum_matchings(g)) == expected
 
     def test_already_active_rejected(self, path3):
-        state = MatchingState(path3, intern_order(path3), active=(0,))
+        state = admit_prefix(path3, intern_order(path3), 1)
         with pytest.raises(UsageError):
             state.extend_with_node(0)
 
@@ -377,16 +376,47 @@ def test_matching_is_valid_after_full_run(pair):
 def test_extend_keeps_matching_maximum_and_matched_heads_monotone(pair):
     g, order = pair
     state = MatchingState(g, order)
-    active: list[int] = []
+    active: set[int] = set()
     matched_heads: set[int] = set()
     for node in order.permutation:
         state.extend_with_node(node)
-        active.append(node)
+        active.add(node)
         now = {v for _, v in state.matching.pairs()}
         assert matched_heads <= now
         matched_heads = now
-        assert verify_maximum(g, state.matching, active=active) is True
+        # maximum on the active set: on the subgraph the active nodes induce
+        induced = DirectedGraph(g.labels, [(u, v) for u, v in g.edges if u in active and v in active])
+        assert verify_maximum(induced, state.matching) is True
         assert state.size == brute_force_max_matching_size(g, active=active)
+
+
+@st.composite
+def partial_matchings(draw, max_n: int = 7):
+    # a small digraph and a matching of it: edges taken in a random order,
+    # each kept or not while its tail and its head are free
+    g = draw(digraphs(max_n=max_n))
+    pairs, tails, heads = [], set(), set()
+    for u, v in draw(st.permutations(list(g.edges))):
+        if u not in tails and v not in heads and draw(st.booleans()):
+            pairs.append((u, v))
+            tails.add(u)
+            heads.add(v)
+    return g, Matching.from_pairs(g, pairs)
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "python"])
+def test_verify_maximum_agrees_with_brute_force(compiled, request):
+    core = request.getfixturevalue("compiled_kernel") if compiled else None
+
+    @settings(max_examples=300, deadline=None)
+    @given(partial_matchings())
+    def agrees(case):
+        g, m = case
+        assert verify_maximum(g, m) == (m.size == brute_force_max_matching_size(g))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_kernel, "_kernel", core)
+        agrees()
 
 
 def test_brute_force_and_scipy_agree_on_the_corpus(fixture_corpus):
@@ -461,7 +491,7 @@ def test_randomized_complete_agrees_with_naive_reference(case):
     keys = rng.integers(0, 1 << 32, size=heads.size, dtype=np.int64)
     segment_key = np.repeat(np.arange(n, dtype=np.int64), np.diff(ptr)) << 32
     scan = heads[np.argsort(segment_key | keys)]
-    state = MatchingState(g, perm, scan_heads=scan.tolist())
+    state = MatchingState._sampling(g, perm, scan)
     state.complete()
     per_tail = [scan[ptr[u]:ptr[u + 1]] for u in range(n)]
     assert set(state.matching.pairs()) == naive_max_matching_pairs(g, perm, per_tail)
@@ -474,7 +504,7 @@ def completed_both_ways(kernel, g, perm, scan, admitted=()):
     for core in (kernel, None):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(_kernel, "_kernel", core)
-            state = MatchingState(g, perm, scan_heads=scan)
+            state = MatchingState._sampling(g, perm, scan)
             for node in admitted:
                 state.extend_with_node(node)
             state.complete()
