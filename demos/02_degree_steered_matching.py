@@ -36,7 +36,7 @@ print(f"driver count is invariant: {up.n_d} == {down.n_d} == {summary.n_d}")
 # The same machinery excludes specific nodes from driving: admit them first
 # so they are matched before anything else competes for their in-roles.
 protected = list(asc.permutation[-20:])  # the 20 highest-degree nodes
-order = nc.NodeOrder.explicit(protected + [v for v in asc.permutation if v not in set(protected)])
+order = nc.NodeOrder(protected + [v for v in asc.permutation if v not in set(protected)])
 res = nc.preferential_mds(g, order, 20)
 excluded = set(protected) & set(res.drivers)
 print(f"\nadmitting the 20 biggest hubs first leaves {len(excluded)} of them as drivers")

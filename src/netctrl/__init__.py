@@ -53,7 +53,7 @@ from .stats import (
     sweep_rows_to_csv,
 )
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 __all__ = [
     "__version__",

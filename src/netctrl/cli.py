@@ -137,7 +137,7 @@ def _build_order(config: RunConfig, graph: DirectedGraph) -> NodeOrder:
             raise UsageError(
                 f"order file lists {len(perm)} nodes, graph has {graph.node_count}"
             )
-        return NodeOrder.explicit(perm)
+        return NodeOrder(perm)
     raise UsageError(f"unknown order {spec!r}; expected asc|desc|random|file:PATH")
 
 

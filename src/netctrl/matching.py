@@ -9,7 +9,9 @@ nodes of any maximum matching form a minimum driver node set.
 Augmenting-path search is depth-first and deterministic: free tails are
 processed in ascending rank of a caller-supplied node order, and candidate
 in-roles are scanned lowest rank first. The deterministic scan is what
-lets a degree-sorted order steer which nodes end up unmatched.
+lets a degree-sorted order steer which nodes end up unmatched. The order
+also fixes the admission sequence: each ``extend_with_node()`` admits its
+next node.
 
 Every search runs in one core, ``MatchingState._augment``; the pass that
 completes a matching, which is also the maximality check of
@@ -31,7 +33,6 @@ open a path through them.
 from __future__ import annotations
 
 import sys
-from bisect import insort
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -45,47 +46,34 @@ __all__ = ["Matching", "MatchingState", "max_matching", "verify_maximum"]
 _INACTIVE = sys.maxsize
 
 
-def _clipped(values: Iterable[int]) -> np.ndarray:
-    """A new int64 array of ``values``, each negative entry made -1."""
-    if not isinstance(values, np.ndarray):
-        values = list(values)
-    return np.maximum(np.asarray(values, dtype=np.int64), -1)
-
-
 class Matching:
     """Immutable snapshot of a matching.
 
     ``head_by_tail[u]`` is the head matched to tail u (-1 if u's out-role
-    is free); ``tail_by_head`` is the exact inverse. Both are read-only
-    int64 arrays, and a negative entry given for either reads as -1.
+    is free), and each entry must lie in -1..N-1; ``tail_by_head`` is its
+    exact inverse, derived here. Both are read-only int64 arrays.
     """
 
     __slots__ = ("_head_by_tail", "_tail_by_head", "_size")
 
-    def __init__(self, head_by_tail: Iterable[int], tail_by_head: Iterable[int] | None = None):
-        heads = _clipped(head_by_tail)
+    def __init__(self, head_by_tail: Iterable[int]):
+        if not isinstance(head_by_tail, np.ndarray):
+            head_by_tail = list(head_by_tail)
+        heads = np.array(head_by_tail, dtype=np.int64)
         if heads.ndim != 1:
             raise ValidationError("head_by_tail must be one-dimensional")
         n = heads.size
+        bad = heads[(heads < -1) | (heads >= n)]
+        if bad.size:
+            raise ValidationError(f"head index {bad[0]} out of range for {n} nodes")
         tails = np.flatnonzero(heads >= 0)
         matched = heads[tails]
-        if matched.max(initial=-1) >= n:
-            raise ValidationError(f"head index {matched.max()} out of range for {n} nodes")
-        if tail_by_head is None:
-            inverse = np.full(n, -1, dtype=np.int64)
-            inverse[matched] = tails
-        else:
-            inverse = _clipped(tail_by_head)
-        # one entry per matched tail, each matched head pointing back at its
-        # tail: so no head has two tails and the inverse is exact
-        if (
-            inverse.shape != (n,)
-            or np.count_nonzero(inverse >= 0) != tails.size
-            or not np.array_equal(inverse[matched], tails)
-        ):
-            if tail_by_head is None:
-                raise ValidationError(f"two tails matched to head {matched[inverse[matched] != tails][0]}")
-            raise ValidationError("tail_by_head is not the inverse of head_by_tail")
+        inverse = np.full(n, -1, dtype=np.int64)
+        inverse[matched] = tails
+        # of two tails on one head the inverse keeps only the later one
+        clash = inverse[matched] != tails
+        if clash.any():
+            raise ValidationError(f"two tails matched to head {matched[clash][0]}")
         heads.flags.writeable = False
         inverse.flags.writeable = False
         self._head_by_tail = heads
@@ -143,46 +131,40 @@ class Matching:
 class MatchingState:
     """Mutable matching over a growing active subgraph.
 
-    The state admits nodes one at a time (``extend_with_node``) or all at
+    The state admits the nodes of its order one at a time, in rank order
+    (``extend_with_node()`` admits the next one), or all that remain at
     once (``complete``), keeping the matching maximum on the active set
     after every step. Single-owner: mutate from one thread only; many
     states may share one immutable graph.
 
-    ``order`` is a NodeOrder or any sequence of node indices in rank
-    order; each tail's neighbors are scanned in ascending rank.
+    ``order`` is a NodeOrder; each tail's neighbors are scanned in
+    ascending rank.
     """
 
     def __init__(self, graph: DirectedGraph, order):
         n = graph.node_count
-        perm = np.ascontiguousarray(getattr(order, "permutation", order), dtype=np.int64)
-        if perm.shape != (n,):
+        perm = np.array(order.permutation, dtype=np.int64)
+        if perm.size != n:
             raise UsageError(f"order covers {perm.size} nodes, graph has {n}")
-        rank = np.full(n, -1, dtype=np.int64)
-        if perm.min() >= 0 and perm.max() < n:
-            rank[perm] = np.arange(n)
-        if rank.min() < 0:
-            raise UsageError("order must contain each node index exactly once")
-        scan = graph.heads[np.lexsort((rank[graph.heads], graph.tails))]
-        self._start(graph, perm, rank, scan)
+        rank = np.argsort(perm)  # the inverse permutation
+        self._start(graph, perm, graph.heads[np.lexsort((rank[graph.heads], graph.tails))])
 
     @classmethod
     def _sampling(cls, graph: DirectedGraph, perm: np.ndarray, scan: np.ndarray) -> MatchingState:
         """A state with no node active for a permutation and a scan that the
         library built itself, as int64 arrays; neither is checked."""
-        rank = np.empty_like(perm)
-        rank[perm] = np.arange(perm.size)
         state = cls.__new__(cls)
-        state._start(graph, perm, rank, scan)
+        state._start(graph, perm, scan)
         return state
 
-    def _start(self, graph: DirectedGraph, perm: np.ndarray, rank: np.ndarray, scan: np.ndarray) -> None:
+    def _start(self, graph: DirectedGraph, perm: np.ndarray, scan: np.ndarray) -> None:
         """Set up a state with no node active and an empty matching."""
         n = graph.node_count
         self.graph = graph
         # The state is kept as int64 arrays, which the compiled completing
         # pass takes; _augment swaps them for lists, which it indexes faster.
         self._perm = perm
-        self._rank = rank  # only insort reads it
+        self._admitted = 0  # the nodes of _perm active so far, a prefix
         self._scan = scan
         # _scan and the out-CSR's row pointers as lists, made by _augment
         self._heads: list[int] | None = None
@@ -196,7 +178,7 @@ class MatchingState:
         self._mark: list[int] | int = _INACTIVE
         self._stamp = 0
         # the roots of extend_with_node's rescan: active free tails with
-        # out-edges, in ascending rank
+        # out-edges, in ascending rank, which is the order of admission
         self._free_scan: list[int] = []
 
     # --- queries ------------------------------------------------------
@@ -207,26 +189,30 @@ class MatchingState:
 
     @property
     def matching(self) -> Matching:
-        """A snapshot of the matching, checked against the pair count kept here."""
-        snapshot = Matching(self._mh, self._mt)
+        """A snapshot of the matching, checked against the inverse and the pair count kept here."""
+        snapshot = Matching(self._mh)
+        if not np.array_equal(snapshot.tail_by_head, self._mt):
+            raise ValidationError("the state's tail_by_head is not the inverse of its head_by_tail")
         if snapshot.size != self._size:
             raise ValidationError(f"matching holds {snapshot.size} pairs, the state counted {self._size}")
         return snapshot
 
     # --- mutation -----------------------------------------------------
 
-    def extend_with_node(self, node: int) -> None:
-        """Admit one node plus its induced edges, then restore maximality.
+    def extend_with_node(self) -> None:
+        """Admit the order's next node plus its induced edges, then restore maximality.
 
-        Augments first from the new node's out-role, then re-scans the
-        remaining free out-roles in ascending rank. Previously matched
-        roles stay matched; the matching grows by 0, 1, or 2.
+        The k-th call admits ``order.permutation[k]``. Augments first from
+        the new node's out-role, then re-scans the remaining free out-roles
+        in ascending rank. Previously matched roles stay matched; the
+        matching grows by 0, 1, or 2. Raises UsageError once every node is
+        active, as after ``complete``.
         """
-        if not (0 <= node < len(self._mh)):
-            raise UsageError(f"node {node} out of range")
+        if self._admitted == self._perm.size:
+            raise UsageError(f"all {self._perm.size} nodes are already active")
+        node = self._perm.item(self._admitted)
+        self._admitted += 1
         mark = self._marks()
-        if mark[node] != _INACTIVE:
-            raise UsageError(f"node {node} is already active")
         mark[node] = 0
         self._stamp += 1
         stays_free = self._augment((node,)) < 0  # makes self._ptr
@@ -243,7 +229,7 @@ class MatchingState:
         # no alternating path but its own
         ptr = self._ptr
         if stays_free and ptr[node] < ptr[node + 1]:
-            insort(self._free_scan, node, key=self._rank.item)
+            self._free_scan.append(node)
 
     def complete(self) -> None:
         """Admit all remaining nodes and finish to a maximum matching.
@@ -257,7 +243,8 @@ class MatchingState:
         from ._kernel import core
 
         self._mark = 0  # every head admitted and unmarked
-        self._free_scan = []  # no node is left to admit
+        self._admitted = self._perm.size  # no node is left to admit
+        self._free_scan = []
         compiled = core()
         if compiled is None:
             self._stamp += 1
@@ -265,8 +252,7 @@ class MatchingState:
             return
         mh = np.asarray(self._mh, dtype=np.int64)
         mt = np.asarray(self._mt, dtype=np.int64)
-        ptr = np.asarray(self.graph.out_ptr, dtype=np.int64)
-        size = compiled.complete(ptr, self._scan, self._perm, mh, mt)
+        size = compiled.complete(self.graph.out_ptr, self._scan, self._perm, mh, mt)
         if size < 0:
             raise MemoryError("no memory for the completing pass")
         self._mh, self._mt, self._size = mh, mt, size

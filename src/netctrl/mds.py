@@ -65,10 +65,6 @@ class NodeOrder:
     def random(cls, graph: DirectedGraph, seed: int) -> NodeOrder:
         return cls(np.random.default_rng(seed).permutation(graph.node_count), f"random(seed={seed})")
 
-    @classmethod
-    def explicit(cls, permutation) -> NodeOrder:
-        return cls(permutation, "explicit")
-
 
 @dataclass(frozen=True)
 class MdsResult:
@@ -118,9 +114,12 @@ def drivers(graph: DirectedGraph, matching: Matching, order: NodeOrder) -> MdsRe
 
     The drivers are exactly the nodes whose in-role the matching leaves
     unmatched (nodes with zero in-degree are always among them unless the
-    matching is perfect). Raises ValidationError when the matching is
-    invalid or not maximum.
+    matching is perfect). Raises UsageError when the order does not cover
+    the graph's nodes, and ValidationError when the matching is invalid or
+    not maximum.
     """
+    if len(order.permutation) != graph.node_count:
+        raise UsageError(f"order covers {len(order.permutation)} nodes, graph has {graph.node_count}")
     if not verify_maximum(graph, matching):
         raise ValidationError("matching is not maximum; driver extraction needs a maximum matching")
     tot = degrees(graph).total_degree
@@ -165,8 +164,8 @@ def preferential_mds(graph: DirectedGraph, order: NodeOrder, m: int) -> MdsResul
     if not 0 <= m <= n:
         raise UsageError(f"m must be within [0, {n}], got {m}")
     state = MatchingState(graph, order)
-    for node in order.permutation[:m]:
-        state.extend_with_node(node)
+    for _ in range(m):
+        state.extend_with_node()
     if m < n:
         state.complete()
     return drivers(graph, state.matching, order)

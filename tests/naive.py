@@ -94,26 +94,22 @@ def naive_preferential_pairs(graph: DirectedGraph, order, m: int) -> set[tuple[i
     return state.pairs()
 
 
-def naive_matching(head_by_tail, tail_by_head=None) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """``(head_by_tail, tail_by_head)`` checked one tail at a time; negatives read as -1.
+def naive_matching(head_by_tail) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``(head_by_tail, tail_by_head)`` checked one tail at a time.
 
-    Raises ValidationError for a head out of range, a head with two tails,
-    or a given ``tail_by_head`` that is not the exact inverse.
+    Raises ValidationError for a head outside -1..n-1 or a head with two
+    tails.
     """
-    heads = tuple(int(h) if int(h) >= 0 else -1 for h in head_by_tail)
+    heads = tuple(int(h) for h in head_by_tail)
     n = len(heads)
     tails = [-1] * n
     for u, v in enumerate(heads):
+        if not -1 <= v < n:
+            raise ValidationError(f"head index {v} out of range for {n} nodes")
         if v >= 0:
-            if v >= n:
-                raise ValidationError(f"head index {v} out of range for {n} nodes")
             if tails[v] >= 0:
                 raise ValidationError(f"two tails matched to head {v}")
             tails[v] = u
-    if tail_by_head is not None:
-        given = tuple(int(t) if int(t) >= 0 else -1 for t in tail_by_head)
-        if given != tuple(tails):
-            raise ValidationError("tail_by_head is not the inverse of head_by_tail")
     return heads, tuple(tails)
 
 
@@ -133,7 +129,7 @@ def naive_matching_from_pairs(graph: DirectedGraph, pairs) -> tuple[tuple[int, .
             raise ValidationError(f"head {head} matched twice")
         heads[tail] = head
         tails[head] = tail
-    return naive_matching(heads, tails)
+    return naive_matching(heads)
 
 
 def naive_reverse_edges(

@@ -91,13 +91,13 @@ class TestDirectedEr:
     def test_edgeless_graph_every_node_drives(self):
         g = gen_directed_er(10, 0, seed=1)
         assert g.edge_count == 0
-        order = NodeOrder.explicit(range(10))
+        order = NodeOrder(range(10))
         assert drivers(g, max_matching(g, order), order).n_d == 10
 
     def test_complete_graph_has_perfect_matching(self):
         g = gen_directed_er(10, 90, seed=1)
         assert g.edge_count == 90
-        order = NodeOrder.explicit(range(10))
+        order = NodeOrder(range(10))
         result = drivers(g, max_matching(g, order), order)
         assert result.perfect_matching and result.n_d == 1
 

@@ -18,6 +18,7 @@ from netctrl import (
     verify_maximum,
 )
 from netctrl import _kernel
+from netctrl.cli import main
 from netctrl.generators import BaParams, gen_directed_ba, gen_directed_er
 from netctrl.mds import NodeOrder
 
@@ -32,7 +33,7 @@ from naive import (
 
 
 def intern_order(graph):
-    return NodeOrder.explicit(range(graph.node_count))
+    return NodeOrder(range(graph.node_count))
 
 
 def admit_prefix(graph, order, m):
@@ -41,7 +42,7 @@ def admit_prefix(graph, order, m):
     state = MatchingState(graph, order)
     naive = NaiveState(graph, order)
     for node in order.permutation[:m]:
-        state.extend_with_node(node)
+        state.extend_with_node()
         naive.extend_with_node(node)
     assert set(state.matching.pairs()) == naive.pairs()
     return state
@@ -61,7 +62,7 @@ def digraph_and_order(draw, max_n: int = 8):
     perm = list(range(g.node_count))
     rng = random.Random(draw(st.integers(min_value=0, max_value=10**6)))
     rng.shuffle(perm)
-    return g, NodeOrder.explicit(perm)
+    return g, NodeOrder(perm)
 
 
 class TestAugmentFrom:
@@ -69,25 +70,25 @@ class TestAugmentFrom:
 
     def test_single_edge(self):
         g = DirectedGraph(["a", "b"], [(0, 1)])
-        order = NodeOrder.explicit([1, 0])
+        order = NodeOrder([1, 0])
         state = admit_prefix(g, order, 1)
         assert state.size == 0
-        state.extend_with_node(0)
+        state.extend_with_node()
         assert dict(state.matching.pairs()) == {0: 1}
 
     def test_leaf_with_no_out_edges(self, star):
         state = admit_prefix(star, intern_order(star), 2)
         assert set(state.matching.pairs()) == {(0, 1)}
-        for leaf in (2, 3):
-            state.extend_with_node(leaf)
+        for _ in range(2):
+            state.extend_with_node()
         assert set(state.matching.pairs()) == {(0, 1)}
         assert set(state.matching.pairs()) == naive_preferential_pairs(star, intern_order(star), 4)
 
     def test_alternating_flip_on_path(self, path3):
-        order = NodeOrder.explicit([1, 2, 0])
+        order = NodeOrder([1, 2, 0])
         state = admit_prefix(path3, order, 2)
         assert set(state.matching.pairs()) == {(1, 2)}
-        state.extend_with_node(0)
+        state.extend_with_node()
         assert set(state.matching.pairs()) == {(0, 1), (1, 2)}
         assert set(state.matching.pairs()) == naive_preferential_pairs(path3, order, 3)
         assert state.matching.size == brute_force_max_matching_size(path3)
@@ -108,7 +109,7 @@ class TestMaxMatching:
         assert m.size == brute_force_max_matching_size(path3)
 
     def test_deterministic_given_order(self, two_matchings):
-        order = NodeOrder.explicit([2, 1, 0])
+        order = NodeOrder([2, 1, 0])
         assert max_matching(two_matchings, order) == max_matching(two_matchings, order)
 
 
@@ -136,13 +137,24 @@ class TestVerifyMaximum:
         with pytest.raises(ValidationError):
             Matching([1, 1, -1, -1])  # two tails on head 1
 
-    def test_inconsistent_inverse_rejected(self):
-        with pytest.raises(ValidationError):
-            Matching([1, -1], [-1, -1])  # claims head 1 is free
+    def test_inconsistent_inverse_rejected(self, path3, monkeypatch):
+        # a completing pass that leaves head 0 reading matched while no
+        # tail holds it: the state's snapshot compares its inverse with
+        # the one derived from head_by_tail
+        class StrayCore:
+            def complete(self, ptr, heads, order, mh, mt):
+                mt[0] = 0
+                return 0
+
+        monkeypatch.setattr(_kernel, "_kernel", StrayCore())
+        with pytest.raises(ValidationError, match="not the inverse"):
+            max_matching(path3, intern_order(path3))
+        assert main(["analyze", "--gen", "er:n=5,l=4"]) == 4
 
     def test_out_of_range_head_rejected(self):
-        with pytest.raises(ValidationError):
-            Matching([5, -1])
+        for heads in ([5, -1], [2, -1], [-2, -1]):
+            with pytest.raises(ValidationError, match="out of range"):
+                Matching(heads)
 
     def test_size_mismatch_rejected(self, star):
         with pytest.raises(ValidationError, match="covers 2 nodes, graph has 4"):
@@ -196,9 +208,12 @@ class TestMatchingSnapshot:
 @pytest.mark.parametrize(
     "build, error, message",
     [
-        (lambda g: MatchingState(g, [0, 1]), UsageError, "covers 2 nodes"),
-        (lambda g: MatchingState(g, [0, 0, 1]), UsageError, "exactly once"),
-        (lambda g: MatchingState(g, [0, 1, 3]), UsageError, "exactly once"),
+        # a short order passes NodeOrder's check and fails the state's; a
+        # repeat or an index out of range fails NodeOrder's, the only
+        # permutation check
+        (lambda g: MatchingState(g, NodeOrder([0, 1])), UsageError, "covers 2 nodes, graph has 3"),
+        (lambda g: MatchingState(g, NodeOrder([0, 0, 1])), UsageError, "exactly once"),
+        (lambda g: MatchingState(g, NodeOrder([0, 1, 3])), UsageError, "exactly once"),
         # the check seeds a state with the matching's arrays; built from
         # arrays, so nothing checked (2, 1) against the graph before
         (lambda g: verify_maximum(g, Matching([-1, -1, 1])), ValidationError, "not an edge"),
@@ -212,38 +227,24 @@ def test_state_checks_its_own_inputs(path3, build, error, message):
 
 def test_constructor_takes_the_graph_and_the_order_only():
     assert list(inspect.signature(MatchingState).parameters) == ["graph", "order"]
+    assert list(inspect.signature(MatchingState.extend_with_node).parameters) == ["self"]
+    assert list(inspect.signature(Matching).parameters) == ["head_by_tail"]
     assert list(inspect.signature(verify_maximum).parameters) == ["graph", "matching"]
+    assert not hasattr(NodeOrder, "explicit")
 
 
 @st.composite
 def matching_inputs(draw):
-    # head_by_tail as a partial injection or as arbitrary entries (repeats,
-    # heads out of range, negatives other than -1); tail_by_head absent,
-    # the exact inverse, the inverse with one entry changed, or arbitrary
-    # and possibly of another length
+    # head_by_tail as a partial injection, free tails mostly -1 and at times
+    # below it, or as arbitrary entries (repeats, heads out of range,
+    # negatives other than -1); every entry outside -1..n-1 must raise
     n = draw(st.integers(min_value=0, max_value=6))
     entries = st.integers(min_value=-3, max_value=n + 1)
-    negative = st.integers(min_value=-3, max_value=-1)
+    free = st.sampled_from([-1, -1, -1, -2, -3])
     if draw(st.booleans()):
         perm = draw(st.permutations(range(n)))
-        heads = [v if draw(st.booleans()) else draw(negative) for v in perm]
-    else:
-        heads = draw(st.lists(entries, min_size=n, max_size=n))
-    inverse = [-1] * n
-    for u, v in enumerate(heads):
-        if 0 <= v < n:
-            inverse[v] = u
-    kind = draw(st.sampled_from(["absent", "inverse", "edited", "arbitrary"]))
-    if kind == "absent":
-        tails = None
-    elif kind == "inverse":
-        tails = [t if t >= 0 else draw(negative) for t in inverse]
-    elif kind == "edited" and n:
-        tails = list(inverse)
-        tails[draw(st.integers(min_value=0, max_value=n - 1))] = draw(entries)
-    else:
-        tails = draw(st.lists(entries, min_size=max(n - 1, 0), max_size=n + 1))
-    return heads, tails
+        return [v if draw(st.booleans()) else draw(free) for v in perm]
+    return draw(st.lists(entries, min_size=n, max_size=n))
 
 
 def assert_same_matching(m: Matching, expected) -> None:
@@ -256,15 +257,14 @@ def assert_same_matching(m: Matching, expected) -> None:
 
 @settings(max_examples=300, deadline=None)
 @given(matching_inputs())
-def test_matching_check_agrees_with_the_loop_reference(case):
-    heads, tails = case
+def test_matching_check_agrees_with_the_loop_reference(heads):
     try:
-        expected = naive_matching(heads, tails)
+        expected = naive_matching(heads)
     except ValidationError:
         with pytest.raises(ValidationError):
-            Matching(heads, tails)
+            Matching(heads)
         return
-    assert_same_matching(Matching(heads, tails), expected)
+    assert_same_matching(Matching(heads), expected)
 
 
 @settings(max_examples=200, deadline=None)
@@ -289,17 +289,17 @@ class TestExtendWithNode:
         g = DirectedGraph(["a", "b", "c"], [(0, 1)])
         state = admit_prefix(g, intern_order(g), 2)
         assert set(state.matching.pairs()) == {(0, 1)}
-        state.extend_with_node(2)
+        state.extend_with_node()
         assert set(state.matching.pairs()) == {(0, 1)}
         assert set(state.matching.pairs()) == naive_preferential_pairs(g, intern_order(g), 3)
 
     def test_saturated_pair_resists_new_leaf(self):
         # active {1, 2} fully matched on 1<->2; node 3 only receives 1->3
         g = DirectedGraph(["1", "2", "3"], [(0, 1), (1, 0), (0, 2)])
-        order = NodeOrder.explicit([0, 1, 2])
+        order = NodeOrder([0, 1, 2])
         state = admit_prefix(g, order, 2)
         assert set(state.matching.pairs()) == {(0, 1), (1, 0)}
-        state.extend_with_node(2)
+        state.extend_with_node()
         assert state.matching.size == 2 == brute_force_max_matching_size(g)
         assert set(state.matching.pairs()) == {(0, 1), (1, 0)}
         assert set(state.matching.pairs()) == naive_preferential_pairs(g, order, 3)
@@ -308,10 +308,10 @@ class TestExtendWithNode:
         # active {3, 2} edgeless; adding 1 under order 3 < 2 < 1 must pick
         # the maximum matching that leaves node 2 unmatched
         g = DirectedGraph(["1", "2", "3"], [(0, 1), (1, 0), (0, 2)])
-        order = NodeOrder.explicit([2, 1, 0])
+        order = NodeOrder([2, 1, 0])
         state = admit_prefix(g, order, 2)
         assert state.size == 0
-        state.extend_with_node(0)
+        state.extend_with_node()
         assert set(state.matching.pairs()) == {(1, 0), (0, 2)}
         assert set(state.matching.pairs()) == naive_preferential_pairs(g, order, 3)
         assert state.matching.size == 2
@@ -319,9 +319,12 @@ class TestExtendWithNode:
         assert set(enumerate_maximum_matchings(g)) == expected
 
     def test_already_active_rejected(self, path3):
-        state = admit_prefix(path3, intern_order(path3), 1)
-        with pytest.raises(UsageError):
-            state.extend_with_node(0)
+        # a call past the order's last node is refused and changes nothing
+        state = admit_prefix(path3, NodeOrder([2, 0, 1]), 3)
+        for _ in range(2):
+            with pytest.raises(UsageError, match="all 3 nodes are already active"):
+                state.extend_with_node()
+        assert set(state.matching.pairs()) == {(0, 1), (1, 2)}
 
     @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "python"])
     def test_every_node_is_active_after_complete(self, path3, compiled, request, monkeypatch):
@@ -329,9 +332,15 @@ class TestExtendWithNode:
         monkeypatch.setattr(_kernel, "_kernel", core)
         state = MatchingState(path3, intern_order(path3))
         state.complete()
-        for node in range(path3.node_count):
-            with pytest.raises(UsageError, match="already active"):
-                state.extend_with_node(node)
+        with pytest.raises(UsageError, match="already active"):
+            state.extend_with_node()
+        assert state.size == 2
+        # the same after admitting every node one at a time
+        state = MatchingState(path3, intern_order(path3))
+        for _ in range(path3.node_count):
+            state.extend_with_node()
+        with pytest.raises(UsageError, match="already active"):
+            state.extend_with_node()
         assert state.size == 2
 
     def test_dead_head_revives_after_a_later_admission(self):
@@ -340,16 +349,16 @@ class TestExtendWithNode:
         # s a free head, and the rescan from t must pass through h again
         g = DirectedGraph(["s", "h", "t", "x"], [(0, 1), (2, 1), (0, 3)])
         state = MatchingState(g, intern_order(g))
-        for node in range(3):
-            state.extend_with_node(node)
+        for _ in range(3):
+            state.extend_with_node()
         assert set(state.matching.pairs()) == {(0, 1)}
-        state.extend_with_node(3)
+        state.extend_with_node()
         assert set(state.matching.pairs()) == {(0, 3), (2, 1)}
 
     def test_self_loop_matched_on_admission(self):
         g = DirectedGraph(["v"], [(0, 0)])
         state = MatchingState(g, intern_order(g))
-        state.extend_with_node(0)
+        state.extend_with_node()
         assert set(state.matching.pairs()) == {(0, 0)}
 
 
@@ -379,7 +388,7 @@ def test_extend_keeps_matching_maximum_and_matched_heads_monotone(pair):
     active: set[int] = set()
     matched_heads: set[int] = set()
     for node in order.permutation:
-        state.extend_with_node(node)
+        state.extend_with_node()
         active.add(node)
         now = {v for _, v in state.matching.pairs()}
         assert matched_heads <= now
@@ -454,8 +463,8 @@ def test_incremental_agrees_with_naive_reference(pair, m_raw):
     g, order = pair
     m = min(m_raw, g.node_count)
     state = MatchingState(g, order)
-    for node in order.permutation[:m]:
-        state.extend_with_node(node)
+    for _ in range(m):
+        state.extend_with_node()
     if m < g.node_count:
         state.complete()
     assert set(state.matching.pairs()) == naive_preferential_pairs(g, order, m)
@@ -497,16 +506,17 @@ def test_randomized_complete_agrees_with_naive_reference(case):
     assert set(state.matching.pairs()) == naive_max_matching_pairs(g, perm, per_tail)
 
 
-def completed_both_ways(kernel, g, perm, scan, admitted=()):
+def completed_both_ways(kernel, g, perm, scan, admitted=0):
     """``(head_by_tail, tail_by_head, size)`` after ``complete()``, from the
-    compiled kernel and from the Python core, after admitting ``admitted``."""
+    compiled kernel and from the Python core, after admitting the first
+    ``admitted`` nodes of ``perm`` one at a time."""
     results = []
     for core in (kernel, None):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(_kernel, "_kernel", core)
             state = MatchingState._sampling(g, perm, scan)
-            for node in admitted:
-                state.extend_with_node(node)
+            for _ in range(admitted):
+                state.extend_with_node()
             state.complete()
             m = state.matching
             results.append((m.head_by_tail.tolist(), m.tail_by_head.tolist(), state.size))
@@ -528,7 +538,7 @@ def test_compiled_completion_agrees_with_the_python_core(compiled_kernel, g, see
     perm = rng.permutation(g.node_count)
     m = data.draw(st.integers(min_value=0, max_value=g.node_count))
     compiled, python = completed_both_ways(
-        compiled_kernel, g, perm, shuffled_segments(g, rng), perm[:m].tolist()
+        compiled_kernel, g, perm, shuffled_segments(g, rng), m
     )
     assert compiled == python
 
@@ -541,6 +551,6 @@ def test_compiled_completion_agrees_on_deep_alternating_paths(compiled_kernel, c
     rng = np.random.default_rng(seed)
     perm = rng.permutation(g.node_count)
     compiled, python = completed_both_ways(
-        compiled_kernel, g, perm, shuffled_segments(g, rng), perm[:admitted].tolist()
+        compiled_kernel, g, perm, shuffled_segments(g, rng), admitted
     )
     assert compiled == python

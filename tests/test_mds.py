@@ -27,7 +27,7 @@ from oracles import brute_force_max_matching_size, enumerate_driver_sets
 
 
 def intern_order(graph):
-    return NodeOrder.explicit(range(graph.node_count))
+    return NodeOrder(range(graph.node_count))
 
 
 @st.composite
@@ -51,14 +51,14 @@ class TestNodeOrder:
 
     def test_rejects_non_permutation(self):
         with pytest.raises(UsageError):
-            NodeOrder.explicit([0, 0, 1])
+            NodeOrder([0, 0, 1])
         with pytest.raises(UsageError):
-            NodeOrder.explicit([1, 2, 3])
+            NodeOrder([1, 2, 3])
 
 
 class TestDrivers:
     def test_perfect_matching_designates_first_of_order(self, cycle3):
-        order = NodeOrder.explicit([2, 0, 1])
+        order = NodeOrder([2, 0, 1])
         result = drivers(cycle3, max_matching(cycle3, order), order)
         assert result.perfect_matching is True
         assert result.n_d == 1
@@ -83,6 +83,14 @@ class TestDrivers:
     def test_non_maximum_matching_rejected(self, path3):
         with pytest.raises(ValidationError):
             drivers(path3, Matching.from_pairs(path3, [(0, 1)]), intern_order(path3))
+
+    @pytest.mark.parametrize("perm", [(), (0,), range(5)], ids=["empty", "short", "long"])
+    def test_order_must_cover_the_graph(self, cycle3, perm):
+        # the perfect-matching rule designates the order's first node, so an
+        # order of another graph would name a wrong or missing driver
+        matching = Matching.from_pairs(cycle3, [(0, 1), (1, 2), (2, 0)])
+        with pytest.raises(UsageError, match=f"order covers {len(perm)} nodes, graph has 3"):
+            drivers(cycle3, matching, NodeOrder(perm))
 
 
 class TestPreferential:

@@ -58,13 +58,13 @@ class TestFHiLo:
 
 class TestHistogram:
     def test_star_histogram(self, star):
-        order = NodeOrder.explicit(range(4))
+        order = NodeOrder(range(4))
         mds = drivers(star, max_matching(star, order), order)
         hist = driver_degree_histogram(star, mds)
         assert hist.counts == {3: (1, 1), 1: (3, 2)}
 
     def test_json_serialization_keyed_by_degree(self, star):
-        order = NodeOrder.explicit(range(4))
+        order = NodeOrder(range(4))
         mds = drivers(star, max_matching(star, order), order)
         mapping = driver_degree_histogram(star, mds).as_mapping()
         # string keys, in ascending degree, as the JSON report carries them
