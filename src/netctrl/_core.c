@@ -1,19 +1,41 @@
-/* The compiled core: two entry points over caller-owned int64 arrays.
+/* The compiled core: two entry points over caller-owned arrays. Neither
+ * keeps state between calls, and netctrl_sample allocates nothing (its
+ * scratch comes from the caller), so calls on different arrays may run
+ * at once.
  *
- * netctrl_complete: the completing pass of MatchingState.complete().
+ * netctrl_sample: all of MatchingState.complete() in one call, which is
+ * one whole sample of the sampler.
  *
- * The same search as MatchingState._augment over every root: free tails
- * in the order given, each tail's slice of `heads` scanned in order, an
- * explicit parent stack of (tail, slot to resume, head descended through)
- * frames instead of recursion. A failed search keeps its marks and a
- * successful one clears only the heads it marked (Hungarian-forest
- * pruning; see the matching module's docstring). Every node is active.
+ * 1. Scan order. Each tail's slice of the out-CSR `heads` is written to
+ *    `scan` in ascending order of its slots' `keys`. Up to RANKED slots,
+ *    each goes to its rank (the count of smaller keys); longer slices
+ *    are sorted with their keys in `scan_key`, by insertion up to
+ *    INSERTED slots and by heapsort above (hubs). Two equal keys in one
+ *    slice return NETCTRL_TIE before anything is written to `mh`/`mt`:
+ *    the caller then puts the tied slots in numpy's argsort order, which
+ *    only numpy defines, and calls again with keys that cannot tie.
+ * 2. The completing pass, the same search as MatchingState._augment over
+ *    every root: free tails in the order of `order`, each tail's scan in
+ *    key order, an explicit parent stack of (tail, slot to resume, head
+ *    descended through) frames instead of recursion. A failed search
+ *    keeps its marks and a successful one clears only the heads it
+ *    marked (Hungarian-forest pruning; see the matching module's
+ *    docstring). Every node is active.
+ * 3. The check that `mh` and `mt` are inverses (entries in -1..n-1, each
+ *    pair read the same from both sides) holding as many pairs as the
+ *    pass counted; NETCTRL_BREACH when it fails.
+ * 4. The free in-roles, in ascending order, to `free_heads`, and the sum
+ *    of their total degrees (out-degree from `ptr`, in-degree from
+ *    `in_ptr`) to `*degree_sum`. The sum is exact, so the caller's
+ *    sum / count is the mean numpy would give, bit for bit.
  *
- * The caller checks the inputs: `ptr` is a CSR row pointer of n + 1
- * entries, `heads` holds indices in 0..n-1, `order` is a permutation of
- * 0..n-1, and `mh`/`mt` are a matching and its inverse (-1 when free).
- * `mh` and `mt` are updated in place. Returns the number of matched
- * pairs, or -1 when the scratch memory cannot be allocated.
+ * The caller checks the inputs: `ptr` and `in_ptr` are CSR row pointers
+ * of n + 1 entries over the same ptr[n] edges, `heads` holds indices in
+ * 0..n-1, `order` is a permutation of 0..n-1, and `mh`/`mt` hold a
+ * matching and its inverse (-1 when free), updated in place. Scratch:
+ * `scan` and `scan_key` hold ptr[n] entries, `mark`, `trail` and
+ * `free_heads` n, `stack` 3 * n. Returns the number of matched pairs,
+ * NETCTRL_TIE or NETCTRL_BREACH.
  *
  * netctrl_tokenize: the edge-list tokenizer of parse_edge_list.
  *
@@ -38,58 +60,156 @@
 #include <stdlib.h>
 #include <string.h>
 
-int64_t netctrl_complete(int64_t n, const int64_t *ptr, const int64_t *heads,
-                         const int64_t *order, int64_t *mh, int64_t *mt)
+enum { NETCTRL_TIE = -1, NETCTRL_BREACH = -2 };
+
+/* the longest slices placed by rank and sorted by insertion; longer ones
+ * (hubs) are heapsorted */
+enum { RANKED = 8, INSERTED = 64 };
+
+/* restore the max-heap of key[0..size) below `root` */
+static void sift_down(int64_t *key, int64_t *head, int64_t root, int64_t size)
 {
-    unsigned char *mark = calloc((size_t)n + 1, 1);
-    int64_t *trail = malloc(((size_t)n + 1) * sizeof *trail);
-    int64_t *stack = malloc(3 * ((size_t)n + 1) * sizeof *stack);
-    int64_t size = -1;
-    if (mark && trail && stack) {
-        size = 0;
-        for (int64_t k = 0; k < n; k++)
-            size += mh[k] >= 0;
-        for (int64_t k = 0; k < n; k++) {
-            int64_t u = order[k], i = ptr[u], end = ptr[u + 1], depth = 0, marked = 0;
-            if (mh[u] >= 0)
-                continue;
-            for (;;) {
-                if (i < end) {
-                    int64_t v = heads[i++];
-                    if (mark[v])
-                        continue;
-                    mark[v] = 1;
-                    trail[marked++] = v;
-                    if (mt[v] >= 0) {
-                        stack[depth++] = u;
-                        stack[depth++] = i;
-                        stack[depth++] = v;
-                        u = mt[v];
-                        i = ptr[u];
-                        end = ptr[u + 1];
-                        continue;
-                    }
-                    for (mh[u] = v, mt[v] = u; depth; depth -= 3) {
-                        mh[stack[depth - 3]] = stack[depth - 1];
-                        mt[stack[depth - 1]] = stack[depth - 3];
-                    }
-                    while (marked)
-                        mark[trail[--marked]] = 0;
-                    size++;
-                    break;
-                }
-                if (!depth)
-                    break;
-                depth -= 3;
-                u = stack[depth];
-                i = stack[depth + 1];
-                end = ptr[u + 1];
+    int64_t k = key[root], h = head[root];
+    for (;;) {
+        int64_t child = 2 * root + 1;
+        if (child >= size)
+            break;
+        if (child + 1 < size && key[child + 1] > key[child])
+            child++;
+        if (key[child] <= k)
+            break;
+        key[root] = key[child];
+        head[root] = head[child];
+        root = child;
+    }
+    key[root] = k;
+    head[root] = h;
+}
+
+/* write head[0..size) to scan[0..size) in ascending order of key[]; 1 when
+ * two keys tie. `scan_key` is scratch of `size` entries. */
+static int sort_segment(const int64_t *key, const int64_t *head, int64_t size,
+                        int64_t *scan, int64_t *scan_key)
+{
+    if (size <= RANKED) {
+        /* each slot goes to the number of smaller keys: no branch depends
+         * on the keys, which the random ones of the sampler would
+         * mispredict; every key equals itself, so more equalities than
+         * slots mean a tie */
+        int64_t equal = 0;
+        for (int64_t i = 0; i < size; i++) {
+            int64_t k = key[i], rank = 0;
+            for (int64_t j = 0; j < size; j++) {
+                rank += key[j] < k;
+                equal += key[j] == k;
             }
+            scan[rank] = head[i];
+        }
+        return equal != size;
+    }
+    memcpy(scan, head, (size_t)size * sizeof *scan);
+    memcpy(scan_key, key, (size_t)size * sizeof *scan_key);
+    if (size <= INSERTED) {
+        for (int64_t i = 1; i < size; i++) {
+            int64_t k = scan_key[i], h = scan[i], j = i;
+            for (; j > 0 && scan_key[j - 1] > k; j--) {
+                scan_key[j] = scan_key[j - 1];
+                scan[j] = scan[j - 1];
+            }
+            scan_key[j] = k;
+            scan[j] = h;
+        }
+    } else {
+        for (int64_t i = size / 2 - 1; i >= 0; i--)
+            sift_down(scan_key, scan, i, size);
+        for (int64_t end = size - 1; end > 0; end--) {
+            int64_t k = scan_key[end], h = scan[end];
+            scan_key[end] = scan_key[0];
+            scan[end] = scan[0];
+            scan_key[0] = k;
+            scan[0] = h;
+            sift_down(scan_key, scan, 0, end);
         }
     }
-    free(mark);
-    free(trail);
-    free(stack);
+    for (int64_t i = 1; i < size; i++)
+        if (scan_key[i - 1] == scan_key[i])
+            return 1;
+    return 0;
+}
+
+int64_t netctrl_sample(int64_t n, const int64_t *ptr, const int64_t *heads,
+                       const int64_t *in_ptr, const int64_t *keys, const int64_t *order,
+                       int64_t *mh, int64_t *mt, int64_t *scan, int64_t *scan_key,
+                       unsigned char *mark, int64_t *trail, int64_t *stack,
+                       int64_t *free_heads, int64_t *degree_sum)
+{
+    for (int64_t u = 0; u < n; u++) {
+        int64_t lo = ptr[u];
+        if (sort_segment(keys + lo, heads + lo, ptr[u + 1] - lo, scan + lo, scan_key + lo))
+            return NETCTRL_TIE;
+    }
+
+    int64_t size = 0;
+    for (int64_t v = 0; v < n; v++) {
+        mark[v] = 0;
+        size += mh[v] >= 0;
+    }
+    for (int64_t k = 0; k < n; k++) {
+        int64_t u = order[k], i = ptr[u], end = ptr[u + 1], depth = 0, marked = 0;
+        if (mh[u] >= 0)
+            continue;
+        for (;;) {
+            if (i < end) {
+                int64_t v = scan[i++];
+                if (mark[v])
+                    continue;
+                mark[v] = 1;
+                trail[marked++] = v;
+                if (mt[v] >= 0) {
+                    stack[depth++] = u;
+                    stack[depth++] = i;
+                    stack[depth++] = v;
+                    u = mt[v];
+                    i = ptr[u];
+                    end = ptr[u + 1];
+                    continue;
+                }
+                for (mh[u] = v, mt[v] = u; depth; depth -= 3) {
+                    mh[stack[depth - 3]] = stack[depth - 1];
+                    mt[stack[depth - 1]] = stack[depth - 3];
+                }
+                while (marked)
+                    mark[trail[--marked]] = 0;
+                size++;
+                break;
+            }
+            if (!depth)
+                break;
+            depth -= 3;
+            u = stack[depth];
+            i = stack[depth + 1];
+            end = ptr[u + 1];
+        }
+    }
+
+    /* branch-free, like the short sorts: whether a role is free is as
+     * random as the sample */
+    int64_t pairs = 0, unmatched = 0, sum = 0, bad = 0;
+    for (int64_t u = 0; u < n; u++) {
+        int64_t v = mh[u], matched = v >= 0 && v < n;
+        bad |= (v < -1) | (v >= n) | (matched & (mt[matched ? v : 0] != u));
+        pairs += matched;
+    }
+    for (int64_t v = 0; v < n; v++) {
+        int64_t u = mt[v], matched = u >= 0 && u < n;
+        bad |= (u < -1) | (u >= n) | (matched & (mh[matched ? u : 0] != v));
+        free_heads[unmatched] = v;
+        unmatched += !matched;
+        sum += !matched * (ptr[v + 1] - ptr[v] + in_ptr[v + 1] - in_ptr[v]);
+    }
+    if (bad || pairs != size)
+        return NETCTRL_BREACH;
+    *degree_sum = sum;
     return size;
 }
 

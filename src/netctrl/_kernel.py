@@ -1,11 +1,14 @@
 """The compiled core: ``_core.c``, built on first use and loaded with ctypes.
 
-The library has two entry points (see ``_core.c``). ``core()`` returns a
-``Core`` holding both, or None when the library cannot be had: no ``cc``
-on the PATH, a cache directory that cannot be written, a build that fails
-or a library that will not load. ``MatchingState.complete`` then runs the
-Python search and ``parse_edge_list`` its line loop, which give the same
-results. Setting ``_kernel`` to None forces both Python paths.
+The library has two entry points (see ``_core.c``): ``netctrl_sample``,
+the whole of ``MatchingState.complete()`` (scan order, completing pass,
+inverse check and free in-roles) in one call, and ``netctrl_tokenize``,
+the edge-list tokenizer. ``core()`` returns a ``Core`` holding both, or
+None when the library cannot be had: no ``cc`` on the PATH, a cache
+directory that cannot be written, a build that fails or a library that
+will not load. ``MatchingState.complete`` then runs the Python search
+and ``parse_edge_list`` its line loop, which give the same results.
+Setting ``_kernel`` to None forces both Python paths.
 
 The library is compiled with ``cc -O2 -shared -fPIC`` into
 ``${XDG_CACHE_HOME:-~/.cache}/netctrl/_core-<hash of the source>.so``,
@@ -40,6 +43,52 @@ _kernel = _UNSET
 _BREAKS_TO_NEWLINE = bytes.maketrans(b"\r\x0b\x0c\x1c\x1d\x1e", b"\n" * 6)
 
 
+# the codes netctrl_sample returns in place of a pair count
+TIE = -1     # two keys of one tail's slice are equal
+BREACH = -2  # mh and mt are not inverses, or hold another number of pairs
+
+
+class Workspace:
+    """All the memory of ``Core.sample`` on one graph, owned by the caller.
+
+    The caller fills the inputs: ``order``, the order in which free tails
+    are searched, ``keys``, one scan key per out-CSR slot, and the
+    matching ``mh``/``mt`` (-1 where a role is free), which the call
+    completes in place. The call writes ``scan``, each tail's heads in
+    key order, ``free_heads[:n - pairs]``, the free in-roles in ascending
+    order, and ``degree_sum[0]``, the sum of their total degrees. The
+    graph's CSR arrays are held here too, and every address is taken
+    once, in the constructor. One call at a time may use a workspace;
+    calls on workspaces of their own may run at once.
+    """
+
+    __slots__ = ("order", "keys", "mh", "mt", "scan", "free_heads", "degree_sum", "_arrays", "_args")
+
+    def __init__(self, graph):
+        n, edges = graph.node_count, graph.out_heads.size
+        graph_arrays = (graph.out_ptr, graph.out_heads, graph.in_ptr)
+        for array in graph_arrays:
+            if array.dtype != np.int64 or not array.flags.c_contiguous:
+                raise ValueError("the graph's CSR arrays must be contiguous int64")
+        self.order = np.empty(n, dtype=np.int64)
+        self.keys = np.empty(edges, dtype=np.int64)
+        self.mh = np.empty(n, dtype=np.int64)
+        self.mt = np.empty(n, dtype=np.int64)
+        self.scan = np.empty(edges, dtype=np.int64)
+        self.free_heads = np.empty(n, dtype=np.int64)
+        self.degree_sum = np.zeros(1, dtype=np.int64)
+        # in the order of netctrl_sample's parameters
+        self._arrays = graph_arrays + (
+            self.keys, self.order, self.mh, self.mt, self.scan,
+            np.empty(edges, dtype=np.int64),    # scan_key
+            np.empty(n, dtype=np.uint8),        # mark
+            np.empty(n, dtype=np.int64),        # trail
+            np.empty(3 * n, dtype=np.int64),    # stack
+            self.free_heads, self.degree_sum,
+        )
+        self._args = (n,) + tuple(a.ctypes.data for a in self._arrays)
+
+
 class Core:
     """The two entry points of a loaded ``_core.c``.
 
@@ -48,22 +97,23 @@ class Core:
     every call.
     """
 
-    __slots__ = ("_complete", "_tokenize")
+    __slots__ = ("_sample", "_tokenize")
 
     def __init__(self, library: ctypes.CDLL):
-        self._complete = library.netctrl_complete
-        self._complete.argtypes = (ctypes.c_int64,) + (ctypes.c_void_p,) * 5
-        self._complete.restype = ctypes.c_int64
+        self._sample = library.netctrl_sample
+        self._sample.argtypes = (ctypes.c_int64,) + (ctypes.c_void_p,) * 14
+        self._sample.restype = ctypes.c_int64
         self._tokenize = library.netctrl_tokenize
         self._tokenize.argtypes = (ctypes.c_char_p,) + (ctypes.c_int64,) * 2 + (ctypes.c_void_p,) * 4
         self._tokenize.restype = ctypes.c_int64
 
-    def complete(self, ptr, heads, order, mh, mt) -> int:
-        """Complete the matching ``mh``/``mt`` in place; the number of pairs, or -1 out of memory."""
-        return self._complete(
-            mh.size, ptr.ctypes.data, heads.ctypes.data, order.ctypes.data,
-            mh.ctypes.data, mt.ctypes.data,
-        )
+    def sample(self, work: Workspace) -> int:
+        """Complete the workspace's matching in place; the number of pairs, ``TIE`` or ``BREACH``.
+
+        With a pair count, ``work`` holds the scan, the free in-roles and
+        their degree sum. ``TIE`` leaves the matching as it was.
+        """
+        return self._sample(*work._args)
 
     def tokenize(self, data: bytes):
         """``(ends, offsets, lengths)`` of ASCII edge-list bytes, or None.

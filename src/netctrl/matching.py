@@ -16,7 +16,8 @@ next node.
 Every search runs in one core, ``MatchingState._augment``; the pass that
 completes a matching, which is also the maximality check of
 ``verify_maximum``, runs the same search compiled (``_core.c``) when a C
-compiler is at hand. The core prunes across the roots of one call (a
+compiler is at hand, in one call with the scan order, the inverse check
+and the free in-roles. The core prunes across the roots of one call (a
 Hungarian forest): within a call the active set is fixed, and the
 in-roles visited by a search that failed stay marked, while a search
 that succeeds clears only the marks it made. This
@@ -38,7 +39,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import UsageError, ValidationError
-from .graph import DirectedGraph
+from .graph import DirectedGraph, degrees
 
 __all__ = ["Matching", "MatchingState", "max_matching", "verify_maximum"]
 
@@ -147,30 +148,51 @@ class MatchingState:
         if perm.size != n:
             raise UsageError(f"order covers {perm.size} nodes, graph has {n}")
         rank = np.argsort(perm)  # the inverse permutation
-        self._start(graph, perm, graph.heads[np.lexsort((rank[graph.heads], graph.tails))])
+        self._start(graph, perm, rank[graph.out_heads], None)
 
     @classmethod
-    def _sampling(cls, graph: DirectedGraph, perm: np.ndarray, scan: np.ndarray) -> MatchingState:
-        """A state with no node active for a permutation and a scan that the
-        library built itself, as int64 arrays; neither is checked."""
+    def _sampling(cls, graph: DirectedGraph, perm: np.ndarray, keys: np.ndarray, work=None) -> MatchingState:
+        """A state with no node active for a permutation and scan keys that
+        the library drew itself, as int64 arrays; neither is checked.
+
+        With ``work``, a ``_kernel.Workspace`` of the graph, the state keeps
+        its order, keys and matching there, so the next state made on that
+        workspace overwrites them. Without, ``complete()`` makes one.
+        """
         state = cls.__new__(cls)
-        state._start(graph, perm, scan)
+        state._start(graph, perm, keys, work)
         return state
 
-    def _start(self, graph: DirectedGraph, perm: np.ndarray, scan: np.ndarray) -> None:
+    def _start(self, graph: DirectedGraph, perm: np.ndarray, keys: np.ndarray, work) -> None:
         """Set up a state with no node active and an empty matching."""
         n = graph.node_count
         self.graph = graph
-        # The state is kept as int64 arrays, which the compiled completing
-        # pass takes; _augment swaps them for lists, which it indexes faster.
+        # The state is kept as int64 arrays, in the workspace of the
+        # compiled pass once it has one; _augment swaps them for lists,
+        # which it indexes faster.
+        self._work = work
+        if work is None:
+            self._mh = np.full(n, -1, dtype=np.int64)  # tail -> matched head
+            self._mt = np.full(n, -1, dtype=np.int64)  # head -> matched tail
+        else:
+            np.copyto(work.order, perm)
+            np.copyto(work.keys, keys)
+            perm, keys = work.order, work.keys
+            work.mh.fill(-1)
+            work.mt.fill(-1)
+            self._mh, self._mt = work.mh, work.mt
         self._perm = perm
         self._admitted = 0  # the nodes of _perm active so far, a prefix
-        self._scan = scan
-        # _scan and the out-CSR's row pointers as lists, made by _augment
+        # one key per out-CSR slot, each in 0..2**32-1: a tail's heads are
+        # scanned in ascending key order
+        self._keys = keys
+        # the free in-roles and their degree sum, from the last compiled
+        # complete(); no node can be admitted after it
+        self._free: tuple[np.ndarray, int] | None = None
+        # the heads in scan order and the out-CSR's row pointers as lists,
+        # made by _augment
         self._heads: list[int] | None = None
         self._ptr: list[int] | None = None
-        self._mh = np.full(n, -1, dtype=np.int64)  # tail -> matched head
-        self._mt = np.full(n, -1, dtype=np.int64)  # head -> matched tail
         self._size = 0
         # per head: _INACTIVE until admitted, then the stamp of the search
         # that last marked it, 0 when unmarked (see _augment); held as the
@@ -237,25 +259,50 @@ class MatchingState:
         One pass over free out-roles in ascending rank; a failed search
         stays failed under later augmentations, so one pass suffices. The
         pass runs compiled when the kernel of ``_core.c`` can be built,
-        and in ``_augment`` otherwise, with the same result.
+        and in ``_augment`` otherwise, with the same result. The compiled
+        call also sorts the scans, checks the matching against its inverse
+        and lists the free in-roles: a whole sample of the sampler.
         """
         # imported on first use, so that `import netctrl` leaves the loader out
-        from ._kernel import core
+        from . import _kernel
 
         self._mark = 0  # every head admitted and unmarked
         self._admitted = self._perm.size  # no node is left to admit
         self._free_scan = []
-        compiled = core()
+        self._free = None
+        compiled = _kernel.core()
         if compiled is None:
             self._stamp += 1
             self._augment(self._perm.tolist())
             return
-        mh = np.asarray(self._mh, dtype=np.int64)
-        mt = np.asarray(self._mt, dtype=np.int64)
-        size = compiled.complete(self.graph.out_ptr, self._scan, self._perm, mh, mt)
+        work = self._work
+        if work is None:
+            work = self._work = _kernel.Workspace(self.graph)
+            work.order[:] = self._perm
+            work.keys[:] = self._keys
+        if self._mh is not work.mh:  # the state's own arrays, or _augment's lists
+            work.mh[:] = self._mh
+            work.mt[:] = self._mt
+        size = compiled.sample(work)
+        if size == _kernel.TIE:
+            # two keys of one tail tie: scan in numpy's order of them, which
+            # the slots' positions in it give as keys that cannot tie
+            work.keys[_scan_order(self.graph, work.keys)] = np.arange(work.keys.size)
+            size = compiled.sample(work)
         if size < 0:
-            raise MemoryError("no memory for the completing pass")
-        self._mh, self._mt, self._size = mh, mt, size
+            raise ValidationError(
+                "the completing pass left tail_by_head not the inverse of head_by_tail, or a wrong pair count"
+            )
+        self._mh, self._mt, self._size = work.mh, work.mt, size
+        self._free = work.free_heads[:work.mh.size - size].copy(), int(work.degree_sum[0])
+
+    def _free_heads(self) -> tuple[np.ndarray, int]:
+        """The in-roles the matching leaves free, in ascending order, and
+        the sum of their total degrees: from the compiled pass, or else
+        read off the checked snapshot."""
+        if self._free is None:
+            return _free_in_roles(self.graph, self.matching)
+        return self._free
 
     # --- internals ----------------------------------------------------
 
@@ -277,7 +324,7 @@ class MatchingState:
         whenever the active set changes.
         """
         if self._heads is None:
-            self._heads = self._scan.tolist()
+            self._heads = self.graph.out_heads[_scan_order(self.graph, self._keys)].tolist()
             self._ptr = self.graph.out_ptr.tolist()
         if not isinstance(self._mh, list):
             self._mh, self._mt = self._mh.tolist(), self._mt.tolist()
@@ -337,6 +384,21 @@ class MatchingState:
         return last
 
 
+def _scan_order(graph: DirectedGraph, keys: np.ndarray) -> np.ndarray:
+    """The out-CSR slots sorted by tail, then key: numpy's order, which
+    alone defines how tied keys fall."""
+    tails = np.repeat(np.arange(graph.node_count, dtype=np.int64), np.diff(graph.out_ptr))
+    # tail in the high 32 bits, the key in the low 32: sorting the sum
+    # keeps each tail's segment in place and sorts within it
+    return np.argsort(tails << 32 | keys)
+
+
+def _free_in_roles(graph: DirectedGraph, matching: Matching) -> tuple[np.ndarray, int]:
+    """The in-roles ``matching`` leaves free, in ascending order, and the sum of their total degrees."""
+    free = np.flatnonzero(matching.tail_by_head < 0)
+    return free, int(degrees(graph).total_degree[free].sum())
+
+
 def max_matching(graph: DirectedGraph, order) -> Matching:
     """Deterministic maximum matching of the whole graph under an order.
 
@@ -367,7 +429,9 @@ def verify_maximum(graph: DirectedGraph, matching: Matching) -> bool:
     if bad.size:
         raise ValidationError(f"({tails[bad[0]]}, {heads[bad[0]]}) is not an edge of the graph")
     # any order and scan will do: take the node indices and the out-CSR's own
-    state = MatchingState._sampling(graph, np.arange(n, dtype=np.int64), graph.out_heads)
+    state = MatchingState._sampling(
+        graph, np.arange(n, dtype=np.int64), np.arange(graph.edge_count, dtype=np.int64)
+    )
     state._mh = matching.head_by_tail.copy()
     state._mt = matching.tail_by_head.copy()
     state._size = matching.size

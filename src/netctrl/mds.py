@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import UsageError, ValidationError
 from .graph import DirectedGraph, degrees
-from .matching import Matching, MatchingState, verify_maximum
+from .matching import Matching, MatchingState, _free_in_roles, verify_maximum
 from .seeding import spawn_seed
 
 __all__ = [
@@ -122,8 +122,9 @@ def drivers(graph: DirectedGraph, matching: Matching, order: NodeOrder) -> MdsRe
         raise UsageError(f"order covers {len(order.permutation)} nodes, graph has {graph.node_count}")
     if not verify_maximum(graph, matching):
         raise ValidationError("matching is not maximum; driver extraction needs a maximum matching")
+    free, degree_sum = _free_in_roles(graph, matching)
     tot = degrees(graph).total_degree
-    driver_set, n_d, perfect, avg_kd = _driver_set(matching, order.permutation[:1], tot)
+    driver_set, n_d, perfect, avg_kd = _driver_set(free, degree_sum, order.permutation[0], tot)
     return MdsResult(
         drivers=tuple(driver_set.tolist()),
         n_d=n_d,
@@ -134,19 +135,20 @@ def drivers(graph: DirectedGraph, matching: Matching, order: NodeOrder) -> MdsRe
     )
 
 
-def _driver_set(matching: Matching, first, tot: np.ndarray) -> tuple[np.ndarray, int, bool, float]:
+def _driver_set(
+    free: np.ndarray, degree_sum: int, first: int, tot: np.ndarray
+) -> tuple[np.ndarray, int, bool, float]:
     """``(drivers, n_d, perfect_matching, avg_degree_d)`` of a maximum matching.
 
-    The drivers are the unmatched in-roles in ascending order, or ``first``
-    (the order's first node) when the matching is perfect; ``tot`` holds
-    the total degrees.
+    ``free`` holds the in-roles the matching leaves free, in ascending
+    order, and ``degree_sum`` the sum of their total degrees. They are the
+    drivers; when the matching is perfect, ``first`` (the order's first
+    node) is the one driver. ``tot`` holds the total degrees. They are
+    integers, so the mean is numpy's ``tot[drivers].mean()`` bit for bit.
     """
-    unmatched = np.flatnonzero(matching.tail_by_head < 0)
-    perfect = unmatched.size == 0
-    if perfect:
-        unmatched = np.asarray(first, dtype=np.int64)
-    n_d = max(tot.size - matching.size, 1)
-    return unmatched, n_d, perfect, float(tot[unmatched].mean())
+    if free.size:
+        return free, free.size, False, degree_sum / free.size
+    return np.array([first], dtype=np.int64), 1, True, float(tot[first])
 
 
 def preferential_mds(graph: DirectedGraph, order: NodeOrder, m: int) -> MdsResult:
@@ -176,33 +178,32 @@ def _sample_stream(graph: DirectedGraph, count: int, seed: int, start: int = 0):
 
     ``drivers`` is an int64 array. Sample i draws from
     ``default_rng(spawn_seed(seed, i))``: one permutation for the node
-    order, then one random key per edge that shuffles every tail's
-    neighbor scan (a sort of the CSR slots by tail, then key). Nothing of
-    a sample outlives its iteration.
+    order, then one random key per out-CSR slot that shuffles every tail's
+    neighbor scan (each tail's heads in ascending key order). Nothing of
+    a sample outlives its iteration but the compiled pass's workspace.
     """
+    # imported here, so that `import netctrl` leaves the loader out
+    from ._kernel import Workspace
+
     if count < 1:
         raise UsageError(f"sample count must be >= 1, got {count}")
     if start < 0:
         raise UsageError(f"first sample index must be >= 0, got {start}")
-    n = graph.node_count
-    ptr, heads = graph.out_ptr, graph.out_heads
+    n, edges = graph.node_count, graph.edge_count
     tot = degrees(graph).total_degree
-    # tail in the high 32 bits, the random key in the low 32: sorting the
-    # sum keeps each tail's segment in place and shuffles within it
-    segment_key = np.repeat(np.arange(n, dtype=np.int64), np.diff(ptr)) << 32
 
     def draw():
         n_d = None
+        work = Workspace(graph)
         for i in range(start, start + count):
             rng = np.random.default_rng(spawn_seed(seed, i))
             perm = rng.permutation(n)
-            keys = rng.integers(0, 1 << 32, size=heads.size, dtype=np.int64)
-            scan = heads[np.argsort(segment_key | keys)]
-            state = MatchingState._sampling(graph, perm, scan)
+            keys = rng.integers(0, 1 << 32, size=edges, dtype=np.int64)
+            state = MatchingState._sampling(graph, perm, keys, work)
             # the completing pass ends with every free tail failing its
             # search, which is the Berge certificate of maximality
             state.complete()
-            sample = _driver_set(state.matching, perm[:1], tot)
+            sample = _driver_set(*state._free_heads(), perm.item(0), tot)
             if n_d not in (None, sample[1]):
                 raise ValidationError("sampled driver-set sizes disagree; matching engine is broken")
             n_d = sample[1]

@@ -91,10 +91,10 @@ class TestAnalyze:
 
     def test_out_of_memory_is_one_line(self, capsys, monkeypatch):
         class NoMemory:
-            """A compiled core whose completing pass finds no memory."""
+            """A compiled core whose sampling pass finds no memory."""
 
-            def complete(self, *arrays):
-                return -1
+            def sample(self, *arrays):
+                raise MemoryError("no memory for the completing pass")
 
         monkeypatch.setattr(_kernel, "_kernel", NoMemory())
         code = main(["sample", "--gen", "er:n=20,l=30", "--samples", "2"])

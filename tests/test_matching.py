@@ -20,7 +20,7 @@ from netctrl import (
 from netctrl import _kernel
 from netctrl.cli import main
 from netctrl.generators import BaParams, gen_directed_ba, gen_directed_er
-from netctrl.mds import NodeOrder
+from netctrl.mds import NodeOrder, iter_samples
 
 from oracles import brute_force_max_matching_size, enumerate_maximum_matchings
 from naive import (
@@ -139,17 +139,41 @@ class TestVerifyMaximum:
 
     def test_inconsistent_inverse_rejected(self, path3, monkeypatch):
         # a completing pass that leaves head 0 reading matched while no
-        # tail holds it: the state's snapshot compares its inverse with
-        # the one derived from head_by_tail
+        # tail holds it, and says nothing: the state's snapshot compares
+        # its inverse with the one derived from head_by_tail
         class StrayCore:
-            def complete(self, ptr, heads, order, mh, mt):
-                mt[0] = 0
+            def sample(self, work):
+                work.mt[0] = 0
                 return 0
 
         monkeypatch.setattr(_kernel, "_kernel", StrayCore())
         with pytest.raises(ValidationError, match="not the inverse"):
             max_matching(path3, intern_order(path3))
         assert main(["analyze", "--gen", "er:n=5,l=4"]) == 4
+
+    def test_inverse_breach_in_a_sample_rejected(self, path3, monkeypatch, capsys):
+        # the sampler takes no snapshot: the pass's own check reports the
+        # breach, and the state raises
+        class BreachingCore:
+            def sample(self, work):
+                return _kernel.BREACH
+
+        monkeypatch.setattr(_kernel, "_kernel", BreachingCore())
+        with pytest.raises(ValidationError, match="not the inverse"):
+            list(iter_samples(path3, 1, seed=0))
+        assert main(["sample", "--gen", "er:n=20,l=30", "--samples", "2"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("netctrl: validation error:")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
+    def test_compiled_check_catches_a_breach(self, compiled_kernel, path3):
+        # head 1 reads free while tail 0 holds it: the pass runs, then its
+        # check refuses the matching
+        work = workspace(path3, np.arange(path3.edge_count), np.arange(3))
+        work.mh[:] = [1, -1, -1]
+        assert compiled_kernel.sample(work) == _kernel.BREACH
 
     def test_out_of_range_head_rejected(self):
         for heads in ([5, -1], [2, -1], [-2, -1]):
@@ -500,13 +524,13 @@ def test_randomized_complete_agrees_with_naive_reference(case):
     keys = rng.integers(0, 1 << 32, size=heads.size, dtype=np.int64)
     segment_key = np.repeat(np.arange(n, dtype=np.int64), np.diff(ptr)) << 32
     scan = heads[np.argsort(segment_key | keys)]
-    state = MatchingState._sampling(g, perm, scan)
+    state = MatchingState._sampling(g, perm, keys)
     state.complete()
     per_tail = [scan[ptr[u]:ptr[u + 1]] for u in range(n)]
     assert set(state.matching.pairs()) == naive_max_matching_pairs(g, perm, per_tail)
 
 
-def completed_both_ways(kernel, g, perm, scan, admitted=0):
+def completed_both_ways(kernel, g, perm, keys, admitted=0):
     """``(head_by_tail, tail_by_head, size)`` after ``complete()``, from the
     compiled kernel and from the Python core, after admitting the first
     ``admitted`` nodes of ``perm`` one at a time."""
@@ -514,7 +538,7 @@ def completed_both_ways(kernel, g, perm, scan, admitted=0):
     for core in (kernel, None):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(_kernel, "_kernel", core)
-            state = MatchingState._sampling(g, perm, scan)
+            state = MatchingState._sampling(g, perm, keys)
             for _ in range(admitted):
                 state.extend_with_node()
             state.complete()
@@ -523,10 +547,9 @@ def completed_both_ways(kernel, g, perm, scan, admitted=0):
     return results
 
 
-def shuffled_segments(g, rng) -> np.ndarray:
-    ptr, heads = g.out_ptr, g.out_heads
-    slots = [ptr[u] + rng.permutation(ptr[u + 1] - ptr[u]) for u in range(g.node_count)]
-    return heads[np.concatenate(slots)]
+def shuffled_keys(g, rng) -> np.ndarray:
+    """Scan keys that order every tail's heads at random, with no ties."""
+    return rng.permutation(g.edge_count).astype(np.int64)
 
 
 @settings(max_examples=150, deadline=None)
@@ -538,7 +561,7 @@ def test_compiled_completion_agrees_with_the_python_core(compiled_kernel, g, see
     perm = rng.permutation(g.node_count)
     m = data.draw(st.integers(min_value=0, max_value=g.node_count))
     compiled, python = completed_both_ways(
-        compiled_kernel, g, perm, shuffled_segments(g, rng), m
+        compiled_kernel, g, perm, shuffled_keys(g, rng), m
     )
     assert compiled == python
 
@@ -551,6 +574,57 @@ def test_compiled_completion_agrees_on_deep_alternating_paths(compiled_kernel, c
     rng = np.random.default_rng(seed)
     perm = rng.permutation(g.node_count)
     compiled, python = completed_both_ways(
-        compiled_kernel, g, perm, shuffled_segments(g, rng), admitted
+        compiled_kernel, g, perm, shuffled_keys(g, rng), admitted
     )
     assert compiled == python
+
+
+def workspace(g, keys, order):
+    """A workspace holding ``keys``, ``order`` and an empty matching."""
+    work = _kernel.Workspace(g)
+    work.keys[:] = keys
+    work.order[:] = order
+    work.mh[:] = work.mt[:] = -1
+    return work
+
+
+def scan_in_numpys_order(g, keys) -> list[int]:
+    """Each tail's heads sorted by key as the sampler always sorted them."""
+    segment_key = np.repeat(np.arange(g.node_count, dtype=np.int64), np.diff(g.out_ptr)) << 32
+    return g.out_heads[np.argsort(segment_key | keys)].tolist()
+
+
+def test_compiled_scan_order_is_numpys_at_every_slice_length(compiled_kernel):
+    # one tail per slice length around the sort's tiers: rank placement up
+    # to 8 slots, insertion up to 64, heapsort above (a hub of 2000)
+    lengths = [0, 1, 2, 3, 8, 9, 63, 64, 65, 2000]
+    n = max(lengths) + 1
+    g = DirectedGraph([str(i) for i in range(n)], [(t, v) for t, d in enumerate(lengths) for v in range(d)])
+    keys = np.random.default_rng(5).integers(0, 1 << 32, size=g.edge_count, dtype=np.int64)
+    work = workspace(g, keys, np.arange(n))
+    size = compiled_kernel.sample(work)
+    assert size == len(lengths) - 1  # every tail with an edge is matched
+    assert work.scan.tolist() == scan_in_numpys_order(g, keys)
+    assert work.free_heads[:n - size].tolist() == np.flatnonzero(work.mt < 0).tolist()
+
+
+@pytest.mark.parametrize("leaves", [5, 40, 2000])
+def test_tied_keys_take_numpys_order(compiled_kernel, leaves):
+    # keys that tie inside the hub's slice: the kernel reports the tie and
+    # leaves the matching alone; the state then scans in numpy's order of
+    # the tied slots, which only numpy defines, as the Python core does
+    g = DirectedGraph(
+        [str(i) for i in range(leaves + 1)],
+        [(0, v) for v in range(1, leaves + 1)] + [(v, 0) for v in range(1, leaves + 1)],
+    )
+    keys = np.random.default_rng(leaves).integers(0, 3, size=g.edge_count, dtype=np.int64)
+    perm = np.random.default_rng(leaves + 1).permutation(g.node_count)
+    work = workspace(g, keys, perm)
+    assert compiled_kernel.sample(work) == _kernel.TIE
+    assert (work.mh == -1).all() and (work.mt == -1).all()
+    compiled, python = completed_both_ways(compiled_kernel, g, perm, keys)
+    assert compiled == python
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_kernel, "_kernel", compiled_kernel)
+        MatchingState._sampling(g, perm, keys, work).complete()
+    assert work.scan.tolist() == scan_in_numpys_order(g, keys)

@@ -17,11 +17,13 @@ from netctrl import (
     degrees,
     drivers,
     gen_directed_ba,
+    gen_directed_er,
     iter_samples,
     max_matching,
     preferential_mds,
     sample_mds,
 )
+from netctrl import _kernel
 
 from oracles import brute_force_max_matching_size, enumerate_driver_sets
 
@@ -285,3 +287,59 @@ def test_avg_degree_d_uses_total_degree():
     tot = degrees(g).total_degree
     expected = sum(int(tot[v]) for v in result.drivers) / len(result.drivers)
     assert result.avg_degree_d == pytest.approx(expected)
+
+
+def samples_both_ways(kernel, g, count, seed):
+    """``iter_samples`` as tuples, under the compiled core and under the Python one."""
+    results = []
+    for core in (kernel, None):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_kernel, "_kernel", core)
+            results.append(
+                [(s.drivers, s.n_d, s.perfect_matching, s.avg_degree_d) for s in iter_samples(g, count, seed)]
+            )
+    return results
+
+
+@st.composite
+def sampled_graphs(draw, corpus):
+    kind = draw(st.sampled_from(["ba", "er", "corpus", "cycle"]))
+    if kind == "corpus":
+        return draw(st.sampled_from(corpus))
+    n = draw(st.integers(min_value=2, max_value=150))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    if kind == "ba":
+        m = draw(st.sampled_from([1, 2, 3]))
+        return gen_directed_ba(BaParams(n=max(n, 4), m_attach=m, p=draw(st.floats(0.0, 1.0)), seed=seed))
+    if kind == "er":
+        edges = draw(st.integers(min_value=n // 2, max_value=min(4 * n, n * (n - 1))))
+        return gen_directed_er(n, edges, seed=seed)
+    # a directed cycle with chords: perfectly matchable
+    cycle = {(i, (i + 1) % n) for i in range(n)}
+    chords = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n))
+    return DirectedGraph([str(i) for i in range(n)], sorted(cycle | chords))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(min_value=0, max_value=2**32 - 1))
+def test_compiled_and_python_samplers_agree(compiled_kernel, fixture_corpus, data, seed):
+    # driver tuples, n_d, the perfect-matching flag and <k_D>, the last
+    # compared with ==: the compiled pass sums the degrees exactly
+    g = data.draw(sampled_graphs(fixture_corpus))
+    compiled, python = samples_both_ways(compiled_kernel, g, 4, seed)
+    assert compiled == python
+
+
+def test_samplers_agree_on_a_hub(compiled_kernel):
+    # an out-star of 2000 leaves: the hub's slice is heapsorted
+    g = DirectedGraph([str(i) for i in range(2001)], [(0, v) for v in range(1, 2001)])
+    compiled, python = samples_both_ways(compiled_kernel, g, 20, seed=3)
+    assert compiled == python
+    assert len({drivers_ for drivers_, *_ in compiled}) > 1  # the hub's scan is shuffled
+
+
+def test_samplers_agree_on_a_cycle(compiled_kernel):
+    g = DirectedGraph([str(i) for i in range(7)], [(i, (i + 1) % 7) for i in range(7)])
+    compiled, python = samples_both_ways(compiled_kernel, g, 10, seed=4)
+    assert compiled == python
+    assert all(perfect and n_d == 1 for _, n_d, perfect, _ in compiled)
