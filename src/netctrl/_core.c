@@ -7,13 +7,12 @@
  * one whole sample of the sampler.
  *
  * 1. Scan order. Each tail's slice of the out-CSR `heads` is written to
- *    `scan` in ascending order of its slots' `keys`. Up to RANKED slots,
- *    each goes to its rank (the count of smaller keys); longer slices
- *    are sorted with their keys in `scan_key`, by insertion up to
- *    INSERTED slots and by heapsort above (hubs). Two equal keys in one
- *    slice return NETCTRL_TIE before anything is written to `mh`/`mt`:
- *    the caller then puts the tied slots in numpy's argsort order, which
- *    only numpy defines, and calls again with keys that cannot tie.
+ *    `scan` in ascending order of its slots' `keys`, sorted with its keys
+ *    in `scan_key`: by insertion up to INSERTED slots and by heapsort
+ *    above (hubs). Two equal keys in one slice return NETCTRL_TIE before
+ *    anything is written to `mh`/`mt`: the caller then puts the tied
+ *    slots in numpy's argsort order, which only numpy defines, and calls
+ *    again with keys that cannot tie.
  * 2. The completing pass, the same search as MatchingState._augment over
  *    every root: free tails in the order of `order`, each tail's scan in
  *    key order, an explicit parent stack of (tail, slot to resume, head
@@ -62,9 +61,8 @@
 
 enum { NETCTRL_TIE = -1, NETCTRL_BREACH = -2 };
 
-/* the longest slices placed by rank and sorted by insertion; longer ones
- * (hubs) are heapsorted */
-enum { RANKED = 8, INSERTED = 64 };
+/* the longest slices sorted by insertion; longer ones (hubs) are heapsorted */
+enum { INSERTED = 64 };
 
 /* restore the max-heap of key[0..size) below `root` */
 static void sift_down(int64_t *key, int64_t *head, int64_t root, int64_t size)
@@ -91,22 +89,6 @@ static void sift_down(int64_t *key, int64_t *head, int64_t root, int64_t size)
 static int sort_segment(const int64_t *key, const int64_t *head, int64_t size,
                         int64_t *scan, int64_t *scan_key)
 {
-    if (size <= RANKED) {
-        /* each slot goes to the number of smaller keys: no branch depends
-         * on the keys, which the random ones of the sampler would
-         * mispredict; every key equals itself, so more equalities than
-         * slots mean a tie */
-        int64_t equal = 0;
-        for (int64_t i = 0; i < size; i++) {
-            int64_t k = key[i], rank = 0;
-            for (int64_t j = 0; j < size; j++) {
-                rank += key[j] < k;
-                equal += key[j] == k;
-            }
-            scan[rank] = head[i];
-        }
-        return equal != size;
-    }
     memcpy(scan, head, (size_t)size * sizeof *scan);
     memcpy(scan_key, key, (size_t)size * sizeof *scan_key);
     if (size <= INSERTED) {
@@ -192,8 +174,7 @@ int64_t netctrl_sample(int64_t n, const int64_t *ptr, const int64_t *heads,
         }
     }
 
-    /* branch-free, like the short sorts: whether a role is free is as
-     * random as the sample */
+    /* branch-free: whether a role is free is as random as the sample */
     int64_t pairs = 0, unmatched = 0, sum = 0, bad = 0;
     for (int64_t u = 0; u < n; u++) {
         int64_t v = mh[u], matched = v >= 0 && v < n;

@@ -39,7 +39,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import UsageError, ValidationError
-from .graph import DirectedGraph, degrees
+from .graph import DirectedGraph
 
 __all__ = ["Matching", "MatchingState", "max_matching", "verify_maximum"]
 
@@ -155,9 +155,10 @@ class MatchingState:
         """A state with no node active for a permutation and scan keys that
         the library drew itself, as int64 arrays; neither is checked.
 
-        With ``work``, a ``_kernel.Workspace`` of the graph, the state keeps
-        its order, keys and matching there, so the next state made on that
-        workspace overwrites them. Without, ``complete()`` makes one.
+        ``work``, a ``_kernel.Workspace`` of the graph, is the memory of the
+        compiled pass: ``complete()`` copies the state into it, calls, and
+        copies the result out, so states may take turns with one workspace.
+        Without, ``complete()`` makes one.
         """
         state = cls.__new__(cls)
         state._start(graph, perm, keys, work)
@@ -167,20 +168,11 @@ class MatchingState:
         """Set up a state with no node active and an empty matching."""
         n = graph.node_count
         self.graph = graph
-        # The state is kept as int64 arrays, in the workspace of the
-        # compiled pass once it has one; _augment swaps them for lists,
-        # which it indexes faster.
-        self._work = work
-        if work is None:
-            self._mh = np.full(n, -1, dtype=np.int64)  # tail -> matched head
-            self._mt = np.full(n, -1, dtype=np.int64)  # head -> matched tail
-        else:
-            np.copyto(work.order, perm)
-            np.copyto(work.keys, keys)
-            perm, keys = work.order, work.keys
-            work.mh.fill(-1)
-            work.mt.fill(-1)
-            self._mh, self._mt = work.mh, work.mt
+        # The state is kept as int64 arrays of its own; _augment swaps them
+        # for lists, which it indexes faster.
+        self._mh = np.full(n, -1, dtype=np.int64)  # tail -> matched head
+        self._mt = np.full(n, -1, dtype=np.int64)  # head -> matched tail
+        self._work = work  # the compiled pass's memory, made by complete() when None
         self._perm = perm
         self._admitted = 0  # the nodes of _perm active so far, a prefix
         # one key per out-CSR slot, each in 0..2**32-1: a tail's heads are
@@ -278,11 +270,10 @@ class MatchingState:
         work = self._work
         if work is None:
             work = self._work = _kernel.Workspace(self.graph)
-            work.order[:] = self._perm
-            work.keys[:] = self._keys
-        if self._mh is not work.mh:  # the state's own arrays, or _augment's lists
-            work.mh[:] = self._mh
-            work.mt[:] = self._mt
+        work.order[:] = self._perm
+        work.keys[:] = self._keys
+        work.mh[:] = self._mh  # arrays, or _augment's lists
+        work.mt[:] = self._mt
         size = compiled.sample(work)
         if size == _kernel.TIE:
             # two keys of one tail tie: scan in numpy's order of them, which
@@ -293,15 +284,15 @@ class MatchingState:
             raise ValidationError(
                 "the completing pass left tail_by_head not the inverse of head_by_tail, or a wrong pair count"
             )
-        self._mh, self._mt, self._size = work.mh, work.mt, size
+        self._mh, self._mt, self._size = work.mh.copy(), work.mt.copy(), size
         self._free = work.free_heads[:work.mh.size - size].copy(), int(work.degree_sum[0])
 
-    def _free_heads(self) -> tuple[np.ndarray, int]:
+    def _free_heads(self, total_degree: np.ndarray) -> tuple[np.ndarray, int]:
         """The in-roles the matching leaves free, in ascending order, and
-        the sum of their total degrees: from the compiled pass, or else
+        the sum of their ``total_degree``s: from the compiled pass, or else
         read off the checked snapshot."""
         if self._free is None:
-            return _free_in_roles(self.graph, self.matching)
+            return _free_in_roles(self.matching, total_degree)
         return self._free
 
     # --- internals ----------------------------------------------------
@@ -393,10 +384,10 @@ def _scan_order(graph: DirectedGraph, keys: np.ndarray) -> np.ndarray:
     return np.argsort(tails << 32 | keys)
 
 
-def _free_in_roles(graph: DirectedGraph, matching: Matching) -> tuple[np.ndarray, int]:
-    """The in-roles ``matching`` leaves free, in ascending order, and the sum of their total degrees."""
+def _free_in_roles(matching: Matching, total_degree: np.ndarray) -> tuple[np.ndarray, int]:
+    """The in-roles ``matching`` leaves free, in ascending order, and the sum of their ``total_degree``s."""
     free = np.flatnonzero(matching.tail_by_head < 0)
-    return free, int(degrees(graph).total_degree[free].sum())
+    return free, int(total_degree[free].sum())
 
 
 def max_matching(graph: DirectedGraph, order) -> Matching:

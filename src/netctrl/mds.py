@@ -122,8 +122,8 @@ def drivers(graph: DirectedGraph, matching: Matching, order: NodeOrder) -> MdsRe
         raise UsageError(f"order covers {len(order.permutation)} nodes, graph has {graph.node_count}")
     if not verify_maximum(graph, matching):
         raise ValidationError("matching is not maximum; driver extraction needs a maximum matching")
-    free, degree_sum = _free_in_roles(graph, matching)
     tot = degrees(graph).total_degree
+    free, degree_sum = _free_in_roles(matching, tot)
     driver_set, n_d, perfect, avg_kd = _driver_set(free, degree_sum, order.permutation[0], tot)
     return MdsResult(
         drivers=tuple(driver_set.tolist()),
@@ -203,7 +203,7 @@ def _sample_stream(graph: DirectedGraph, count: int, seed: int, start: int = 0):
             # the completing pass ends with every free tail failing its
             # search, which is the Berge certificate of maximality
             state.complete()
-            sample = _driver_set(*state._free_heads(), perm.item(0), tot)
+            sample = _driver_set(*state._free_heads(tot), perm.item(0), tot)
             if n_d not in (None, sample[1]):
                 raise ValidationError("sampled driver-set sizes disagree; matching engine is broken")
             n_d = sample[1]

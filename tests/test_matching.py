@@ -20,6 +20,7 @@ from netctrl import (
 from netctrl import _kernel
 from netctrl.cli import main
 from netctrl.generators import BaParams, gen_directed_ba, gen_directed_er
+from netctrl.graph import degrees
 from netctrl.mds import NodeOrder, iter_samples
 
 from oracles import brute_force_max_matching_size, enumerate_maximum_matchings
@@ -595,8 +596,8 @@ def scan_in_numpys_order(g, keys) -> list[int]:
 
 
 def test_compiled_scan_order_is_numpys_at_every_slice_length(compiled_kernel):
-    # one tail per slice length around the sort's tiers: rank placement up
-    # to 8 slots, insertion up to 64, heapsort above (a hub of 2000)
+    # one tail per slice length around the sort's tiers: insertion up to
+    # 64 slots, heapsort above (a hub of 2000)
     lengths = [0, 1, 2, 3, 8, 9, 63, 64, 65, 2000]
     n = max(lengths) + 1
     g = DirectedGraph([str(i) for i in range(n)], [(t, v) for t, d in enumerate(lengths) for v in range(d)])
@@ -606,6 +607,26 @@ def test_compiled_scan_order_is_numpys_at_every_slice_length(compiled_kernel):
     assert size == len(lengths) - 1  # every tail with an edge is matched
     assert work.scan.tolist() == scan_in_numpys_order(g, keys)
     assert work.free_heads[:n - size].tolist() == np.flatnonzero(work.mt < 0).tolist()
+
+
+def test_states_taking_turns_with_one_workspace_keep_their_own_matchings(compiled_kernel):
+    # the sampler completes every sample on one workspace: a finished
+    # state's matching and free in-roles must not follow the next sample's
+    g = gen_directed_er(60, 120, seed=3)
+    work = _kernel.Workspace(g)
+    tot = degrees(g).total_degree
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_kernel, "_kernel", compiled_kernel)
+        states = []
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            state = MatchingState._sampling(g, rng.permutation(g.node_count), shuffled_keys(g, rng), work)
+            state.complete()
+            states.append((state, state.matching, state._free_heads(tot)[0].copy()))
+    for state, matching, free in states:
+        assert state.matching == matching
+        assert state._free_heads(tot)[0].tolist() == free.tolist()
+        assert free.tolist() == np.flatnonzero(matching.tail_by_head < 0).tolist()
 
 
 @pytest.mark.parametrize("leaves", [5, 40, 2000])
