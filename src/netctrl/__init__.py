@@ -8,6 +8,8 @@ experiments (directed preferential-attachment growth and degree-aware
 edge reversal) that show how edge orientation shapes driver degrees.
 """
 
+import importlib
+
 from .errors import (
     IngestionError,
     NetctrlError,
@@ -15,43 +17,38 @@ from .errors import (
     UsageError,
     ValidationError,
 )
-from .generators import (
-    BaParams,
-    ReversalParams,
-    ReversalResult,
-    gen_directed_ba,
-    gen_directed_er,
-    reverse_edges,
-)
-from .graph import (
-    DegreeView,
-    DirectedGraph,
-    average_degree,
-    degrees,
-    parse_edge_list,
-    read_edge_list,
-    to_edge_list,
-)
-from .matching import Matching, MatchingState, max_matching, verify_maximum
-from .mds import (
-    MdsResult,
-    MdsSample,
-    NodeOrder,
-    SampleSummary,
-    drivers,
-    iter_samples,
-    preferential_mds,
-    sample_mds,
-)
-from .stats import (
-    DegreeHistogram,
-    SweepRow,
-    driver_degree_histogram,
-    f_hi_lo,
-    sweep_p,
-    sweep_r,
-    sweep_rows_to_csv,
-)
+
+# the module that defines each public name; imported on first access
+# (PEP 562), so that `import netctrl` loads only what a caller reads
+_HOME = {
+    name: module
+    for module, names in {
+        "generators": ("BaParams", "ReversalParams", "ReversalResult", "gen_directed_ba",
+                       "gen_directed_er", "reverse_edges"),
+        "graph": ("DegreeView", "DirectedGraph", "average_degree", "degrees", "parse_edge_list",
+                  "read_edge_list", "to_edge_list"),
+        "matching": ("Matching", "MatchingState", "max_matching", "verify_maximum"),
+        "mds": ("MdsResult", "MdsSample", "NodeOrder", "SampleSummary", "drivers", "iter_samples",
+                "preferential_mds", "sample_mds"),
+        "stats": ("DegreeHistogram", "SweepRow", "driver_degree_histogram", "f_hi_lo", "sweep_p",
+                  "sweep_r", "sweep_rows_to_csv"),
+    }.items()
+    for name in names
+}
+
+
+def __getattr__(name: str):
+    # resolved on every access, never cached here: a binding patched or
+    # restored in the defining module is what netctrl.<name> returns
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_HOME))
+
 
 __version__ = "0.5.0"
 

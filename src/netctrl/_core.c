@@ -1,7 +1,7 @@
-/* The compiled core: two entry points over caller-owned arrays. Neither
- * keeps state between calls, and netctrl_sample allocates nothing (its
- * scratch comes from the caller), so calls on different arrays may run
- * at once.
+/* The compiled core: three entry points over caller-owned arrays. None
+ * keeps state between calls, and netctrl_sample and netctrl_seed_states
+ * allocate nothing (netctrl_sample's scratch comes from the caller), so
+ * calls on different arrays may run at once.
  *
  * netctrl_sample: all of MatchingState.complete() in one call, which is
  * one whole sample of the sampler.
@@ -54,6 +54,29 @@
  * number of edge lines; -1 when a line does not hold two tokens (the
  * caller's line loop then reports it) or when more than `lines` lines
  * hold edges; -2 when the hash table cannot be allocated.
+ *
+ * netctrl_seed_states: the PCG64 state of each sample's generator,
+ * numpy.random.default_rng(spawn_seed(seed, i)), bit for bit.
+ *
+ * Two fixed integer hashes, reproduced from numpy (NEP 19 and
+ * numpy/random/bit_generator.pyx, pcg64.h):
+ * 1. spawn_seed(seed, i): a SeedSequence over the seed's little-endian
+ *    uint32 words (`words` of them in `seed`, as numpy splits an int),
+ *    padded with zeros to the pool size because a spawn key is given,
+ *    then the words of i (one, or two from 2^32 on); its
+ *    generate_state(1, uint64) is the child seed.
+ * 2. default_rng(child): a SeedSequence over the child's words, whose
+ *    generate_state(4, uint64) gives PCG64's initial state and stream
+ *    (high word first), then pcg_setseq_128_srandom_r's two LCG steps.
+ *    The 128-bit arithmetic is done on 64-bit halves.
+ * The pool after the seed's words is the same for every i, so it is
+ * mixed once per call.
+ *
+ * Writes, for k in 0..count-1 and i = start + k, the four words
+ * state >> 64, state & (2^64 - 1), inc >> 64, inc & (2^64 - 1) to
+ * states[4k..4k+3]. The caller keeps start + count - 1 within uint64.
+ * With spawn = 0, step 2 alone runs on the child seeds start + k, so
+ * that it can be checked on any child; `seed` is then not read.
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -274,4 +297,129 @@ done:
     free(table);
     *labels = count;
     return edges;
+}
+
+/* SeedSequence with numpy's default pool of four uint32 words */
+enum { POOL = 4 };
+static const uint32_t INIT_A = 0x43b0d7e5u, MULT_A = 0x931e8875u;
+static const uint32_t INIT_B = 0x8b51f9ddu, MULT_B = 0x58f38dedu;
+static const uint32_t MIX_MULT_L = 0xca01f9ddu, MIX_MULT_R = 0x4973f715u;
+
+typedef struct {
+    uint32_t pool[POOL], hash_const;
+} seed_sequence;
+
+static uint32_t hashmix(seed_sequence *s, uint32_t value)
+{
+    value ^= s->hash_const;
+    s->hash_const *= MULT_A;
+    value *= s->hash_const;
+    return value ^ value >> 16;
+}
+
+static uint32_t mix(uint32_t x, uint32_t y)
+{
+    uint32_t result = MIX_MULT_L * x - MIX_MULT_R * y;
+    return result ^ result >> 16;
+}
+
+/* the pool after the first POOL entropy words (zeros past the entropy) */
+static void start_pool(seed_sequence *s, const uint32_t head[POOL])
+{
+    s->hash_const = INIT_A;
+    for (int i = 0; i < POOL; i++)
+        s->pool[i] = hashmix(s, head[i]);
+    for (int src = 0; src < POOL; src++)
+        for (int dst = 0; dst < POOL; dst++)
+            if (src != dst)
+                s->pool[dst] = mix(s->pool[dst], hashmix(s, s->pool[src]));
+}
+
+/* mix one more entropy word into every word of the pool */
+static void mix_word(seed_sequence *s, uint32_t word)
+{
+    for (int dst = 0; dst < POOL; dst++)
+        s->pool[dst] = mix(s->pool[dst], hashmix(s, word));
+}
+
+/* generate_state(count, uint64) */
+static void generate_state(const seed_sequence *s, uint64_t *out, int count)
+{
+    uint32_t hash_const = INIT_B, word[2];
+    for (int i = 0; i < 2 * count; i++) {
+        uint32_t value = s->pool[i % POOL] ^ hash_const;
+        hash_const *= MULT_B;
+        value *= hash_const;
+        word[i % 2] = value ^ value >> 16;
+        if (i % 2)
+            out[i / 2] = (uint64_t)word[1] << 32 | word[0];
+    }
+}
+
+typedef struct {
+    uint64_t high, low;
+} u128;
+
+static u128 add128(u128 a, u128 b)
+{
+    u128 r;
+    r.low = a.low + b.low;
+    r.high = a.high + b.high + (r.low < a.low);
+    return r;
+}
+
+/* the low 128 bits of a * b */
+static u128 mul128(u128 a, u128 b)
+{
+    const uint64_t half = 0xffffffffu;
+    uint64_t a0 = a.low & half, a1 = a.low >> 32, b0 = b.low & half, b1 = b.low >> 32;
+    uint64_t p00 = a0 * b0, p01 = a0 * b1, p10 = a1 * b0;
+    uint64_t mid = (p00 >> 32) + (p01 & half) + (p10 & half);
+    u128 r;
+    r.low = mid << 32 | (p00 & half);
+    r.high = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+             + a.high * b.low + a.low * b.high;
+    return r;
+}
+
+/* the PCG64 (state, inc) of default_rng(child), as four words */
+static void pcg64_state(uint64_t child, uint64_t *out)
+{
+    static const u128 MULTIPLIER = {2549297995355413924ULL, 4865540595714422341ULL};
+    const uint32_t head[POOL] = {(uint32_t)child, (uint32_t)(child >> 32), 0, 0};
+    seed_sequence s;
+    uint64_t v[4];
+    start_pool(&s, head);
+    generate_state(&s, v, 4);
+    u128 init = {v[0], v[1]}, inc = {v[2] << 1 | v[3] >> 63, v[3] << 1 | 1};
+    /* state = 0, step, state += init, step */
+    u128 state = add128(mul128(add128(inc, init), MULTIPLIER), inc);
+    out[0] = state.high;
+    out[1] = state.low;
+    out[2] = inc.high;
+    out[3] = inc.low;
+}
+
+void netctrl_seed_states(const uint32_t *seed, int64_t words, uint64_t start, int64_t count,
+                         int64_t spawn, uint64_t *states)
+{
+    seed_sequence root = {{0, 0, 0, 0}, 0};
+    if (spawn) {
+        uint32_t head[POOL] = {0, 0, 0, 0};
+        memcpy(head, seed, (size_t)(words < POOL ? words : POOL) * sizeof *head);
+        start_pool(&root, head);
+        for (int64_t k = POOL; k < words; k++)
+            mix_word(&root, seed[k]);
+    }
+    for (int64_t k = 0; k < count; k++) {
+        uint64_t i = start + (uint64_t)k, child = i;
+        if (spawn) {
+            seed_sequence s = root;
+            mix_word(&s, (uint32_t)i);
+            if (i >> 32)
+                mix_word(&s, (uint32_t)(i >> 32));
+            generate_state(&s, &child, 1);
+        }
+        pcg64_state(child, states + 4 * k);
+    }
 }

@@ -1,14 +1,16 @@
 """The compiled core: ``_core.c``, built on first use and loaded with ctypes.
 
-The library has two entry points (see ``_core.c``): ``netctrl_sample``,
+The library has three entry points (see ``_core.c``): ``netctrl_sample``,
 the whole of ``MatchingState.complete()`` (scan order, completing pass,
-inverse check and free in-roles) in one call, and ``netctrl_tokenize``,
-the edge-list tokenizer. ``core()`` returns a ``Core`` holding both, or
-None when the library cannot be had: no ``cc`` on the PATH, a cache
-directory that cannot be written, a build that fails or a library that
-will not load. ``MatchingState.complete`` then runs the Python search
-and ``parse_edge_list`` its line loop, which give the same results.
-Setting ``_kernel`` to None forces both Python paths.
+inverse check and free in-roles) in one call, ``netctrl_tokenize``, the
+edge-list tokenizer, and ``netctrl_seed_states``, the PCG64 state of
+``default_rng(spawn_seed(seed, i))`` for a run of sample indices.
+``core()`` returns a ``Core`` holding all three, or None when the library
+cannot be had: no ``cc`` on the PATH, a cache directory that cannot be
+written, a build that fails or a library that will not load.
+``MatchingState.complete`` then runs the Python search, ``parse_edge_list``
+its line loop and the sampler numpy's seeding, which give the same
+results. Setting ``_kernel`` to None forces every Python path.
 
 The library is compiled with ``cc -O2 -shared -fPIC`` into
 ``${XDG_CACHE_HOME:-~/.cache}/netctrl/_core-<hash of the source>.so``,
@@ -90,14 +92,14 @@ class Workspace:
 
 
 class Core:
-    """The two entry points of a loaded ``_core.c``.
+    """The three entry points of a loaded ``_core.c``.
 
     Raw addresses are passed in place of ``ndarray.ctypes.data_as`` and
     ndpointer argtypes, which leave reference-cycle garbage behind on
     every call.
     """
 
-    __slots__ = ("_sample", "_tokenize")
+    __slots__ = ("_sample", "_tokenize", "_seed_states")
 
     def __init__(self, library: ctypes.CDLL):
         self._sample = library.netctrl_sample
@@ -106,6 +108,11 @@ class Core:
         self._tokenize = library.netctrl_tokenize
         self._tokenize.argtypes = (ctypes.c_char_p,) + (ctypes.c_int64,) * 2 + (ctypes.c_void_p,) * 4
         self._tokenize.restype = ctypes.c_int64
+        self._seed_states = library.netctrl_seed_states
+        self._seed_states.argtypes = (
+            ctypes.c_void_p, ctypes.c_int64, ctypes.c_uint64, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p,
+        )
+        self._seed_states.restype = None
 
     def sample(self, work: Workspace) -> int:
         """Complete the workspace's matching in place; the number of pairs, ``TIE`` or ``BREACH``.
@@ -138,6 +145,23 @@ class Core:
         if edges < 0:
             return None
         return ends[:2 * edges], offsets[:labels.value], lengths[:labels.value]
+
+    def seed_states(self, seed: int, start: int, states: np.ndarray, spawn: bool = True) -> None:
+        """Fill ``states`` (count x 4, uint64) with the PCG64 states of samples ``start ..``.
+
+        Row k holds the high and low words of the ``state`` and then of the
+        ``inc`` of ``default_rng(spawn_seed(seed, start + k)).bit_generator``.
+        With ``spawn`` False it is ``default_rng(start + k)``'s, and ``seed``
+        is not read. ``seed`` is a non-negative int, and ``start + count``
+        must not exceed 2**64.
+        """
+        if states.dtype != np.uint64 or states.ndim != 2 or states.shape[1] != 4 or not states.flags.c_contiguous:
+            raise ValueError("states must be a contiguous (count, 4) uint64 array")
+        if seed < 0 or not 0 <= start <= start + len(states) <= 1 << 64:
+            raise ValueError("the seed must be non-negative and the sample indices within uint64")
+        # the seed's uint32 words, least significant first, as numpy splits an int
+        words = np.array([seed >> s & 0xFFFFFFFF for s in range(0, max(seed.bit_length(), 1), 32)], dtype=np.uint32)
+        self._seed_states(words.ctypes.data, words.size, start, len(states), spawn, states.ctypes.data)
 
 
 def core() -> Core | None:

@@ -26,6 +26,7 @@ from .generators import BaParams, ReversalParams, gen_directed_ba, gen_directed_
 from .graph import DirectedGraph, average_degree, read_edge_list, read_text, to_edge_list
 from .matching import max_matching
 from .mds import MdsResult, NodeOrder, drivers, preferential_mds, sample_mds
+from .seeding import check_seed
 from .stats import driver_degree_histogram, sweep_p, sweep_r, sweep_rows_to_csv
 
 __all__ = ["RunConfig", "run", "main"]
@@ -190,8 +191,7 @@ def run(config: RunConfig) -> str:
     command = config.command
     # every seed feeds numpy's SeedSequence, whose domain is the
     # non-negative integers
-    if config.seed < 0:
-        raise UsageError(f"seed must be a non-negative integer, got {config.seed}")
+    check_seed(config.seed)
 
     if command == "generate":
         if config.gen is None:

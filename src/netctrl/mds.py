@@ -19,7 +19,7 @@ import numpy as np
 from .errors import UsageError, ValidationError
 from .graph import DirectedGraph, degrees
 from .matching import Matching, MatchingState, _free_in_roles, verify_maximum
-from .seeding import spawn_seed
+from .seeding import check_seed, sample_generators
 
 __all__ = [
     "NodeOrder",
@@ -177,14 +177,16 @@ def _sample_stream(graph: DirectedGraph, count: int, seed: int, start: int = 0):
     """Yield ``(drivers, n_d, perfect_matching, avg_degree_d)`` per sample.
 
     ``drivers`` is an int64 array. Sample i draws from
-    ``default_rng(spawn_seed(seed, i))``: one permutation for the node
-    order, then one random key per out-CSR slot that shuffles every tail's
-    neighbor scan (each tail's heads in ascending key order). Nothing of
-    a sample outlives its iteration but the compiled pass's workspace.
+    ``default_rng(spawn_seed(seed, i))`` (``seeding.sample_generators``):
+    one permutation for the node order, then one random key per out-CSR
+    slot that shuffles every tail's neighbor scan (each tail's heads in
+    ascending key order). Nothing of a sample outlives its iteration but
+    the compiled pass's workspace and the stream's generator.
     """
     # imported here, so that `import netctrl` leaves the loader out
     from ._kernel import Workspace
 
+    seed = check_seed(seed)
     if count < 1:
         raise UsageError(f"sample count must be >= 1, got {count}")
     if start < 0:
@@ -195,8 +197,7 @@ def _sample_stream(graph: DirectedGraph, count: int, seed: int, start: int = 0):
     def draw():
         n_d = None
         work = Workspace(graph)
-        for i in range(start, start + count):
-            rng = np.random.default_rng(spawn_seed(seed, i))
+        for rng in sample_generators(seed, start, count):
             perm = rng.permutation(n)
             keys = rng.integers(0, 1 << 32, size=edges, dtype=np.int64)
             state = MatchingState._sampling(graph, perm, keys, work)
@@ -218,8 +219,8 @@ def iter_samples(
     """Stream samples ``start .. start + count - 1`` of ``sample_mds``'s ensemble.
 
     Sample i depends only on (seed, i), so ``start=i, count=1`` replays
-    one sample in isolation. Raises UsageError on a bad count or start
-    and ValidationError when two samples disagree on n_d.
+    one sample in isolation. Raises UsageError on a bad seed, count or
+    start and ValidationError when two samples disagree on n_d.
     """
     return (
         MdsSample(tuple(drivers_.tolist()), n_d, perfect, kd)

@@ -38,7 +38,12 @@ def fixture_corpus():
 
 @pytest.fixture(scope="session")
 def compiled_kernel(tmp_path_factory):
-    """The compiled core, built into a cache of the tests' own."""
+    """The compiled core: the process's own when it loads (a build made
+    with other flags under the loader's file name is tested as it is),
+    else one built into a cache of the tests' own."""
+    kernel = _kernel.core()
+    if kernel is not None:
+        return kernel
     with pytest.MonkeyPatch.context() as patch:
         patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
         patch.setattr(_kernel, "_kernel", _kernel._UNSET)

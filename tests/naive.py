@@ -1,5 +1,5 @@
 """Naive reference implementations of the matcher, the matching check,
-the edge reversal and the adjacency arrays.
+the edge reversal, the adjacency arrays and the sampler's seeding.
 
 The matcher is a recursive alternating search with per-search visited
 marks and none of the shared-failure or rescan-pruning shortcuts used by
@@ -9,7 +9,9 @@ matching check walks the tails one at a time, as the tuple-based
 check. The reversal flips one edge at a time against a live edge set;
 tests compare its edges and tallies with the vectorized transform. The
 adjacency arrays come from stable argsorts and binary searches, as
-``DirectedGraph`` once built them; tests compare them with its CSR.
+``DirectedGraph`` once built them; tests compare them with its CSR. The
+seeding reads each sample's PCG64 state off a generator numpy seeds
+itself; tests compare it with the compiled core's.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from netctrl import DirectedGraph, ReversalParams, ValidationError
+from netctrl.seeding import spawn_seed
 
 from oracles import out_lists
 
@@ -169,3 +172,14 @@ def naive_csr(graph: DirectedGraph) -> tuple[list[int], list[int], list[int], li
         np.searchsorted(heads[in_rows], rows).tolist(),
         tails[in_rows].tolist(),
     )
+
+
+def naive_seed_states(seed: int, start: int, states: np.ndarray, spawn: bool = True) -> None:
+    """``Core.seed_states`` from numpy: fill ``states`` (count x 4, uint64)
+    with the high and low words of the ``state`` and ``inc`` of
+    ``default_rng(spawn_seed(seed, i))`` (``default_rng(i)`` without
+    ``spawn``) for i = start, start + 1, ..."""
+    for k in range(len(states)):
+        child = spawn_seed(seed, start + k) if spawn else start + k
+        pcg = np.random.default_rng(child).bit_generator.state["state"]
+        states[k] = [pcg["state"] >> 64, pcg["state"] & (1 << 64) - 1, pcg["inc"] >> 64, pcg["inc"] & (1 << 64) - 1]

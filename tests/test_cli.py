@@ -10,6 +10,8 @@ import pytest
 from netctrl import _kernel, parse_edge_list, read_edge_list
 from netctrl.cli import RunConfig, _build_parser, _config_from_args, main, run
 
+from naive import naive_seed_states
+
 
 def config_from_echo(echo: dict) -> RunConfig:
     fields = dict(echo)
@@ -92,6 +94,8 @@ class TestAnalyze:
     def test_out_of_memory_is_one_line(self, capsys, monkeypatch):
         class NoMemory:
             """A compiled core whose sampling pass finds no memory."""
+
+            seed_states = staticmethod(naive_seed_states)
 
             def sample(self, *arrays):
                 raise MemoryError("no memory for the completing pass")

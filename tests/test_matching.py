@@ -30,6 +30,7 @@ from naive import (
     naive_matching_from_pairs,
     naive_max_matching_pairs,
     naive_preferential_pairs,
+    naive_seed_states,
 )
 
 
@@ -156,6 +157,8 @@ class TestVerifyMaximum:
         # the sampler takes no snapshot: the pass's own check reports the
         # breach, and the state raises
         class BreachingCore:
+            seed_states = staticmethod(naive_seed_states)
+
             def sample(self, work):
                 return _kernel.BREACH
 
