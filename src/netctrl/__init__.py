@@ -59,36 +59,5 @@ __all__ = [
     "UsageError",
     "ValidationError",
     "UndefinedStatisticError",
-    "DirectedGraph",
-    "DegreeView",
-    "parse_edge_list",
-    "read_edge_list",
-    "to_edge_list",
-    "degrees",
-    "average_degree",
-    "Matching",
-    "MatchingState",
-    "max_matching",
-    "verify_maximum",
-    "NodeOrder",
-    "MdsResult",
-    "MdsSample",
-    "SampleSummary",
-    "drivers",
-    "preferential_mds",
-    "iter_samples",
-    "sample_mds",
-    "BaParams",
-    "ReversalParams",
-    "ReversalResult",
-    "gen_directed_ba",
-    "gen_directed_er",
-    "reverse_edges",
-    "DegreeHistogram",
-    "SweepRow",
-    "f_hi_lo",
-    "driver_degree_histogram",
-    "sweep_p",
-    "sweep_r",
-    "sweep_rows_to_csv",
+    *_HOME,
 ]

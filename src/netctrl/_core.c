@@ -7,12 +7,11 @@
  * one whole sample of the sampler.
  *
  * 1. Scan order. Each tail's slice of the out-CSR `heads` is written to
- *    `scan` in ascending order of its slots' `keys`, sorted with its keys
- *    in `scan_key`: by insertion up to INSERTED slots and by heapsort
- *    above (hubs). Two equal keys in one slice return NETCTRL_TIE before
- *    anything is written to `mh`/`mt`: the caller then puts the tied
- *    slots in numpy's argsort order, which only numpy defines, and calls
- *    again with keys that cannot tie.
+ *    `scan` in ascending order of its slots' `keys`, equal keys in slot
+ *    order: numpy's argsort(kind="stable") order, a total order that no
+ *    CPU feature changes. Slices of up to INSERTED slots are sorted with
+ *    their keys in `scan_key` by insertion, which is stable; longer ones
+ *    (hubs) by a heapsort of their slot offsets on (key, offset).
  * 2. The completing pass, the same search as MatchingState._augment over
  *    every root: free tails in the order of `order`, each tail's scan in
  *    key order, an explicit parent stack of (tail, slot to resume, head
@@ -33,8 +32,8 @@
  * 0..n-1, `order` is a permutation of 0..n-1, and `mh`/`mt` hold a
  * matching and its inverse (-1 when free), updated in place. Scratch:
  * `scan` and `scan_key` hold ptr[n] entries, `mark`, `trail` and
- * `free_heads` n, `stack` 3 * n. Returns the number of matched pairs,
- * NETCTRL_TIE or NETCTRL_BREACH.
+ * `free_heads` n, `stack` 3 * n. Returns the number of matched pairs or
+ * NETCTRL_BREACH.
  *
  * netctrl_tokenize: the edge-list tokenizer of parse_edge_list.
  *
@@ -82,39 +81,46 @@
 #include <stdlib.h>
 #include <string.h>
 
-enum { NETCTRL_TIE = -1, NETCTRL_BREACH = -2 };
+enum { NETCTRL_BREACH = -2 };
 
 /* the longest slices sorted by insertion; longer ones (hubs) are heapsorted */
 enum { INSERTED = 64 };
 
-/* restore the max-heap of key[0..size) below `root` */
-static void sift_down(int64_t *key, int64_t *head, int64_t root, int64_t size)
+/* whether (key, slot) pair a sorts after pair b */
+static int after(int64_t key_a, int64_t slot_a, int64_t key_b, int64_t slot_b)
 {
-    int64_t k = key[root], h = head[root];
+    return key_a > key_b || (key_a == key_b && slot_a > slot_b);
+}
+
+/* restore the max-heap of (key, slot) pairs in key[0..size), slot[0..size)
+ * below `root` */
+static void sift_down(int64_t *key, int64_t *slot, int64_t root, int64_t size)
+{
+    int64_t k = key[root], s = slot[root];
     for (;;) {
         int64_t child = 2 * root + 1;
         if (child >= size)
             break;
-        if (child + 1 < size && key[child + 1] > key[child])
+        if (child + 1 < size && after(key[child + 1], slot[child + 1], key[child], slot[child]))
             child++;
-        if (key[child] <= k)
+        if (!after(key[child], slot[child], k, s))
             break;
         key[root] = key[child];
-        head[root] = head[child];
+        slot[root] = slot[child];
         root = child;
     }
     key[root] = k;
-    head[root] = h;
+    slot[root] = s;
 }
 
-/* write head[0..size) to scan[0..size) in ascending order of key[]; 1 when
- * two keys tie. `scan_key` is scratch of `size` entries. */
-static int sort_segment(const int64_t *key, const int64_t *head, int64_t size,
-                        int64_t *scan, int64_t *scan_key)
+/* write head[0..size) to scan[0..size) in ascending order of key[], equal
+ * keys in slot order. `scan_key` is scratch of `size` entries. */
+static void sort_segment(const int64_t *key, const int64_t *head, int64_t size,
+                         int64_t *scan, int64_t *scan_key)
 {
-    memcpy(scan, head, (size_t)size * sizeof *scan);
     memcpy(scan_key, key, (size_t)size * sizeof *scan_key);
     if (size <= INSERTED) {
+        memcpy(scan, head, (size_t)size * sizeof *scan);
         for (int64_t i = 1; i < size; i++) {
             int64_t k = scan_key[i], h = scan[i], j = i;
             for (; j > 0 && scan_key[j - 1] > k; j--) {
@@ -124,22 +130,23 @@ static int sort_segment(const int64_t *key, const int64_t *head, int64_t size,
             scan_key[j] = k;
             scan[j] = h;
         }
-    } else {
-        for (int64_t i = size / 2 - 1; i >= 0; i--)
-            sift_down(scan_key, scan, i, size);
-        for (int64_t end = size - 1; end > 0; end--) {
-            int64_t k = scan_key[end], h = scan[end];
-            scan_key[end] = scan_key[0];
-            scan[end] = scan[0];
-            scan_key[0] = k;
-            scan[0] = h;
-            sift_down(scan_key, scan, 0, end);
-        }
+        return;
     }
-    for (int64_t i = 1; i < size; i++)
-        if (scan_key[i - 1] == scan_key[i])
-            return 1;
-    return 0;
+    /* the heap holds slot offsets in `scan`, then the heads replace them */
+    for (int64_t i = 0; i < size; i++)
+        scan[i] = i;
+    for (int64_t i = size / 2 - 1; i >= 0; i--)
+        sift_down(scan_key, scan, i, size);
+    for (int64_t end = size - 1; end > 0; end--) {
+        int64_t k = scan_key[end], s = scan[end];
+        scan_key[end] = scan_key[0];
+        scan[end] = scan[0];
+        scan_key[0] = k;
+        scan[0] = s;
+        sift_down(scan_key, scan, 0, end);
+    }
+    for (int64_t i = 0; i < size; i++)
+        scan[i] = head[scan[i]];
 }
 
 int64_t netctrl_sample(int64_t n, const int64_t *ptr, const int64_t *heads,
@@ -150,8 +157,7 @@ int64_t netctrl_sample(int64_t n, const int64_t *ptr, const int64_t *heads,
 {
     for (int64_t u = 0; u < n; u++) {
         int64_t lo = ptr[u];
-        if (sort_segment(keys + lo, heads + lo, ptr[u + 1] - lo, scan + lo, scan_key + lo))
-            return NETCTRL_TIE;
+        sort_segment(keys + lo, heads + lo, ptr[u + 1] - lo, scan + lo, scan_key + lo);
     }
 
     int64_t size = 0;

@@ -44,10 +44,9 @@ _kernel = _UNSET
 # maps every ASCII line break of str.splitlines to \n, for counting lines
 _BREAKS_TO_NEWLINE = bytes.maketrans(b"\r\x0b\x0c\x1c\x1d\x1e", b"\n" * 6)
 
-
-# the codes netctrl_sample returns in place of a pair count
-TIE = -1     # two keys of one tail's slice are equal
-BREACH = -2  # mh and mt are not inverses, or hold another number of pairs
+# what netctrl_sample returns in place of a pair count when mh and mt are
+# not inverses, or hold another number of pairs
+BREACH = -2
 
 
 class Workspace:
@@ -57,10 +56,10 @@ class Workspace:
     are searched, ``keys``, one scan key per out-CSR slot, and the
     matching ``mh``/``mt`` (-1 where a role is free), which the call
     completes in place. The call writes ``scan``, each tail's heads in
-    key order, ``free_heads[:n - pairs]``, the free in-roles in ascending
-    order, and ``degree_sum[0]``, the sum of their total degrees. The
-    graph's CSR arrays are held here too, and every address is taken
-    once, in the constructor. One call at a time may use a workspace;
+    key order with equal keys in slot order, ``free_heads[:n - pairs]``,
+    the free in-roles in ascending order, and ``degree_sum[0]``, the sum
+    of their total degrees. The graph's CSR arrays are held here too, and
+    every address is taken once, in the constructor. One call at a time may use a workspace;
     calls on workspaces of their own may run at once.
     """
 
@@ -115,10 +114,10 @@ class Core:
         self._seed_states.restype = None
 
     def sample(self, work: Workspace) -> int:
-        """Complete the workspace's matching in place; the number of pairs, ``TIE`` or ``BREACH``.
+        """Complete the workspace's matching in place; the number of pairs or ``BREACH``.
 
         With a pair count, ``work`` holds the scan, the free in-roles and
-        their degree sum. ``TIE`` leaves the matching as it was.
+        their degree sum.
         """
         return self._sample(*work._args)
 

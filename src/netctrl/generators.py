@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import UsageError
 from .graph import DirectedGraph, degrees
+from .seeding import check_seed
 
 __all__ = [
     "BaParams",
@@ -42,6 +43,7 @@ class BaParams:
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "seed", check_seed(self.seed))
         if self.m0 is None:
             object.__setattr__(self, "m0", self.m_attach)
         if not self.m_attach >= 1:
@@ -62,6 +64,7 @@ class ReversalParams:
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "seed", check_seed(self.seed))
         if not 0.0 <= self.r <= 1.0:
             raise UsageError(f"r must lie in [0, 1], got {self.r}")
 
@@ -119,6 +122,7 @@ def gen_directed_er(n: int, l: int, seed: int = 0) -> DirectedGraph:
         raise UsageError(f"n={n} gives more node pairs than int64 indexes")
     if not 0 <= l <= capacity:
         raise UsageError(f"l must lie in [0, {capacity}] for n={n}, got {l}")
+    seed = check_seed(seed)
     rng = np.random.default_rng(seed)
     if l > capacity // 2:
         chosen = rng.permutation(capacity)[:l]

@@ -252,8 +252,9 @@ class MatchingState:
         stays failed under later augmentations, so one pass suffices. The
         pass runs compiled when the kernel of ``_core.c`` can be built,
         and in ``_augment`` otherwise, with the same result. The compiled
-        call also sorts the scans, checks the matching against its inverse
-        and lists the free in-roles: a whole sample of the sampler.
+        pass is one call, which also sorts the scans (``_scan_order``'s
+        order), checks the matching against its inverse and lists the free
+        in-roles: a whole sample of the sampler.
         """
         # imported on first use, so that `import netctrl` leaves the loader out
         from . import _kernel
@@ -275,11 +276,6 @@ class MatchingState:
         work.mh[:] = self._mh  # arrays, or _augment's lists
         work.mt[:] = self._mt
         size = compiled.sample(work)
-        if size == _kernel.TIE:
-            # two keys of one tail tie: scan in numpy's order of them, which
-            # the slots' positions in it give as keys that cannot tie
-            work.keys[_scan_order(self.graph, work.keys)] = np.arange(work.keys.size)
-            size = compiled.sample(work)
         if size < 0:
             raise ValidationError(
                 "the completing pass left tail_by_head not the inverse of head_by_tail, or a wrong pair count"
@@ -376,12 +372,14 @@ class MatchingState:
 
 
 def _scan_order(graph: DirectedGraph, keys: np.ndarray) -> np.ndarray:
-    """The out-CSR slots sorted by tail, then key: numpy's order, which
-    alone defines how tied keys fall."""
+    """The out-CSR slots sorted by tail, then key, then slot: the scan
+    order, a total order, which the compiled core writes too."""
     tails = np.repeat(np.arange(graph.node_count, dtype=np.int64), np.diff(graph.out_ptr))
     # tail in the high 32 bits, the key in the low 32: sorting the sum
-    # keeps each tail's segment in place and sorts within it
-    return np.argsort(tails << 32 | keys)
+    # keeps each tail's segment in place and sorts within it; the stable
+    # sort keeps equal keys in slot order on every CPU, where the default
+    # sort's order of them follows the SIMD path numpy picks at run time
+    return np.argsort(tails << 32 | keys, kind="stable")
 
 
 def _free_in_roles(matching: Matching, total_degree: np.ndarray) -> tuple[np.ndarray, int]:

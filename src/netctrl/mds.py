@@ -63,6 +63,7 @@ class NodeOrder:
 
     @classmethod
     def random(cls, graph: DirectedGraph, seed: int) -> NodeOrder:
+        seed = check_seed(seed)
         return cls(np.random.default_rng(seed).permutation(graph.node_count), f"random(seed={seed})")
 
 
@@ -179,9 +180,12 @@ def _sample_stream(graph: DirectedGraph, count: int, seed: int, start: int = 0):
     ``drivers`` is an int64 array. Sample i draws from
     ``default_rng(spawn_seed(seed, i))`` (``seeding.sample_generators``):
     one permutation for the node order, then one random key per out-CSR
-    slot that shuffles every tail's neighbor scan (each tail's heads in
-    ascending key order). Nothing of a sample outlives its iteration but
-    the compiled pass's workspace and the stream's generator.
+    slot that shuffles every tail's neighbor scan: each tail's heads in
+    ascending key order, and equal keys in slot order, which is the order
+    of the tail's edges in the input. That tie rule is part of the
+    stream's definition, so a sample is the same on every CPU. Nothing of
+    a sample outlives its iteration but the compiled pass's workspace and
+    the stream's generator.
     """
     # imported here, so that `import netctrl` leaves the loader out
     from ._kernel import Workspace

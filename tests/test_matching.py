@@ -1,7 +1,12 @@
 from __future__ import annotations
 
 import inspect
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +26,7 @@ from netctrl import _kernel
 from netctrl.cli import main
 from netctrl.generators import BaParams, gen_directed_ba, gen_directed_er
 from netctrl.graph import degrees
+from netctrl.matching import _scan_order
 from netctrl.mds import NodeOrder, iter_samples
 
 from oracles import brute_force_max_matching_size, enumerate_maximum_matchings
@@ -515,6 +521,13 @@ def sparse_graph_and_seed(draw):
     return g, draw(st.integers(min_value=0, max_value=2**32 - 1))
 
 
+def stable_scan(g, keys) -> np.ndarray:
+    """Each tail's heads in ascending key order, equal keys in slot order:
+    the scan order's definition, by numpy's stable sort."""
+    tails = np.repeat(np.arange(g.node_count, dtype=np.int64), np.diff(g.out_ptr))
+    return g.out_heads[np.argsort(tails << 32 | keys, kind="stable")]
+
+
 @settings(max_examples=100, deadline=None)
 @given(sparse_graph_and_seed())
 def test_randomized_complete_agrees_with_naive_reference(case):
@@ -526,8 +539,7 @@ def test_randomized_complete_agrees_with_naive_reference(case):
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
     keys = rng.integers(0, 1 << 32, size=heads.size, dtype=np.int64)
-    segment_key = np.repeat(np.arange(n, dtype=np.int64), np.diff(ptr)) << 32
-    scan = heads[np.argsort(segment_key | keys)]
+    scan = stable_scan(g, keys)
     state = MatchingState._sampling(g, perm, keys)
     state.complete()
     per_tail = [scan[ptr[u]:ptr[u + 1]] for u in range(n)]
@@ -592,12 +604,6 @@ def workspace(g, keys, order):
     return work
 
 
-def scan_in_numpys_order(g, keys) -> list[int]:
-    """Each tail's heads sorted by key as the sampler always sorted them."""
-    segment_key = np.repeat(np.arange(g.node_count, dtype=np.int64), np.diff(g.out_ptr)) << 32
-    return g.out_heads[np.argsort(segment_key | keys)].tolist()
-
-
 def test_compiled_scan_order_is_numpys_at_every_slice_length(compiled_kernel):
     # one tail per slice length around the sort's tiers: insertion up to
     # 64 slots, heapsort above (a hub of 2000)
@@ -608,7 +614,7 @@ def test_compiled_scan_order_is_numpys_at_every_slice_length(compiled_kernel):
     work = workspace(g, keys, np.arange(n))
     size = compiled_kernel.sample(work)
     assert size == len(lengths) - 1  # every tail with an edge is matched
-    assert work.scan.tolist() == scan_in_numpys_order(g, keys)
+    assert work.scan.tolist() == stable_scan(g, keys).tolist()
     assert work.free_heads[:n - size].tolist() == np.flatnonzero(work.mt < 0).tolist()
 
 
@@ -632,23 +638,61 @@ def test_states_taking_turns_with_one_workspace_keep_their_own_matchings(compile
         assert free.tolist() == np.flatnonzero(matching.tail_by_head < 0).tolist()
 
 
-@pytest.mark.parametrize("leaves", [5, 40, 2000])
-def test_tied_keys_take_numpys_order(compiled_kernel, leaves):
-    # keys that tie inside the hub's slice: the kernel reports the tie and
-    # leaves the matching alone; the state then scans in numpy's order of
-    # the tied slots, which only numpy defines, as the Python core does
+def tied_hub(leaves):
+    """A hub with ``leaves`` out- and in-neighbors, scan keys in 0..2 that
+    tie in its slice, and a node order."""
     g = DirectedGraph(
         [str(i) for i in range(leaves + 1)],
         [(0, v) for v in range(1, leaves + 1)] + [(v, 0) for v in range(1, leaves + 1)],
     )
     keys = np.random.default_rng(leaves).integers(0, 3, size=g.edge_count, dtype=np.int64)
     perm = np.random.default_rng(leaves + 1).permutation(g.node_count)
+    return g, keys, perm
+
+
+def tied_outcome(leaves):
+    """``_scan_order`` of the tied hub and the Python core's matching, as lists."""
+    g, keys, perm = tied_hub(leaves)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_kernel, "_kernel", None)
+        state = MatchingState._sampling(g, perm, keys)
+        state.complete()
+    return [_scan_order(g, keys).tolist(), state.matching.head_by_tail.tolist()]
+
+
+@pytest.mark.parametrize("leaves", [5, 40, 2000])
+def test_tied_keys_fall_in_slot_order(compiled_kernel, leaves):
+    # keys that tie inside the hub's slice, sorted by each tier of the
+    # compiled sort (insertion up to 64 slots, heapsort above): equal keys
+    # keep slot order, and both cores give the same matching
+    g, keys, perm = tied_hub(leaves)
     work = workspace(g, keys, perm)
-    assert compiled_kernel.sample(work) == _kernel.TIE
-    assert (work.mh == -1).all() and (work.mt == -1).all()
+    assert compiled_kernel.sample(work) >= 0
+    assert work.scan.tolist() == stable_scan(g, keys).tolist()
     compiled, python = completed_both_ways(compiled_kernel, g, perm, keys)
     assert compiled == python
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(_kernel, "_kernel", compiled_kernel)
-        MatchingState._sampling(g, perm, keys, work).complete()
-    assert work.scan.tolist() == scan_in_numpys_order(g, keys)
+
+
+def test_tie_order_does_not_follow_numpys_cpu_dispatch():
+    # numpy's default sort orders equal keys by the SIMD path it picks at
+    # run time. A child interpreter with every dispatched CPU feature
+    # disabled sorts on numpy's baseline path, and must find the same scan
+    # order and matching as this process. On a CPU where numpy finds no
+    # dispatched feature both take the baseline path, and this passes
+    # trivially.
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_dispatch__
+
+    tests = Path(__file__).resolve().parent
+    env = dict(
+        os.environ,
+        NPY_DISABLE_CPU_FEATURES=" ".join(__cpu_dispatch__),
+        PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]),
+    )
+    script = "import json, test_matching; print(json.dumps([test_matching.tied_outcome(n) for n in (5, 40, 2000)]))"
+    child = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120, check=True
+    )
+    assert json.loads(child.stdout) == [tied_outcome(n) for n in (5, 40, 2000)]

@@ -15,9 +15,12 @@ from hypothesis import strategies as st
 
 from netctrl import (
     BaParams,
+    NodeOrder,
+    ReversalParams,
     UsageError,
     _kernel,
     gen_directed_ba,
+    gen_directed_er,
     iter_samples,
     sample_mds,
     sweep_p,
@@ -75,6 +78,21 @@ class TestCheckSeed:
             sweep_r(small_graph, [0.5], samples=2, seed=seed)
         with pytest.raises(UsageError, match="seed must be a non-negative integer"):
             sweep_p([0.5], BaParams(n=12, m_attach=2, m0=3, p=0.5, seed=2), samples=2, seed=seed)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda graph, seed: BaParams(n=12, seed=seed),
+            lambda graph, seed: ReversalParams(r=0.5, seed=seed),
+            lambda graph, seed: gen_directed_er(12, 20, seed=seed),
+            lambda graph, seed: NodeOrder.random(graph, seed),
+        ],
+        ids=["BaParams", "ReversalParams", "gen_directed_er", "NodeOrder.random"],
+    )
+    def test_generators_and_random_orders_refuse_a_bad_seed(self, small_graph, seed, make):
+        with pytest.raises(UsageError, match="seed must be a non-negative integer"):
+            make(small_graph, seed)
 
     def test_a_numpy_integer_seed_gives_the_ints_stream(self, small_graph):
         assert list(iter_samples(small_graph, 3, np.uint32(9))) == list(iter_samples(small_graph, 3, 9))
