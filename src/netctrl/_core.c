@@ -8,10 +8,11 @@
  *
  * 1. Scan order. Each tail's slice of the out-CSR `heads` is written to
  *    `scan` in ascending order of its slots' `keys`, equal keys in slot
- *    order: numpy's argsort(kind="stable") order, a total order that no
- *    CPU feature changes. Slices of up to INSERTED slots are sorted with
- *    their keys in `scan_key` by insertion, which is stable; longer ones
- *    (hubs) by a heapsort of their slot offsets on (key, offset).
+ *    order: numpy's argsort(kind="stable") order. The slice is sorted in
+ *    `scan` as one uint64 word per slot, key << 32 | offset in the slice:
+ *    distinct words, so no comparison needs a tie-break. Insertion sorts
+ *    up to INSERTED slots, heapsort longer ones (hubs); then each word is
+ *    replaced by the head at its offset.
  * 2. The completing pass, the same search as MatchingState._augment over
  *    every root: free tails in the order of `order`, each tail's scan in
  *    key order, an explicit parent stack of (tail, slot to resume, head
@@ -29,11 +30,12 @@
  *
  * The caller checks the inputs: `ptr` and `in_ptr` are CSR row pointers
  * of n + 1 entries over the same ptr[n] edges, `heads` holds indices in
- * 0..n-1, `order` is a permutation of 0..n-1, and `mh`/`mt` hold a
- * matching and its inverse (-1 when free), updated in place. Scratch:
- * `scan` and `scan_key` hold ptr[n] entries, `mark`, `trail` and
- * `free_heads` n, `stack` 3 * n. Returns the number of matched pairs or
- * NETCTRL_BREACH.
+ * 0..n-1, `keys` are in 0..2^32-1 and slices shorter than 2^32 slots
+ * (verify_maximum's `arange` keys may take any order: the pass is exact
+ * under any scan), `order` is a permutation of 0..n-1, and `mh`/`mt`
+ * hold a matching and its inverse (-1 when free), updated in place.
+ * `scan` holds ptr[n] entries; scratch: `mark`, `trail` and `free_heads`
+ * n, `stack` 3 * n. Returns the number of matched pairs or NETCTRL_BREACH.
  *
  * netctrl_tokenize: the edge-list tokenizer of parse_edge_list.
  *
@@ -86,78 +88,55 @@ enum { NETCTRL_BREACH = -2 };
 /* the longest slices sorted by insertion; longer ones (hubs) are heapsorted */
 enum { INSERTED = 64 };
 
-/* whether (key, slot) pair a sorts after pair b */
-static int after(int64_t key_a, int64_t slot_a, int64_t key_b, int64_t slot_b)
+/* fill the hole at `root` of the max-heap word[0..size) with w */
+static void sift_down(uint64_t *word, uint64_t w, int64_t root, int64_t size)
 {
-    return key_a > key_b || (key_a == key_b && slot_a > slot_b);
-}
-
-/* restore the max-heap of (key, slot) pairs in key[0..size), slot[0..size)
- * below `root` */
-static void sift_down(int64_t *key, int64_t *slot, int64_t root, int64_t size)
-{
-    int64_t k = key[root], s = slot[root];
-    for (;;) {
-        int64_t child = 2 * root + 1;
-        if (child >= size)
+    for (int64_t child = 2 * root + 1; child < size; root = child, child = 2 * root + 1) {
+        /* branch-free: which child is larger is as random as the keys */
+        child += child + 1 < size && word[child + 1] > word[child];
+        if (word[child] <= w)
             break;
-        if (child + 1 < size && after(key[child + 1], slot[child + 1], key[child], slot[child]))
-            child++;
-        if (!after(key[child], slot[child], k, s))
-            break;
-        key[root] = key[child];
-        slot[root] = slot[child];
-        root = child;
+        word[root] = word[child];
     }
-    key[root] = k;
-    slot[root] = s;
+    word[root] = w;
 }
 
 /* write head[0..size) to scan[0..size) in ascending order of key[], equal
- * keys in slot order. `scan_key` is scratch of `size` entries. */
-static void sort_segment(const int64_t *key, const int64_t *head, int64_t size,
-                         int64_t *scan, int64_t *scan_key)
+ * keys in slot order: sort the distinct words key << 32 | offset in
+ * `scan`, then replace each with the head at its offset */
+static void sort_slice(const int64_t *key, const int64_t *head, int64_t size, int64_t *scan)
 {
-    memcpy(scan_key, key, (size_t)size * sizeof *scan_key);
+    uint64_t *word = (uint64_t *)scan;
+    for (int64_t i = 0; i < size; i++)
+        word[i] = (uint64_t)key[i] << 32 | (uint64_t)i;
     if (size <= INSERTED) {
-        memcpy(scan, head, (size_t)size * sizeof *scan);
-        for (int64_t i = 1; i < size; i++) {
-            int64_t k = scan_key[i], h = scan[i], j = i;
-            for (; j > 0 && scan_key[j - 1] > k; j--) {
-                scan_key[j] = scan_key[j - 1];
-                scan[j] = scan[j - 1];
-            }
-            scan_key[j] = k;
-            scan[j] = h;
+        for (int64_t i = 1, j; i < size; i++) {
+            uint64_t w = word[i];
+            for (j = i; j > 0 && word[j - 1] > w; j--)
+                word[j] = word[j - 1];
+            word[j] = w;
         }
-        return;
-    }
-    /* the heap holds slot offsets in `scan`, then the heads replace them */
-    for (int64_t i = 0; i < size; i++)
-        scan[i] = i;
-    for (int64_t i = size / 2 - 1; i >= 0; i--)
-        sift_down(scan_key, scan, i, size);
-    for (int64_t end = size - 1; end > 0; end--) {
-        int64_t k = scan_key[end], s = scan[end];
-        scan_key[end] = scan_key[0];
-        scan[end] = scan[0];
-        scan_key[0] = k;
-        scan[0] = s;
-        sift_down(scan_key, scan, 0, end);
+    } else {
+        for (int64_t i = size / 2 - 1; i >= 0; i--)
+            sift_down(word, word[i], i, size);
+        for (int64_t end = size - 1; end > 0; end--) {
+            uint64_t w = word[end];
+            word[end] = word[0];
+            sift_down(word, w, 0, end);
+        }
     }
     for (int64_t i = 0; i < size; i++)
-        scan[i] = head[scan[i]];
+        scan[i] = head[word[i] & 0xffffffffu];
 }
 
 int64_t netctrl_sample(int64_t n, const int64_t *ptr, const int64_t *heads,
                        const int64_t *in_ptr, const int64_t *keys, const int64_t *order,
-                       int64_t *mh, int64_t *mt, int64_t *scan, int64_t *scan_key,
-                       unsigned char *mark, int64_t *trail, int64_t *stack,
-                       int64_t *free_heads, int64_t *degree_sum)
+                       int64_t *mh, int64_t *mt, int64_t *scan, unsigned char *mark,
+                       int64_t *trail, int64_t *stack, int64_t *free_heads, int64_t *degree_sum)
 {
     for (int64_t u = 0; u < n; u++) {
         int64_t lo = ptr[u];
-        sort_segment(keys + lo, heads + lo, ptr[u + 1] - lo, scan + lo, scan_key + lo);
+        sort_slice(keys + lo, heads + lo, ptr[u + 1] - lo, scan + lo);
     }
 
     int64_t size = 0;

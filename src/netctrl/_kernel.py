@@ -58,9 +58,11 @@ class Workspace:
     completes in place. The call writes ``scan``, each tail's heads in
     key order with equal keys in slot order, ``free_heads[:n - pairs]``,
     the free in-roles in ascending order, and ``degree_sum[0]``, the sum
-    of their total degrees. The graph's CSR arrays are held here too, and
-    every address is taken once, in the constructor. One call at a time may use a workspace;
-    calls on workspaces of their own may run at once.
+    of their total degrees. ``keys`` and ``scan`` are the only per-slot
+    arrays: the sort works in ``scan`` itself. The graph's CSR arrays are
+    held here too, and every address is taken once, in the constructor.
+    One call at a time may use a workspace; calls on workspaces of their
+    own may run at once.
     """
 
     __slots__ = ("order", "keys", "mh", "mt", "scan", "free_heads", "degree_sum", "_arrays", "_args")
@@ -78,10 +80,10 @@ class Workspace:
         self.scan = np.empty(edges, dtype=np.int64)
         self.free_heads = np.empty(n, dtype=np.int64)
         self.degree_sum = np.zeros(1, dtype=np.int64)
-        # in the order of netctrl_sample's parameters
+        # in the order of netctrl_sample's parameters; mark, trail and
+        # stack are its scratch
         self._arrays = graph_arrays + (
             self.keys, self.order, self.mh, self.mt, self.scan,
-            np.empty(edges, dtype=np.int64),    # scan_key
             np.empty(n, dtype=np.uint8),        # mark
             np.empty(n, dtype=np.int64),        # trail
             np.empty(3 * n, dtype=np.int64),    # stack
@@ -102,7 +104,7 @@ class Core:
 
     def __init__(self, library: ctypes.CDLL):
         self._sample = library.netctrl_sample
-        self._sample.argtypes = (ctypes.c_int64,) + (ctypes.c_void_p,) * 14
+        self._sample.argtypes = (ctypes.c_int64,) + (ctypes.c_void_p,) * 13
         self._sample.restype = ctypes.c_int64
         self._tokenize = library.netctrl_tokenize
         self._tokenize.argtypes = (ctypes.c_char_p,) + (ctypes.c_int64,) * 2 + (ctypes.c_void_p,) * 4

@@ -28,6 +28,18 @@ __all__ = [
 _COMMENT_PREFIXES = ("#", "%")
 
 
+def _int64_array(values, error: type[Exception], what: str) -> np.ndarray:
+    """A new int64 array of ``values``, an array or an iterable.
+
+    Raises ``error`` when a non-empty input holds anything but integers:
+    the cast would cut floats and parse strings.
+    """
+    array = values if isinstance(values, np.ndarray) else np.array(list(values))
+    if array.size and array.dtype.kind not in "iu":
+        raise error(f"{what} must be integers, got {array.dtype} entries")
+    return array.astype(np.int64)
+
+
 class DirectedGraph:
     """Immutable directed graph stored as numpy edge arrays.
 
@@ -73,7 +85,7 @@ class DirectedGraph:
         label_index = {s: i for i, s in enumerate(labels)}
         if len(label_index) != n:
             raise ValueError("node labels must be unique")
-        pairs = np.array(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+        pairs = _int64_array(edges, ValueError, "edge ends")
         if pairs.size and pairs.shape[1:] != (2,):
             raise ValueError("edges must be (tail, head) pairs")
         pairs = pairs.reshape(-1, 2)

@@ -39,7 +39,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import UsageError, ValidationError
-from .graph import DirectedGraph
+from .graph import DirectedGraph, _int64_array
 
 __all__ = ["Matching", "MatchingState", "max_matching", "verify_maximum"]
 
@@ -58,9 +58,7 @@ class Matching:
     __slots__ = ("_head_by_tail", "_tail_by_head", "_size")
 
     def __init__(self, head_by_tail: Iterable[int]):
-        if not isinstance(head_by_tail, np.ndarray):
-            head_by_tail = list(head_by_tail)
-        heads = np.array(head_by_tail, dtype=np.int64)
+        heads = _int64_array(head_by_tail, ValidationError, "head indices")
         if heads.ndim != 1:
             raise ValidationError("head_by_tail must be one-dimensional")
         n = heads.size
@@ -88,7 +86,7 @@ class Matching:
         Raises ValidationError when a pair is not a graph edge or when two
         pairs share a tail or share a head.
         """
-        pairs = np.array(list(pairs), dtype=np.int64)
+        pairs = _int64_array(pairs, ValidationError, "pair ends")
         if pairs.size and pairs.shape[1:] != (2,):
             raise ValidationError("a matching is given as (tail, head) pairs")
         tails, heads = pairs.reshape(-1, 2).T

@@ -17,9 +17,9 @@ from typing import Iterator
 import numpy as np
 
 from .errors import UsageError, ValidationError
-from .graph import DirectedGraph, degrees
+from .graph import DirectedGraph, _int64_array, degrees
 from .matching import Matching, MatchingState, _free_in_roles, verify_maximum
-from .seeding import check_seed, sample_generators
+from .seeding import check_int, check_seed, sample_generators
 
 __all__ = [
     "NodeOrder",
@@ -45,7 +45,7 @@ class NodeOrder:
     key_spec: str = "explicit"
 
     def __post_init__(self):
-        perm = tuple(np.fromiter(self.permutation, dtype=np.int64).tolist())
+        perm = tuple(_int64_array(self.permutation, UsageError, "node indices").tolist())
         object.__setattr__(self, "permutation", perm)
         n = len(perm)
         if n and (len(set(perm)) != n or min(perm) != 0 or max(perm) != n - 1):
@@ -164,6 +164,7 @@ def preferential_mds(graph: DirectedGraph, order: NodeOrder, m: int) -> MdsResul
     low.
     """
     n = graph.node_count
+    m = check_int(m, "m")
     if not 0 <= m <= n:
         raise UsageError(f"m must be within [0, {n}], got {m}")
     state = MatchingState(graph, order)
@@ -191,6 +192,8 @@ def _sample_stream(graph: DirectedGraph, count: int, seed: int, start: int = 0):
     from ._kernel import Workspace
 
     seed = check_seed(seed)
+    count = check_int(count, "sample count")
+    start = check_int(start, "first sample index")
     if count < 1:
         raise UsageError(f"sample count must be >= 1, got {count}")
     if start < 0:
@@ -244,6 +247,7 @@ def sample_mds(graph: DirectedGraph, count: int, seed: int, dedupe: bool = False
     the summary reports how many distinct driver sets occurred (duplicates
     stay in the aggregate), counted by a 16-byte digest per distinct set.
     """
+    count = check_int(count, "sample count")
     if dedupe:
         # imported here: loading hashlib adds about 4 ms to every start of
         # the command line tool, and only --dedupe needs it

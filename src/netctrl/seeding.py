@@ -16,10 +16,23 @@ import numpy as np
 
 from .errors import UsageError
 
-__all__ = ["check_seed", "spawn_seed", "sample_generators"]
+__all__ = ["check_int", "check_seed", "spawn_seed", "sample_generators"]
 
 # samples whose PCG64 states one compiled call computes (8 KB of states)
 STATE_CHUNK = 256
+
+
+def check_int(value, what: str) -> int:
+    """``value`` as an int; UsageError unless it is an integer.
+
+    Python and numpy integers pass through ``operator.index``, so a float
+    such as 1.5 is refused rather than cut to 1, and a string such as
+    "1" rather than parsed; True reads as 1.
+    """
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise UsageError(f"{what} must be an integer, got {value!r}") from None
 
 
 def check_seed(seed) -> int:

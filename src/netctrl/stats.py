@@ -16,7 +16,7 @@ from .errors import UndefinedStatisticError, UsageError
 from .generators import BaParams, ReversalParams, gen_directed_ba, reverse_edges
 from .graph import DirectedGraph, average_degree, degrees
 from .mds import MdsResult, sample_mds
-from .seeding import spawn_seed
+from .seeding import check_int, spawn_seed
 
 __all__ = [
     "DegreeHistogram",
@@ -91,7 +91,7 @@ def _check_grid(grid, samples: int) -> list[float]:
     for x in values:
         if not 0.0 <= x <= 1.0:
             raise UsageError(f"grid values must lie in [0, 1], got {x}")
-    if samples < 1:
+    if check_int(samples, "samples") < 1:
         raise UsageError(f"samples must be >= 1, got {samples}")
     return values
 
@@ -107,7 +107,7 @@ def _measure_point(knob: float, graph: DirectedGraph, samples: int, point_seed: 
         mean_kd=summary.mean_kd,
         avg_degree=k,
         ratio=summary.mean_kd / k,
-        sample_count=samples,
+        sample_count=summary.sample_count,
         seed=point_seed,
     )
 

@@ -1,4 +1,5 @@
-"""The package's export lists, its version string and its package data."""
+"""The package's export lists, its version string, its package data and
+the integer checks at its entry points."""
 
 from __future__ import annotations
 
@@ -6,8 +7,22 @@ import inspect
 import re
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import netctrl
 from netctrl import errors, generators, graph, matching, mds, stats
+from netctrl import (
+    DirectedGraph,
+    Matching,
+    NodeOrder,
+    UsageError,
+    ValidationError,
+    iter_samples,
+    preferential_mds,
+    sample_mds,
+    sweep_r,
+)
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
@@ -41,3 +56,38 @@ def test_package_data_ships_the_files_read_at_run_time():
     assert set(data) == {"report_schema.json", "_core.c"}
     for name in data:
         assert (package / name).is_file()
+
+
+PATH3 = DirectedGraph(["a", "b", "c"], [(0, 1), (1, 2)])
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: NodeOrder([0.0, 1.5, 2.9]), UsageError),
+        (lambda: NodeOrder(["0", "1", "2"]), UsageError),
+        (lambda: NodeOrder(np.array([True, False])), UsageError),
+        (lambda: DirectedGraph(["a", "b", "c"], [(0.5, 1.9), (1, 2)]), ValueError),
+        (lambda: DirectedGraph(["a", "b", "c"], [("0", "1")]), ValueError),
+        (lambda: Matching([1.7, -1]), ValidationError),
+        (lambda: Matching(["1", "-1"]), ValidationError),
+        (lambda: Matching.from_pairs(PATH3, [(0.5, 1)]), ValidationError),
+        (lambda: sample_mds(PATH3, 2.5, 1), UsageError),
+        (lambda: iter_samples(PATH3, 1.5, 1), UsageError),
+        (lambda: iter_samples(PATH3, 1, 1, start=1.5), UsageError),
+        (lambda: sweep_r(PATH3, [0.0], samples=2.5), UsageError),
+        (lambda: preferential_mds(PATH3, NodeOrder(range(3)), 1.5), UsageError),
+        (lambda: preferential_mds(PATH3, NodeOrder(range(3)), "1"), UsageError),
+    ],
+    ids=[
+        "NodeOrder-floats", "NodeOrder-strings", "NodeOrder-bools", "DirectedGraph-floats",
+        "DirectedGraph-strings", "Matching-floats", "Matching-strings", "Matching.from_pairs-floats",
+        "sample_mds-count", "iter_samples-count", "iter_samples-start", "sweep_r-samples",
+        "preferential_mds-float-m", "preferential_mds-string-m",
+    ],
+)
+def test_entry_points_refuse_non_integers(call, error):
+    # a float would be cut to an int and a string parsed as one; a call
+    # that draws samples refuses at the call, before the first is drawn
+    with pytest.raises(error, match="must be (an integer|integers)"):
+        call()

@@ -605,9 +605,10 @@ def workspace(g, keys, order):
 
 
 def test_compiled_scan_order_is_numpys_at_every_slice_length(compiled_kernel):
-    # one tail per slice length around the sort's tiers: insertion up to
-    # 64 slots, heapsort above (a hub of 2000)
-    lengths = [0, 1, 2, 3, 8, 9, 63, 64, 65, 2000]
+    # one tail per slice length around the tiers of the sort of
+    # key << 32 | offset words: insertion up to 64 slots, heapsort from
+    # 65 (hubs of 2000 and 70,000, whose offsets need more than 16 bits)
+    lengths = [0, 1, 2, 3, 8, 9, 63, 64, 65, 2000, 70_000]
     n = max(lengths) + 1
     g = DirectedGraph([str(i) for i in range(n)], [(t, v) for t, d in enumerate(lengths) for v in range(d)])
     keys = np.random.default_rng(5).integers(0, 1 << 32, size=g.edge_count, dtype=np.int64)
@@ -660,11 +661,12 @@ def tied_outcome(leaves):
     return [_scan_order(g, keys).tolist(), state.matching.head_by_tail.tolist()]
 
 
-@pytest.mark.parametrize("leaves", [5, 40, 2000])
+@pytest.mark.parametrize("leaves", [5, 40, 65, 2000])
 def test_tied_keys_fall_in_slot_order(compiled_kernel, leaves):
     # keys that tie inside the hub's slice, sorted by each tier of the
-    # compiled sort (insertion up to 64 slots, heapsort above): equal keys
-    # keep slot order, and both cores give the same matching
+    # compiled sort (insertion up to 64 slots, heapsort from 65): the
+    # offset in the low word keeps equal keys in slot order, and both
+    # cores give the same matching
     g, keys, perm = tied_hub(leaves)
     work = workspace(g, keys, perm)
     assert compiled_kernel.sample(work) >= 0

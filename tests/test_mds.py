@@ -169,6 +169,10 @@ class TestSampling:
         summary = sample_mds(star, 5, seed=1)
         assert summary.distinct_driver_sets is None
 
+    def test_a_bool_count_reads_as_an_int(self, star):
+        summary = sample_mds(star, True, seed=1)
+        assert type(summary.sample_count) is int and summary.sample_count == 1
+
     def test_summary_folds_the_stream(self):
         g = gen_directed_ba(BaParams(n=120, m_attach=2, m0=3, p=0.5, seed=4))
         samples = list(iter_samples(g, 60, seed=5))
