@@ -3,7 +3,9 @@
 Every run echoes its full configuration (seed included) so the report can
 be regenerated byte-identically. Single-graph analyses emit JSON, sweeps
 emit CSV by default, and generated or transformed networks emit edge-list
-text with their parameters as header comments.
+text with their parameters as header comments. ``_COMMANDS`` and
+``_OPTIONS`` declare each command's options once: the parser is built from
+them, and ``run()`` enforces them for every caller.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ __all__ = ["RunConfig", "run", "main"]
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One validated CLI invocation; all fields are echoed in the report."""
+    """One CLI invocation, echoed in full in its report; run() checks it against _COMMANDS."""
 
     command: str
     input: str | None = None
@@ -60,16 +62,19 @@ def _default_seed() -> int:
 
 def _parse_grid(text: str) -> tuple[float, ...]:
     try:
-        values = tuple(float(tok) for tok in text.split(",") if tok.strip())
+        return tuple(float(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
         raise UsageError(f"grid must be comma-separated reals, got {text!r}") from None
-    if not values:
-        raise UsageError("grid must hold at least one value")
-    return values
+
+
+# each generator's required fields, then the fields it also allows
+_GEN_FIELDS = {"ba": (("n",), {"m", "p", "m0"}), "er": (("n", "l"), set())}
 
 
 def _parse_gen_spec(spec: str, seed: int):
     kind, _, body = spec.partition(":")
+    if kind not in _GEN_FIELDS:
+        raise UsageError(f"unknown generator {kind!r}; expected ba:... or er:...")
     fields: dict[str, str] = {}
     if body:
         for item in body.split(","):
@@ -80,14 +85,14 @@ def _parse_gen_spec(spec: str, seed: int):
             if key in fields:
                 raise UsageError(f"generator field {key!r} given twice in {spec!r}")
             fields[key] = value.strip()
+    required, allowed = _GEN_FIELDS[kind]
+    unknown = fields.keys() - allowed - set(required)
+    if unknown:
+        raise UsageError(f"unknown {kind} fields {sorted(unknown)} in {spec!r}")
+    if any(key not in fields for key in required):
+        raise UsageError(f"{kind} generator needs {'= and '.join(required)}=, got {spec!r}")
     try:
         if kind == "ba":
-            allowed = {"n", "m", "p", "m0"}
-            unknown = set(fields) - allowed
-            if unknown:
-                raise UsageError(f"unknown ba fields {sorted(unknown)} in {spec!r}")
-            if "n" not in fields:
-                raise UsageError(f"ba generator needs n=, got {spec!r}")
             return BaParams(
                 n=int(fields["n"]),
                 m_attach=int(fields.get("m", 2)),
@@ -95,16 +100,9 @@ def _parse_gen_spec(spec: str, seed: int):
                 p=float(fields.get("p", 0.5)),
                 seed=seed,
             )
-        if kind == "er":
-            unknown = set(fields) - {"n", "l"}
-            if unknown:
-                raise UsageError(f"unknown er fields {sorted(unknown)} in {spec!r}")
-            if "n" not in fields or "l" not in fields:
-                raise UsageError(f"er generator needs n= and l=, got {spec!r}")
-            return ("er", int(fields["n"]), int(fields["l"]))
+        return int(fields["n"]), int(fields["l"])
     except ValueError:
         raise UsageError(f"non-numeric generator field in {spec!r}") from None
-    raise UsageError(f"unknown generator {kind!r}; expected ba:... or er:...")
 
 
 def _build_graph(config: RunConfig) -> DirectedGraph:
@@ -115,8 +113,7 @@ def _build_graph(config: RunConfig) -> DirectedGraph:
     parsed = _parse_gen_spec(config.gen, config.seed)
     if isinstance(parsed, BaParams):
         return gen_directed_ba(parsed)
-    _, n, l = parsed
-    return gen_directed_er(n, l, seed=config.seed)
+    return gen_directed_er(*parsed, seed=config.seed)
 
 
 def _build_order(config: RunConfig, graph: DirectedGraph) -> NodeOrder:
@@ -186,78 +183,83 @@ def _sweep_report(config: RunConfig, rows, graph: DirectedGraph | None) -> str:
     return header + sweep_rows_to_csv(rows)
 
 
+# each RunConfig field's flag and argparse settings, in the order --help lists them
+_OPTIONS = {
+    "input": ("--input", {"metavar": "PATH", "help": "edge-list file to analyze"}),
+    "gen": ("--gen", {"metavar": "SPEC",
+                      "help": "generator spec: ba:n=..,m=..,p=..,m0=.. or er:n=..,l=.."}),
+    "order": ("--order", {"help": "asc|desc|random|file:PATH"}),
+    "m": ("--m", {"type": int, "help": "number of preferentially admitted nodes (default: all)"}),
+    "samples": ("--samples", {"type": int}),
+    "dedupe": ("--dedupe", {"action": "store_true", "help": "also count distinct driver sets"}),
+    "r": ("--R", {"type": float, "metavar": "FLOAT"}),
+    "grid": ("--grid", {"type": _parse_grid, "metavar": "CSV-of-reals"}),
+    "format": ("--format", {"choices": ("json", "csv"), "default": "csv"}),
+}
+
+# each command's help line, the RunConfig fields it takes besides the seed and
+# those of them it requires; run() checks both, so the parser requires none
+_COMMANDS = {
+    "analyze": ("maximum matching, driver set, and degree histogram",
+                ("input", "gen", "order"), ()),
+    "preferential": ("degree-steered driver set via incremental matching",
+                     ("input", "gen", "order", "m"), ()),
+    "sample": ("ensemble of randomized driver sets", ("input", "gen", "samples", "dedupe"), ()),
+    "generate": ("emit a generated network as edge-list text", ("gen",), ("gen",)),
+    "reverse": ("flip low-to-high-degree edges with probability R", ("input", "gen", "r"), ("r",)),
+    "sweep-p": ("sweep attachment direction p over generated networks",
+                ("gen", "grid", "samples", "format"), ("gen", "grid")),
+    "sweep-r": ("sweep reversal probability R over one network",
+                ("input", "gen", "grid", "samples", "format"), ("grid",)),
+}
+
+
 def run(config: RunConfig) -> str:
     """Execute one command and return the report document."""
     command = config.command
     # every seed feeds numpy's SeedSequence, whose domain is the
     # non-negative integers
     check_seed(config.seed)
-
-    if command == "generate":
-        if config.gen is None:
-            raise UsageError("generate requires --gen")
-        if config.input is not None:
-            raise UsageError("generate takes --gen only, not --input")
-        return to_edge_list(_build_graph(config))
-
-    if command == "reverse":
-        if config.r is None:
-            raise UsageError("reverse requires --R")
-        graph = _build_graph(config)
-        result = reverse_edges(graph, ReversalParams(r=config.r, seed=config.seed))
-        return to_edge_list(result.graph)
+    if command not in _COMMANDS:
+        raise UsageError(f"unknown command {command!r}")
+    _, takes, requires = _COMMANDS[command]
+    default = RunConfig(command)
+    for field, (flag, _) in _OPTIONS.items():
+        if field in requires and getattr(config, field) is None:
+            raise UsageError(f"{command} requires {flag}")
+        if field not in takes and getattr(config, field) != getattr(default, field):
+            raise UsageError(f"{command} does not take {flag}")
 
     if command == "sweep-p":
-        if config.gen is None:
-            raise UsageError("sweep-p requires --gen ba:... as the base model")
-        if config.input is not None:
-            raise UsageError("sweep-p generates its graphs; --input is not accepted")
-        if config.grid is None:
-            raise UsageError("sweep-p requires --grid")
         base = _parse_gen_spec(config.gen, config.seed)
         if not isinstance(base, BaParams):
             raise UsageError("sweep-p sweeps the ba model; use --gen ba:...")
         rows = sweep_p(config.grid, base, samples=config.samples, seed=config.seed)
         return _sweep_report(config, rows, None)
 
+    graph = _build_graph(config)
+    if command == "generate":
+        return to_edge_list(graph)
+    if command == "reverse":
+        result = reverse_edges(graph, ReversalParams(r=config.r, seed=config.seed))
+        return to_edge_list(result.graph)
     if command == "sweep-r":
-        if config.grid is None:
-            raise UsageError("sweep-r requires --grid")
-        graph = _build_graph(config)
         rows = sweep_r(graph, config.grid, samples=config.samples, seed=config.seed)
         return _sweep_report(config, rows, graph)
-
-    if command in {"analyze", "preferential", "sample"}:
-        if config.format != "json":
-            raise UsageError(f"{command} reports are JSON; --format {config.format} is not supported")
-        graph = _build_graph(config)
-        if command == "analyze":
-            order = _build_order(config, graph)
-            result = drivers(graph, max_matching(graph, order), order)
-            return _json_report(config, _mds_payload(graph, result, order), graph)
-        if command == "preferential":
-            order = _build_order(config, graph)
-            m = config.m if config.m is not None else graph.node_count
-            result = preferential_mds(graph, order, m)
-            payload = _mds_payload(graph, result, order)
-            payload["m"] = m
-            return _json_report(config, payload, graph)
+    if command == "sample":
         summary = sample_mds(graph, config.samples, config.seed, dedupe=config.dedupe)
         payload = asdict(summary)
         payload["lambda_d"] = summary.n_d / graph.node_count
         return _json_report(config, payload, graph)
-
-    raise UsageError(f"unknown command {command!r}")
-
-
-def _add_graph_source(parser: argparse.ArgumentParser, gen_only: bool = False) -> None:
-    if not gen_only:
-        parser.add_argument("--input", metavar="PATH", help="edge-list file to analyze")
-    parser.add_argument(
-        "--gen",
-        metavar="SPEC",
-        help="generator spec: ba:n=..,m=..,p=..,m0=.. or er:n=..,l=..",
-    )
+    order = _build_order(config, graph)
+    if command == "analyze":
+        result = drivers(graph, max_matching(graph, order), order)
+        return _json_report(config, _mds_payload(graph, result, order), graph)
+    m = config.m if config.m is not None else graph.node_count
+    result = preferential_mds(graph, order, m)
+    payload = _mds_payload(graph, result, order)
+    payload["m"] = m
+    return _json_report(config, payload, graph)
 
 
 def _build_parser(default_seed: int) -> argparse.ArgumentParser:
@@ -266,58 +268,16 @@ def _build_parser(default_seed: int) -> argparse.ArgumentParser:
         description="Driver-node analysis of directed networks via maximum matching.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, summary):
+    for name, (summary, takes, _) in _COMMANDS.items():
         # an option left out stays out of the namespace, so RunConfig holds
         # every default but the seed's and the sweeps' format
-        return sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
-
-    def common(p, sweep=False):
-        # only the sweeps choose a format: the other reports are JSON or edge-list text
+        p = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
+        for field in takes:
+            flag, settings = _OPTIONS[field]
+            p.add_argument(flag, dest=field, **settings)
         p.add_argument("--seed", type=int, default=default_seed,
                        help="random seed (default: NETCTRL_SEED or 0)")
-        if sweep:
-            p.add_argument("--format", choices=("json", "csv"), default="csv")
         p.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
-
-    p = command("analyze", "maximum matching, driver set, and degree histogram")
-    _add_graph_source(p)
-    p.add_argument("--order", help="asc|desc|random|file:PATH")
-    common(p)
-
-    p = command("preferential", "degree-steered driver set via incremental matching")
-    _add_graph_source(p)
-    p.add_argument("--order", help="asc|desc|random|file:PATH")
-    p.add_argument("--m", type=int, help="number of preferentially admitted nodes (default: all)")
-    common(p)
-
-    p = command("sample", "ensemble of randomized driver sets")
-    _add_graph_source(p)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--dedupe", action="store_true", help="also count distinct driver sets")
-    common(p)
-
-    p = command("generate", "emit a generated network as edge-list text")
-    _add_graph_source(p, gen_only=True)
-    common(p)
-
-    p = command("reverse", "flip low-to-high-degree edges with probability R")
-    _add_graph_source(p)
-    p.add_argument("--R", dest="r", type=float, required=True, metavar="FLOAT")
-    common(p)
-
-    p = command("sweep-p", "sweep attachment direction p over generated networks")
-    _add_graph_source(p, gen_only=True)
-    p.add_argument("--grid", type=_parse_grid, required=True, metavar="CSV-of-reals")
-    p.add_argument("--samples", type=int)
-    common(p, sweep=True)
-
-    p = command("sweep-r", "sweep reversal probability R over one network")
-    _add_graph_source(p)
-    p.add_argument("--grid", type=_parse_grid, required=True, metavar="CSV-of-reals")
-    p.add_argument("--samples", type=int)
-    common(p, sweep=True)
-
     return parser
 
 

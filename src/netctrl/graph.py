@@ -28,15 +28,24 @@ __all__ = [
 _COMMENT_PREFIXES = ("#", "%")
 
 
-def _int64_array(values, error: type[Exception], what: str) -> np.ndarray:
-    """A new int64 array of ``values``, an array or an iterable.
+def _int64_array(values, error: type[Exception], what: str, pairs: bool = False) -> np.ndarray:
+    """A new int64 array of ``values``, an array or an iterable: flat, or
+    one (tail, head) row per pair when ``pairs`` (an empty input is no pairs).
 
-    Raises ``error`` when a non-empty input holds anything but integers:
-    the cast would cut floats and parse strings.
+    Raises ``error`` when a non-empty input holds anything but integers (the
+    cast would cut floats and parse strings), or is ragged or of another shape.
     """
-    array = values if isinstance(values, np.ndarray) else np.array(list(values))
+    shape, layout = ((-1, 2), "(tail, head) pairs") if pairs else ((-1,), "one flat sequence")
+    try:
+        array = values if isinstance(values, np.ndarray) else np.array(list(values))
+    except ValueError:  # numpy refuses ragged nesting
+        raise error(f"{what} must be integers in {layout}") from None
     if array.size and array.dtype.kind not in "iu":
         raise error(f"{what} must be integers, got {array.dtype} entries")
+    if pairs and not array.size:
+        array = array.reshape(shape)
+    if array.ndim != len(shape) or array.shape[1:] != shape[1:]:
+        raise error(f"{what} must be integers in {layout}")
     return array.astype(np.int64)
 
 
@@ -85,10 +94,7 @@ class DirectedGraph:
         label_index = {s: i for i, s in enumerate(labels)}
         if len(label_index) != n:
             raise ValueError("node labels must be unique")
-        pairs = _int64_array(edges, ValueError, "edge ends")
-        if pairs.size and pairs.shape[1:] != (2,):
-            raise ValueError("edges must be (tail, head) pairs")
-        pairs = pairs.reshape(-1, 2)
+        pairs = _int64_array(edges, ValueError, "edge ends", pairs=True)
         outside = np.flatnonzero(((pairs < 0) | (pairs >= n)).any(axis=1))
         if outside.size:
             tail, head = pairs[outside[0]].tolist()

@@ -47,6 +47,12 @@ __all__ = ["Matching", "MatchingState", "max_matching", "verify_maximum"]
 _INACTIVE = sys.maxsize
 
 
+def _check_edges(graph: DirectedGraph, tails: np.ndarray, heads: np.ndarray) -> None:
+    bad = np.flatnonzero(~graph.has_edge(tails, heads))
+    if bad.size:
+        raise ValidationError(f"({tails[bad[0]]}, {heads[bad[0]]}) is not an edge of the graph")
+
+
 class Matching:
     """Immutable snapshot of a matching.
 
@@ -59,8 +65,6 @@ class Matching:
 
     def __init__(self, head_by_tail: Iterable[int]):
         heads = _int64_array(head_by_tail, ValidationError, "head indices")
-        if heads.ndim != 1:
-            raise ValidationError("head_by_tail must be one-dimensional")
         n = heads.size
         bad = heads[(heads < -1) | (heads >= n)]
         if bad.size:
@@ -86,13 +90,8 @@ class Matching:
         Raises ValidationError when a pair is not a graph edge or when two
         pairs share a tail or share a head.
         """
-        pairs = _int64_array(pairs, ValidationError, "pair ends")
-        if pairs.size and pairs.shape[1:] != (2,):
-            raise ValidationError("a matching is given as (tail, head) pairs")
-        tails, heads = pairs.reshape(-1, 2).T
-        bad = np.flatnonzero(~graph.has_edge(tails, heads))
-        if bad.size:
-            raise ValidationError(f"({tails[bad[0]]}, {heads[bad[0]]}) is not an edge of the graph")
+        tails, heads = _int64_array(pairs, ValidationError, "pair ends", pairs=True).T
+        _check_edges(graph, tails, heads)
         head_by_tail = np.full(graph.node_count, -1, dtype=np.int64)
         head_by_tail[tails] = heads
         if np.count_nonzero(head_by_tail >= 0) != tails.size:
@@ -411,10 +410,7 @@ def verify_maximum(graph: DirectedGraph, matching: Matching) -> bool:
     if matching.head_by_tail.size != n:
         raise ValidationError(f"matching covers {matching.head_by_tail.size} nodes, graph has {n}")
     tails = np.flatnonzero(matching.head_by_tail >= 0)
-    heads = matching.head_by_tail[tails]
-    bad = np.flatnonzero(~graph.has_edge(tails, heads))
-    if bad.size:
-        raise ValidationError(f"({tails[bad[0]]}, {heads[bad[0]]}) is not an edge of the graph")
+    _check_edges(graph, tails, matching.head_by_tail[tails])
     # any order and scan will do: take the node indices and the out-CSR's own
     state = MatchingState._sampling(
         graph, np.arange(n, dtype=np.int64), np.arange(graph.edge_count, dtype=np.int64)

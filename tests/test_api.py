@@ -78,12 +78,19 @@ PATH3 = DirectedGraph(["a", "b", "c"], [(0, 1), (1, 2)])
         (lambda: sweep_r(PATH3, [0.0], samples=2.5), UsageError),
         (lambda: preferential_mds(PATH3, NodeOrder(range(3)), 1.5), UsageError),
         (lambda: preferential_mds(PATH3, NodeOrder(range(3)), "1"), UsageError),
+        # ragged or nested input: numpy's own ValueError would carry no such message
+        (lambda: Matching.from_pairs(PATH3, [(0, 1), (1,)]), ValidationError),
+        (lambda: NodeOrder([[0], [1, 2]]), UsageError),
+        (lambda: NodeOrder([[0], [1]]), UsageError),
+        (lambda: Matching([[0], [1, 2]]), ValidationError),
+        (lambda: DirectedGraph(["a", "b", "c"], [(0, 1), (1, 2, 0)]), ValueError),
     ],
     ids=[
         "NodeOrder-floats", "NodeOrder-strings", "NodeOrder-bools", "DirectedGraph-floats",
         "DirectedGraph-strings", "Matching-floats", "Matching-strings", "Matching.from_pairs-floats",
         "sample_mds-count", "iter_samples-count", "iter_samples-start", "sweep_r-samples",
-        "preferential_mds-float-m", "preferential_mds-string-m",
+        "preferential_mds-float-m", "preferential_mds-string-m", "Matching.from_pairs-ragged",
+        "NodeOrder-ragged", "NodeOrder-nested", "Matching-ragged", "DirectedGraph-ragged",
     ],
 )
 def test_entry_points_refuse_non_integers(call, error):

@@ -1,13 +1,15 @@
 from __future__ import annotations
 
+import argparse
 import json
 from dataclasses import replace
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
-from netctrl import _kernel, parse_edge_list, read_edge_list
+from netctrl import UsageError, _kernel, parse_edge_list, read_edge_list
 from netctrl.cli import RunConfig, _build_parser, _config_from_args, main, run
 
 from naive import naive_seed_states
@@ -401,3 +403,95 @@ def test_options_left_out_take_run_configs_defaults(argv, required):
     # RunConfig holds the defaults; only the sweeps' csv format differs
     config = _config_from_args(_build_parser(0).parse_args(argv))
     assert config == replace(RunConfig(command=argv[0]), **required)
+
+
+# the flags each command's parser accepts besides -h, --seed and --out,
+# and the RunConfig field each flag sets
+COMMAND_FLAGS = {
+    "analyze": {"--input", "--gen", "--order"},
+    "preferential": {"--input", "--gen", "--order", "--m"},
+    "sample": {"--input", "--gen", "--samples", "--dedupe"},
+    "generate": {"--gen"},
+    "reverse": {"--input", "--gen", "--R"},
+    "sweep-p": {"--gen", "--grid", "--samples", "--format"},
+    "sweep-r": {"--input", "--gen", "--grid", "--samples", "--format"},
+}
+FLAG_FIELDS = {
+    "--input": "input", "--gen": "gen", "--order": "order", "--m": "m", "--samples": "samples",
+    "--dedupe": "dedupe", "--R": "r", "--grid": "grid", "--format": "format",
+}
+
+
+def test_each_command_accepts_its_flags():
+    sub = next(a for a in _build_parser(0)._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(COMMAND_FLAGS)
+    for command, flags in COMMAND_FLAGS.items():
+        accepted = {flag for action in sub.choices[command]._actions for flag in action.option_strings}
+        assert accepted == flags | {"-h", "--help", "--seed", "--out"}, command
+
+
+# a valid config of each command, and a value other than RunConfig's default for each field
+VALID = {
+    "analyze": RunConfig("analyze", gen="er:n=6,l=5"),
+    "preferential": RunConfig("preferential", gen="er:n=6,l=5"),
+    "sample": RunConfig("sample", gen="er:n=6,l=5", samples=3),
+    "generate": RunConfig("generate", gen="er:n=6,l=5"),
+    "reverse": RunConfig("reverse", gen="er:n=6,l=5", r=0.5),
+    "sweep-p": RunConfig("sweep-p", gen="ba:n=20,m=2,m0=3", grid=(0.5,), samples=2),
+    "sweep-r": RunConfig("sweep-r", gen="er:n=6,l=5", grid=(0.5,), samples=2),
+}
+OTHER_VALUES = {
+    "input": "graph.txt", "gen": "er:n=6,l=5", "order": "desc", "m": 3, "samples": 5,
+    "dedupe": True, "r": 0.3, "grid": (0.5,), "format": "csv",
+}
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(command, flag) for command, flags in COMMAND_FLAGS.items()
+     for flag in FLAG_FIELDS if flag not in flags],
+)
+def test_run_refuses_an_option_its_command_does_not_take(command, flag):
+    run(VALID[command])
+    config = replace(VALID[command], **{FLAG_FIELDS[flag]: OTHER_VALUES[FLAG_FIELDS[flag]]})
+    with pytest.raises(UsageError, match=f"^{command} does not take {flag}$"):
+        run(config)
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["reverse", "--gen", "er:n=5,l=3"], "--R"),
+        (["sweep-p", "--gen", "ba:n=20,m=2,m0=3"], "--grid"),
+        (["sweep-r", "--gen", "er:n=5,l=3"], "--grid"),
+        (["generate"], "--gen"),
+        (["sweep-p", "--grid", "0,1"], "--gen"),
+    ],
+    ids=lambda value: value[0] if isinstance(value, list) else value,
+)
+def test_missing_required_option_is_one_usage_line(capsys, argv, flag):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"netctrl: usage error: {argv[0]} requires {flag}\n"
+
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "analyze-ba60-asc.json", "analyze-er40-random.json", "preferential-ba80-desc.json",
+        "preferential-er50-asc-m20.json", "sample-ba60-dedupe.json", "sweep-p-ba60.csv",
+        "sweep-r-ba60.csv",
+    ],
+)
+def test_golden_report_regenerates_from_its_echoed_config(name):
+    text = (GOLDEN_DIR / name).read_bytes().decode("utf-8")
+    if name.endswith(".json"):
+        echo = json.loads(text)["config"]
+    else:
+        echo = json.loads(text.split("\n")[1].removeprefix("# config "))
+    assert run(config_from_echo(echo)) == text
