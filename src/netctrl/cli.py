@@ -127,8 +127,9 @@ def _build_order(config: RunConfig, graph: DirectedGraph) -> NodeOrder:
     if spec.startswith("file:"):
         path = spec[len("file:"):]
         names = [line.strip() for line in read_text(path).splitlines() if line.strip()]
+        index = {label: i for i, label in enumerate(graph.labels)}
         try:
-            perm = [graph.index_of(name) for name in names]
+            perm = [index[name] for name in names]
         except KeyError as exc:
             raise UsageError(f"order file names unknown node {exc.args[0]!r}") from None
         if len(perm) != graph.node_count:
@@ -224,11 +225,14 @@ def run(config: RunConfig) -> str:
         raise UsageError(f"unknown command {command!r}")
     _, takes, requires = _COMMANDS[command]
     default = RunConfig(command)
-    for field, (flag, _) in _OPTIONS.items():
-        if field in requires and getattr(config, field) is None:
+    for field, (flag, settings) in _OPTIONS.items():
+        value = getattr(config, field)
+        if field in requires and value is None:
             raise UsageError(f"{command} requires {flag}")
-        if field not in takes and getattr(config, field) != getattr(default, field):
+        if field not in takes and value != getattr(default, field):
             raise UsageError(f"{command} does not take {flag}")
+        if "choices" in settings and value not in settings["choices"]:
+            raise UsageError(f"{command} {flag} must be one of {', '.join(settings['choices'])}")
 
     if command == "sweep-p":
         base = _parse_gen_spec(config.gen, config.seed)

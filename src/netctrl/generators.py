@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import UsageError
 from .graph import DirectedGraph, degrees
-from .seeding import check_seed
+from .seeding import check_int, check_real, check_seed
 
 __all__ = [
     "BaParams",
@@ -46,6 +46,9 @@ class BaParams:
         object.__setattr__(self, "seed", check_seed(self.seed))
         if self.m0 is None:
             object.__setattr__(self, "m0", self.m_attach)
+        for name in ("n", "m_attach", "m0"):
+            object.__setattr__(self, name, check_int(getattr(self, name), name))
+        object.__setattr__(self, "p", check_real(self.p, "p"))
         if not self.m_attach >= 1:
             raise UsageError(f"m_attach must be >= 1, got {self.m_attach}")
         if not self.m0 >= self.m_attach:
@@ -65,6 +68,7 @@ class ReversalParams:
 
     def __post_init__(self):
         object.__setattr__(self, "seed", check_seed(self.seed))
+        object.__setattr__(self, "r", check_real(self.r, "r"))
         if not 0.0 <= self.r <= 1.0:
             raise UsageError(f"r must lie in [0, 1], got {self.r}")
 
@@ -114,6 +118,7 @@ def gen_directed_ba(params: BaParams) -> DirectedGraph:
 
 def gen_directed_er(n: int, l: int, seed: int = 0) -> DirectedGraph:
     """Uniform directed random graph: l distinct edges, no self-loops."""
+    n, l = check_int(n, "n"), check_int(l, "l")
     if n < 1:
         raise UsageError(f"n must be >= 1, got {n}")
     capacity = n * (n - 1)

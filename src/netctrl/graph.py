@@ -2,8 +2,9 @@
 
 Nodes are dense integer indices ``0..N-1``; every node carries an external
 string label, interned in first-appearance order. Graphs are simple (a
-(tail, head) pair appears at most once), may contain self-loops, and are
-immutable after construction: transforms produce new graphs.
+repeated (tail, head) pair collapses to its first occurrence), may contain
+self-loops, and are immutable after construction: transforms produce new
+graphs.
 """
 
 from __future__ import annotations
@@ -58,16 +59,15 @@ class DirectedGraph:
     ``in_ptr`` and ``in_tails`` the in-adjacency; each row keeps input
     order. All arrays are read-only.
 
-    Construction validates that node indices are dense, labels are unique,
-    and no (tail, head) pair repeats. ``duplicate_count`` records how many
-    duplicate edge lines were collapsed during ingestion (0 for generated
-    graphs); ``provenance`` holds free-form header lines, e.g. generator
-    parameters, that serialization emits as comments.
+    Construction validates that node indices are dense and labels are
+    unique. A (tail, head) pair given more than once is kept at its first
+    position only, and ``duplicate_count`` tallies the repeats dropped (0
+    for generated graphs). ``provenance`` holds free-form header lines,
+    e.g. generator parameters, that serialization emits as comments.
     """
 
     __slots__ = (
         "_labels",
-        "_label_index",
         "_keys",
         "tails",
         "heads",
@@ -84,15 +84,13 @@ class DirectedGraph:
         labels: Sequence[str],
         edges: Iterable[tuple[int, int]],
         *,
-        duplicate_count: int = 0,
         provenance: tuple[str, ...] = (),
     ):
         labels = tuple(str(s) for s in labels)
         n = len(labels)
         if n < 1:
             raise ValueError("graph needs at least one node")
-        label_index = {s: i for i, s in enumerate(labels)}
-        if len(label_index) != n:
+        if len(set(labels)) != n:
             raise ValueError("node labels must be unique")
         pairs = _int64_array(edges, ValueError, "edge ends", pairs=True)
         outside = np.flatnonzero(((pairs < 0) | (pairs >= n)).any(axis=1))
@@ -101,12 +99,14 @@ class DirectedGraph:
             raise ValueError(f"edge ({tail}, {head}) out of range for {n} nodes")
         tails, heads = pairs.T.copy()
         # one key per edge, tail * n + head: sorted, it answers has_edge
-        # and equality, and a repeat is a duplicate edge
-        keys = np.sort(tails * n + heads)
-        repeats = np.flatnonzero(keys[1:] == keys[:-1])
-        if repeats.size:
-            tail, head = divmod(int(keys[repeats[0]]), n)
-            raise ValueError(f"duplicate edge ({tail}, {head})")
+        # and equality, and equal neighbours are a repeated pair
+        given = tails * n + heads
+        keys = np.sort(given)
+        if (keys[1:] == keys[:-1]).any():
+            # keep each pair at its first position, in input order
+            keys, first = np.unique(given, return_index=True)
+            first.sort()
+            tails, heads = tails[first], heads[first]
         # Each row keeps input order: the keys row * width + slot are unique
         # (width is the edge count, at least 1), so sorting them orders the
         # slots by row and, within a row, by slot. The row pointers are
@@ -120,7 +120,6 @@ class DirectedGraph:
         np.cumsum(np.bincount(tails, minlength=n), out=out_ptr[1:])
         np.cumsum(np.bincount(heads, minlength=n), out=in_ptr[1:])
         self._labels = labels
-        self._label_index = label_index
         self._keys = keys
         self.tails = tails
         self.heads = heads
@@ -130,7 +129,7 @@ class DirectedGraph:
         self.in_tails = tails[in_rows]
         for array in (keys, tails, heads, self.out_ptr, self.out_heads, self.in_ptr, self.in_tails):
             array.flags.writeable = False
-        self.duplicate_count = int(duplicate_count)
+        self.duplicate_count = given.size - keys.size
         self.provenance = tuple(provenance)
 
     @property
@@ -149,9 +148,6 @@ class DirectedGraph:
     @property
     def labels(self) -> tuple[str, ...]:
         return self._labels
-
-    def index_of(self, label: str) -> int:
-        return self._label_index[label]
 
     def label_of(self, node: int) -> str:
         return self._labels[node]
@@ -211,8 +207,9 @@ def parse_edge_list(text: str) -> DirectedGraph:
     Format: UTF-8 text (a leading byte-order mark is dropped when reading
     a file), one ``tail<ws>head`` pair of labels per line.
     Lines starting with '#' or '%' are comments; blank lines are ignored.
-    Duplicate (tail, head) lines collapse to one edge and are tallied in
-    ``duplicate_count``. Self-loops are retained.
+    Self-loops are retained. Repeated (tail, head) lines collapse to the
+    first and are tallied in ``duplicate_count``, as ``DirectedGraph``
+    does for any repeated pair.
 
     Raises IngestionError on empty input or on a line that does not hold
     exactly two tokens.
@@ -224,10 +221,7 @@ def parse_edge_list(text: str) -> DirectedGraph:
     labels, pairs = (_intern_compiled(text) if text.isascii() else None) or _intern_lines(text)
     if not labels:
         raise IngestionError("no edges found in input")
-    # keep the first line of each (tail, head) pair, in line order
-    _, first = np.unique(pairs[:, 0] * len(labels) + pairs[:, 1], return_index=True)
-    first.sort()
-    return DirectedGraph(labels, pairs[first], duplicate_count=len(pairs) - first.size)
+    return DirectedGraph(labels, pairs)
 
 
 def _intern_compiled(text: str) -> tuple[list[str], np.ndarray] | None:

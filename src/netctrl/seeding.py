@@ -9,6 +9,7 @@ computing their states with the compiled core when it can.
 
 from __future__ import annotations
 
+import numbers
 import operator
 from typing import Iterator
 
@@ -16,43 +17,52 @@ import numpy as np
 
 from .errors import UsageError
 
-__all__ = ["check_int", "check_seed", "spawn_seed", "sample_generators"]
+__all__ = ["check_int", "check_real", "check_seed", "spawn_seed", "sample_generators"]
 
 # samples whose PCG64 states one compiled call computes (8 KB of states)
 STATE_CHUNK = 256
 
 
-def check_int(value, what: str) -> int:
-    """``value`` as an int; UsageError unless it is an integer.
+def check_int(value, what: str, nonnegative: bool = False) -> int:
+    """``value`` as an int; UsageError unless it is an integer, and one
+    that is not negative when ``nonnegative``.
 
     Python and numpy integers pass through ``operator.index``, so a float
     such as 1.5 is refused rather than cut to 1, and a string such as
     "1" rather than parsed; True reads as 1.
     """
+    kind = "a non-negative integer" if nonnegative else "an integer"
     try:
-        return operator.index(value)
+        index = operator.index(value)
     except TypeError:
-        raise UsageError(f"{what} must be an integer, got {value!r}") from None
+        raise UsageError(f"{what} must be {kind}, got {value!r}") from None
+    if nonnegative and index < 0:
+        raise UsageError(f"{what} must be {kind}, got {index}")
+    return index
+
+
+def check_real(value, what: str) -> float:
+    """``value`` as a float; UsageError unless it is a real number.
+
+    Python and numpy integers and floats pass, so a string such as "0.5"
+    is refused rather than parsed, and None or a complex number refused.
+    """
+    if not isinstance(value, numbers.Real):
+        raise UsageError(f"{what} must be a real number, got {value!r}")
+    return float(value)
 
 
 def check_seed(seed) -> int:
-    """``seed`` as an int; UsageError unless it is a non-negative integer.
-
-    Python and numpy integers pass through ``operator.index``, so a float
-    such as 1.5 is refused rather than cut to 1.
-    """
-    try:
-        value = operator.index(seed)
-    except TypeError:
-        raise UsageError(f"seed must be a non-negative integer, got {seed!r}") from None
-    if value < 0:
-        raise UsageError(f"seed must be a non-negative integer, got {value}")
-    return value
+    """``seed`` as an int; UsageError unless it is a non-negative integer,
+    the domain of numpy's SeedSequence."""
+    return check_int(seed, "seed", nonnegative=True)
 
 
 def spawn_seed(seed: int, *key: int) -> int:
-    """Derive a child seed from a root seed and an index path."""
-    ss = np.random.SeedSequence(entropy=check_seed(seed), spawn_key=tuple(int(k) for k in key))
+    """Derive a child seed from a root seed and an index path of
+    non-negative integers."""
+    spawn_key = tuple(check_int(k, "spawn key", nonnegative=True) for k in key)
+    ss = np.random.SeedSequence(entropy=check_seed(seed), spawn_key=spawn_key)
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 

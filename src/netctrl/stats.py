@@ -16,7 +16,7 @@ from .errors import UndefinedStatisticError, UsageError
 from .generators import BaParams, ReversalParams, gen_directed_ba, reverse_edges
 from .graph import DirectedGraph, average_degree, degrees
 from .mds import MdsResult, sample_mds
-from .seeding import check_int, spawn_seed
+from .seeding import check_int, check_real, spawn_seed
 
 __all__ = [
     "DegreeHistogram",
@@ -85,7 +85,7 @@ class SweepRow:
 
 
 def _check_grid(grid, samples: int) -> list[float]:
-    values = [float(x) for x in grid]
+    values = [check_real(x, "grid value") for x in grid]
     if not values:
         raise UsageError("grid must hold at least one value")
     for x in values:

@@ -1,5 +1,5 @@
 """The package's export lists, its version string, its package data and
-the integer checks at its entry points."""
+the integer and real-number checks at its entry points."""
 
 from __future__ import annotations
 
@@ -18,9 +18,13 @@ from netctrl import (
     NodeOrder,
     UsageError,
     ValidationError,
+    BaParams,
+    ReversalParams,
+    gen_directed_er,
     iter_samples,
     preferential_mds,
     sample_mds,
+    sweep_p,
     sweep_r,
 )
 
@@ -84,6 +88,13 @@ PATH3 = DirectedGraph(["a", "b", "c"], [(0, 1), (1, 2)])
         (lambda: NodeOrder([[0], [1]]), UsageError),
         (lambda: Matching([[0], [1, 2]]), ValidationError),
         (lambda: DirectedGraph(["a", "b", "c"], [(0, 1), (1, 2, 0)]), ValueError),
+        (lambda: gen_directed_er(5.5, 3), UsageError),
+        (lambda: gen_directed_er("5", 3), UsageError),
+        (lambda: gen_directed_er(5, 3.0), UsageError),
+        (lambda: BaParams(n=10.5), UsageError),
+        (lambda: BaParams(n="10"), UsageError),
+        (lambda: BaParams(n=10, m_attach=2.5), UsageError),
+        (lambda: BaParams(n=10, m0=3.5), UsageError),
     ],
     ids=[
         "NodeOrder-floats", "NodeOrder-strings", "NodeOrder-bools", "DirectedGraph-floats",
@@ -91,10 +102,40 @@ PATH3 = DirectedGraph(["a", "b", "c"], [(0, 1), (1, 2)])
         "sample_mds-count", "iter_samples-count", "iter_samples-start", "sweep_r-samples",
         "preferential_mds-float-m", "preferential_mds-string-m", "Matching.from_pairs-ragged",
         "NodeOrder-ragged", "NodeOrder-nested", "Matching-ragged", "DirectedGraph-ragged",
+        "gen_directed_er-float-n", "gen_directed_er-string-n", "gen_directed_er-float-l",
+        "BaParams-float-n", "BaParams-string-n", "BaParams-float-m_attach", "BaParams-float-m0",
     ],
 )
 def test_entry_points_refuse_non_integers(call, error):
     # a float would be cut to an int and a string parsed as one; a call
     # that draws samples refuses at the call, before the first is drawn
     with pytest.raises(error, match="must be (an integer|integers)"):
+        call()
+
+
+BA_BASE = BaParams(n=12, m_attach=2, m0=3)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: BaParams(n=10, p="0.5"),
+        lambda: BaParams(n=10, p=None),
+        lambda: ReversalParams(r="0.5"),
+        lambda: ReversalParams(r=None),
+        lambda: ReversalParams(r=0.5j),
+        lambda: sweep_r(PATH3, ["abc"], samples=2),
+        lambda: sweep_r(PATH3, [None], samples=2),
+        lambda: sweep_p(["x"], BA_BASE, samples=2),
+        lambda: sweep_p([None], BA_BASE, samples=2),
+    ],
+    ids=[
+        "BaParams-string-p", "BaParams-None-p", "ReversalParams-string-r", "ReversalParams-None-r",
+        "ReversalParams-complex-r", "sweep_r-string-grid", "sweep_r-None-grid",
+        "sweep_p-string-grid", "sweep_p-None-grid",
+    ],
+)
+def test_entry_points_refuse_non_reals(call):
+    # a string would be parsed as a float; None and complex numbers are no reals
+    with pytest.raises(UsageError, match="must be a real number"):
         call()

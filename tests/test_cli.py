@@ -458,6 +458,14 @@ def test_run_refuses_an_option_its_command_does_not_take(command, flag):
         run(config)
 
 
+@pytest.mark.parametrize("value", ["xml", "JSON", None])
+@pytest.mark.parametrize("command", [c for c, flags in COMMAND_FLAGS.items() if "--format" in flags])
+def test_run_refuses_a_value_outside_an_options_choices(command, value):
+    # the parser refuses these; a library caller's config must not echo one
+    with pytest.raises(UsageError, match=f"^{command} --format must be one of json, csv$"):
+        run(replace(VALID[command], format=value))
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [

@@ -51,9 +51,10 @@ def assert_golden_sample(tmp_path, capfd) -> None:
 
 def assert_reads_edge_list(path: Path) -> None:
     path.write_text("# header\r\nb a\r\n\r\na c\r\nb a\r\n% note\r\nc c\r\n")
-    expected = DirectedGraph(["b", "a", "c"], [(0, 1), (1, 2), (2, 2)], duplicate_count=1)
+    expected = DirectedGraph(["b", "a", "c"], [(0, 1), (1, 2), (0, 1), (2, 2)])
     g = read_edge_list(path)
-    assert g == expected and g.duplicate_count == 1
+    assert g == expected and g.edges == expected.edges
+    assert g.duplicate_count == expected.duplicate_count == 1
     assert g.out_ptr.tolist() == [0, 1, 2, 3] and g.in_tails.tolist() == [0, 1, 2]
 
 

@@ -28,6 +28,7 @@ class TestDirectedBa:
         g = gen_directed_ba(BaParams(n=100, m_attach=2, m0=3, p=0.3, seed=5))
         assert g.node_count == 100
         assert g.edge_count == 3 + 97 * 2
+        assert g.duplicate_count == 0
 
     def test_p_one_orients_every_growth_edge_old_to_new(self):
         g = gen_directed_ba(BaParams(n=100, m_attach=2, m0=3, p=1.0, seed=8))
@@ -178,8 +179,21 @@ def test_er_graph_shape(n, seed):
     l = seed % (capacity + 1)
     g = gen_directed_er(n, l, seed=seed)
     assert g.node_count == n
-    assert g.edge_count == l
+    assert g.edge_count == l and g.duplicate_count == 0
     assert all(u != v for u, v in g.edges)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=3),
+    st.floats(min_value=0.0, max_value=1.0), st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_ba_graph_shape(m, extra, p, seed):
+    m0 = m + extra
+    n = m0 + 1 + seed % 40
+    g = gen_directed_ba(BaParams(n=n, m_attach=m, m0=m0, p=p, seed=seed))
+    assert g.node_count == n
+    assert g.edge_count == m0 + (n - m0) * m and g.duplicate_count == 0
 
 
 @st.composite
@@ -198,5 +212,7 @@ def test_reverse_edges_equals_the_edge_by_edge_reference(g, r, seed):
     params = ReversalParams(r=r, seed=seed)
     result = reverse_edges(g, params)
     edges, reversed_count, skipped = naive_reverse_edges(g, params)
+    # the constructor would collapse a repeat a flip made, not refuse it
+    assert result.graph.duplicate_count == 0 and result.graph.edge_count == g.edge_count
     assert result.graph.edges == edges
     assert (result.reversed_count, result.skipped_count) == (reversed_count, skipped)

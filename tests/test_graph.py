@@ -72,7 +72,7 @@ class TestParse:
     def test_intern_order_is_first_appearance(self):
         g = parse_edge_list("x y\nz x")
         assert g.labels == ("x", "y", "z")
-        assert g.index_of("z") == 2
+        assert g.edges == ((0, 1), (2, 0))
 
 
 class TestDegrees:
@@ -128,9 +128,12 @@ class TestRoundTrip:
 
 
 class TestConstruction:
-    def test_rejects_duplicate_edge(self):
-        with pytest.raises(ValueError):
-            DirectedGraph(["a", "b"], [(0, 1), (0, 1)])
+    def test_keeps_the_first_of_each_repeated_pair(self):
+        g = DirectedGraph(["a", "b", "c"], [(0, 1), (1, 2), (0, 1), (2, 0), (1, 2), (0, 1)])
+        assert g.edges == ((0, 1), (1, 2), (2, 0))
+        assert g.duplicate_count == 3
+        assert g.has_edge([0, 1, 2, 1], [1, 2, 0, 0]).tolist() == [True, True, True, False]
+        assert g == DirectedGraph(["a", "b", "c"], [(0, 1), (1, 2), (2, 0)])
 
     def test_rejects_zero_nodes(self):
         with pytest.raises(ValueError):
@@ -154,6 +157,33 @@ class TestConstruction:
         for array in (star.tails, star.heads, star.out_ptr, star.out_heads, star.in_ptr, star.in_tails):
             with pytest.raises(ValueError):
                 array[0] = 1
+
+
+@st.composite
+def pair_lists(draw, max_n: int = 6):
+    """A node count and (tail, head) pairs over it, drawn with repeats."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    pair = st.tuples(st.integers(min_value=0, max_value=n - 1), st.integers(min_value=0, max_value=n - 1))
+    return n, draw(st.lists(pair, max_size=24))
+
+
+def csr_arrays(g) -> list[list[int]]:
+    return [a.tolist() for a in (g.tails, g.heads, g.out_ptr, g.out_heads, g.in_ptr, g.in_tails)]
+
+
+@settings(max_examples=100)
+@given(pair_lists())
+@example((3, [(0, 1), (1, 2), (0, 1), (2, 2), (1, 2), (2, 2)]))
+def test_repeated_pairs_collapse_to_their_first_occurrence(case):
+    n, pairs = case
+    labels = [str(i) for i in range(n)]
+    first = list(dict.fromkeys(pairs))  # each pair once, in first-occurrence order
+    g = DirectedGraph(labels, pairs)
+    once = DirectedGraph(labels, first)
+    assert g == once and g.edges == tuple(first)
+    assert csr_arrays(g) == csr_arrays(once)
+    assert g.duplicate_count == len(pairs) - g.edge_count == len(pairs) - len(first)
+    assert once.duplicate_count == 0
 
 
 @settings(max_examples=60)

@@ -94,6 +94,15 @@ class TestCheckSeed:
         with pytest.raises(UsageError, match="seed must be a non-negative integer"):
             make(small_graph, seed)
 
+    @pytest.mark.parametrize("key", [2.5, "3", -1, None])
+    def test_spawn_keys_are_non_negative_integers(self, key):
+        # a float would be cut and a string parsed, so that 2.5 and "3"
+        # named the children of 2 and 3
+        with pytest.raises(UsageError, match="spawn key must be a non-negative integer"):
+            spawn_seed(1, key)
+        with pytest.raises(UsageError, match="spawn key must be a non-negative integer"):
+            spawn_seed(1, 0, key)
+
     def test_a_numpy_integer_seed_gives_the_ints_stream(self, small_graph):
         assert list(iter_samples(small_graph, 3, np.uint32(9))) == list(iter_samples(small_graph, 3, 9))
 
