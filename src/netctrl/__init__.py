@@ -50,7 +50,7 @@ def __dir__():
     return sorted(set(globals()) | set(_HOME))
 
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 __all__ = [
     "__version__",

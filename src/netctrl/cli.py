@@ -17,13 +17,7 @@ import sys
 from dataclasses import asdict, dataclass, fields
 
 from . import __version__
-from .errors import (
-    IngestionError,
-    NetctrlError,
-    UndefinedStatisticError,
-    UsageError,
-    ValidationError,
-)
+from .errors import NetctrlError, UsageError
 from .generators import BaParams, ReversalParams, gen_directed_ba, gen_directed_er, reverse_edges
 from .graph import DirectedGraph, average_degree, read_edge_list, read_text, to_edge_list
 from .matching import max_matching
@@ -303,21 +297,9 @@ def main(argv=None) -> int:
         else:
             sys.stdout.write(text)
         return 0
-    except UsageError as exc:
-        print(f"netctrl: usage error: {exc}", file=sys.stderr)
-        return 2
-    except IngestionError as exc:
-        print(f"netctrl: ingestion error: {exc}", file=sys.stderr)
-        return 3
-    except ValidationError as exc:
-        print(f"netctrl: validation error: {exc}", file=sys.stderr)
-        return 4
-    except UndefinedStatisticError as exc:
-        print(f"netctrl: statistic error: {exc}", file=sys.stderr)
-        return 5
     except NetctrlError as exc:
-        print(f"netctrl: error: {exc}", file=sys.stderr)
-        return 1
+        print(f"netctrl: {exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except MemoryError as exc:
         print(f"netctrl: error: out of memory: {exc}", file=sys.stderr)
         return 1

@@ -9,6 +9,7 @@ graphs.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -34,12 +35,13 @@ def _int64_array(values, error: type[Exception], what: str, pairs: bool = False)
     one (tail, head) row per pair when ``pairs`` (an empty input is no pairs).
 
     Raises ``error`` when a non-empty input holds anything but integers (the
-    cast would cut floats and parse strings), or is ragged or of another shape.
+    cast would cut floats and parse strings), or is not iterable, ragged or of
+    another shape.
     """
     shape, layout = ((-1, 2), "(tail, head) pairs") if pairs else ((-1,), "one flat sequence")
     try:
         array = values if isinstance(values, np.ndarray) else np.array(list(values))
-    except ValueError:  # numpy refuses ragged nesting
+    except (TypeError, ValueError):  # not iterable, or ragged nesting numpy refuses
         raise error(f"{what} must be integers in {layout}") from None
     if array.size and array.dtype.kind not in "iu":
         raise error(f"{what} must be integers, got {array.dtype} entries")
@@ -48,6 +50,19 @@ def _int64_array(values, error: type[Exception], what: str, pairs: bool = False)
     if array.ndim != len(shape) or array.shape[1:] != shape[1:]:
         raise error(f"{what} must be integers in {layout}")
     return array.astype(np.int64)
+
+
+def _node_indices(values, n: int) -> np.ndarray:
+    """``values``, a scalar or an array, as int64 node indices; UsageError
+    unless it holds integers only (a cast would cut floats and parse strings).
+    """
+    array = np.asarray(values)
+    if array.dtype == object and all(isinstance(v, numbers.Integral) for v in array.flat):
+        # integers past int64, clamped to -1 or n: each stays outside 0..n-1
+        array = np.asarray(np.clip(array, -1, n), dtype=np.int64)
+    if array.size and array.dtype.kind not in "iu":
+        raise UsageError(f"node indices must be integers, got {array.dtype} entries")
+    return array.astype(np.int64, copy=False)  # a uint64 past int64 wraps negative
 
 
 class DirectedGraph:
@@ -86,7 +101,10 @@ class DirectedGraph:
         *,
         provenance: tuple[str, ...] = (),
     ):
-        labels = tuple(str(s) for s in labels)
+        try:
+            labels = tuple(str(s) for s in labels)
+        except TypeError:
+            raise ValueError(f"node labels must be a sequence, got {labels!r}") from None
         n = len(labels)
         if n < 1:
             raise ValueError("graph needs at least one node")
@@ -156,11 +174,12 @@ class DirectedGraph:
         """Whether tail -> head is an edge; element-wise on arrays.
 
         Returns a bool for scalar arguments and a bool array otherwise.
-        Indices outside ``0..N-1`` are never edges.
+        Indices outside ``0..N-1`` are never edges. Raises UsageError on
+        anything but integers.
         """
         n = len(self._labels)
-        tail = np.asarray(tail, dtype=np.int64)
-        head = np.asarray(head, dtype=np.int64)
+        tail = _node_indices(tail, n)
+        head = _node_indices(head, n)
         key = tail * n + head
         keys = self._keys
         found = (0 <= tail) & (tail < n) & (0 <= head) & (head < n) & (keys.size > 0)

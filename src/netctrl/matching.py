@@ -47,18 +47,13 @@ __all__ = ["Matching", "MatchingState", "max_matching", "verify_maximum"]
 _INACTIVE = sys.maxsize
 
 
-def _check_edges(graph: DirectedGraph, tails: np.ndarray, heads: np.ndarray) -> None:
-    bad = np.flatnonzero(~graph.has_edge(tails, heads))
-    if bad.size:
-        raise ValidationError(f"({tails[bad[0]]}, {heads[bad[0]]}) is not an edge of the graph")
-
-
 class Matching:
     """Immutable snapshot of a matching.
 
     ``head_by_tail[u]`` is the head matched to tail u (-1 if u's out-role
     is free), and each entry must lie in -1..N-1; ``tail_by_head`` is its
-    exact inverse, derived here. Both are read-only int64 arrays.
+    exact inverse, derived here. Both are read-only int64 arrays. A
+    matching knows no graph: ``verify_maximum`` checks its pairs are edges.
     """
 
     __slots__ = ("_head_by_tail", "_tail_by_head", "_size")
@@ -82,21 +77,6 @@ class Matching:
         self._head_by_tail = heads
         self._tail_by_head = inverse
         self._size = tails.size
-
-    @classmethod
-    def from_pairs(cls, graph: DirectedGraph, pairs: Iterable[tuple[int, int]]) -> Matching:
-        """Build and validate a matching from (tail, head) pairs.
-
-        Raises ValidationError when a pair is not a graph edge or when two
-        pairs share a tail or share a head.
-        """
-        tails, heads = _int64_array(pairs, ValidationError, "pair ends", pairs=True).T
-        _check_edges(graph, tails, heads)
-        head_by_tail = np.full(graph.node_count, -1, dtype=np.int64)
-        head_by_tail[tails] = heads
-        if np.count_nonzero(head_by_tail >= 0) != tails.size:
-            raise ValidationError("two pairs share a tail")
-        return cls(head_by_tail)
 
     @property
     def size(self) -> int:
@@ -410,7 +390,10 @@ def verify_maximum(graph: DirectedGraph, matching: Matching) -> bool:
     if matching.head_by_tail.size != n:
         raise ValidationError(f"matching covers {matching.head_by_tail.size} nodes, graph has {n}")
     tails = np.flatnonzero(matching.head_by_tail >= 0)
-    _check_edges(graph, tails, matching.head_by_tail[tails])
+    heads = matching.head_by_tail[tails]
+    bad = np.flatnonzero(~graph.has_edge(tails, heads))
+    if bad.size:
+        raise ValidationError(f"({tails[bad[0]]}, {heads[bad[0]]}) is not an edge of the graph")
     # any order and scan will do: take the node indices and the out-CSR's own
     state = MatchingState._sampling(
         graph, np.arange(n, dtype=np.int64), np.arange(graph.edge_count, dtype=np.int64)

@@ -85,7 +85,10 @@ class SweepRow:
 
 
 def _check_grid(grid, samples: int) -> list[float]:
-    values = [check_real(x, "grid value") for x in grid]
+    try:
+        values = [check_real(x, "grid value") for x in grid]
+    except TypeError:
+        raise UsageError(f"grid must be a sequence of real numbers, got {grid!r}") from None
     if not values:
         raise UsageError("grid must hold at least one value")
     for x in values:

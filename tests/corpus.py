@@ -1,14 +1,24 @@
-"""Deterministic fixture corpus of small directed graphs (N <= 8)."""
+"""Deterministic fixture corpus of small directed graphs (N <= 8), and
+matchings of them given as (tail, head) pairs."""
 
 from __future__ import annotations
 
 import random
 
-from netctrl import DirectedGraph, gen_directed_er
+from netctrl import DirectedGraph, Matching, gen_directed_er
 
 
 def _labels(n: int) -> list[str]:
     return [str(i) for i in range(n)]
+
+
+def matching_of(graph: DirectedGraph, pairs) -> Matching:
+    """The matching of (tail, head) pairs on ``graph``'s nodes. Only
+    ``Matching`` checks it; ``verify_maximum`` checks its pairs are edges."""
+    head_by_tail = [-1] * graph.node_count
+    for tail, head in pairs:
+        head_by_tail[tail] = head
+    return Matching(head_by_tail)
 
 
 def out_star(leaves: int) -> DirectedGraph:

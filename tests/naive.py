@@ -116,25 +116,6 @@ def naive_matching(head_by_tail) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return heads, tuple(tails)
 
 
-def naive_matching_from_pairs(graph: DirectedGraph, pairs) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """``naive_matching`` of (tail, head) pairs, each checked to be an edge, one pair at a time."""
-    n = graph.node_count
-    heads = [-1] * n
-    tails = [-1] * n
-    for tail, head in pairs:
-        tail = int(tail)
-        head = int(head)
-        if not graph.has_edge(tail, head):
-            raise ValidationError(f"({tail}, {head}) is not an edge of the graph")
-        if heads[tail] >= 0:
-            raise ValidationError(f"tail {tail} matched twice")
-        if tails[head] >= 0:
-            raise ValidationError(f"head {head} matched twice")
-        heads[tail] = head
-        tails[head] = tail
-    return naive_matching(heads)
-
-
 def naive_reverse_edges(
     graph: DirectedGraph, params: ReversalParams
 ) -> tuple[tuple[tuple[int, int], ...], int, int]:

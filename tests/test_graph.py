@@ -234,6 +234,36 @@ def test_has_edge_on_scalars_and_arrays(g):
     assert not any(g.has_edge(u, v) for u, v in outside.tolist())
 
 
+EDGE01 = DirectedGraph(["a", "b"], [(0, 1)])
+
+
+@pytest.mark.parametrize(
+    "tail, head",
+    [(0.5, 1.9), ("0", "1"), (True, 1), ([0.0], [1]), ([None], [1]), ([0, "1"], [1, 1])],
+    ids=["floats", "strings", "bool", "float-array", "None-entry", "mixed-array"],
+)
+def test_has_edge_refuses_non_integers(tail, head):
+    # a cast would cut 0.5 to 0 and parse "0" as 0, and answer True
+    with pytest.raises(UsageError, match="must be integers"):
+        EDGE01.has_edge(tail, head)
+
+
+@pytest.mark.parametrize(
+    "tail, head, expected",
+    [
+        (2**70, 0, False),
+        (0, 2**70, False),
+        (-(2**70), 1, False),
+        ([0, 2**70], [1, 1], [True, False]),
+    ],
+    ids=["tail-past-int64", "head-past-int64", "negative-past-int64", "array-past-int64"],
+)
+def test_has_edge_answers_false_past_int64(tail, head, expected):
+    # an index outside 0..N-1 is never an edge, however large
+    found = EDGE01.has_edge(tail, head)
+    assert (found.tolist() if isinstance(found, np.ndarray) else found) == expected
+
+
 @settings(max_examples=60)
 @given(digraphs())
 def test_degree_sums_match_edge_count(g):

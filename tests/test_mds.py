@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from netctrl import (
     BaParams,
     DirectedGraph,
-    Matching,
     NodeOrder,
     UsageError,
     ValidationError,
@@ -25,6 +24,7 @@ from netctrl import (
 )
 from netctrl import _kernel
 
+from corpus import matching_of
 from oracles import brute_force_max_matching_size, enumerate_driver_sets
 
 
@@ -84,13 +84,13 @@ class TestDrivers:
 
     def test_non_maximum_matching_rejected(self, path3):
         with pytest.raises(ValidationError):
-            drivers(path3, Matching.from_pairs(path3, [(0, 1)]), intern_order(path3))
+            drivers(path3, matching_of(path3, [(0, 1)]), intern_order(path3))
 
     @pytest.mark.parametrize("perm", [(), (0,), range(5)], ids=["empty", "short", "long"])
     def test_order_must_cover_the_graph(self, cycle3, perm):
         # the perfect-matching rule designates the order's first node, so an
         # order of another graph would name a wrong or missing driver
-        matching = Matching.from_pairs(cycle3, [(0, 1), (1, 2), (2, 0)])
+        matching = matching_of(cycle3, [(0, 1), (1, 2), (2, 0)])
         with pytest.raises(UsageError, match=f"order covers {len(perm)} nodes, graph has 3"):
             drivers(cycle3, matching, NodeOrder(perm))
 
