@@ -61,8 +61,10 @@ def _parse_grid(text: str) -> tuple[float, ...]:
         raise UsageError(f"grid must be comma-separated reals, got {text!r}") from None
 
 
-# each generator's required fields, then the fields it also allows
-_GEN_FIELDS = {"ba": (("n",), {"m", "p", "m0"}), "er": (("n", "l"), set())}
+# each generator's required fields, then the fields it also allows, each
+# mapped to the parameter it sets; an optional field not given keeps
+# BaParams' default
+_GEN_FIELDS = {"ba": (("n",), {"m": "m_attach", "p": "p", "m0": "m0"}), "er": (("n", "l"), {})}
 
 
 def _parse_gen_spec(spec: str, seed: int):
@@ -80,23 +82,20 @@ def _parse_gen_spec(spec: str, seed: int):
                 raise UsageError(f"generator field {key!r} given twice in {spec!r}")
             fields[key] = value.strip()
     required, allowed = _GEN_FIELDS[kind]
-    unknown = fields.keys() - allowed - set(required)
+    unknown = fields.keys() - allowed.keys() - set(required)
     if unknown:
         raise UsageError(f"unknown {kind} fields {sorted(unknown)} in {spec!r}")
     if any(key not in fields for key in required):
         raise UsageError(f"{kind} generator needs {'= and '.join(required)}=, got {spec!r}")
     try:
-        if kind == "ba":
-            return BaParams(
-                n=int(fields["n"]),
-                m_attach=int(fields.get("m", 2)),
-                m0=int(fields["m0"]) if "m0" in fields else None,
-                p=float(fields.get("p", 0.5)),
-                seed=seed,
-            )
-        return int(fields["n"]), int(fields["l"])
+        values = {
+            allowed.get(key, key): (float if key == "p" else int)(text) for key, text in fields.items()
+        }
     except ValueError:
         raise UsageError(f"non-numeric generator field in {spec!r}") from None
+    if kind == "ba":
+        return BaParams(**values, seed=seed)
+    return values["n"], values["l"]
 
 
 def _build_graph(config: RunConfig) -> DirectedGraph:

@@ -44,19 +44,12 @@ class BaParams:
 
     def __post_init__(self):
         object.__setattr__(self, "seed", check_seed(self.seed))
-        if self.m0 is None:
-            object.__setattr__(self, "m0", self.m_attach)
-        for name in ("n", "m_attach", "m0"):
-            object.__setattr__(self, name, check_int(getattr(self, name), name))
-        object.__setattr__(self, "p", check_real(self.p, "p"))
-        if not self.m_attach >= 1:
-            raise UsageError(f"m_attach must be >= 1, got {self.m_attach}")
-        if not self.m0 >= self.m_attach:
-            raise UsageError(f"m0 must be >= m_attach, got m0={self.m0}, m_attach={self.m_attach}")
-        if not self.n > self.m0:
-            raise UsageError(f"n must exceed m0, got n={self.n}, m0={self.m0}")
-        if not 0.0 <= self.p <= 1.0:
-            raise UsageError(f"p must lie in [0, 1], got {self.p}")
+        m_attach = check_int(self.m_attach, "m_attach", low=1)
+        m0 = check_int(m_attach if self.m0 is None else self.m0, "m0", low=m_attach)
+        object.__setattr__(self, "n", check_int(self.n, "n", low=m0 + 1))
+        object.__setattr__(self, "m_attach", m_attach)
+        object.__setattr__(self, "m0", m0)
+        object.__setattr__(self, "p", check_real(self.p, "p", low=0, high=1))
 
 
 @dataclass(frozen=True)
@@ -68,9 +61,7 @@ class ReversalParams:
 
     def __post_init__(self):
         object.__setattr__(self, "seed", check_seed(self.seed))
-        object.__setattr__(self, "r", check_real(self.r, "r"))
-        if not 0.0 <= self.r <= 1.0:
-            raise UsageError(f"r must lie in [0, 1], got {self.r}")
+        object.__setattr__(self, "r", check_real(self.r, "r", low=0, high=1))
 
 
 @dataclass(frozen=True)
@@ -118,15 +109,12 @@ def gen_directed_ba(params: BaParams) -> DirectedGraph:
 
 def gen_directed_er(n: int, l: int, seed: int = 0) -> DirectedGraph:
     """Uniform directed random graph: l distinct edges, no self-loops."""
-    n, l = check_int(n, "n"), check_int(l, "l")
-    if n < 1:
-        raise UsageError(f"n must be >= 1, got {n}")
+    n = check_int(n, "n", low=1)
     capacity = n * (n - 1)
     # pair indices are drawn as int64
     if capacity >= 2**63:
         raise UsageError(f"n={n} gives more node pairs than int64 indexes")
-    if not 0 <= l <= capacity:
-        raise UsageError(f"l must lie in [0, {capacity}] for n={n}, got {l}")
+    l = check_int(l, "l", low=0, high=capacity)
     seed = check_seed(seed)
     rng = np.random.default_rng(seed)
     if l > capacity // 2:

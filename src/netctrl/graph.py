@@ -35,8 +35,9 @@ def _int64_array(values, error: type[Exception], what: str, pairs: bool = False)
     one (tail, head) row per pair when ``pairs`` (an empty input is no pairs).
 
     Raises ``error`` when a non-empty input holds anything but integers (the
-    cast would cut floats and parse strings), or is not iterable, ragged or of
-    another shape.
+    cast would cut floats and parse strings), unsigned ones past int64 (the
+    cast would wrap them negative), or is not iterable, ragged or of another
+    shape.
     """
     shape, layout = ((-1, 2), "(tail, head) pairs") if pairs else ((-1,), "one flat sequence")
     try:
@@ -45,6 +46,10 @@ def _int64_array(values, error: type[Exception], what: str, pairs: bool = False)
         raise error(f"{what} must be integers in {layout}") from None
     if array.size and array.dtype.kind not in "iu":
         raise error(f"{what} must be integers, got {array.dtype} entries")
+    if array.dtype.kind == "u":
+        past = array[array > np.iinfo(np.int64).max]
+        if past.size:
+            raise error(f"{what} must be integers within int64, got {past[0]}")
     if pairs and not array.size:
         array = array.reshape(shape)
     if array.ndim != len(shape) or array.shape[1:] != shape[1:]:

@@ -164,9 +164,7 @@ def preferential_mds(graph: DirectedGraph, order: NodeOrder, m: int) -> MdsResul
     low.
     """
     n = graph.node_count
-    m = check_int(m, "m")
-    if not 0 <= m <= n:
-        raise UsageError(f"m must be within [0, {n}], got {m}")
+    m = check_int(m, "m", low=0, high=n)
     state = MatchingState(graph, order)
     for _ in range(m):
         state.extend_with_node()
@@ -192,12 +190,8 @@ def _sample_stream(graph: DirectedGraph, count: int, seed: int, start: int = 0):
     from ._kernel import Workspace
 
     seed = check_seed(seed)
-    count = check_int(count, "sample count")
-    start = check_int(start, "first sample index")
-    if count < 1:
-        raise UsageError(f"sample count must be >= 1, got {count}")
-    if start < 0:
-        raise UsageError(f"first sample index must be >= 0, got {start}")
+    count = check_int(count, "sample count", low=1)
+    start = check_int(start, "first sample index", low=0)
     n, edges = graph.node_count, graph.edge_count
     tot = degrees(graph).total_degree
 

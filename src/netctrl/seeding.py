@@ -23,45 +23,58 @@ __all__ = ["check_int", "check_real", "check_seed", "spawn_seed", "sample_genera
 STATE_CHUNK = 256
 
 
-def check_int(value, what: str, nonnegative: bool = False) -> int:
-    """``value`` as an int; UsageError unless it is an integer, and one
-    that is not negative when ``nonnegative``.
+def _in_domain(number, value, what: str, noun: str, low, high):
+    """``number``, ``value`` converted (None when it would not convert),
+    when it lies within ``low``..``high``; a bound of None is no bound,
+    and NaN lies in no range. UsageError otherwise, naming ``what`` and
+    its domain."""
+    if number is not None and (low is None or number >= low) and (high is None or number <= high):
+        return number
+    if noun == "an integer" and (low, high) == (0, None):
+        domain = "a non-negative integer"
+    elif high is None:
+        domain = noun if low is None else f"{noun} >= {low}"
+    else:
+        domain = f"{noun} <= {high}" if low is None else f"{noun} in [{low}, {high}]"
+    raise UsageError(f"{what} must be {domain}, got {value if number is None else number!r}")
+
+
+def check_int(value, what: str, low: int | None = None, high: int | None = None) -> int:
+    """``value`` as an int; UsageError unless it is an integer within
+    ``low``..``high`` (a bound of None is no bound).
 
     Python and numpy integers pass through ``operator.index``, so a float
     such as 1.5 is refused rather than cut to 1, and a string such as
     "1" rather than parsed; True reads as 1.
     """
-    kind = "a non-negative integer" if nonnegative else "an integer"
     try:
-        index = operator.index(value)
+        number = operator.index(value)
     except TypeError:
-        raise UsageError(f"{what} must be {kind}, got {value!r}") from None
-    if nonnegative and index < 0:
-        raise UsageError(f"{what} must be {kind}, got {index}")
-    return index
+        number = None
+    return _in_domain(number, value, what, "an integer", low, high)
 
 
-def check_real(value, what: str) -> float:
-    """``value`` as a float; UsageError unless it is a real number.
+def check_real(value, what: str, low: float | None = None, high: float | None = None) -> float:
+    """``value`` as a float; UsageError unless it is a real number within
+    ``low``..``high`` (a bound of None is no bound; NaN lies in no range).
 
     Python and numpy integers and floats pass, so a string such as "0.5"
     is refused rather than parsed, and None or a complex number refused.
     """
-    if not isinstance(value, numbers.Real):
-        raise UsageError(f"{what} must be a real number, got {value!r}")
-    return float(value)
+    number = float(value) if isinstance(value, numbers.Real) else None
+    return _in_domain(number, value, what, "a real number", low, high)
 
 
 def check_seed(seed) -> int:
     """``seed`` as an int; UsageError unless it is a non-negative integer,
     the domain of numpy's SeedSequence."""
-    return check_int(seed, "seed", nonnegative=True)
+    return check_int(seed, "seed", low=0)
 
 
-def spawn_seed(seed: int, *key: int) -> int:
-    """Derive a child seed from a root seed and an index path of
-    non-negative integers."""
-    spawn_key = tuple(check_int(k, "spawn key", nonnegative=True) for k in key)
+def spawn_seed(seed: int, index: int) -> int:
+    """Derive the child seed of grid point or sample ``index``, a
+    non-negative integer, from a root seed."""
+    spawn_key = (check_int(index, "spawn key", low=0),)
     ss = np.random.SeedSequence(entropy=check_seed(seed), spawn_key=spawn_key)
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 

@@ -86,16 +86,12 @@ class SweepRow:
 
 def _check_grid(grid, samples: int) -> list[float]:
     try:
-        values = [check_real(x, "grid value") for x in grid]
+        values = [check_real(x, "grid value", low=0, high=1) for x in grid]
     except TypeError:
         raise UsageError(f"grid must be a sequence of real numbers, got {grid!r}") from None
     if not values:
         raise UsageError("grid must hold at least one value")
-    for x in values:
-        if not 0.0 <= x <= 1.0:
-            raise UsageError(f"grid values must lie in [0, 1], got {x}")
-    if check_int(samples, "samples") < 1:
-        raise UsageError(f"samples must be >= 1, got {samples}")
+    check_int(samples, "samples", low=1)
     return values
 
 

@@ -108,7 +108,7 @@ PATH3 = DirectedGraph(["a", "b", "c"], [(0, 1), (1, 2)])
 def test_entry_points_refuse_non_integers(call, error):
     # a float would be cut to an int and a string parsed as one; a call
     # that draws samples refuses at the call, before the first is drawn
-    with pytest.raises(error, match="must be (an integer|integers)"):
+    with pytest.raises(error, match="must be (an integer|integers|a non-negative integer)"):
         call()
 
 
@@ -137,6 +137,92 @@ BA_BASE = BaParams(n=12, m_attach=2, m0=3)
 def test_entry_points_refuse_non_reals(call):
     # a string would be parsed as a float; None and complex numbers are no reals
     with pytest.raises(UsageError, match="must be a real number"):
+        call()
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: iter_samples(PATH3, 0, 1), "sample count must be an integer >= 1, got 0"),
+        (lambda: sample_mds(PATH3, -2, 1), "sample count must be an integer >= 1, got -2"),
+        (lambda: iter_samples(PATH3, 1, 1, start=-1), "first sample index must be a non-negative integer, got -1"),
+        (lambda: preferential_mds(PATH3, NodeOrder(range(3)), -1), "m must be an integer in [0, 3], got -1"),
+        (lambda: preferential_mds(PATH3, NodeOrder(range(3)), 4), "m must be an integer in [0, 3], got 4"),
+        (lambda: sweep_r(PATH3, [0.5, 1.5], samples=2), "grid value must be a real number in [0, 1], got 1.5"),
+        (lambda: sweep_r(PATH3, [-0.25], samples=2), "grid value must be a real number in [0, 1], got -0.25"),
+        (lambda: sweep_p([NAN], BA_BASE, samples=2), "grid value must be a real number in [0, 1], got nan"),
+        (lambda: sweep_r(PATH3, [0.5], samples=0), "samples must be an integer >= 1, got 0"),
+        (lambda: BaParams(n=10, m_attach=0), "m_attach must be an integer >= 1, got 0"),
+        (lambda: BaParams(n=10, m_attach=3, m0=2), "m0 must be an integer >= 3, got 2"),
+        (lambda: BaParams(n=3, m0=3), "n must be an integer >= 4, got 3"),
+        (lambda: BaParams(n=10, p=1.5), "p must be a real number in [0, 1], got 1.5"),
+        (lambda: BaParams(n=10, p=-1), "p must be a real number in [0, 1], got -1.0"),
+        (lambda: BaParams(n=10, p=NAN), "p must be a real number in [0, 1], got nan"),
+        (lambda: ReversalParams(r=1.01), "r must be a real number in [0, 1], got 1.01"),
+        (lambda: ReversalParams(r=NAN), "r must be a real number in [0, 1], got nan"),
+        (lambda: ReversalParams(r=float("inf")), "r must be a real number in [0, 1], got inf"),
+        (lambda: gen_directed_er(0, 0), "n must be an integer >= 1, got 0"),
+        (lambda: gen_directed_er(5, -1), "l must be an integer in [0, 20], got -1"),
+        (lambda: gen_directed_er(5, 21), "l must be an integer in [0, 20], got 21"),
+    ],
+    ids=[
+        "iter_samples-count", "sample_mds-count", "iter_samples-start", "preferential_mds-negative-m",
+        "preferential_mds-m-past-N", "sweep_r-grid-high", "sweep_r-grid-low", "sweep_p-grid-nan",
+        "sweep_r-samples", "BaParams-m_attach", "BaParams-m0", "BaParams-n", "BaParams-p-high",
+        "BaParams-p-low", "BaParams-p-nan", "ReversalParams-r-high", "ReversalParams-r-nan",
+        "ReversalParams-r-inf", "gen_directed_er-n", "gen_directed_er-l-low", "gen_directed_er-l-high",
+    ],
+)
+def test_entry_points_refuse_values_outside_their_domain(call, message):
+    # each numeric input's bounds are checked with its type, and the message
+    # names the input and its domain
+    with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: list(iter_samples(PATH3, 1, 1, start=0)),
+        lambda: preferential_mds(PATH3, NodeOrder(range(3)), 0),
+        lambda: preferential_mds(PATH3, NodeOrder(range(3)), 3),
+        lambda: sweep_r(PATH3, [0, 1], samples=1),
+        lambda: sweep_p([0.0, 1.0], BA_BASE, samples=1),
+        lambda: BaParams(n=2, m_attach=1),
+        lambda: BaParams(n=4, m_attach=3, m0=3, p=0),
+        lambda: BaParams(n=4, p=1),
+        lambda: ReversalParams(r=0),
+        lambda: ReversalParams(r=1.0),
+        lambda: gen_directed_er(1, 0),
+        lambda: gen_directed_er(5, 0),
+        lambda: gen_directed_er(5, 20),
+    ],
+    ids=[
+        "iter_samples-count-1-start-0", "preferential_mds-m-0", "preferential_mds-m-N",
+        "sweep_r-grid-ends", "sweep_p-grid-ends", "BaParams-m_attach-1", "BaParams-m0-m_attach",
+        "BaParams-p-1", "ReversalParams-r-0", "ReversalParams-r-1", "gen_directed_er-n-1",
+        "gen_directed_er-l-0", "gen_directed_er-l-capacity",
+    ],
+)
+def test_entry_points_accept_the_ends_of_each_domain(call):
+    call()
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: Matching([2**64 - 1, 2**64 - 1]), ValidationError),
+        (lambda: DirectedGraph(["a", "b"], np.array([[0, 2**64 - 1]], dtype=np.uint64)), ValueError),
+        (lambda: NodeOrder(np.array([2**64 - 1, 0], dtype=np.uint64)), UsageError),
+    ],
+    ids=["Matching", "DirectedGraph", "NodeOrder"],
+)
+def test_unsigned_indices_past_int64_are_refused(call, error):
+    # a cast to int64 would wrap them to negatives, such as -1 for a free role
+    with pytest.raises(error, match=f"must be integers within int64, got {2**64 - 1}$"):
         call()
 
 

@@ -9,7 +9,15 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from netctrl import UsageError, _kernel, parse_edge_list, read_edge_list
+from netctrl import (
+    BaParams,
+    UsageError,
+    _kernel,
+    gen_directed_ba,
+    parse_edge_list,
+    read_edge_list,
+    to_edge_list,
+)
 from netctrl.cli import RunConfig, _build_parser, _config_from_args, main, run
 
 from naive import naive_seed_states
@@ -83,6 +91,45 @@ class TestAnalyze:
         assert captured.err.startswith("netctrl: usage error:")
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["sample", "--samples", "0"], "sample count must be an integer >= 1, got 0"),
+            (["preferential", "--m", "5"], "m must be an integer in [0, 4], got 5"),
+            (["reverse", "--R", "nan"], "r must be a real number in [0, 1], got nan"),
+            (
+                ["sweep-r", "--grid", "0,1.5", "--samples", "2"],
+                "grid value must be a real number in [0, 1], got 1.5",
+            ),
+            (["sweep-r", "--grid", "0.5", "--samples", "0"], "samples must be an integer >= 1, got 0"),
+        ],
+        ids=["samples", "m", "R", "grid", "sweep-samples"],
+    )
+    def test_value_outside_its_domain_is_usage_error(self, capsys, star_file, argv, message):
+        code = main(argv + ["--input", star_file])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"netctrl: usage error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("ba:n=10,p=1.5", "p must be a real number in [0, 1], got 1.5"),
+            ("ba:n=10,m=0", "m_attach must be an integer >= 1, got 0"),
+            ("ba:n=3,m0=3", "n must be an integer >= 4, got 3"),
+            ("er:n=5,l=21", "l must be an integer in [0, 20], got 21"),
+            ("er:n=0,l=0", "n must be an integer >= 1, got 0"),
+        ],
+        ids=["ba-p", "ba-m", "ba-n", "er-l", "er-n"],
+    )
+    def test_generator_field_outside_its_domain_is_usage_error(self, capsys, spec, message):
+        code = main(["generate", "--gen", spec])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"netctrl: usage error: {message}\n"
 
     def test_unwritable_out_path_is_io_error(self, capsys, star_file, tmp_path):
         code = main(["analyze", "--input", star_file, "--out", str(tmp_path / "missing" / "report.json")])
@@ -266,6 +313,12 @@ class TestGenerateAndReverse:
         assert g.node_count == 30
         assert g.edge_count == 3 + 27 * 2
         assert out.startswith("# ba n=30 m=2 m0=3 p=0.5 seed=3\n")
+
+    def test_generate_takes_the_defaults_of_ba_params(self, capsys):
+        # the fields not given are left to BaParams, not restated by the CLI
+        code, out = run_cli(capsys, "generate", "--gen", "ba:n=30", "--seed", "5")
+        assert code == 0
+        assert out == to_edge_list(gen_directed_ba(BaParams(n=30, seed=5)))
 
     def test_generate_needs_gen(self, capsys):
         code, _ = run_cli(capsys, "generate", "--seed", "3")

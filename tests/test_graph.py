@@ -255,8 +255,13 @@ def test_has_edge_refuses_non_integers(tail, head):
         (0, 2**70, False),
         (-(2**70), 1, False),
         ([0, 2**70], [1, 1], [True, False]),
+        (np.uint64(2**64 - 1), 0, False),
+        (np.array([2**63, 0], dtype=np.uint64), [1, 1], [False, True]),
     ],
-    ids=["tail-past-int64", "head-past-int64", "negative-past-int64", "array-past-int64"],
+    ids=[
+        "tail-past-int64", "head-past-int64", "negative-past-int64", "array-past-int64",
+        "uint64-past-int64", "uint64-array-past-int64",
+    ],
 )
 def test_has_edge_answers_false_past_int64(tail, head, expected):
     # an index outside 0..N-1 is never an edge, however large

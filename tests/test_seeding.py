@@ -100,8 +100,6 @@ class TestCheckSeed:
         # named the children of 2 and 3
         with pytest.raises(UsageError, match="spawn key must be a non-negative integer"):
             spawn_seed(1, key)
-        with pytest.raises(UsageError, match="spawn key must be a non-negative integer"):
-            spawn_seed(1, 0, key)
 
     def test_a_numpy_integer_seed_gives_the_ints_stream(self, small_graph):
         assert list(iter_samples(small_graph, 3, np.uint32(9))) == list(iter_samples(small_graph, 3, 9))
