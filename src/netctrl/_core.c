@@ -30,10 +30,9 @@
  *
  * The caller checks the inputs: `ptr` and `in_ptr` are CSR row pointers
  * of n + 1 entries over the same ptr[n] edges, `heads` holds indices in
- * 0..n-1, `keys` are in 0..2^32-1 and slices shorter than 2^32 slots
- * (verify_maximum's `arange` keys may take any order: the pass is exact
- * under any scan), `order` is a permutation of 0..n-1, and `mh`/`mt`
- * hold a matching and its inverse (-1 when free), updated in place.
+ * 0..n-1, `keys` are in 0..2^32-1 and slices shorter than 2^32 slots,
+ * `order` is a permutation of 0..n-1, and `mh`/`mt` hold a matching and
+ * its inverse (-1 when free), updated in place.
  * `scan` holds ptr[n] entries; scratch: `mark`, `trail` and `free_heads`
  * n, `stack` 3 * n. Returns the number of matched pairs or NETCTRL_BREACH.
  *

@@ -58,11 +58,12 @@ class Workspace:
     completes in place. The call writes ``scan``, each tail's heads in
     key order with equal keys in slot order, ``free_heads[:n - pairs]``,
     the free in-roles in ascending order, and ``degree_sum[0]``, the sum
-    of their total degrees. ``keys`` and ``scan`` are the only per-slot
-    arrays: the sort works in ``scan`` itself. The graph's CSR arrays are
-    held here too, and every address is taken once, in the constructor.
-    One call at a time may use a workspace; calls on workspaces of their
-    own may run at once.
+    of their total degrees, which ``complete()`` copies to ``_free``: every
+    reported driver set is read off them. ``keys`` and ``scan`` are the
+    only per-slot arrays: the sort works in ``scan`` itself. The graph's
+    CSR arrays are held here too, and every address is taken once, in the
+    constructor. One call at a time may use a workspace; calls on
+    workspaces of their own may run at once.
     """
 
     __slots__ = ("order", "keys", "mh", "mt", "scan", "free_heads", "degree_sum", "_arrays", "_args")

@@ -306,8 +306,10 @@ def to_edge_list(graph: DirectedGraph) -> str:
 
     Isolated nodes are not representable in this format; reparsing the
     output of a graph that has them yields a smaller graph. Raises
-    UsageError when a label would not read back as itself: one that is
-    empty, holds whitespace, or starts with '#' or '%' (a comment line).
+    UsageError when a label would not read back as itself (one that is
+    empty, holds whitespace, or starts with '#' or '%', a comment line),
+    or when a provenance note holds a line break, past which its text
+    would read as an edge line.
     """
     labels = graph.labels
     for label in labels:
@@ -315,6 +317,12 @@ def to_edge_list(graph: DirectedGraph) -> str:
             raise UsageError(
                 f"node label {label!r} cannot be written to an edge list: a label is one "
                 "token that does not start with '#' or '%'"
+            )
+    for note in graph.provenance:
+        # str.splitlines drops exactly the line breaks the parser splits at
+        if "".join(note.splitlines()) != note:
+            raise UsageError(
+                f"provenance note {note!r} cannot be written to an edge list: a note is one line"
             )
     lines = [f"# {note}" for note in graph.provenance]
     for tail, head in graph.edges:

@@ -39,7 +39,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import UsageError, ValidationError
-from .graph import DirectedGraph, _int64_array
+from .graph import DirectedGraph, _int64_array, degrees
 
 __all__ = ["Matching", "MatchingState", "max_matching", "verify_maximum"]
 
@@ -130,12 +130,13 @@ class MatchingState:
     @classmethod
     def _sampling(cls, graph: DirectedGraph, perm: np.ndarray, keys: np.ndarray, work=None) -> MatchingState:
         """A state with no node active for a permutation and scan keys that
-        the library drew itself, as int64 arrays; neither is checked.
+        the library made itself (the sampler's draws, or the Berge pass's
+        node indices and zero keys), as int64 arrays; neither is checked.
 
         ``work``, a ``_kernel.Workspace`` of the graph, is the memory of the
         compiled pass: ``complete()`` copies the state into it, calls, and
-        copies the result out, so states may take turns with one workspace.
-        Without, ``complete()`` makes one.
+        copies the result and the free in-roles out, so states may take
+        turns with one workspace. Without, ``complete()`` makes one.
         """
         state = cls.__new__(cls)
         state._start(graph, perm, keys, work)
@@ -155,8 +156,8 @@ class MatchingState:
         # one key per out-CSR slot, each in 0..2**32-1: a tail's heads are
         # scanned in ascending key order
         self._keys = keys
-        # the free in-roles and their degree sum, from the last compiled
-        # complete(); no node can be admitted after it
+        # the free in-roles in ascending order and their total-degree sum,
+        # set by complete(), after which no node can be admitted
         self._free: tuple[np.ndarray, int] | None = None
         # the heads in scan order and the out-CSR's row pointers as lists,
         # made by _augment
@@ -226,12 +227,13 @@ class MatchingState:
         """Admit all remaining nodes and finish to a maximum matching.
 
         One pass over free out-roles in ascending rank; a failed search
-        stays failed under later augmentations, so one pass suffices. The
-        pass runs compiled when the kernel of ``_core.c`` can be built,
-        and in ``_augment`` otherwise, with the same result. The compiled
-        pass is one call, which also sorts the scans (``_scan_order``'s
-        order), checks the matching against its inverse and lists the free
-        in-roles: a whole sample of the sampler.
+        stays failed under later augmentations, so one pass suffices. It
+        runs compiled when the kernel of ``_core.c`` can be built, in one
+        call that also sorts the scans (``_scan_order``'s order), checks
+        the matching against its inverse and lists the free in-roles, and
+        in ``_augment`` otherwise, which reads them off its checked
+        snapshot. Either way ``_free`` then holds the free in-roles in
+        ascending order and the exact sum of their total degrees.
         """
         # imported on first use, so that `import netctrl` leaves the loader out
         from . import _kernel
@@ -239,11 +241,12 @@ class MatchingState:
         self._mark = 0  # every head admitted and unmarked
         self._admitted = self._perm.size  # no node is left to admit
         self._free_scan = []
-        self._free = None
         compiled = _kernel.core()
         if compiled is None:
             self._stamp += 1
             self._augment(self._perm.tolist())
+            free = np.flatnonzero(self.matching.tail_by_head < 0)
+            self._free = free, int(degrees(self.graph).total_degree[free].sum())
             return
         work = self._work
         if work is None:
@@ -259,14 +262,6 @@ class MatchingState:
             )
         self._mh, self._mt, self._size = work.mh.copy(), work.mt.copy(), size
         self._free = work.free_heads[:work.mh.size - size].copy(), int(work.degree_sum[0])
-
-    def _free_heads(self, total_degree: np.ndarray) -> tuple[np.ndarray, int]:
-        """The in-roles the matching leaves free, in ascending order, and
-        the sum of their ``total_degree``s: from the compiled pass, or else
-        read off the checked snapshot."""
-        if self._free is None:
-            return _free_in_roles(self.matching, total_degree)
-        return self._free
 
     # --- internals ----------------------------------------------------
 
@@ -359,12 +354,6 @@ def _scan_order(graph: DirectedGraph, keys: np.ndarray) -> np.ndarray:
     return np.argsort(tails << 32 | keys, kind="stable")
 
 
-def _free_in_roles(matching: Matching, total_degree: np.ndarray) -> tuple[np.ndarray, int]:
-    """The in-roles ``matching`` leaves free, in ascending order, and the sum of their ``total_degree``s."""
-    free = np.flatnonzero(matching.tail_by_head < 0)
-    return free, int(total_degree[free].sum())
-
-
 def max_matching(graph: DirectedGraph, order) -> Matching:
     """Deterministic maximum matching of the whole graph under an order.
 
@@ -386,6 +375,14 @@ def verify_maximum(graph: DirectedGraph, matching: Matching) -> bool:
     when one exists (the module docstring says why one pass is exact), so
     the matching is maximum when the pass adds no pair.
     """
+    return _completing_pass(graph, matching).size == matching.size
+
+
+def _completing_pass(graph: DirectedGraph, matching: Matching) -> MatchingState:
+    """A completing pass seeded with a copy of ``matching``, as a state.
+
+    A pass that adds no pair flips none, so its ``_free`` lists the
+    in-roles ``matching`` leaves free."""
     n = graph.node_count
     if matching.head_by_tail.size != n:
         raise ValidationError(f"matching covers {matching.head_by_tail.size} nodes, graph has {n}")
@@ -394,12 +391,12 @@ def verify_maximum(graph: DirectedGraph, matching: Matching) -> bool:
     bad = np.flatnonzero(~graph.has_edge(tails, heads))
     if bad.size:
         raise ValidationError(f"({tails[bad[0]]}, {heads[bad[0]]}) is not an edge of the graph")
-    # any order and scan will do: take the node indices and the out-CSR's own
+    # any order and scan will do: the node indices, and zero keys (slot order)
     state = MatchingState._sampling(
-        graph, np.arange(n, dtype=np.int64), np.arange(graph.edge_count, dtype=np.int64)
+        graph, np.arange(n, dtype=np.int64), np.zeros(graph.edge_count, dtype=np.int64)
     )
     state._mh = matching.head_by_tail.copy()
     state._mt = matching.tail_by_head.copy()
     state._size = matching.size
     state.complete()
-    return state.size == matching.size
+    return state

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import UsageError, ValidationError
 from .graph import DirectedGraph, _int64_array, degrees
-from .matching import Matching, MatchingState, _free_in_roles, verify_maximum
+from .matching import Matching, MatchingState, _completing_pass
 from .seeding import check_int, check_seed, sample_generators
 
 __all__ = [
@@ -121,11 +121,11 @@ def drivers(graph: DirectedGraph, matching: Matching, order: NodeOrder) -> MdsRe
     """
     if len(order.permutation) != graph.node_count:
         raise UsageError(f"order covers {len(order.permutation)} nodes, graph has {graph.node_count}")
-    if not verify_maximum(graph, matching):
+    state = _completing_pass(graph, matching)
+    if state.size != matching.size:
         raise ValidationError("matching is not maximum; driver extraction needs a maximum matching")
     tot = degrees(graph).total_degree
-    free, degree_sum = _free_in_roles(matching, tot)
-    driver_set, n_d, perfect, avg_kd = _driver_set(free, degree_sum, order.permutation[0], tot)
+    driver_set, n_d, perfect, avg_kd = _driver_set(*state._free, order.permutation[0], tot)
     return MdsResult(
         drivers=tuple(driver_set.tolist()),
         n_d=n_d,
@@ -205,7 +205,7 @@ def _sample_stream(graph: DirectedGraph, count: int, seed: int, start: int = 0):
             # the completing pass ends with every free tail failing its
             # search, which is the Berge certificate of maximality
             state.complete()
-            sample = _driver_set(*state._free_heads(tot), perm.item(0), tot)
+            sample = _driver_set(*state._free, perm.item(0), tot)
             if n_d not in (None, sample[1]):
                 raise ValidationError("sampled driver-set sizes disagree; matching engine is broken")
             n_d = sample[1]

@@ -111,24 +111,25 @@ def _measure_point(knob: float, graph: DirectedGraph, samples: int, point_seed: 
     )
 
 
+def _sweep(grid, samples: int, seed: int, graph_at) -> list[SweepRow]:
+    """One row per grid value, measured on ``graph_at(value, point_seed)``:
+    a closure that finds its generator in this module when a point runs,
+    so a rebound binding (``bench/tracer.py`` wraps them) sees each call."""
+    rows = []
+    for i, knob in enumerate(_check_grid(grid, samples)):
+        point_seed = spawn_seed(seed, i)
+        rows.append(_measure_point(knob, graph_at(knob, point_seed), samples, point_seed))
+    return rows
+
+
 def sweep_p(grid, ba_base: BaParams, samples: int = 1000, seed: int = 0) -> list[SweepRow]:
     """For each attachment-direction p: generate, measure f_hi_lo, sample MDSs."""
-    rows = []
-    for i, p in enumerate(_check_grid(grid, samples)):
-        point_seed = spawn_seed(seed, i)
-        graph = gen_directed_ba(replace(ba_base, p=p, seed=point_seed))
-        rows.append(_measure_point(p, graph, samples, point_seed))
-    return rows
+    return _sweep(grid, samples, seed, lambda p, s: gen_directed_ba(replace(ba_base, p=p, seed=s)))
 
 
 def sweep_r(graph: DirectedGraph, grid, samples: int = 1000, seed: int = 0) -> list[SweepRow]:
     """For each reversal probability R: transform the graph and sample MDSs."""
-    rows = []
-    for i, r in enumerate(_check_grid(grid, samples)):
-        point_seed = spawn_seed(seed, i)
-        transformed = reverse_edges(graph, ReversalParams(r=r, seed=point_seed)).graph
-        rows.append(_measure_point(r, transformed, samples, point_seed))
-    return rows
+    return _sweep(grid, samples, seed, lambda r, s: reverse_edges(graph, ReversalParams(r=r, seed=s)).graph)
 
 
 def sweep_rows_to_csv(rows) -> str:

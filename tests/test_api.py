@@ -4,6 +4,8 @@ pytest settings and the input checks at its entry points."""
 from __future__ import annotations
 
 import inspect
+import json
+import os
 import re
 import subprocess
 import sys
@@ -249,6 +251,36 @@ def test_entry_points_refuse_non_iterables(call, error):
     # iterating None or 5 raises a bare TypeError, which no caller expects
     with pytest.raises(error, match="must be"):
         call()
+
+
+MODULES_LOADED = """
+import json, sys
+def netctrl_modules():
+    return {name for name in sys.modules if name.partition(".")[0] == "netctrl"}
+import netctrl
+at_import, numpy_at_import = netctrl_modules(), "numpy" in sys.modules
+netctrl.read_edge_list(sys.argv[1])
+print(json.dumps([sorted(at_import), numpy_at_import, sorted(netctrl_modules() - at_import)]))
+"""
+
+
+def test_import_loads_only_what_a_caller_reads(tmp_path):
+    # the public names load their modules on first access: `import netctrl`
+    # loads no numpy, and reading a graph loads none of matching, mds,
+    # stats or generators, which a process's start-up would otherwise pay for
+    path = tmp_path / "g.txt"
+    path.write_text("a b\nb c\n", encoding="utf-8")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PYPROJECT.parent / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", MODULES_LOADED, str(path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    at_import, numpy_at_import, by_read = json.loads(proc.stdout)
+    assert at_import == ["netctrl", "netctrl.errors"]
+    assert numpy_at_import is False
+    assert by_read == ["netctrl._kernel", "netctrl.graph"]
 
 
 FAILING_PROPERTY = """

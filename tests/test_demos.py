@@ -24,10 +24,12 @@ def test_every_demo_is_found():
 
 
 def run_python(*args: str) -> subprocess.CompletedProcess:
+    # -W error: a child interpreter does not inherit the suite's warning
+    # filters, so a deprecation warning would otherwise only be printed
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-W", "error", *args], env=env, capture_output=True, text=True, timeout=120
     )
 
 

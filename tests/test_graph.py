@@ -311,6 +311,26 @@ def test_label_that_would_not_read_back_is_refused(label):
         to_edge_list(g)
 
 
+@pytest.mark.parametrize("note", ["note\nc d", "x\ry", "a\x1cb", "a\u2028b"])
+def test_note_with_a_line_break_is_refused(note):
+    # \x1c breaks a line for the compiled tokenizer and the line loop,
+    # \u2028 for the line loop only: either would end the comment
+    g = DirectedGraph(["a", "b"], [(0, 1)], provenance=(note,))
+    with pytest.raises(UsageError, match="cannot be written to an edge list"):
+        to_edge_list(g)
+
+
+def test_generated_and_reversed_notes_write_as_comments():
+    ba = gen_directed_ba(BaParams(n=30, seed=5))
+    er = gen_directed_er(20, 40, seed=2)
+    flipped = reverse_edges(ba, ReversalParams(r=0.5, seed=3)).graph
+    for g in (ba, er, flipped):
+        text = to_edge_list(g)
+        assert g.provenance
+        assert [line for line in text.splitlines() if line.startswith("#")] == [f"# {note}" for note in g.provenance]
+        assert parse_edge_list(text).edge_count == g.edge_count
+
+
 def labeled_edges(g) -> list[tuple[str, str]]:
     return [(g.label_of(u), g.label_of(v)) for u, v in g.edges]
 

@@ -25,7 +25,6 @@ from netctrl import (
 from netctrl import _kernel
 from netctrl.cli import main
 from netctrl.generators import BaParams, gen_directed_ba, gen_directed_er
-from netctrl.graph import degrees
 from netctrl.matching import _scan_order
 from netctrl.mds import NodeOrder, drivers, iter_samples
 
@@ -159,6 +158,21 @@ class TestVerifyMaximum:
         with pytest.raises(ValidationError, match="not the inverse"):
             max_matching(path3, intern_order(path3))
         assert main(["analyze", "--gen", "er:n=5,l=4"]) == 4
+
+    def test_inverse_breach_in_a_python_pass_rejected(self, path3, monkeypatch):
+        # a Python search that leaves head 0 reading matched while no tail
+        # holds it: the pass reads its free in-roles off the checked
+        # snapshot, so complete() itself raises
+        def stray_augment(state, roots, first_only=False):
+            state._mh, state._mt = state._mh.tolist(), state._mt.tolist()
+            state._mt[0] = 0
+            return -1
+
+        monkeypatch.setattr(_kernel, "_kernel", None)
+        monkeypatch.setattr(MatchingState, "_augment", stray_augment)
+        state = MatchingState(path3, intern_order(path3))
+        with pytest.raises(ValidationError, match="not the inverse"):
+            state.complete()
 
     def test_inverse_breach_in_a_sample_rejected(self, path3, monkeypatch, capsys):
         # the sampler takes no snapshot: the pass's own check reports the
@@ -610,7 +624,6 @@ def test_states_taking_turns_with_one_workspace_keep_their_own_matchings(compile
     # state's matching and free in-roles must not follow the next sample's
     g = gen_directed_er(60, 120, seed=3)
     work = _kernel.Workspace(g)
-    tot = degrees(g).total_degree
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_kernel, "_kernel", compiled_kernel)
         states = []
@@ -618,10 +631,10 @@ def test_states_taking_turns_with_one_workspace_keep_their_own_matchings(compile
             rng = np.random.default_rng(seed)
             state = MatchingState._sampling(g, rng.permutation(g.node_count), shuffled_keys(g, rng), work)
             state.complete()
-            states.append((state, state.matching, state._free_heads(tot)[0].copy()))
+            states.append((state, state.matching, state._free[0].copy()))
     for state, matching, free in states:
         assert state.matching == matching
-        assert state._free_heads(tot)[0].tolist() == free.tolist()
+        assert state._free[0].tolist() == free.tolist()
         assert free.tolist() == np.flatnonzero(matching.tail_by_head < 0).tolist()
 
 

@@ -347,3 +347,29 @@ def test_samplers_agree_on_a_cycle(compiled_kernel):
     compiled, python = samples_both_ways(compiled_kernel, g, 10, seed=4)
     assert compiled == python
     assert all(perfect and n_d == 1 for _, n_d, perfect, _ in compiled)
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "python"])
+def test_drivers_are_the_in_roles_the_matching_leaves_free(compiled, request, fixture_corpus):
+    # drivers() reads its set off the Berge pass that certifies the
+    # matching; it must be the set read off the matching itself, and
+    # <k_D> numpy's mean of the drivers' total degrees, bit for bit
+    core = request.getfixturevalue("compiled_kernel") if compiled else None
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data(), st.integers(min_value=0, max_value=2**32 - 1))
+    def agrees(data, seed):
+        g = data.draw(sampled_graphs(fixture_corpus))
+        order = NodeOrder.random(g, seed)
+        m = data.draw(st.integers(min_value=0, max_value=g.node_count))
+        tot = degrees(g).total_degree
+        for matching in (max_matching(g, order), preferential_mds(g, order, m).witness):
+            result = drivers(g, matching, order)
+            free = np.flatnonzero(matching.tail_by_head < 0)
+            expected = free if free.size else np.array([order.permutation[0]])
+            assert result.drivers == tuple(expected.tolist())
+            assert result.avg_degree_d == tot[expected].mean()
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_kernel, "_kernel", core)
+        agrees()
