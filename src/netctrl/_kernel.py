@@ -22,10 +22,11 @@ renames it into place, so processes building at once each load a whole
 library and leave one file. A cached file that will not load is built
 again once.
 
-``import netctrl`` does not import this module: the first ``complete()``
-or ``parse_edge_list`` call imports it and loads the library. The modules
-only a build needs are imported by the build, which saves a process that
-finds the library cached about 6 ms.
+No module imports this one at its top: the first ``complete()``,
+``parse_edge_list`` or sample stream imports it and loads the library,
+so commands that never parse, match or sample (``generate``, ``reverse``)
+do not load it. The modules only a build needs are imported by the
+build, which saves a process that finds the library cached about 6 ms.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ class Workspace:
     completes in place. The call writes ``scan``, each tail's heads in
     key order with equal keys in slot order, ``free_heads[:n - pairs]``,
     the free in-roles in ascending order, and ``degree_sum[0]``, the sum
-    of their total degrees, which ``complete()`` copies to ``_free``: every
+    of their total degrees, which ``complete()`` returns copies of: every
     reported driver set is read off them. ``keys`` and ``scan`` are the
     only per-slot arrays: the sort works in ``scan`` itself. The graph's
     CSR arrays are held here too, and every address is taken once, in the

@@ -252,7 +252,7 @@ def _intern_compiled(text: str) -> tuple[list[str], np.ndarray] | None:
     """The labels in first-appearance order and the (tail, head) id pairs in
     line order, from the compiled tokenizer; None when it is not at hand or
     rejects a line."""
-    # imported on first use, so that `import netctrl` leaves the loader out
+    # imported on first use: commands that never parse (generate, reverse) skip the loader
     from ._kernel import core
 
     compiled = core()

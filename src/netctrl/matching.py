@@ -125,45 +125,44 @@ class MatchingState:
         if perm.size != n:
             raise UsageError(f"order covers {perm.size} nodes, graph has {n}")
         rank = np.argsort(perm)  # the inverse permutation
-        self._start(graph, perm, rank[graph.out_heads], None)
+        self._start(graph, perm, rank[graph.out_heads], Matching(np.full(n, -1)), None)
 
     @classmethod
-    def _sampling(cls, graph: DirectedGraph, perm: np.ndarray, keys: np.ndarray, work=None) -> MatchingState:
-        """A state with no node active for a permutation and scan keys that
-        the library made itself (the sampler's draws, or the Berge pass's
-        node indices and zero keys), as int64 arrays; neither is checked.
+    def _sampling(
+        cls, graph: DirectedGraph, perm: np.ndarray, keys: np.ndarray, start: Matching, work=None
+    ) -> MatchingState:
+        """A state with no node active that starts from ``start``, for a
+        permutation and scan keys that the library made itself (the
+        sampler's draws, or the Berge pass's node indices and zero keys), as
+        int64 arrays; none is checked, and ``start``'s pairs must be edges.
 
         ``work``, a ``_kernel.Workspace`` of the graph, is the memory of the
         compiled pass: ``complete()`` copies the state into it, calls, and
-        copies the result and the free in-roles out, so states may take
+        copies the matching and the free in-roles out, so states may take
         turns with one workspace. Without, ``complete()`` makes one.
         """
         state = cls.__new__(cls)
-        state._start(graph, perm, keys, work)
+        state._start(graph, perm, keys, start, work)
         return state
 
-    def _start(self, graph: DirectedGraph, perm: np.ndarray, keys: np.ndarray, work) -> None:
-        """Set up a state with no node active and an empty matching."""
-        n = graph.node_count
+    def _start(self, graph: DirectedGraph, perm: np.ndarray, keys: np.ndarray, start: Matching, work) -> None:
+        """Set up a state with no node active that starts from ``start``."""
         self.graph = graph
-        # The state is kept as int64 arrays of its own; _augment swaps them
-        # for lists, which it indexes faster.
-        self._mh = np.full(n, -1, dtype=np.int64)  # tail -> matched head
-        self._mt = np.full(n, -1, dtype=np.int64)  # head -> matched tail
+        # start's read-only arrays, never written: complete() replaces them
+        # with copies, and _augment with lists, which it indexes faster
+        self._mh = start.head_by_tail  # tail -> matched head
+        self._mt = start.tail_by_head  # head -> matched tail
+        self._size = start.size
         self._work = work  # the compiled pass's memory, made by complete() when None
         self._perm = perm
         self._admitted = 0  # the nodes of _perm active so far, a prefix
         # one key per out-CSR slot, each in 0..2**32-1: a tail's heads are
         # scanned in ascending key order
         self._keys = keys
-        # the free in-roles in ascending order and their total-degree sum,
-        # set by complete(), after which no node can be admitted
-        self._free: tuple[np.ndarray, int] | None = None
         # the heads in scan order and the out-CSR's row pointers as lists,
         # made by _augment
         self._heads: list[int] | None = None
         self._ptr: list[int] | None = None
-        self._size = 0
         # per head: _INACTIVE until admitted, then the stamp of the search
         # that last marked it, 0 when unmarked (see _augment); held as the
         # one value every head has until _marks() makes the list
@@ -223,8 +222,10 @@ class MatchingState:
         if stays_free and ptr[node] < ptr[node + 1]:
             self._free_scan.append(node)
 
-    def complete(self) -> None:
-        """Admit all remaining nodes and finish to a maximum matching.
+    def complete(self) -> tuple[np.ndarray, int]:
+        """Admit all remaining nodes, finish to a maximum matching and
+        return ``(free, degree_sum)``: the in-roles it leaves free, in
+        ascending order, and the exact sum of their total degrees.
 
         One pass over free out-roles in ascending rank; a failed search
         stays failed under later augmentations, so one pass suffices. It
@@ -232,10 +233,9 @@ class MatchingState:
         call that also sorts the scans (``_scan_order``'s order), checks
         the matching against its inverse and lists the free in-roles, and
         in ``_augment`` otherwise, which reads them off its checked
-        snapshot. Either way ``_free`` then holds the free in-roles in
-        ascending order and the exact sum of their total degrees.
+        snapshot.
         """
-        # imported on first use, so that `import netctrl` leaves the loader out
+        # imported on first use: commands that never match (generate, reverse) skip the loader
         from . import _kernel
 
         self._mark = 0  # every head admitted and unmarked
@@ -246,8 +246,7 @@ class MatchingState:
             self._stamp += 1
             self._augment(self._perm.tolist())
             free = np.flatnonzero(self.matching.tail_by_head < 0)
-            self._free = free, int(degrees(self.graph).total_degree[free].sum())
-            return
+            return free, int(degrees(self.graph).total_degree[free].sum())
         work = self._work
         if work is None:
             work = self._work = _kernel.Workspace(self.graph)
@@ -261,7 +260,7 @@ class MatchingState:
                 "the completing pass left tail_by_head not the inverse of head_by_tail, or a wrong pair count"
             )
         self._mh, self._mt, self._size = work.mh.copy(), work.mt.copy(), size
-        self._free = work.free_heads[:work.mh.size - size].copy(), int(work.degree_sum[0])
+        return work.free_heads[:work.mh.size - size].copy(), int(work.degree_sum[0])
 
     # --- internals ----------------------------------------------------
 
@@ -375,14 +374,15 @@ def verify_maximum(graph: DirectedGraph, matching: Matching) -> bool:
     when one exists (the module docstring says why one pass is exact), so
     the matching is maximum when the pass adds no pair.
     """
-    return _completing_pass(graph, matching).size == matching.size
+    return _completing_pass(graph, matching)[0] == 0
 
 
-def _completing_pass(graph: DirectedGraph, matching: Matching) -> MatchingState:
-    """A completing pass seeded with a copy of ``matching``, as a state.
+def _completing_pass(graph: DirectedGraph, matching: Matching) -> tuple[int, tuple[np.ndarray, int]]:
+    """``(pairs added, complete()'s result)`` of a completing pass that
+    starts from ``matching``.
 
-    A pass that adds no pair flips none, so its ``_free`` lists the
-    in-roles ``matching`` leaves free."""
+    A pass that adds no pair flips none, so its free in-roles are the
+    ones ``matching`` leaves free."""
     n = graph.node_count
     if matching.head_by_tail.size != n:
         raise ValidationError(f"matching covers {matching.head_by_tail.size} nodes, graph has {n}")
@@ -393,10 +393,7 @@ def _completing_pass(graph: DirectedGraph, matching: Matching) -> MatchingState:
         raise ValidationError(f"({tails[bad[0]]}, {heads[bad[0]]}) is not an edge of the graph")
     # any order and scan will do: the node indices, and zero keys (slot order)
     state = MatchingState._sampling(
-        graph, np.arange(n, dtype=np.int64), np.zeros(graph.edge_count, dtype=np.int64)
+        graph, np.arange(n, dtype=np.int64), np.zeros(graph.edge_count, dtype=np.int64), matching
     )
-    state._mh = matching.head_by_tail.copy()
-    state._mt = matching.tail_by_head.copy()
-    state._size = matching.size
-    state.complete()
-    return state
+    free = state.complete()
+    return state.size - matching.size, free

@@ -121,11 +121,11 @@ def drivers(graph: DirectedGraph, matching: Matching, order: NodeOrder) -> MdsRe
     """
     if len(order.permutation) != graph.node_count:
         raise UsageError(f"order covers {len(order.permutation)} nodes, graph has {graph.node_count}")
-    state = _completing_pass(graph, matching)
-    if state.size != matching.size:
+    added, free = _completing_pass(graph, matching)
+    if added:
         raise ValidationError("matching is not maximum; driver extraction needs a maximum matching")
     tot = degrees(graph).total_degree
-    driver_set, n_d, perfect, avg_kd = _driver_set(*state._free, order.permutation[0], tot)
+    driver_set, n_d, perfect, avg_kd = _driver_set(*free, order.permutation[0], tot)
     return MdsResult(
         drivers=tuple(driver_set.tolist()),
         n_d=n_d,
@@ -186,7 +186,7 @@ def _sample_stream(graph: DirectedGraph, count: int, seed: int, start: int = 0):
     a sample outlives its iteration but the compiled pass's workspace and
     the stream's generator.
     """
-    # imported here, so that `import netctrl` leaves the loader out
+    # imported here: commands that never sample (generate, reverse) skip the loader
     from ._kernel import Workspace
 
     seed = check_seed(seed)
@@ -198,14 +198,14 @@ def _sample_stream(graph: DirectedGraph, count: int, seed: int, start: int = 0):
     def draw():
         n_d = None
         work = Workspace(graph)
+        empty = Matching(np.full(n, -1))
         for rng in sample_generators(seed, start, count):
             perm = rng.permutation(n)
             keys = rng.integers(0, 1 << 32, size=edges, dtype=np.int64)
-            state = MatchingState._sampling(graph, perm, keys, work)
             # the completing pass ends with every free tail failing its
             # search, which is the Berge certificate of maximality
-            state.complete()
-            sample = _driver_set(*state._free, perm.item(0), tot)
+            free = MatchingState._sampling(graph, perm, keys, empty, work).complete()
+            sample = _driver_set(*free, perm.item(0), tot)
             if n_d not in (None, sample[1]):
                 raise ValidationError("sampled driver-set sizes disagree; matching engine is broken")
             n_d = sample[1]

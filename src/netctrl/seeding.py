@@ -9,6 +9,7 @@ computing their states with the compiled core when it can.
 
 from __future__ import annotations
 
+import math
 import numbers
 import operator
 from typing import Iterator
@@ -36,7 +37,19 @@ def _in_domain(number, value, what: str, noun: str, low, high):
         domain = noun if low is None else f"{noun} >= {low}"
     else:
         domain = f"{noun} <= {high}" if low is None else f"{noun} in [{low}, {high}]"
-    raise UsageError(f"{what} must be {domain}, got {value if number is None else number!r}")
+    raise UsageError(f"{what} must be {domain}, got {_shown(value if number is None else number)}")
+
+
+def _shown(value) -> str:
+    """``str(value)``; where that would hold an integer with more digits
+    than Python writes, an int's sign and bit length, or else the name of
+    the value's type."""
+    try:
+        return str(value)
+    except ValueError:
+        if isinstance(value, int):
+            return f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
+        return f"a {type(value).__name__} too long to print"
 
 
 def check_int(value, what: str, low: int | None = None, high: int | None = None) -> int:
@@ -60,8 +73,14 @@ def check_real(value, what: str, low: float | None = None, high: float | None = 
 
     Python and numpy integers and floats pass, so a string such as "0.5"
     is refused rather than parsed, and None or a complex number refused.
+    A real past the float range, such as 10**400, reads as inf or -inf.
     """
-    number = float(value) if isinstance(value, numbers.Real) else None
+    number = None
+    if isinstance(value, numbers.Real):
+        try:
+            number = float(value)
+        except OverflowError:  # an int or a fraction past the float range
+            number = math.inf if value > 0 else -math.inf
     return _in_domain(number, value, what, "a real number", low, high)
 
 
@@ -89,7 +108,7 @@ def sample_generators(seed: int, start: int, count: int) -> Iterator[np.random.G
     or for indices beyond uint64, each sample gets a generator of its own.
     ``seed`` must have passed ``check_seed``.
     """
-    # imported here, so that `import netctrl` leaves the loader out
+    # imported here: commands that never sample (generate, reverse) skip the loader
     from ._kernel import core
 
     kernel = core()

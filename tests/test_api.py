@@ -169,6 +169,24 @@ NAN = float("nan")
         (lambda: gen_directed_er(0, 0), "n must be an integer >= 1, got 0"),
         (lambda: gen_directed_er(5, -1), "l must be an integer in [0, 20], got -1"),
         (lambda: gen_directed_er(5, 21), "l must be an integer in [0, 20], got 21"),
+        # a real past the float range reads as inf or -inf
+        (lambda: BaParams(n=10, p=10**400), "p must be a real number in [0, 1], got inf"),
+        (lambda: BaParams(n=10, p=-10**400), "p must be a real number in [0, 1], got -inf"),
+        (lambda: ReversalParams(r=10**400), "r must be a real number in [0, 1], got inf"),
+        (lambda: sweep_r(PATH3, [10**400], samples=1), "grid value must be a real number in [0, 1], got inf"),
+        # an integer past Python's limit on the digits of a string is shown
+        # by its sign and bit length
+        (
+            lambda: preferential_mds(PATH3, NodeOrder(range(3)), 10**5000),
+            "m must be an integer in [0, 3], got an integer of 16610 bits",
+        ),
+        (lambda: BaParams(n=-10**5000), "n must be an integer >= 3, got a negative integer of 16610 bits"),
+        (
+            lambda: sample_mds(PATH3, 1, -10**5000),
+            "seed must be a non-negative integer, got a negative integer of 16610 bits",
+        ),
+        (lambda: gen_directed_er(10, 10**5000), "l must be an integer in [0, 90], got an integer of 16610 bits"),
+        (lambda: sample_mds(PATH3, [10**5000], 1), "sample count must be an integer, got a list too long to print"),
     ],
     ids=[
         "iter_samples-count", "sample_mds-count", "iter_samples-start", "preferential_mds-negative-m",
@@ -176,6 +194,9 @@ NAN = float("nan")
         "sweep_r-samples", "BaParams-m_attach", "BaParams-m0", "BaParams-n", "BaParams-p-high",
         "BaParams-p-low", "BaParams-p-nan", "ReversalParams-r-high", "ReversalParams-r-nan",
         "ReversalParams-r-inf", "gen_directed_er-n", "gen_directed_er-l-low", "gen_directed_er-l-high",
+        "BaParams-p-past-float", "BaParams-p-past-negative-float", "ReversalParams-r-past-float",
+        "sweep_r-grid-past-float", "preferential_mds-m-past-str", "BaParams-n-past-str",
+        "sample_mds-seed-past-str", "gen_directed_er-l-past-str", "sample_mds-count-list-past-str",
     ],
 )
 def test_entry_points_refuse_values_outside_their_domain(call, message):
@@ -264,23 +285,49 @@ print(json.dumps([sorted(at_import), numpy_at_import, sorted(netctrl_modules() -
 """
 
 
+def run_child(*args):
+    """A child interpreter run with ``args``, with this checkout's ``src`` first on its path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PYPROJECT.parent / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
+
+
 def test_import_loads_only_what_a_caller_reads(tmp_path):
     # the public names load their modules on first access: `import netctrl`
     # loads no numpy, and reading a graph loads none of matching, mds,
     # stats or generators, which a process's start-up would otherwise pay for
     path = tmp_path / "g.txt"
     path.write_text("a b\nb c\n", encoding="utf-8")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PYPROJECT.parent / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-W", "error", "-c", MODULES_LOADED, str(path)],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    proc = run_child("-W", "error", "-c", MODULES_LOADED, str(path))
     assert proc.returncode == 0, proc.stderr
     at_import, numpy_at_import, by_read = json.loads(proc.stdout)
     assert at_import == ["netctrl", "netctrl.errors"]
     assert numpy_at_import is False
     assert by_read == ["netctrl._kernel", "netctrl.graph"]
+
+
+COMMAND_MODULES = """
+import json, sys
+from netctrl import cli
+status = cli.main(sys.argv[1:])
+print(json.dumps([status, "netctrl._kernel" in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--gen", "ba:n=30", "--seed", "1"],
+        ["reverse", "--gen", "ba:n=30", "--R", "0.5", "--seed", "1"],
+    ],
+    ids=["generate", "reverse"],
+)
+def test_commands_that_never_parse_match_or_sample_leave_the_core_unloaded(argv):
+    # the modules that parse, match and sample import _kernel where they
+    # first need it, so these commands never load or build the library
+    proc = run_child("-c", COMMAND_MODULES, *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, False]
 
 
 FAILING_PROPERTY = """

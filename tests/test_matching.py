@@ -25,7 +25,8 @@ from netctrl import (
 from netctrl import _kernel
 from netctrl.cli import main
 from netctrl.generators import BaParams, gen_directed_ba, gen_directed_er
-from netctrl.matching import _scan_order
+from netctrl.graph import degrees
+from netctrl.matching import _completing_pass, _scan_order
 from netctrl.mds import NodeOrder, drivers, iter_samples
 
 from corpus import matching_of
@@ -41,6 +42,11 @@ from naive import (
 
 def intern_order(graph):
     return NodeOrder(range(graph.node_count))
+
+
+def empty_matching(n):
+    """The matching of ``n`` nodes with no pair, a sampling state's start."""
+    return Matching(np.full(n, -1))
 
 
 def admit_prefix(graph, order, m):
@@ -540,7 +546,7 @@ def test_randomized_complete_agrees_with_naive_reference(case):
     perm = rng.permutation(n)
     keys = rng.integers(0, 1 << 32, size=heads.size, dtype=np.int64)
     scan = stable_scan(g, keys)
-    state = MatchingState._sampling(g, perm, keys)
+    state = MatchingState._sampling(g, perm, keys, empty_matching(n))
     state.complete()
     per_tail = [scan[ptr[u]:ptr[u + 1]] for u in range(n)]
     assert set(state.matching.pairs()) == naive_max_matching_pairs(g, perm, per_tail)
@@ -554,7 +560,7 @@ def completed_both_ways(kernel, g, perm, keys, admitted=0):
     for core in (kernel, None):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(_kernel, "_kernel", core)
-            state = MatchingState._sampling(g, perm, keys)
+            state = MatchingState._sampling(g, perm, keys, empty_matching(g.node_count))
             for _ in range(admitted):
                 state.extend_with_node()
             state.complete()
@@ -629,13 +635,90 @@ def test_states_taking_turns_with_one_workspace_keep_their_own_matchings(compile
         states = []
         for seed in range(4):
             rng = np.random.default_rng(seed)
-            state = MatchingState._sampling(g, rng.permutation(g.node_count), shuffled_keys(g, rng), work)
-            state.complete()
-            states.append((state, state.matching, state._free[0].copy()))
-    for state, matching, free in states:
+            state = MatchingState._sampling(
+                g, rng.permutation(g.node_count), shuffled_keys(g, rng), empty_matching(g.node_count), work
+            )
+            free, _ = state.complete()
+            states.append((state, state.matching, free, free.copy()))
+    for state, matching, free, copied in states:
         assert state.matching == matching
-        assert state._free[0].tolist() == free.tolist()
+        assert free.tolist() == copied.tolist()
         assert free.tolist() == np.flatnonzero(matching.tail_by_head < 0).tolist()
+
+
+def free_in_roles(g, matching):
+    """``complete()``'s result read off a matching, as lists: the in-roles
+    it leaves free in ascending order, and the sum of their total degrees."""
+    free = np.flatnonzero(matching.tail_by_head < 0)
+    return free.tolist(), int(degrees(g).total_degree[free].sum())
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "python"])
+def test_complete_returns_the_free_in_roles_and_their_degree_sum(compiled, request):
+    # a sampling state, a public state after some admissions and the Berge
+    # pass each return what their own snapshot leaves free
+    core = request.getfixturevalue("compiled_kernel") if compiled else None
+
+    @settings(max_examples=100, deadline=None)
+    @given(digraphs(max_n=10), st.integers(min_value=0, max_value=2**32 - 1), st.data())
+    def agrees(g, seed, data):
+        n = g.node_count
+        rng = np.random.default_rng(seed)
+        perm = rng.permutation(n)
+        state = MatchingState._sampling(g, perm, shuffled_keys(g, rng), empty_matching(n))
+        free, degree_sum = state.complete()
+        assert (free.tolist(), degree_sum) == free_in_roles(g, state.matching)
+
+        state = MatchingState(g, NodeOrder(perm))
+        for _ in range(data.draw(st.integers(min_value=0, max_value=n - 1))):
+            state.extend_with_node()
+        free, degree_sum = state.complete()
+        maximum = state.matching
+        assert (free.tolist(), degree_sum) == free_in_roles(g, maximum)
+
+        # from a maximum matching the pass adds no pair; from the empty one
+        # it adds a maximum matching's worth
+        added, (free, degree_sum) = _completing_pass(g, maximum)
+        assert added == 0
+        assert (free.tolist(), degree_sum) == free_in_roles(g, maximum)
+        added, (free, degree_sum) = _completing_pass(g, empty_matching(n))
+        assert added == maximum.size
+        assert free.size == n - added
+        assert np.all(np.diff(free) > 0)
+        assert degree_sum == int(degrees(g).total_degree[free].sum())
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_kernel, "_kernel", core)
+        agrees()
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "python"])
+def test_the_berge_pass_leaves_the_callers_matching_as_it_was(compiled, request):
+    # the pass starts from the caller's read-only arrays; the compiled pass
+    # writes its workspace and the Python pass its own lists, never them
+    core = request.getfixturevalue("compiled_kernel") if compiled else None
+    g = gen_directed_er(60, 120, seed=3)
+    order = NodeOrder.random(g, 1)
+    maximum = max_matching(g, order)
+    heads = maximum.head_by_tail.copy()
+    heads[np.flatnonzero(heads >= 0)[::2]] = -1  # every other pair dropped
+    partial = Matching(heads)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_kernel, "_kernel", core)
+        for m in (maximum, partial):
+            before = m.head_by_tail.copy(), m.tail_by_head.copy()
+            assert verify_maximum(g, m) is (m is maximum)
+            if m is maximum:
+                drivers(g, m, order)
+            for array, copy in zip((m.head_by_tail, m.tail_by_head), before):
+                assert array.tolist() == copy.tolist()
+                assert not array.flags.writeable
+
+
+def test_a_new_state_holds_the_empty_matching(two_matchings):
+    state = MatchingState(two_matchings, intern_order(two_matchings))
+    assert state.matching == empty_matching(3)
+    assert state.size == 0
 
 
 def tied_hub(leaves):
@@ -655,7 +738,7 @@ def tied_outcome(leaves):
     g, keys, perm = tied_hub(leaves)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_kernel, "_kernel", None)
-        state = MatchingState._sampling(g, perm, keys)
+        state = MatchingState._sampling(g, perm, keys, empty_matching(g.node_count))
         state.complete()
     return [_scan_order(g, keys).tolist(), state.matching.head_by_tail.tolist()]
 
