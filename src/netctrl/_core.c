@@ -372,7 +372,9 @@ static void pcg64_state(uint64_t child, uint64_t *out)
     static const u128 MULTIPLIER = {2549297995355413924ULL, 4865540595714422341ULL};
     const uint32_t head[POOL] = {(uint32_t)child, (uint32_t)(child >> 32), 0, 0};
     seed_sequence s;
-    uint64_t v[4];
+    /* zeroed only for gcc's -fanalyzer, which cannot see that
+       generate_state's odd-index writes fill all four words */
+    uint64_t v[4] = {0, 0, 0, 0};
     start_pool(&s, head);
     generate_state(&s, v, 4);
     u128 init = {v[0], v[1]}, inc = {v[2] << 1 | v[3] >> 63, v[3] << 1 | 1};

@@ -22,11 +22,12 @@ renames it into place, so processes building at once each load a whole
 library and leave one file. A cached file that will not load is built
 again once.
 
-No module imports this one at its top: the first ``complete()``,
-``parse_edge_list`` or sample stream imports it and loads the library,
-so commands that never parse, match or sample (``generate``, ``reverse``)
-do not load it. The modules only a build needs are imported by the
-build, which saves a process that finds the library cached about 6 ms.
+Importing this module builds and loads nothing: ``core()`` is the one
+place that decides when the library is built or loaded, on the first
+``complete()``, ``parse_edge_list`` or sample stream, so commands that
+never parse, match or sample (``generate``, ``reverse``) do neither. The
+modules only a build needs are imported by the build, which saves a
+process that finds the library cached about 6 ms.
 """
 
 from __future__ import annotations

@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from dataclasses import asdict, dataclass, fields
 
 from . import __version__
@@ -125,6 +126,9 @@ def _build_order(config: RunConfig, graph: DirectedGraph) -> NodeOrder:
             perm = [index[name] for name in names]
         except KeyError as exc:
             raise UsageError(f"order file names unknown node {exc.args[0]!r}") from None
+        repeated = [name for name, count in Counter(names).items() if count > 1]
+        if repeated:
+            raise UsageError(f"order file names node {repeated[0]!r} twice")
         if len(perm) != graph.node_count:
             raise UsageError(
                 f"order file lists {len(perm)} nodes, graph has {graph.node_count}"

@@ -1,5 +1,6 @@
 """Exception types shared across the toolkit, each with the CLI's exit code
-and the label of its message, ``netctrl: {label}: {message}``."""
+and the label of its message, ``netctrl: {label}: {message}``, and
+``shown``, the text of a value in a message."""
 
 
 class NetctrlError(Exception):
@@ -25,3 +26,15 @@ class ValidationError(NetctrlError):
 class UndefinedStatisticError(NetctrlError):
     """A statistic requested for a graph on which it is undefined."""
     exit_code, label = 5, "statistic error"
+
+
+def shown(value) -> str:
+    """``str(value)``; where that would hold an integer with more digits
+    than Python writes, an int's sign and bit length, or else the name of
+    the value's type."""
+    try:
+        return str(value)
+    except ValueError:
+        if isinstance(value, int):
+            return f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
+        return f"a {type(value).__name__} too long to print"

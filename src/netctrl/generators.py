@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import UsageError, shown
 from .graph import DirectedGraph, degrees
 from .seeding import check_int, check_real, check_seed
 
@@ -47,6 +47,7 @@ class BaParams:
         m_attach = check_int(self.m_attach, "m_attach", low=1)
         m0 = check_int(m_attach if self.m0 is None else self.m0, "m0", low=m_attach)
         object.__setattr__(self, "n", check_int(self.n, "n", low=m0 + 1))
+        _pair_space(self.n)
         object.__setattr__(self, "m_attach", m_attach)
         object.__setattr__(self, "m0", m0)
         object.__setattr__(self, "p", check_real(self.p, "p", low=0, high=1))
@@ -71,6 +72,15 @@ class ReversalResult:
     graph: DirectedGraph
     reversed_count: int
     skipped_count: int
+
+
+def _pair_space(n: int) -> int:
+    """The n * (n - 1) ordered pairs of n nodes; UsageError when int64
+    cannot index them, since pair and node indices are int64."""
+    capacity = n * (n - 1)
+    if capacity >= 2**63:
+        raise UsageError(f"n={shown(n)} gives more node pairs than int64 indexes")
+    return capacity
 
 
 def gen_directed_ba(params: BaParams) -> DirectedGraph:
@@ -110,10 +120,7 @@ def gen_directed_ba(params: BaParams) -> DirectedGraph:
 def gen_directed_er(n: int, l: int, seed: int = 0) -> DirectedGraph:
     """Uniform directed random graph: l distinct edges, no self-loops."""
     n = check_int(n, "n", low=1)
-    capacity = n * (n - 1)
-    # pair indices are drawn as int64
-    if capacity >= 2**63:
-        raise UsageError(f"n={n} gives more node pairs than int64 indexes")
+    capacity = _pair_space(n)
     l = check_int(l, "l", low=0, high=capacity)
     seed = check_seed(seed)
     rng = np.random.default_rng(seed)

@@ -15,7 +15,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import IngestionError, UsageError
+from . import _kernel
+from .errors import IngestionError, UsageError, shown
 
 __all__ = [
     "DirectedGraph",
@@ -35,21 +36,22 @@ def _int64_array(values, error: type[Exception], what: str, pairs: bool = False)
     one (tail, head) row per pair when ``pairs`` (an empty input is no pairs).
 
     Raises ``error`` when a non-empty input holds anything but integers (the
-    cast would cut floats and parse strings), unsigned ones past int64 (the
-    cast would wrap them negative), or is not iterable, ragged or of another
-    shape.
+    cast would cut floats and parse strings), integers past int64 (the cast
+    would wrap unsigned ones negative, and Python ints past uint64 make an
+    object array), or is not iterable, ragged or of another shape.
     """
     shape, layout = ((-1, 2), "(tail, head) pairs") if pairs else ((-1,), "one flat sequence")
     try:
         array = values if isinstance(values, np.ndarray) else np.array(list(values))
     except (TypeError, ValueError):  # not iterable, or ragged nesting numpy refuses
         raise error(f"{what} must be integers in {layout}") from None
+    if array.dtype.kind == "u" or array.dtype == object and all(isinstance(v, numbers.Integral) for v in array.flat):
+        int64 = np.iinfo(np.int64)
+        past = array[(array < int64.min) | (array > int64.max)]
+        if past.size:
+            raise error(f"{what} must be integers within int64, got {shown(past[0])}")
     if array.size and array.dtype.kind not in "iu":
         raise error(f"{what} must be integers, got {array.dtype} entries")
-    if array.dtype.kind == "u":
-        past = array[array > np.iinfo(np.int64).max]
-        if past.size:
-            raise error(f"{what} must be integers within int64, got {past[0]}")
     if pairs and not array.size:
         array = array.reshape(shape)
     if array.ndim != len(shape) or array.shape[1:] != shape[1:]:
@@ -252,10 +254,7 @@ def _intern_compiled(text: str) -> tuple[list[str], np.ndarray] | None:
     """The labels in first-appearance order and the (tail, head) id pairs in
     line order, from the compiled tokenizer; None when it is not at hand or
     rejects a line."""
-    # imported on first use: commands that never parse (generate, reverse) skip the loader
-    from ._kernel import core
-
-    compiled = core()
+    compiled = _kernel.core()
     found = None if compiled is None else compiled.tokenize(text.encode("ascii"))
     if found is None:
         return None

@@ -38,6 +38,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from . import _kernel
 from .errors import UsageError, ValidationError
 from .graph import DirectedGraph, _int64_array, degrees
 
@@ -235,14 +236,10 @@ class MatchingState:
         in ``_augment`` otherwise, which reads them off its checked
         snapshot.
         """
-        # imported on first use: commands that never match (generate, reverse) skip the loader
-        from . import _kernel
-
-        self._mark = 0  # every head admitted and unmarked
         self._admitted = self._perm.size  # no node is left to admit
-        self._free_scan = []
         compiled = _kernel.core()
         if compiled is None:
+            self._mark = 0  # every head admitted and unmarked
             self._stamp += 1
             self._augment(self._perm.tolist())
             free = np.flatnonzero(self.matching.tail_by_head < 0)

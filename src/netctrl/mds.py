@@ -16,6 +16,7 @@ from typing import Iterator
 
 import numpy as np
 
+from . import _kernel
 from .errors import UsageError, ValidationError
 from .graph import DirectedGraph, _int64_array, degrees
 from .matching import Matching, MatchingState, _completing_pass
@@ -186,9 +187,6 @@ def _sample_stream(graph: DirectedGraph, count: int, seed: int, start: int = 0):
     a sample outlives its iteration but the compiled pass's workspace and
     the stream's generator.
     """
-    # imported here: commands that never sample (generate, reverse) skip the loader
-    from ._kernel import Workspace
-
     seed = check_seed(seed)
     count = check_int(count, "sample count", low=1)
     start = check_int(start, "first sample index", low=0)
@@ -197,7 +195,7 @@ def _sample_stream(graph: DirectedGraph, count: int, seed: int, start: int = 0):
 
     def draw():
         n_d = None
-        work = Workspace(graph)
+        work = _kernel.Workspace(graph)
         empty = Matching(np.full(n, -1))
         for rng in sample_generators(seed, start, count):
             perm = rng.permutation(n)

@@ -16,7 +16,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import UsageError
+from . import _kernel
+from .errors import UsageError, shown
 
 __all__ = ["check_int", "check_real", "check_seed", "spawn_seed", "sample_generators"]
 
@@ -37,19 +38,7 @@ def _in_domain(number, value, what: str, noun: str, low, high):
         domain = noun if low is None else f"{noun} >= {low}"
     else:
         domain = f"{noun} <= {high}" if low is None else f"{noun} in [{low}, {high}]"
-    raise UsageError(f"{what} must be {domain}, got {_shown(value if number is None else number)}")
-
-
-def _shown(value) -> str:
-    """``str(value)``; where that would hold an integer with more digits
-    than Python writes, an int's sign and bit length, or else the name of
-    the value's type."""
-    try:
-        return str(value)
-    except ValueError:
-        if isinstance(value, int):
-            return f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
-        return f"a {type(value).__name__} too long to print"
+    raise UsageError(f"{what} must be {domain}, got {shown(value if number is None else number)}")
 
 
 def check_int(value, what: str, low: int | None = None, high: int | None = None) -> int:
@@ -108,10 +97,7 @@ def sample_generators(seed: int, start: int, count: int) -> Iterator[np.random.G
     or for indices beyond uint64, each sample gets a generator of its own.
     ``seed`` must have passed ``check_seed``.
     """
-    # imported here: commands that never sample (generate, reverse) skip the loader
-    from ._kernel import core
-
-    kernel = core()
+    kernel = _kernel.core()
     if kernel is None or start + count > 1 << 64:
         for i in range(start, start + count):
             yield np.random.default_rng(spawn_seed(seed, i))

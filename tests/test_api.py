@@ -187,6 +187,8 @@ NAN = float("nan")
         ),
         (lambda: gen_directed_er(10, 10**5000), "l must be an integer in [0, 90], got an integer of 16610 bits"),
         (lambda: sample_mds(PATH3, [10**5000], 1), "sample count must be an integer, got a list too long to print"),
+        (lambda: BaParams(n=10**5000), "n=an integer of 16610 bits gives more node pairs than int64 indexes"),
+        (lambda: gen_directed_er(10**5000, 1), "n=an integer of 16610 bits gives more node pairs than int64 indexes"),
     ],
     ids=[
         "iter_samples-count", "sample_mds-count", "iter_samples-start", "preferential_mds-negative-m",
@@ -197,6 +199,7 @@ NAN = float("nan")
         "BaParams-p-past-float", "BaParams-p-past-negative-float", "ReversalParams-r-past-float",
         "sweep_r-grid-past-float", "preferential_mds-m-past-str", "BaParams-n-past-str",
         "sample_mds-seed-past-str", "gen_directed_er-l-past-str", "sample_mds-count-list-past-str",
+        "BaParams-pair-space-past-str", "gen_directed_er-pair-space-past-str",
     ],
 )
 def test_entry_points_refuse_values_outside_their_domain(call, message):
@@ -246,6 +249,23 @@ def test_entry_points_accept_the_ends_of_each_domain(call):
 def test_unsigned_indices_past_int64_are_refused(call, error):
     # a cast to int64 would wrap them to negatives, such as -1 for a free role
     with pytest.raises(error, match=f"must be integers within int64, got {2**64 - 1}$"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, error, past",
+    [
+        (lambda: Matching([2**64]), ValidationError, 2**64),
+        (lambda: NodeOrder([0, -2**63 - 1]), UsageError, -2**63 - 1),
+        (lambda: DirectedGraph(["a", "b"], [(0, 2**64)]), ValueError, 2**64),
+        (lambda: Matching([0, 10**5000]), ValidationError, "an integer of 16610 bits"),
+    ],
+    ids=["Matching", "NodeOrder", "DirectedGraph", "Matching-past-str"],
+)
+def test_python_ints_past_int64_are_refused_as_integers(call, error, past):
+    # numpy holds ints past both int64 and uint64 as objects: they are
+    # still integers, refused for their range and not their type
+    with pytest.raises(error, match=f"{re.escape(f'must be integers within int64, got {past}')}$"):
         call()
 
 
@@ -306,11 +326,11 @@ def test_import_loads_only_what_a_caller_reads(tmp_path):
     assert by_read == ["netctrl._kernel", "netctrl.graph"]
 
 
-COMMAND_MODULES = """
+COMMAND_CORE = """
 import json, sys
-from netctrl import cli
+from netctrl import _kernel, cli
 status = cli.main(sys.argv[1:])
-print(json.dumps([status, "netctrl._kernel" in sys.modules]))
+print(json.dumps([status, _kernel._kernel is _kernel._UNSET]))
 """
 
 
@@ -322,12 +342,16 @@ print(json.dumps([status, "netctrl._kernel" in sys.modules]))
     ],
     ids=["generate", "reverse"],
 )
-def test_commands_that_never_parse_match_or_sample_leave_the_core_unloaded(argv):
-    # the modules that parse, match and sample import _kernel where they
-    # first need it, so these commands never load or build the library
-    proc = run_child("-c", COMMAND_MODULES, *argv)
+def test_commands_that_never_parse_match_or_sample_leave_the_core_unloaded(argv, tmp_path, monkeypatch):
+    # only core() builds or loads the library, and these commands never
+    # call it: the core stays unset, and a fresh cache stays empty
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+    proc = run_child("-c", COMMAND_CORE, *argv)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == [0, False]
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, True]
+    assert list(cache.iterdir()) == []
 
 
 FAILING_PROPERTY = """

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
@@ -199,6 +202,16 @@ class TestPreferential:
         )
         assert code == 2
 
+    def test_order_file_naming_a_label_twice(self, capsys, tmp_path):
+        graph = tmp_path / "path.txt"
+        graph.write_text("a b\nb c\n")
+        order_path = tmp_path / "order.txt"
+        order_path.write_text("a\na\nb\n")
+        code = main(["preferential", "--input", str(graph), "--order", f"file:{order_path}"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "netctrl: usage error: order file names node 'a' twice\n"
+
 
 class TestSample:
     def test_summary_payload(self, capsys, star_file, report_schema):
@@ -319,6 +332,18 @@ class TestGenerateAndReverse:
         code, out = run_cli(capsys, "generate", "--gen", "ba:n=30", "--seed", "5")
         assert code == 0
         assert out == to_edge_list(gen_directed_ba(BaParams(n=30, seed=5)))
+
+    def test_generate_refuses_a_ba_n_past_int64_pairs(self):
+        # in a child with a timeout, since growing this many nodes would never end
+        src = str(Path(_kernel.__file__).parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from netctrl.cli import main; sys.exit(main(sys.argv[1:]))",
+             "generate", "--gen", "ba:n=100000000000000000000"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "netctrl: usage error: n=100000000000000000000 gives more node pairs than int64 indexes\n"
 
     def test_generate_needs_gen(self, capsys):
         code, _ = run_cli(capsys, "generate", "--seed", "3")

@@ -8,6 +8,7 @@ file behind.
 
 from __future__ import annotations
 
+import ast
 import os
 import shutil
 import subprocess
@@ -56,6 +57,36 @@ def assert_reads_edge_list(path: Path) -> None:
     assert g == expected and g.edges == expected.edges
     assert g.duplicate_count == expected.duplicate_count == 1
     assert g.out_ptr.tolist() == [0, 1, 2, 3] and g.in_tails.tolist() == [0, 1, 2]
+
+
+def kernel_imports_in_functions(tree: ast.Module) -> list[int]:
+    """The lines of the imports of ``_kernel`` inside a function body of ``tree``."""
+    lines = set()  # a nested function is walked with each function around it
+    for function in ast.walk(tree):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(function):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names] + [str(node.module)]
+            else:
+                continue
+            if any(name.split(".")[-1] == "_kernel" for name in names):
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_kernel_is_imported_at_module_top_only():
+    # core() alone decides when the library is built or loaded, so no
+    # function defers importing the module as a second way of doing that
+    found = {
+        path.name: kernel_imports_in_functions(ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    deferred = ast.parse("def f():\n    from . import _kernel\n    from ._kernel import core\n")
+    assert kernel_imports_in_functions(deferred) == [2, 3]
 
 
 def test_no_compiler_falls_back_to_the_python_core(cache, tmp_path, monkeypatch, capfd):

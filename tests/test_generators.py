@@ -73,6 +73,12 @@ class TestDirectedBa:
         with pytest.raises(UsageError):
             BaParams(n=10, p=1.5)
 
+    # the ER generator's bound: growing this many nodes would never end
+    @pytest.mark.parametrize("n", [10**20, 3037000501])
+    def test_pair_space_beyond_int64_rejected(self, n):
+        with pytest.raises(UsageError, match="int64"):
+            BaParams(n=n)
+
     def test_provenance_header(self):
         g = gen_directed_ba(BaParams(n=10, m_attach=2, m0=3, p=0.5, seed=1))
         assert g.provenance == ("ba n=10 m=2 m0=3 p=0.5 seed=1",)

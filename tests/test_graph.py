@@ -187,6 +187,19 @@ def test_repeated_pairs_collapse_to_their_first_occurrence(case):
 
 
 @settings(max_examples=60)
+@given(digraphs(), st.data())
+def test_equal_graphs_hash_equal(g, data):
+    # rebuilt from its pairs with one of them given twice, at any position
+    pairs = list(g.edges)
+    if pairs:
+        repeat = data.draw(st.sampled_from(pairs))
+        pairs.insert(data.draw(st.integers(min_value=0, max_value=len(pairs))), repeat)
+    rebuilt = DirectedGraph(g.labels, pairs)
+    assert rebuilt == g
+    assert hash(rebuilt) == hash(g)
+
+
+@settings(max_examples=60)
 @given(digraphs())
 def test_csr_rows_hold_the_edges_in_input_order(g):
     n = g.node_count

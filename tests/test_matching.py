@@ -234,6 +234,19 @@ class TestMatchingSnapshot:
         assert m.head_by_tail.tolist() == [1, 2, -1]
         assert m.tail_by_head.tolist() == [-1, 0, 1]
 
+    @settings(max_examples=60)
+    @given(st.integers(min_value=0, max_value=8).flatmap(
+        lambda n: st.tuples(st.permutations(range(n)), st.lists(st.booleans(), min_size=n, max_size=n))
+    ))
+    def test_equal_matchings_hash_equal(self, case):
+        # the same matching from a list and from an int64 array
+        heads, matched = case
+        head_by_tail = [head if keep else -1 for head, keep in zip(heads, matched)]
+        from_list = Matching(head_by_tail)
+        from_array = Matching(np.array(head_by_tail, dtype=np.int64))
+        assert from_list == from_array
+        assert hash(from_list) == hash(from_array)
+
     def test_snapshot_does_not_follow_its_source(self):
         heads = np.array([1, -1])
         m = Matching(heads)
