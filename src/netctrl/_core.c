@@ -1,18 +1,22 @@
 /* The compiled core: three entry points over caller-owned arrays. None
- * keeps state between calls, and netctrl_sample and netctrl_seed_states
+ * keeps state between calls, and netctrl_sample and netctrl_draw
  * allocate nothing (netctrl_sample's scratch comes from the caller), so
  * calls on different arrays may run at once.
  *
  * netctrl_sample: all of MatchingState.complete() in one call, which is
  * one whole sample of the sampler.
  *
+ * 0. Draws. With `seed` non-NULL, the call first draws sample `index` of
+ *    that seed (`words` uint32 words) into `order` and `keys`, as
+ *    netctrl_draw does; with `seed` NULL it reads them as given.
  * 1. Scan order. Each tail's slice of the out-CSR `heads` is written to
  *    `scan` in ascending order of its slots' `keys`, equal keys in slot
- *    order: numpy's argsort(kind="stable") order. The slice is sorted in
- *    `scan` as one uint64 word per slot, key << 32 | offset in the slice:
- *    distinct words, so no comparison needs a tie-break. Insertion sorts
- *    up to INSERTED slots, heapsort longer ones (hubs); then each word is
- *    replaced by the head at its offset.
+ *    order: numpy's argsort(kind="stable") order. The slice is sorted as
+ *    one uint64 word per slot, key << 32 | offset in the slice: distinct
+ *    words, so no comparison needs a tie-break. Branch-free sorting
+ *    networks sort slices of 2 to NETWORKED slots in a local array, insertion
+ *    sorts up to INSERTED slots and heapsort longer ones (hubs), both in
+ *    `scan`; then each word is replaced by the head at its offset.
  * 2. The completing pass, the same search as MatchingState._augment over
  *    every root: free tails in the order of `order`, each tail's scan in
  *    key order, an explicit parent stack of (tail, slot to resume, head
@@ -30,11 +34,53 @@
  *
  * The caller checks the inputs: `ptr` and `in_ptr` are CSR row pointers
  * of n + 1 entries over the same ptr[n] edges, `heads` holds indices in
- * 0..n-1, `keys` are in 0..2^32-1 and slices shorter than 2^32 slots,
- * `order` is a permutation of 0..n-1, and `mh`/`mt` hold a matching and
- * its inverse (-1 when free), updated in place.
- * `scan` holds ptr[n] entries; scratch: `mark`, `trail` and `free_heads`
- * n, `stack` 3 * n. Returns the number of matched pairs or NETCTRL_BREACH.
+ * 0..n-1, slices are shorter than 2^32 slots, given `keys` are in
+ * 0..2^32-1 and a given `order` is a permutation of 0..n-1, and
+ * `mh`/`mt` hold a matching and its inverse (-1 when free), updated in
+ * place. `scan` holds ptr[n] entries; scratch: `mark`, `trail` and
+ * `free_heads` n, `stack` 3 * n. Returns the number of matched pairs or
+ * NETCTRL_BREACH.
+ *
+ * netctrl_draw: a sample's node order and scan keys, as numpy draws them.
+ *
+ * Sample i of a seed draws numpy.random.default_rng(spawn_seed(seed, i))
+ * .permutation(n) for its node order, then .integers(0, 2**32, size=edges,
+ * dtype=int64) for its scan keys: that is the definition of the
+ * sampler's stream. Its integer code is reproduced here from numpy 2.x
+ * (numpy/random/bit_generator.pyx, _generator.pyx, _bounded_integers.pyx,
+ * distributions.c and pcg64.h):
+ * 1. spawn_seed(seed, i): a SeedSequence over the seed's little-endian
+ *    uint32 words (`words` of them in `seed`, as numpy splits an int),
+ *    padded with zeros to the pool size because a spawn key is given,
+ *    then the words of i (one, or two from 2^32 on); its
+ *    generate_state(1, uint64) is the child seed.
+ * 2. default_rng(child): a SeedSequence over the child's words, whose
+ *    generate_state(4, uint64) gives PCG64's initial state and stream
+ *    (high word first), then pcg_setseq_128_srandom_r's two LCG steps.
+ *    Each 64-bit output is one LCG step and the XSL-RR output function.
+ *    next_uint32 hands out an output's low half first and keeps its high
+ *    half for the next call, across both draws; next_uint64 neither reads
+ *    nor clears that half.
+ * 3. permutation(n): Fisher-Yates from the top over 0..n-1. For i from
+ *    n - 1 down to 1, j = random_interval(i), and order[i] and order[j]
+ *    swap. random_interval takes the smallest mask 2^k - 1 >= i and draws
+ *    masked next_uint32 values (next_uint64 ones for i >= 2^32) until one
+ *    is at most i.
+ * 4. integers(0, 2**32): a range of exactly 2^32 values takes one
+ *    next_uint32 per key.
+ * Writes order[0..n) and keys[0..edges). With spawn = 0, step 2 runs on
+ * the child seed `index` itself, so that it can be checked on any child;
+ * `seed` is then not read.
+ *
+ * numpy does not promise a Generator's stream across its releases (NEP
+ * 19). So the sampler compares one small draw of this function with
+ * numpy's once per process (seeding.compiled_draws) and draws with numpy
+ * when they differ, and with numpy too for indices past 2^64 - 1. The
+ * 64-bit branch of random_interval needs more than 2^32 nodes, which no
+ * workspace holds in memory: it follows numpy's code and no test reaches
+ * it. The 128-bit LCG is unsigned __int128, which gcc and clang have on
+ * 64-bit targets; where the build fails, the library takes its Python
+ * paths.
  *
  * netctrl_tokenize: the edge-list tokenizer of parse_edge_list.
  *
@@ -54,29 +100,6 @@
  * number of edge lines; -1 when a line does not hold two tokens (the
  * caller's line loop then reports it) or when more than `lines` lines
  * hold edges; -2 when the hash table cannot be allocated.
- *
- * netctrl_seed_states: the PCG64 state of each sample's generator,
- * numpy.random.default_rng(spawn_seed(seed, i)), bit for bit.
- *
- * Two fixed integer hashes, reproduced from numpy (NEP 19 and
- * numpy/random/bit_generator.pyx, pcg64.h):
- * 1. spawn_seed(seed, i): a SeedSequence over the seed's little-endian
- *    uint32 words (`words` of them in `seed`, as numpy splits an int),
- *    padded with zeros to the pool size because a spawn key is given,
- *    then the words of i (one, or two from 2^32 on); its
- *    generate_state(1, uint64) is the child seed.
- * 2. default_rng(child): a SeedSequence over the child's words, whose
- *    generate_state(4, uint64) gives PCG64's initial state and stream
- *    (high word first), then pcg_setseq_128_srandom_r's two LCG steps.
- *    The 128-bit arithmetic is done on 64-bit halves.
- * The pool after the seed's words is the same for every i, so it is
- * mixed once per call.
- *
- * Writes, for k in 0..count-1 and i = start + k, the four words
- * state >> 64, state & (2^64 - 1), inc >> 64, inc & (2^64 - 1) to
- * states[4k..4k+3]. The caller keeps start + count - 1 within uint64.
- * With spawn = 0, step 2 alone runs on the child seeds start + k, so
- * that it can be checked on any child; `seed` is then not read.
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -84,8 +107,9 @@
 
 enum { NETCTRL_BREACH = -2 };
 
-/* the longest slices sorted by insertion; longer ones (hubs) are heapsorted */
-enum { INSERTED = 64 };
+/* the longest slices sorted by a sorting network, and by insertion;
+ * longer ones (hubs) are heapsorted */
+enum { NETWORKED = 4, INSERTED = 64 };
 
 /* fill the hole at `root` of the max-heap word[0..size) with w */
 static void sift_down(uint64_t *word, uint64_t w, int64_t root, int64_t size)
@@ -100,14 +124,80 @@ static void sift_down(uint64_t *word, uint64_t w, int64_t root, int64_t size)
     word[root] = w;
 }
 
+/* the smaller of two words to *a and the larger to *b, branch-free: which
+ * is smaller is as random as the keys */
+static void exchange(uint64_t *a, uint64_t *b)
+{
+    uint64_t x = *a, y = *b;
+    *a = x < y ? x : y;
+    *b = x < y ? y : x;
+}
+
+/* the word of slot i of a slice: its key above its offset */
+static uint64_t word_of(const int64_t *key, int64_t i)
+{
+    return (uint64_t)key[i] << 32 | (uint64_t)i;
+}
+
+/* the head at a word's offset */
+static int64_t head_of(const int64_t *head, uint64_t word)
+{
+    return head[word & 0xffffffffu];
+}
+
 /* write head[0..size) to scan[0..size) in ascending order of key[], equal
- * keys in slot order: sort the distinct words key << 32 | offset in
- * `scan`, then replace each with the head at its offset */
+ * keys in slot order: sort the distinct words key << 32 | offset, then
+ * replace each with the head at its offset. Up to NETWORKED slots the
+ * words sit in net[] and each length has a case of its own, straight-line
+ * code with no loop whose trip count follows the length, which is as
+ * random as the graph; the optimal networks sort 2, 3 and 4 words. Longer
+ * slices are sorted in `scan` itself */
 static void sort_slice(const int64_t *key, const int64_t *head, int64_t size, int64_t *scan)
 {
+    uint64_t net[NETWORKED];
+    switch (size) {
+    case 0:
+        return;
+    case 1:
+        scan[0] = head[0];
+        return;
+    case 2:
+        net[0] = word_of(key, 0);
+        net[1] = word_of(key, 1);
+        exchange(net, net + 1);
+        scan[0] = head_of(head, net[0]);
+        scan[1] = head_of(head, net[1]);
+        return;
+    case 3:
+        net[0] = word_of(key, 0);
+        net[1] = word_of(key, 1);
+        net[2] = word_of(key, 2);
+        exchange(net, net + 2);
+        exchange(net, net + 1);
+        exchange(net + 1, net + 2);
+        scan[0] = head_of(head, net[0]);
+        scan[1] = head_of(head, net[1]);
+        scan[2] = head_of(head, net[2]);
+        return;
+    case 4:
+        net[0] = word_of(key, 0);
+        net[1] = word_of(key, 1);
+        net[2] = word_of(key, 2);
+        net[3] = word_of(key, 3);
+        exchange(net, net + 1);
+        exchange(net + 2, net + 3);
+        exchange(net, net + 2);
+        exchange(net + 1, net + 3);
+        exchange(net + 1, net + 2);
+        scan[0] = head_of(head, net[0]);
+        scan[1] = head_of(head, net[1]);
+        scan[2] = head_of(head, net[2]);
+        scan[3] = head_of(head, net[3]);
+        return;
+    }
     uint64_t *word = (uint64_t *)scan;
     for (int64_t i = 0; i < size; i++)
-        word[i] = (uint64_t)key[i] << 32 | (uint64_t)i;
+        word[i] = word_of(key, i);
     if (size <= INSERTED) {
         for (int64_t i = 1, j; i < size; i++) {
             uint64_t w = word[i];
@@ -125,14 +215,20 @@ static void sort_slice(const int64_t *key, const int64_t *head, int64_t size, in
         }
     }
     for (int64_t i = 0; i < size; i++)
-        scan[i] = head[word[i] & 0xffffffffu];
+        scan[i] = head_of(head, word[i]);
 }
 
+void netctrl_draw(const uint32_t *seed, int64_t words, uint64_t index, int64_t spawn,
+                  int64_t n, int64_t *order, int64_t edges, int64_t *keys);
+
 int64_t netctrl_sample(int64_t n, const int64_t *ptr, const int64_t *heads,
-                       const int64_t *in_ptr, const int64_t *keys, const int64_t *order,
+                       const int64_t *in_ptr, int64_t *keys, int64_t *order,
                        int64_t *mh, int64_t *mt, int64_t *scan, unsigned char *mark,
-                       int64_t *trail, int64_t *stack, int64_t *free_heads, int64_t *degree_sum)
+                       int64_t *trail, int64_t *stack, int64_t *free_heads, int64_t *degree_sum,
+                       const uint32_t *seed, int64_t words, uint64_t index)
 {
+    if (seed)
+        netctrl_draw(seed, words, index, 1, n, order, ptr[n], keys);
     for (int64_t u = 0; u < n; u++) {
         int64_t lo = ptr[u];
         sort_slice(keys + lo, heads + lo, ptr[u + 1] - lo, scan + lo);
@@ -340,36 +436,21 @@ static void generate_state(const seed_sequence *s, uint64_t *out, int count)
     }
 }
 
+/* 128-bit arithmetic: gcc and clang have it on every 64-bit target */
+__extension__ typedef unsigned __int128 u128;
+
+/* numpy's PCG64: the 128-bit LCG and next_uint32's buffered high half */
 typedef struct {
-    uint64_t high, low;
-} u128;
+    u128 state, inc;
+    uint32_t half;
+    int has_half;
+} pcg64;
 
-static u128 add128(u128 a, u128 b)
-{
-    u128 r;
-    r.low = a.low + b.low;
-    r.high = a.high + b.high + (r.low < a.low);
-    return r;
-}
+static const u128 MULTIPLIER = (u128)2549297995355413924ULL << 64 | 4865540595714422341ULL;
 
-/* the low 128 bits of a * b */
-static u128 mul128(u128 a, u128 b)
+/* default_rng(child)'s generator */
+static pcg64 seeded_pcg64(uint64_t child)
 {
-    const uint64_t half = 0xffffffffu;
-    uint64_t a0 = a.low & half, a1 = a.low >> 32, b0 = b.low & half, b1 = b.low >> 32;
-    uint64_t p00 = a0 * b0, p01 = a0 * b1, p10 = a1 * b0;
-    uint64_t mid = (p00 >> 32) + (p01 & half) + (p10 & half);
-    u128 r;
-    r.low = mid << 32 | (p00 & half);
-    r.high = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
-             + a.high * b.low + a.low * b.high;
-    return r;
-}
-
-/* the PCG64 (state, inc) of default_rng(child), as four words */
-static void pcg64_state(uint64_t child, uint64_t *out)
-{
-    static const u128 MULTIPLIER = {2549297995355413924ULL, 4865540595714422341ULL};
     const uint32_t head[POOL] = {(uint32_t)child, (uint32_t)(child >> 32), 0, 0};
     seed_sequence s;
     /* zeroed only for gcc's -fanalyzer, which cannot see that
@@ -377,35 +458,77 @@ static void pcg64_state(uint64_t child, uint64_t *out)
     uint64_t v[4] = {0, 0, 0, 0};
     start_pool(&s, head);
     generate_state(&s, v, 4);
-    u128 init = {v[0], v[1]}, inc = {v[2] << 1 | v[3] >> 63, v[3] << 1 | 1};
-    /* state = 0, step, state += init, step */
-    u128 state = add128(mul128(add128(inc, init), MULTIPLIER), inc);
-    out[0] = state.high;
-    out[1] = state.low;
-    out[2] = inc.high;
-    out[3] = inc.low;
+    pcg64 g = {0, ((u128)v[2] << 64 | v[3]) << 1 | 1, 0, 0};
+    /* state = 0, step, state += initstate, step */
+    g.state = (g.inc + ((u128)v[0] << 64 | v[1])) * MULTIPLIER + g.inc;
+    return g;
 }
 
-void netctrl_seed_states(const uint32_t *seed, int64_t words, uint64_t start, int64_t count,
-                         int64_t spawn, uint64_t *states)
+/* pcg64_next64: one LCG step, then the XSL-RR output */
+static uint64_t next_uint64(pcg64 *g)
 {
-    seed_sequence root = {{0, 0, 0, 0}, 0};
-    if (spawn) {
-        uint32_t head[POOL] = {0, 0, 0, 0};
-        memcpy(head, seed, (size_t)(words < POOL ? words : POOL) * sizeof *head);
-        start_pool(&root, head);
-        for (int64_t k = POOL; k < words; k++)
-            mix_word(&root, seed[k]);
+    g->state = g->state * MULTIPLIER + g->inc;
+    uint64_t high = (uint64_t)(g->state >> 64), x = high ^ (uint64_t)g->state;
+    unsigned rot = (unsigned)(high >> 58);
+    return x >> rot | x << (-rot & 63);
+}
+
+/* pcg64_next32: the low half of a fresh output, then its high half */
+static uint32_t next_uint32(pcg64 *g)
+{
+    if (g->has_half) {
+        g->has_half = 0;
+        return g->half;
     }
-    for (int64_t k = 0; k < count; k++) {
-        uint64_t i = start + (uint64_t)k, child = i;
-        if (spawn) {
-            seed_sequence s = root;
-            mix_word(&s, (uint32_t)i);
-            if (i >> 32)
-                mix_word(&s, (uint32_t)(i >> 32));
-            generate_state(&s, &child, 1);
-        }
-        pcg64_state(child, states + 4 * k);
+    uint64_t next = next_uint64(g);
+    g->has_half = 1;
+    g->half = (uint32_t)(next >> 32);
+    return (uint32_t)next;
+}
+
+/* spawn_seed(seed, index): the seed's `words` uint32 words, padded with
+ * zeros to the pool, then the one or two words of the spawn key */
+static uint64_t spawn_seed(const uint32_t *seed, int64_t words, uint64_t index)
+{
+    seed_sequence s;
+    uint32_t head[POOL] = {0, 0, 0, 0};
+    uint64_t child = 0;
+    memcpy(head, seed, (size_t)(words < POOL ? words : POOL) * sizeof *head);
+    start_pool(&s, head);
+    for (int64_t k = POOL; k < words; k++)
+        mix_word(&s, seed[k]);
+    mix_word(&s, (uint32_t)index);
+    if (index >> 32)
+        mix_word(&s, (uint32_t)(index >> 32));
+    generate_state(&s, &child, 1);
+    return child;
+}
+
+void netctrl_draw(const uint32_t *seed, int64_t words, uint64_t index, int64_t spawn,
+                  int64_t n, int64_t *order, int64_t edges, int64_t *keys)
+{
+    pcg64 g = seeded_pcg64(spawn ? spawn_seed(seed, words, index) : index);
+    for (int64_t i = 0; i < n; i++)
+        order[i] = i;
+    /* numpy's shuffle: Fisher-Yates from the top, each j drawn by
+     * random_interval(i), a masked rejection with the smallest mask
+     * 2^k - 1 >= i: 32-bit draws up to i = 2^32 - 1, 64-bit ones above.
+     * Branch-free: one draw per turn, and a rejected draw swaps i with
+     * itself and keeps i, since whether a draw is rejected is as random
+     * as the draws */
+    uint64_t mask = (uint64_t)(n > 1 ? n - 1 : 0);
+    for (int shift = 1; shift < 64; shift <<= 1)
+        mask |= mask >> shift;
+    for (int64_t i = n - 1; i > 0;) {
+        uint64_t value = ((uint64_t)i >> 32 ? next_uint64(&g) : next_uint32(&g)) & mask;
+        int64_t accept = value <= (uint64_t)i, j = accept ? (int64_t)value : i, t = order[i];
+        order[i] = order[j];
+        order[j] = t;
+        i -= accept;
+        /* the smallest mask for the next i */
+        mask >>= (uint64_t)i <= mask >> 1;
     }
+    /* a range of exactly 2^32 values: one next_uint32 per key */
+    for (int64_t k = 0; k < edges; k++)
+        keys[k] = next_uint32(&g);
 }

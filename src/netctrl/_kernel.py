@@ -2,15 +2,16 @@
 
 The library has three entry points (see ``_core.c``): ``netctrl_sample``,
 the whole of ``MatchingState.complete()`` (scan order, completing pass,
-inverse check and free in-roles) in one call, ``netctrl_tokenize``, the
-edge-list tokenizer, and ``netctrl_seed_states``, the PCG64 state of
-``default_rng(spawn_seed(seed, i))`` for a run of sample indices.
-``core()`` returns a ``Core`` holding all three, or None when the library
-cannot be had: no ``cc`` on the PATH, a cache directory that cannot be
-written, a build that fails or a library that will not load.
-``MatchingState.complete`` then runs the Python search, ``parse_edge_list``
-its line loop and the sampler numpy's seeding, which give the same
-results. Setting ``_kernel`` to None forces every Python path.
+inverse check and free in-roles) in one call, which for a sampler's
+sample first draws its node order and scan keys as numpy does,
+``netctrl_draw``, those draws alone, and ``netctrl_tokenize``, the
+edge-list tokenizer. ``core()`` returns a ``Core`` holding all three, or
+None when the library cannot be had: no ``cc`` on the PATH, a cache
+directory that cannot be written, a build that fails or a library that
+will not load. ``MatchingState.complete`` then runs the Python search,
+``parse_edge_list`` its line loop and the sampler numpy's draws, which
+give the same results. Setting ``_kernel`` to None forces every Python
+path.
 
 The library is compiled with ``cc -O2 -shared -fPIC`` into
 ``${XDG_CACHE_HOME:-~/.cache}/netctrl/_core-<hash of the source>.so``,
@@ -51,26 +52,32 @@ _BREAKS_TO_NEWLINE = bytes.maketrans(b"\r\x0b\x0c\x1c\x1d\x1e", b"\n" * 6)
 BREACH = -2
 
 
+def seed_words(seed: int) -> np.ndarray:
+    """A non-negative int's uint32 words, least significant first, as numpy splits it."""
+    return np.array([seed >> s & 0xFFFFFFFF for s in range(0, max(seed.bit_length(), 1), 32)], dtype=np.uint32)
+
+
 class Workspace:
     """All the memory of ``Core.sample`` on one graph, owned by the caller.
 
-    The caller fills the inputs: ``order``, the order in which free tails
-    are searched, ``keys``, one scan key per out-CSR slot, and the
-    matching ``mh``/``mt`` (-1 where a role is free), which the call
-    completes in place. The call writes ``scan``, each tail's heads in
-    key order with equal keys in slot order, ``free_heads[:n - pairs]``,
-    the free in-roles in ascending order, and ``degree_sum[0]``, the sum
-    of their total degrees, which ``complete()`` returns copies of: every
-    reported driver set is read off them. ``keys`` and ``scan`` are the
-    only per-slot arrays: the sort works in ``scan`` itself. The graph's
-    CSR arrays are held here too, and every address is taken once, in the
-    constructor. One call at a time may use a workspace; calls on
-    workspaces of their own may run at once.
+    The caller fills the inputs: the matching ``mh``/``mt`` (-1 where a
+    role is free), which the call completes in place, and, unless the call
+    draws them, ``order``, the order in which free tails are searched, and
+    ``keys``, one scan key per out-CSR slot. The call writes ``scan``,
+    each tail's heads in key order with equal keys in slot order,
+    ``free_heads[:n - pairs]``, the free in-roles in ascending order, and
+    ``degree_sum[0]``, the sum of their total degrees, which
+    ``complete()`` returns copies of: every reported driver set is read
+    off them. ``keys`` and ``scan`` are the only per-slot arrays: the sort
+    works in ``scan`` itself. The graph's CSR arrays and ``seed``'s words,
+    the seed whose samples a call may draw, are held here too, and every
+    address is taken once, in the constructor. One call at a time may use
+    a workspace; calls on workspaces of their own may run at once.
     """
 
-    __slots__ = ("order", "keys", "mh", "mt", "scan", "free_heads", "degree_sum", "_arrays", "_args")
+    __slots__ = ("order", "keys", "mh", "mt", "scan", "free_heads", "degree_sum", "_arrays", "_args", "_drawn")
 
-    def __init__(self, graph):
+    def __init__(self, graph, seed: int | None = None):
         n, edges = graph.node_count, graph.out_heads.size
         graph_arrays = (graph.out_ptr, graph.out_heads, graph.in_ptr)
         for array in graph_arrays:
@@ -92,7 +99,14 @@ class Workspace:
             np.empty(3 * n, dtype=np.int64),    # stack
             self.free_heads, self.degree_sum,
         )
-        self._args = (n,) + tuple(a.ctypes.data for a in self._arrays)
+        # no seed: the call reads order and keys
+        self._args = (n,) + tuple(a.ctypes.data for a in self._arrays) + (None, 0, 0)
+        # the seed's words: the call draws them, given the sample index
+        self._drawn = None
+        if seed is not None:
+            words = seed_words(seed)
+            self._arrays += (words,)
+            self._drawn = self._args[:-3] + (words.ctypes.data, words.size)
 
 
 class Core:
@@ -103,28 +117,51 @@ class Core:
     every call.
     """
 
-    __slots__ = ("_sample", "_tokenize", "_seed_states")
+    __slots__ = ("_sample", "_draw", "_tokenize")
 
     def __init__(self, library: ctypes.CDLL):
         self._sample = library.netctrl_sample
-        self._sample.argtypes = (ctypes.c_int64,) + (ctypes.c_void_p,) * 13
+        self._sample.argtypes = (ctypes.c_int64,) + (ctypes.c_void_p,) * 14 + (ctypes.c_int64, ctypes.c_uint64)
         self._sample.restype = ctypes.c_int64
+        self._draw = library.netctrl_draw
+        self._draw.argtypes = (
+            ctypes.c_void_p, ctypes.c_int64, ctypes.c_uint64, ctypes.c_int64,
+            ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
+        )
+        self._draw.restype = None
         self._tokenize = library.netctrl_tokenize
         self._tokenize.argtypes = (ctypes.c_char_p,) + (ctypes.c_int64,) * 2 + (ctypes.c_void_p,) * 4
         self._tokenize.restype = ctypes.c_int64
-        self._seed_states = library.netctrl_seed_states
-        self._seed_states.argtypes = (
-            ctypes.c_void_p, ctypes.c_int64, ctypes.c_uint64, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p,
-        )
-        self._seed_states.restype = None
 
-    def sample(self, work: Workspace) -> int:
+    def sample(self, work: Workspace, index: int | None = None) -> int:
         """Complete the workspace's matching in place; the number of pairs or ``BREACH``.
 
+        With ``index``, a sample index in 0..2**64-1 of the seed ``work``
+        was made with, the call first draws that sample's node order and
+        scan keys into ``work.order`` and ``work.keys``, as ``draw`` does.
         With a pair count, ``work`` holds the scan, the free in-roles and
         their degree sum.
         """
-        return self._sample(*work._args)
+        if index is None:
+            return self._sample(*work._args)
+        return self._sample(*work._drawn, index)
+
+    def draw(self, seed: int, index: int, order: np.ndarray, keys: np.ndarray, spawn: bool = True) -> None:
+        """Fill ``order`` with ``permutation(order.size)`` and then ``keys``
+        with ``integers(0, 2**32, size=keys.size, dtype=np.int64)`` of
+        ``default_rng(spawn_seed(seed, index))``, bit for bit.
+
+        With ``spawn`` False the generator is ``default_rng(index)``, and
+        ``seed`` is not read. ``seed`` is a non-negative int, ``index`` an
+        int in 0..2**64-1, and both arrays contiguous int64.
+        """
+        for array in (order, keys):
+            if array.dtype != np.int64 or array.ndim != 1 or not array.flags.c_contiguous:
+                raise ValueError("order and keys must be contiguous one-dimensional int64 arrays")
+        if seed < 0 or not 0 <= index < 1 << 64:
+            raise ValueError("the seed must be non-negative and the sample index within uint64")
+        words = seed_words(seed)
+        self._draw(words.ctypes.data, words.size, index, spawn, order.size, order.ctypes.data, keys.size, keys.ctypes.data)
 
     def tokenize(self, data: bytes):
         """``(ends, offsets, lengths)`` of ASCII edge-list bytes, or None.
@@ -149,23 +186,6 @@ class Core:
         if edges < 0:
             return None
         return ends[:2 * edges], offsets[:labels.value], lengths[:labels.value]
-
-    def seed_states(self, seed: int, start: int, states: np.ndarray, spawn: bool = True) -> None:
-        """Fill ``states`` (count x 4, uint64) with the PCG64 states of samples ``start ..``.
-
-        Row k holds the high and low words of the ``state`` and then of the
-        ``inc`` of ``default_rng(spawn_seed(seed, start + k)).bit_generator``.
-        With ``spawn`` False it is ``default_rng(start + k)``'s, and ``seed``
-        is not read. ``seed`` is a non-negative int, and ``start + count``
-        must not exceed 2**64.
-        """
-        if states.dtype != np.uint64 or states.ndim != 2 or states.shape[1] != 4 or not states.flags.c_contiguous:
-            raise ValueError("states must be a contiguous (count, 4) uint64 array")
-        if seed < 0 or not 0 <= start <= start + len(states) <= 1 << 64:
-            raise ValueError("the seed must be non-negative and the sample indices within uint64")
-        # the seed's uint32 words, least significant first, as numpy splits an int
-        words = np.array([seed >> s & 0xFFFFFFFF for s in range(0, max(seed.bit_length(), 1), 32)], dtype=np.uint32)
-        self._seed_states(words.ctypes.data, words.size, start, len(states), spawn, states.ctypes.data)
 
 
 def core() -> Core | None:

@@ -146,9 +146,25 @@ class MatchingState:
         state._start(graph, perm, keys, start, work)
         return state
 
-    def _start(self, graph: DirectedGraph, perm: np.ndarray, keys: np.ndarray, start: Matching, work) -> None:
+    @classmethod
+    def _drawn(cls, graph: DirectedGraph, index: int, start: Matching, work) -> MatchingState:
+        """A sampling state whose permutation and scan keys the compiled
+        pass draws itself: those of sample ``index`` of the seed ``work``
+        was made with, into ``work.order`` and ``work.keys``, where they
+        stay until the workspace's next call. Only for the core that
+        ``seeding.compiled_draws`` returns, and an index below 2**64.
+        """
+        state = cls.__new__(cls)
+        state._start(graph, None, None, start, work)
+        state._index = index
+        return state
+
+    def _start(self, graph: DirectedGraph, perm, keys, start: Matching, work) -> None:
         """Set up a state with no node active that starts from ``start``."""
         self.graph = graph
+        # the sample index whose draws the compiled pass makes, or None
+        # when the state holds its permutation and keys
+        self._index = None
         # start's read-only arrays, never written: complete() replaces them
         # with copies, and _augment with lists, which it indexes faster
         self._mh = start.head_by_tail  # tail -> matched head
@@ -231,12 +247,12 @@ class MatchingState:
         One pass over free out-roles in ascending rank; a failed search
         stays failed under later augmentations, so one pass suffices. It
         runs compiled when the kernel of ``_core.c`` can be built, in one
-        call that also sorts the scans (``_scan_order``'s order), checks
-        the matching against its inverse and lists the free in-roles, and
-        in ``_augment`` otherwise, which reads them off its checked
-        snapshot.
+        call that also makes a drawn state's draws, sorts the scans
+        (``_scan_order``'s order), checks the matching against its inverse
+        and lists the free in-roles, and in ``_augment`` otherwise, which
+        reads them off its checked snapshot.
         """
-        self._admitted = self._perm.size  # no node is left to admit
+        self._admitted = self.graph.node_count  # no node is left to admit
         compiled = _kernel.core()
         if compiled is None:
             self._mark = 0  # every head admitted and unmarked
@@ -247,11 +263,12 @@ class MatchingState:
         work = self._work
         if work is None:
             work = self._work = _kernel.Workspace(self.graph)
-        work.order[:] = self._perm
-        work.keys[:] = self._keys
+        if self._index is None:
+            work.order[:] = self._perm
+            work.keys[:] = self._keys
         work.mh[:] = self._mh  # arrays, or _augment's lists
         work.mt[:] = self._mt
-        size = compiled.sample(work)
+        size = compiled.sample(work, self._index)
         if size < 0:
             raise ValidationError(
                 "the completing pass left tail_by_head not the inverse of head_by_tail, or a wrong pair count"

@@ -20,7 +20,7 @@ from . import _kernel
 from .errors import UsageError, ValidationError
 from .graph import DirectedGraph, _int64_array, degrees
 from .matching import Matching, MatchingState, _completing_pass
-from .seeding import check_int, check_seed, sample_generators
+from .seeding import check_int, check_seed, compiled_draws, sample_draws, sample_generators
 
 __all__ = [
     "NodeOrder",
@@ -178,14 +178,16 @@ def _sample_stream(graph: DirectedGraph, count: int, seed: int, start: int = 0):
     """Yield ``(drivers, n_d, perfect_matching, avg_degree_d)`` per sample.
 
     ``drivers`` is an int64 array. Sample i draws from
-    ``default_rng(spawn_seed(seed, i))`` (``seeding.sample_generators``):
-    one permutation for the node order, then one random key per out-CSR
-    slot that shuffles every tail's neighbor scan: each tail's heads in
+    ``default_rng(spawn_seed(seed, i))`` (``seeding.sample_draws``): one
+    permutation for the node order, then one random key per out-CSR slot
+    that shuffles every tail's neighbor scan: each tail's heads in
     ascending key order, and equal keys in slot order, which is the order
     of the tail's edges in the input. That tie rule is part of the
-    stream's definition, so a sample is the same on every CPU. Nothing of
-    a sample outlives its iteration but the compiled pass's workspace and
-    the stream's generator.
+    stream's definition, so a sample is the same on every CPU. The
+    compiled pass makes those draws itself for every index below 2**64
+    when its draws are numpy's (``seeding.compiled_draws``); numpy makes
+    the rest. Nothing of a sample outlives its iteration but the compiled
+    pass's workspace.
     """
     seed = check_seed(seed)
     count = check_int(count, "sample count", low=1)
@@ -195,19 +197,26 @@ def _sample_stream(graph: DirectedGraph, count: int, seed: int, start: int = 0):
 
     def draw():
         n_d = None
-        work = _kernel.Workspace(graph)
+        work = _kernel.Workspace(graph, seed)
         empty = Matching(np.full(n, -1))
-        for rng in sample_generators(seed, start, count):
-            perm = rng.permutation(n)
-            keys = rng.integers(0, 1 << 32, size=edges, dtype=np.int64)
+
+        def finished(state, order):
             # the completing pass ends with every free tail failing its
             # search, which is the Berge certificate of maximality
-            free = MatchingState._sampling(graph, perm, keys, empty, work).complete()
-            sample = _driver_set(*free, perm.item(0), tot)
+            nonlocal n_d
+            free = state.complete()  # a drawn state's order is written here
+            sample = _driver_set(*free, order.item(0), tot)
             if n_d not in (None, sample[1]):
                 raise ValidationError("sampled driver-set sizes disagree; matching engine is broken")
             n_d = sample[1]
-            yield sample
+            return sample
+
+        stop = min(start + count, 1 << 64) if compiled_draws() else start
+        for i in range(start, stop):
+            yield finished(MatchingState._drawn(graph, i, empty, work), work.order)
+        for rng in sample_generators(seed, stop, start + count - stop):
+            perm, keys = sample_draws(rng, n, edges)
+            yield finished(MatchingState._sampling(graph, perm, keys, empty, work), perm)
 
     return draw()
 

@@ -2,9 +2,11 @@
 
 Sweeps and samplers derive one child seed per grid point or sample index
 so every part of a run is replayable in isolation. Sample i of a seed
-draws from ``numpy.random.default_rng(spawn_seed(seed, i))``; that is the
-definition of the stream. ``sample_generators`` yields those generators,
-computing their states with the compiled core when it can.
+draws from ``numpy.random.default_rng(spawn_seed(seed, i))``
+(``sample_generators``), first its node order and then its scan keys
+(``sample_draws``); that is the definition of the stream. The compiled
+core draws the same numbers itself, and ``compiled_draws`` says whether
+it may.
 """
 
 from __future__ import annotations
@@ -19,10 +21,11 @@ import numpy as np
 from . import _kernel
 from .errors import UsageError, shown
 
-__all__ = ["check_int", "check_real", "check_seed", "spawn_seed", "sample_generators"]
+__all__ = ["check_int", "check_real", "check_seed", "spawn_seed", "sample_generators", "sample_draws", "compiled_draws"]
 
-# samples whose PCG64 states one compiled call computes (8 KB of states)
-STATE_CHUNK = 256
+# the compiled core whose draws were last compared with numpy's, and
+# whether they agreed
+_checked: tuple = (None, False)
 
 
 def _in_domain(number, value, what: str, noun: str, low, high):
@@ -90,31 +93,35 @@ def spawn_seed(seed: int, index: int) -> int:
 def sample_generators(seed: int, start: int, count: int) -> Iterator[np.random.Generator]:
     """Yield ``default_rng(spawn_seed(seed, i))`` for i in ``start .. start + count - 1``.
 
-    With the compiled core one Generator serves every sample: the core
-    computes each sample's PCG64 state bit for bit, ``STATE_CHUNK``
-    samples per call, and the generator is set to it, so a yielded
-    generator is valid only until the next one is drawn. Without the core,
-    or for indices beyond uint64, each sample gets a generator of its own.
     ``seed`` must have passed ``check_seed``.
     """
+    return (np.random.default_rng(spawn_seed(seed, i)) for i in range(start, start + count))
+
+
+def sample_draws(rng: np.random.Generator, n: int, edges: int) -> tuple[np.ndarray, np.ndarray]:
+    """A sample's draws from its generator: a permutation of the ``n``
+    nodes, its node order, and then one scan key in 0..2**32-1 for each
+    of its ``edges`` out-CSR slots, as int64 arrays."""
+    return rng.permutation(n), rng.integers(0, 1 << 32, size=edges, dtype=np.int64)
+
+
+def compiled_draws():
+    """The compiled core when it draws samples as numpy does, else None.
+
+    The core reproduces ``sample_draws`` of ``sample_generators`` in C,
+    but numpy does not promise a Generator's stream across its releases
+    (NEP 19). So the first call with a core compares one small sample's
+    draws both ways, and when they differ the samplers keep numpy's draws
+    for the rest of the process. The sample's seed has five words and its
+    index two, and its permutation of 33 nodes rejects draws and leaves
+    half a word buffered for its 7 keys.
+    """
+    global _checked
     kernel = _kernel.core()
-    if kernel is None or start + count > 1 << 64:
-        for i in range(start, start + count):
-            yield np.random.default_rng(spawn_seed(seed, i))
-        return
-    rng = np.random.Generator(np.random.PCG64())
-    bit_generator = rng.bit_generator
-    states = np.empty((STATE_CHUNK, 4), dtype=np.uint64)
-    for first in range(start, start + count, STATE_CHUNK):
-        chunk = states[:min(STATE_CHUNK, start + count - first)]
-        kernel.seed_states(seed, first, chunk)
-        # row by row: a list of the whole chunk would grow with the count
-        for row in chunk:
-            state_high, state_low, inc_high, inc_low = row.tolist()
-            bit_generator.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": state_high << 64 | state_low, "inc": inc_high << 64 | inc_low},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            yield rng
+    if kernel is not None and _checked[0] is not kernel:
+        seed, index, n, edges = 2**128 + 7, 2**32 + 2, 33, 7
+        order, keys = np.empty(n, dtype=np.int64), np.empty(edges, dtype=np.int64)
+        kernel.draw(seed, index, order, keys)
+        expected = sample_draws(next(sample_generators(seed, index, 1)), n, edges)
+        _checked = (kernel, np.array_equal(order, expected[0]) and np.array_equal(keys, expected[1]))
+    return kernel if kernel is not None and _checked[1] else None

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from netctrl import DirectedGraph, ReversalParams, ValidationError
-from netctrl.seeding import spawn_seed
+from netctrl.seeding import sample_draws, spawn_seed
 
 from oracles import out_lists
 
@@ -155,12 +155,9 @@ def naive_csr(graph: DirectedGraph) -> tuple[list[int], list[int], list[int], li
     )
 
 
-def naive_seed_states(seed: int, start: int, states: np.ndarray, spawn: bool = True) -> None:
-    """``Core.seed_states`` from numpy: fill ``states`` (count x 4, uint64)
-    with the high and low words of the ``state`` and ``inc`` of
-    ``default_rng(spawn_seed(seed, i))`` (``default_rng(i)`` without
-    ``spawn``) for i = start, start + 1, ..."""
-    for k in range(len(states)):
-        child = spawn_seed(seed, start + k) if spawn else start + k
-        pcg = np.random.default_rng(child).bit_generator.state["state"]
-        states[k] = [pcg["state"] >> 64, pcg["state"] & (1 << 64) - 1, pcg["inc"] >> 64, pcg["inc"] & (1 << 64) - 1]
+def naive_draw(seed: int, index: int, order: np.ndarray, keys: np.ndarray, spawn: bool = True) -> None:
+    """``Core.draw`` from numpy: fill ``order`` and then ``keys`` with the
+    draws of ``default_rng(spawn_seed(seed, index))`` (``default_rng(index)``
+    without ``spawn``)."""
+    rng = np.random.default_rng(spawn_seed(seed, index) if spawn else index)
+    order[:], keys[:] = sample_draws(rng, order.size, keys.size)

@@ -23,7 +23,7 @@ from netctrl import (
 )
 from netctrl.cli import RunConfig, _build_parser, _config_from_args, main, run
 
-from naive import naive_seed_states
+from naive import naive_draw
 
 
 def config_from_echo(echo: dict) -> RunConfig:
@@ -147,9 +147,9 @@ class TestAnalyze:
         class NoMemory:
             """A compiled core whose sampling pass finds no memory."""
 
-            seed_states = staticmethod(naive_seed_states)
+            draw = staticmethod(naive_draw)
 
-            def sample(self, *arrays):
+            def sample(self, work, index=None):
                 raise MemoryError("no memory for the completing pass")
 
         monkeypatch.setattr(_kernel, "_kernel", NoMemory())

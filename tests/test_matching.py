@@ -33,10 +33,10 @@ from corpus import matching_of
 from oracles import brute_force_max_matching_size, enumerate_maximum_matchings
 from naive import (
     NaiveState,
+    naive_draw,
     naive_matching,
     naive_max_matching_pairs,
     naive_preferential_pairs,
-    naive_seed_states,
 )
 
 
@@ -156,7 +156,9 @@ class TestVerifyMaximum:
         # tail holds it, and says nothing: the state's snapshot compares
         # its inverse with the one derived from head_by_tail
         class StrayCore:
-            def sample(self, work):
+            draw = staticmethod(naive_draw)
+
+            def sample(self, work, index=None):
                 work.mt[0] = 0
                 return 0
 
@@ -184,9 +186,9 @@ class TestVerifyMaximum:
         # the sampler takes no snapshot: the pass's own check reports the
         # breach, and the state raises
         class BreachingCore:
-            seed_states = staticmethod(naive_seed_states)
+            draw = staticmethod(naive_draw)
 
-            def sample(self, work):
+            def sample(self, work, index=None):
                 return _kernel.BREACH
 
         monkeypatch.setattr(_kernel, "_kernel", BreachingCore())
@@ -625,9 +627,10 @@ def workspace(g, keys, order):
 
 def test_compiled_scan_order_is_numpys_at_every_slice_length(compiled_kernel):
     # one tail per slice length around the tiers of the sort of
-    # key << 32 | offset words: insertion up to 64 slots, heapsort from
-    # 65 (hubs of 2000 and 70,000, whose offsets need more than 16 bits)
-    lengths = [0, 1, 2, 3, 8, 9, 63, 64, 65, 2000, 70_000]
+    # key << 32 | offset words: sorting networks of 2 to 4 slots, insertion
+    # up to 64, heapsort from 65 (hubs of 2000 and 70,000, whose offsets
+    # need more than 16 bits)
+    lengths = [0, 1, 2, 3, 4, 5, 8, 9, 63, 64, 65, 2000, 70_000]
     n = max(lengths) + 1
     g = DirectedGraph([str(i) for i in range(n)], [(t, v) for t, d in enumerate(lengths) for v in range(d)])
     keys = np.random.default_rng(5).integers(0, 1 << 32, size=g.edge_count, dtype=np.int64)
@@ -736,12 +739,14 @@ def test_a_new_state_holds_the_empty_matching(two_matchings):
 
 def tied_hub(leaves):
     """A hub with ``leaves`` out- and in-neighbors, scan keys in 0..2 that
-    tie in its slice, and a node order."""
+    tie in its slice, and a node order. The keys take fewer values than
+    the slice has slots (0..leaves - 2 for up to 3 leaves), so two of them
+    tie however they fall."""
     g = DirectedGraph(
         [str(i) for i in range(leaves + 1)],
         [(0, v) for v in range(1, leaves + 1)] + [(v, 0) for v in range(1, leaves + 1)],
     )
-    keys = np.random.default_rng(leaves).integers(0, 3, size=g.edge_count, dtype=np.int64)
+    keys = np.random.default_rng(leaves).integers(0, min(leaves - 1, 3), size=g.edge_count, dtype=np.int64)
     perm = np.random.default_rng(leaves + 1).permutation(g.node_count)
     return g, keys, perm
 
@@ -756,12 +761,12 @@ def tied_outcome(leaves):
     return [_scan_order(g, keys).tolist(), state.matching.head_by_tail.tolist()]
 
 
-@pytest.mark.parametrize("leaves", [5, 40, 65, 2000])
+@pytest.mark.parametrize("leaves", [2, 3, 4, 5, 40, 65, 2000])
 def test_tied_keys_fall_in_slot_order(compiled_kernel, leaves):
     # keys that tie inside the hub's slice, sorted by each tier of the
-    # compiled sort (insertion up to 64 slots, heapsort from 65): the
-    # offset in the low word keeps equal keys in slot order, and both
-    # cores give the same matching
+    # compiled sort (a network of each size from 2 to 4 slots, insertion
+    # up to 64, heapsort from 65): the offset in the low word keeps equal
+    # keys in slot order, and both cores give the same matching
     g, keys, perm = tied_hub(leaves)
     work = workspace(g, keys, perm)
     assert compiled_kernel.sample(work) >= 0

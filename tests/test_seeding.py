@@ -1,9 +1,9 @@
-"""The samplers' seeding: one seed check, and the compiled core's PCG64
-states against the ones numpy gives ``default_rng(spawn_seed(seed, i))``.
+"""The samplers' seeding: one seed check, and the compiled core's draws
+against the ones numpy gives ``default_rng(spawn_seed(seed, i))``.
 
-Sample i of a seed is defined by numpy's seeding; with the compiled core
-the sampler computes each sample's state in C and sets it on one
-generator, so every state and every sample must come out the same.
+Sample i of a seed is defined by numpy's seeding and draws; with the
+compiled core the sampler derives each sample's PCG64 state and makes its
+draws in C, so every draw and every sample must come out the same.
 """
 
 from __future__ import annotations
@@ -26,9 +26,9 @@ from netctrl import (
     sweep_p,
     sweep_r,
 )
-from netctrl.seeding import STATE_CHUNK, check_seed, sample_generators, spawn_seed
+from netctrl.seeding import check_seed, sample_draws, sample_generators, spawn_seed
 
-from naive import naive_seed_states
+from naive import naive_draw
 
 # one to seven uint32 words: 2**128 is the first seed of five words, whose
 # fifth is mixed into the pool after the first four
@@ -37,16 +37,22 @@ SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64, 2**128 - 1, 2**128, 2**200 + 3)
 INDICES = (0, 1, 2**32 - 1, 2**32, 2**40)
 
 
-def compiled_states(kernel, seed: int, start: int, count: int, spawn: bool = True) -> list:
-    states = np.empty((count, 4), dtype=np.uint64)
-    kernel.seed_states(seed, start, states, spawn)
-    return states.tolist()
+# node counts and key counts that a draw is checked at: a permutation of
+# 2**k + 1 nodes rejects draws, and an odd one of a power of two nodes
+# leaves half a word buffered for the keys, as does an odd key count
+SHAPES = ((1, 0), (2, 3), (16, 4), (17, 5))
 
 
-def numpy_states(seed: int, start: int, count: int, spawn: bool = True) -> list:
-    states = np.empty((count, 4), dtype=np.uint64)
-    naive_seed_states(seed, start, states, spawn)
-    return states.tolist()
+def compiled_draws_of(kernel, seed: int, index: int, n: int, edges: int, spawn: bool = True) -> list:
+    order, keys = np.empty(n, dtype=np.int64), np.empty(edges, dtype=np.int64)
+    kernel.draw(seed, index, order, keys, spawn)
+    return [order.tolist(), keys.tolist()]
+
+
+def numpy_draws_of(seed: int, index: int, n: int, edges: int, spawn: bool = True) -> list:
+    order, keys = np.empty(n, dtype=np.int64), np.empty(edges, dtype=np.int64)
+    naive_draw(seed, index, order, keys, spawn)
+    return [order.tolist(), keys.tolist()]
 
 
 @pytest.fixture
@@ -106,67 +112,74 @@ class TestCheckSeed:
 
 
 class TestCompiledStates:
+    """Each sample's PCG64 state, derived in C, read through its draws."""
+
     @pytest.mark.parametrize("seed", SEEDS)
     def test_equal_numpys_on_every_seed_and_index(self, compiled_kernel, seed):
-        for i in INDICES:
-            # two samples each: 2**32 - 1 and 2**32 take one key word and two
-            assert compiled_states(compiled_kernel, seed, i, 2) == numpy_states(seed, i, 2)
+        # 2**32 - 1 and 2**32 take one key word and two
+        for i in INDICES + (2**64 - 1,):
+            for n, edges in SHAPES:
+                assert compiled_draws_of(compiled_kernel, seed, i, n, edges) == numpy_draws_of(seed, i, n, edges)
 
     def test_the_child_step_alone_on_one_and_two_word_children(self, compiled_kernel):
         # a child seed below 2**32 is one entropy word, which no search over
         # (seed, i) reaches; 2**64 - 1 is the last child
-        for child in (0, 1, 12345, 2**31, 2**32 - 2, 2**32, 2**63, 2**64 - 2):
-            assert compiled_states(compiled_kernel, 0, child, 2, spawn=False) == numpy_states(0, child, 2, spawn=False)
+        for child in (0, 1, 12345, 2**31, 2**32 - 2, 2**32, 2**63, 2**64 - 1):
+            for n, edges in SHAPES:
+                drawn = compiled_draws_of(compiled_kernel, 0, child, n, edges, spawn=False)
+                assert drawn == numpy_draws_of(0, child, n, edges, spawn=False)
 
     @settings(max_examples=200, deadline=None)
-    @given(st.integers(min_value=0, max_value=2**256), st.integers(min_value=0, max_value=2**64 - 3))
+    @given(st.integers(min_value=0, max_value=2**256), st.integers(min_value=0, max_value=2**64 - 1))
     def test_equal_numpys_on_any_seed_and_start(self, compiled_kernel, seed, start):
-        assert compiled_states(compiled_kernel, seed, start, 3) == numpy_states(seed, start, 3)
+        assert compiled_draws_of(compiled_kernel, seed, start, 17, 5) == numpy_draws_of(seed, start, 17, 5)
 
     def test_indices_past_uint64_are_refused(self, compiled_kernel):
-        states = np.empty((2, 4), dtype=np.uint64)
-        compiled_kernel.seed_states(5, 2**64 - 2, states)  # the last two indices
+        order, keys = np.empty(3, dtype=np.int64), np.empty(2, dtype=np.int64)
+        compiled_kernel.draw(5, 2**64 - 1, order, keys)  # the last index
         with pytest.raises(ValueError, match="within uint64"):
-            compiled_kernel.seed_states(5, 2**64 - 1, states)
+            compiled_kernel.draw(5, 2**64, order, keys)
         with pytest.raises(ValueError, match="non-negative"):
-            compiled_kernel.seed_states(-5, 0, states)
+            compiled_kernel.draw(-5, 0, order, keys)
+        with pytest.raises(ValueError, match="int64"):
+            compiled_kernel.draw(5, 0, order.astype(np.int32), keys)
 
 
 class TestSampleGenerators:
     @pytest.mark.parametrize("start", [0, 2**32 - 7, 2**64 - 3])
-    def test_each_generator_draws_as_numpys_own(self, compiled_kernel, monkeypatch, start):
-        # across a chunk boundary, and from 2**64 - 3 past uint64, where the
-        # stream takes numpy's seeding; an odd number of 32-bit draws leaves
-        # half a word buffered, which the next sample's state must drop
-        monkeypatch.setattr(_kernel, "_kernel", compiled_kernel)
-        count = STATE_CHUNK + 5 if start < 2**64 - 3 else 4
-        for i, rng in enumerate(sample_generators(11, start, count), start):
-            expected = np.random.default_rng(spawn_seed(11, i))
-            assert rng.bit_generator.state == expected.bit_generator.state
-            draws = rng.integers(0, 1 << 32, size=3, dtype=np.int64), rng.permutation(5)
-            assert [d.tolist() for d in draws] == [
-                expected.integers(0, 1 << 32, size=3, dtype=np.int64).tolist(),
-                expected.permutation(5).tolist(),
-            ]
+    def test_each_generator_draws_as_numpys_own(self, compiled_kernel, small_graph, start):
+        # the compiled sample call draws each index's order and keys as
+        # numpy's own generator does; from 2**64 - 3 the run passes uint64,
+        # where the stream takes numpy's draws
+        work = _kernel.Workspace(small_graph, 11)
+        n, edges = small_graph.node_count, small_graph.edge_count
+        for i, rng in enumerate(sample_generators(11, start, 9), start):
+            assert rng.bit_generator.state == np.random.default_rng(spawn_seed(11, i)).bit_generator.state
+            order, keys = sample_draws(rng, n, edges)
+            if i < 2**64:
+                work.mh[:] = work.mt[:] = -1
+                assert compiled_kernel.sample(work, i) >= 0
+                assert [work.order.tolist(), work.keys.tolist()] == [order.tolist(), keys.tolist()]
 
     def test_both_cores_give_the_same_samples(self, compiled_kernel, monkeypatch, small_graph):
         runs = []
         for kernel in (compiled_kernel, None):
             monkeypatch.setattr(_kernel, "_kernel", kernel)
-            runs.append(list(iter_samples(small_graph, STATE_CHUNK + 3, seed=5)))
+            runs.append(list(iter_samples(small_graph, 259, seed=5)))
         assert runs[0] == runs[1]
         assert len({s.drivers for s in runs[0]}) > 1  # the samples do differ
 
     @pytest.mark.parametrize("core", ["compiled", "python"])
-    def test_sample_i_alone_equals_sample_i_across_a_chunk_boundary(self, small_graph, core, request, monkeypatch):
+    def test_sample_i_alone_equals_sample_i_in_a_run(self, small_graph, core, request, monkeypatch):
         kernel = request.getfixturevalue("compiled_kernel") if core == "compiled" else None
         monkeypatch.setattr(_kernel, "_kernel", kernel)
-        run = list(iter_samples(small_graph, STATE_CHUNK + 2, seed=5))
-        for i in (0, STATE_CHUNK - 1, STATE_CHUNK, STATE_CHUNK + 1):
+        run = list(iter_samples(small_graph, 258, seed=5))
+        for i in (0, 255, 256, 257):
             (alone,) = iter_samples(small_graph, 1, seed=5, start=i)
             assert alone == run[i]
-        assert list(iter_samples(small_graph, 4, seed=5, start=STATE_CHUNK - 2)) == run[-4:]
-        # the last uint64 index alone (compiled where there is a core) and as
-        # the middle of a run past uint64 (numpy's seeding either way)
+        assert list(iter_samples(small_graph, 4, seed=5, start=254)) == run[-4:]
+        # the last uint64 index alone and as the middle of a run whose last
+        # index passes uint64, which numpy draws (the core draws the others
+        # where there is one)
         (last,) = iter_samples(small_graph, 1, seed=5, start=2**64 - 1)
         assert list(iter_samples(small_graph, 3, seed=5, start=2**64 - 2))[1] == last
