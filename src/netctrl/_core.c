@@ -11,12 +11,11 @@
  *    netctrl_draw does; with `seed` NULL it reads them as given.
  * 1. Scan order. Each tail's slice of the out-CSR `heads` is written to
  *    `scan` in ascending order of its slots' `keys`, equal keys in slot
- *    order: numpy's argsort(kind="stable") order. The slice is sorted as
- *    one uint64 word per slot, key << 32 | offset in the slice: distinct
- *    words, so no comparison needs a tie-break. Branch-free sorting
- *    networks sort slices of 2 to NETWORKED slots in a local array, insertion
- *    sorts up to INSERTED slots and heapsort longer ones (hubs), both in
- *    `scan`; then each word is replaced by the head at its offset.
+ *    order: numpy's argsort(kind="stable") order. The slice is sorted in
+ *    `scan` as one uint64 word per slot, key << 32 | offset in the slice:
+ *    distinct words, so no comparison needs a tie-break. Insertion sorts
+ *    up to INSERTED slots, heapsort longer ones (hubs); then each word is
+ *    replaced by the head at its offset.
  * 2. The completing pass, the same search as MatchingState._augment over
  *    every root: free tails in the order of `order`, each tail's scan in
  *    key order, an explicit parent stack of (tail, slot to resume, head
@@ -78,9 +77,8 @@
  * when they differ, and with numpy too for indices past 2^64 - 1. The
  * 64-bit branch of random_interval needs more than 2^32 nodes, which no
  * workspace holds in memory: it follows numpy's code and no test reaches
- * it. The 128-bit LCG is unsigned __int128, which gcc and clang have on
- * 64-bit targets; where the build fails, the library takes its Python
- * paths.
+ * it. The 128-bit LCG step is unsigned __int128 arithmetic where the
+ * compiler has it and 64-bit products of 32-bit halves where it does not.
  *
  * netctrl_tokenize: the edge-list tokenizer of parse_edge_list.
  *
@@ -107,9 +105,8 @@
 
 enum { NETCTRL_BREACH = -2 };
 
-/* the longest slices sorted by a sorting network, and by insertion;
- * longer ones (hubs) are heapsorted */
-enum { NETWORKED = 4, INSERTED = 64 };
+/* the longest slices sorted by insertion; longer ones (hubs) are heapsorted */
+enum { INSERTED = 64 };
 
 /* fill the hole at `root` of the max-heap word[0..size) with w */
 static void sift_down(uint64_t *word, uint64_t w, int64_t root, int64_t size)
@@ -124,80 +121,14 @@ static void sift_down(uint64_t *word, uint64_t w, int64_t root, int64_t size)
     word[root] = w;
 }
 
-/* the smaller of two words to *a and the larger to *b, branch-free: which
- * is smaller is as random as the keys */
-static void exchange(uint64_t *a, uint64_t *b)
-{
-    uint64_t x = *a, y = *b;
-    *a = x < y ? x : y;
-    *b = x < y ? y : x;
-}
-
-/* the word of slot i of a slice: its key above its offset */
-static uint64_t word_of(const int64_t *key, int64_t i)
-{
-    return (uint64_t)key[i] << 32 | (uint64_t)i;
-}
-
-/* the head at a word's offset */
-static int64_t head_of(const int64_t *head, uint64_t word)
-{
-    return head[word & 0xffffffffu];
-}
-
 /* write head[0..size) to scan[0..size) in ascending order of key[], equal
- * keys in slot order: sort the distinct words key << 32 | offset, then
- * replace each with the head at its offset. Up to NETWORKED slots the
- * words sit in net[] and each length has a case of its own, straight-line
- * code with no loop whose trip count follows the length, which is as
- * random as the graph; the optimal networks sort 2, 3 and 4 words. Longer
- * slices are sorted in `scan` itself */
+ * keys in slot order: sort the distinct words key << 32 | offset in
+ * `scan`, then replace each with the head at its offset */
 static void sort_slice(const int64_t *key, const int64_t *head, int64_t size, int64_t *scan)
 {
-    uint64_t net[NETWORKED];
-    switch (size) {
-    case 0:
-        return;
-    case 1:
-        scan[0] = head[0];
-        return;
-    case 2:
-        net[0] = word_of(key, 0);
-        net[1] = word_of(key, 1);
-        exchange(net, net + 1);
-        scan[0] = head_of(head, net[0]);
-        scan[1] = head_of(head, net[1]);
-        return;
-    case 3:
-        net[0] = word_of(key, 0);
-        net[1] = word_of(key, 1);
-        net[2] = word_of(key, 2);
-        exchange(net, net + 2);
-        exchange(net, net + 1);
-        exchange(net + 1, net + 2);
-        scan[0] = head_of(head, net[0]);
-        scan[1] = head_of(head, net[1]);
-        scan[2] = head_of(head, net[2]);
-        return;
-    case 4:
-        net[0] = word_of(key, 0);
-        net[1] = word_of(key, 1);
-        net[2] = word_of(key, 2);
-        net[3] = word_of(key, 3);
-        exchange(net, net + 1);
-        exchange(net + 2, net + 3);
-        exchange(net, net + 2);
-        exchange(net + 1, net + 3);
-        exchange(net + 1, net + 2);
-        scan[0] = head_of(head, net[0]);
-        scan[1] = head_of(head, net[1]);
-        scan[2] = head_of(head, net[2]);
-        scan[3] = head_of(head, net[3]);
-        return;
-    }
     uint64_t *word = (uint64_t *)scan;
     for (int64_t i = 0; i < size; i++)
-        word[i] = word_of(key, i);
+        word[i] = (uint64_t)key[i] << 32 | (uint64_t)i;
     if (size <= INSERTED) {
         for (int64_t i = 1, j; i < size; i++) {
             uint64_t w = word[i];
@@ -215,7 +146,7 @@ static void sort_slice(const int64_t *key, const int64_t *head, int64_t size, in
         }
     }
     for (int64_t i = 0; i < size; i++)
-        scan[i] = head_of(head, word[i]);
+        scan[i] = head[word[i] & 0xffffffffu];
 }
 
 void netctrl_draw(const uint32_t *seed, int64_t words, uint64_t index, int64_t spawn,
@@ -436,8 +367,31 @@ static void generate_state(const seed_sequence *s, uint64_t *out, int count)
     }
 }
 
-/* 128-bit arithmetic: gcc and clang have it on every 64-bit target */
-__extension__ typedef unsigned __int128 u128;
+/* a 128-bit number as two words */
+typedef struct {
+    uint64_t high, low;
+} u128;
+
+/* a * b + c, modulo 2^128: in unsigned __int128 where the compiler has it
+ * (gcc and clang on 64-bit targets), else from 32-bit halves */
+static u128 mul_add128(u128 a, u128 b, u128 c)
+{
+#ifdef __SIZEOF_INT128__
+    __extension__ typedef unsigned __int128 wide;
+    wide r = ((wide)a.high << 64 | a.low) * ((wide)b.high << 64 | b.low) + ((wide)c.high << 64 | c.low);
+    u128 out = {(uint64_t)(r >> 64), (uint64_t)r};
+#else
+    const uint64_t half = 0xffffffffu;
+    uint64_t a0 = a.low & half, a1 = a.low >> 32, b0 = b.low & half, b1 = b.low >> 32;
+    uint64_t p00 = a0 * b0, p01 = a0 * b1, p10 = a1 * b0;
+    uint64_t mid = (p00 >> 32) + (p01 & half) + (p10 & half);
+    u128 out;
+    out.low = (mid << 32 | (p00 & half)) + c.low;
+    out.high = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32) + a.high * b.low + a.low * b.high
+               + c.high + (out.low < c.low);
+#endif
+    return out;
+}
 
 /* numpy's PCG64: the 128-bit LCG and next_uint32's buffered high half */
 typedef struct {
@@ -446,11 +400,12 @@ typedef struct {
     int has_half;
 } pcg64;
 
-static const u128 MULTIPLIER = (u128)2549297995355413924ULL << 64 | 4865540595714422341ULL;
+static const u128 MULTIPLIER = {2549297995355413924ULL, 4865540595714422341ULL};
 
 /* default_rng(child)'s generator */
 static pcg64 seeded_pcg64(uint64_t child)
 {
+    static const u128 ONE = {0, 1};
     const uint32_t head[POOL] = {(uint32_t)child, (uint32_t)(child >> 32), 0, 0};
     seed_sequence s;
     /* zeroed only for gcc's -fanalyzer, which cannot see that
@@ -458,17 +413,18 @@ static pcg64 seeded_pcg64(uint64_t child)
     uint64_t v[4] = {0, 0, 0, 0};
     start_pool(&s, head);
     generate_state(&s, v, 4);
-    pcg64 g = {0, ((u128)v[2] << 64 | v[3]) << 1 | 1, 0, 0};
-    /* state = 0, step, state += initstate, step */
-    g.state = (g.inc + ((u128)v[0] << 64 | v[1])) * MULTIPLIER + g.inc;
+    u128 init = {v[0], v[1]};
+    pcg64 g = {{0, 0}, {v[2] << 1 | v[3] >> 63, v[3] << 1 | 1}, 0, 0};
+    /* state = 0, step (to inc), state += init, step */
+    g.state = mul_add128(mul_add128(init, ONE, g.inc), MULTIPLIER, g.inc);
     return g;
 }
 
 /* pcg64_next64: one LCG step, then the XSL-RR output */
 static uint64_t next_uint64(pcg64 *g)
 {
-    g->state = g->state * MULTIPLIER + g->inc;
-    uint64_t high = (uint64_t)(g->state >> 64), x = high ^ (uint64_t)g->state;
+    g->state = mul_add128(g->state, MULTIPLIER, g->inc);
+    uint64_t high = g->state.high, x = high ^ g->state.low;
     unsigned rot = (unsigned)(high >> 58);
     return x >> rot | x << (-rot & 63);
 }

@@ -20,7 +20,7 @@ from . import _kernel
 from .errors import UsageError, ValidationError
 from .graph import DirectedGraph, _int64_array, degrees
 from .matching import Matching, MatchingState, _completing_pass
-from .seeding import check_int, check_seed, compiled_draws, sample_draws, sample_generators
+from .seeding import check_int, check_seed, compiled_draws, numpy_draws
 
 __all__ = [
     "NodeOrder",
@@ -178,7 +178,7 @@ def _sample_stream(graph: DirectedGraph, count: int, seed: int, start: int = 0):
     """Yield ``(drivers, n_d, perfect_matching, avg_degree_d)`` per sample.
 
     ``drivers`` is an int64 array. Sample i draws from
-    ``default_rng(spawn_seed(seed, i))`` (``seeding.sample_draws``): one
+    ``default_rng(spawn_seed(seed, i))`` (``seeding.numpy_draws``): one
     permutation for the node order, then one random key per out-CSR slot
     that shuffles every tail's neighbor scan: each tail's heads in
     ascending key order, and equal keys in slot order, which is the order
@@ -211,11 +211,12 @@ def _sample_stream(graph: DirectedGraph, count: int, seed: int, start: int = 0):
             n_d = sample[1]
             return sample
 
-        stop = min(start + count, 1 << 64) if compiled_draws() else start
+        # the core draws indices start .. stop - 1, numpy the rest
+        stop = max(start, min(start + count, 1 << 64)) if compiled_draws() else start
         for i in range(start, stop):
             yield finished(MatchingState._drawn(graph, i, empty, work), work.order)
-        for rng in sample_generators(seed, stop, start + count - stop):
-            perm, keys = sample_draws(rng, n, edges)
+        for i in range(stop, start + count):
+            perm, keys = numpy_draws(seed, i, n, edges)
             yield finished(MatchingState._sampling(graph, perm, keys, empty, work), perm)
 
     return draw()

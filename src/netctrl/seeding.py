@@ -2,11 +2,10 @@
 
 Sweeps and samplers derive one child seed per grid point or sample index
 so every part of a run is replayable in isolation. Sample i of a seed
-draws from ``numpy.random.default_rng(spawn_seed(seed, i))``
-(``sample_generators``), first its node order and then its scan keys
-(``sample_draws``); that is the definition of the stream. The compiled
-core draws the same numbers itself, and ``compiled_draws`` says whether
-it may.
+draws from ``numpy.random.default_rng(spawn_seed(seed, i))``, first its
+node order and then its scan keys (``numpy_draws``); that is the
+definition of the stream. The compiled core draws the same numbers
+itself, and ``compiled_draws`` says whether it may.
 """
 
 from __future__ import annotations
@@ -14,14 +13,13 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from typing import Iterator
 
 import numpy as np
 
 from . import _kernel
 from .errors import UsageError, shown
 
-__all__ = ["check_int", "check_real", "check_seed", "spawn_seed", "sample_generators", "sample_draws", "compiled_draws"]
+__all__ = ["check_int", "check_real", "check_seed", "spawn_seed", "numpy_draws", "compiled_draws"]
 
 # the compiled core whose draws were last compared with numpy's, and
 # whether they agreed
@@ -90,31 +88,25 @@ def spawn_seed(seed: int, index: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def sample_generators(seed: int, start: int, count: int) -> Iterator[np.random.Generator]:
-    """Yield ``default_rng(spawn_seed(seed, i))`` for i in ``start .. start + count - 1``.
-
-    ``seed`` must have passed ``check_seed``.
-    """
-    return (np.random.default_rng(spawn_seed(seed, i)) for i in range(start, start + count))
-
-
-def sample_draws(rng: np.random.Generator, n: int, edges: int) -> tuple[np.ndarray, np.ndarray]:
-    """A sample's draws from its generator: a permutation of the ``n``
-    nodes, its node order, and then one scan key in 0..2**32-1 for each
-    of its ``edges`` out-CSR slots, as int64 arrays."""
+def numpy_draws(seed: int, index: int, n: int, edges: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sample ``index``'s draws from ``default_rng(spawn_seed(seed, index))``:
+    a permutation of the ``n`` nodes, its node order, and then one scan
+    key in 0..2**32-1 for each of its ``edges`` out-CSR slots, as int64
+    arrays. ``seed`` must have passed ``check_seed``."""
+    rng = np.random.default_rng(spawn_seed(seed, index))
     return rng.permutation(n), rng.integers(0, 1 << 32, size=edges, dtype=np.int64)
 
 
 def compiled_draws():
     """The compiled core when it draws samples as numpy does, else None.
 
-    The core reproduces ``sample_draws`` of ``sample_generators`` in C,
-    but numpy does not promise a Generator's stream across its releases
-    (NEP 19). So the first call with a core compares one small sample's
-    draws both ways, and when they differ the samplers keep numpy's draws
-    for the rest of the process. The sample's seed has five words and its
-    index two, and its permutation of 33 nodes rejects draws and leaves
-    half a word buffered for its 7 keys.
+    The core reproduces ``numpy_draws`` in C, but numpy does not promise
+    a Generator's stream across its releases (NEP 19). So the first call
+    with a core compares one small sample's draws both ways, and when
+    they differ the samplers keep numpy's draws for the rest of the
+    process. The sample's seed has five words and its index two, and its
+    permutation of 33 nodes rejects draws and leaves half a word buffered
+    for its 7 keys.
     """
     global _checked
     kernel = _kernel.core()
@@ -122,6 +114,6 @@ def compiled_draws():
         seed, index, n, edges = 2**128 + 7, 2**32 + 2, 33, 7
         order, keys = np.empty(n, dtype=np.int64), np.empty(edges, dtype=np.int64)
         kernel.draw(seed, index, order, keys)
-        expected = sample_draws(next(sample_generators(seed, index, 1)), n, edges)
+        expected = numpy_draws(seed, index, n, edges)
         _checked = (kernel, np.array_equal(order, expected[0]) and np.array_equal(keys, expected[1]))
     return kernel if kernel is not None and _checked[1] else None

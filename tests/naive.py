@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from netctrl import DirectedGraph, ReversalParams, ValidationError
-from netctrl.seeding import sample_draws, spawn_seed
+from netctrl.seeding import numpy_draws
 
 from oracles import out_lists
 
@@ -159,5 +159,8 @@ def naive_draw(seed: int, index: int, order: np.ndarray, keys: np.ndarray, spawn
     """``Core.draw`` from numpy: fill ``order`` and then ``keys`` with the
     draws of ``default_rng(spawn_seed(seed, index))`` (``default_rng(index)``
     without ``spawn``)."""
-    rng = np.random.default_rng(spawn_seed(seed, index) if spawn else index)
-    order[:], keys[:] = sample_draws(rng, order.size, keys.size)
+    if spawn:
+        order[:], keys[:] = numpy_draws(seed, index, order.size, keys.size)
+    else:
+        rng = np.random.default_rng(index)
+        order[:], keys[:] = rng.permutation(order.size), rng.integers(0, 1 << 32, size=keys.size, dtype=np.int64)

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from netctrl import _kernel, gen_directed_er, iter_samples, read_edge_list, sample_mds
 from netctrl.cli import _build_graph, _build_parser, _config_from_args, main
 from netctrl.matching import _scan_order
-from netctrl.seeding import compiled_draws, sample_draws, sample_generators
+from netctrl.seeding import compiled_draws, numpy_draws
 
 from naive import naive_draw
 from test_golden import CASES, EDGE_LISTS, GOLDEN_DIR
@@ -38,9 +38,8 @@ node_counts = st.one_of(
 indices = st.one_of(st.sampled_from(EDGE_INDICES), st.integers(min_value=0, max_value=2**64 - 1))
 
 
-def numpy_draws(seed: int, index: int, n: int, edges: int) -> list:
-    order, keys = sample_draws(next(sample_generators(seed, index, 1)), n, edges)
-    return [order.tolist(), keys.tolist()]
+def numpy_lists(seed: int, index: int, n: int, edges: int) -> list:
+    return [draws.tolist() for draws in numpy_draws(seed, index, n, edges)]
 
 
 @settings(max_examples=300, deadline=None)
@@ -53,7 +52,7 @@ def numpy_draws(seed: int, index: int, n: int, edges: int) -> list:
 def test_compiled_draws_are_numpys(compiled_kernel, seed, index, n, edges):
     order, keys = np.empty(n, dtype=np.int64), np.empty(edges, dtype=np.int64)
     compiled_kernel.draw(seed, index, order, keys)
-    assert [order.tolist(), keys.tolist()] == numpy_draws(seed, index, n, edges)
+    assert [order.tolist(), keys.tolist()] == numpy_lists(seed, index, n, edges)
 
 
 @settings(max_examples=60, deadline=None)
@@ -72,7 +71,7 @@ def test_the_sample_call_draws_as_numpy_and_completes_on_its_draws(compiled_kern
     drawn = _kernel.Workspace(g, seed)
     drawn.mh[:] = drawn.mt[:] = -1
     size = compiled_kernel.sample(drawn, index)
-    order, keys = numpy_draws(seed, index, n, edges)
+    order, keys = numpy_lists(seed, index, n, edges)
     assert [drawn.order.tolist(), drawn.keys.tolist()] == [order, keys]
     given_ = _kernel.Workspace(g)
     given_.order[:], given_.keys[:] = order, keys

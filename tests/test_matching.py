@@ -627,9 +627,9 @@ def workspace(g, keys, order):
 
 def test_compiled_scan_order_is_numpys_at_every_slice_length(compiled_kernel):
     # one tail per slice length around the tiers of the sort of
-    # key << 32 | offset words: sorting networks of 2 to 4 slots, insertion
-    # up to 64, heapsort from 65 (hubs of 2000 and 70,000, whose offsets
-    # need more than 16 bits)
+    # key << 32 | offset words: insertion up to 64, from its shortest
+    # slices of 2 to 5 slots, heapsort from 65 (hubs of 2000 and 70,000,
+    # whose offsets need more than 16 bits)
     lengths = [0, 1, 2, 3, 4, 5, 8, 9, 63, 64, 65, 2000, 70_000]
     n = max(lengths) + 1
     g = DirectedGraph([str(i) for i in range(n)], [(t, v) for t, d in enumerate(lengths) for v in range(d)])
@@ -764,8 +764,8 @@ def tied_outcome(leaves):
 @pytest.mark.parametrize("leaves", [2, 3, 4, 5, 40, 65, 2000])
 def test_tied_keys_fall_in_slot_order(compiled_kernel, leaves):
     # keys that tie inside the hub's slice, sorted by each tier of the
-    # compiled sort (a network of each size from 2 to 4 slots, insertion
-    # up to 64, heapsort from 65): the offset in the low word keeps equal
+    # compiled sort (insertion up to 64, from its shortest slices of 2 to
+    # 5 slots, heapsort from 65): the offset in the low word keeps equal
     # keys in slot order, and both cores give the same matching
     g, keys, perm = tied_hub(leaves)
     work = workspace(g, keys, perm)

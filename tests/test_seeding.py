@@ -26,7 +26,7 @@ from netctrl import (
     sweep_p,
     sweep_r,
 )
-from netctrl.seeding import check_seed, sample_draws, sample_generators, spawn_seed
+from netctrl.seeding import check_seed, numpy_draws, spawn_seed
 
 from naive import naive_draw
 
@@ -153,9 +153,10 @@ class TestSampleGenerators:
         # where the stream takes numpy's draws
         work = _kernel.Workspace(small_graph, 11)
         n, edges = small_graph.node_count, small_graph.edge_count
-        for i, rng in enumerate(sample_generators(11, start, 9), start):
-            assert rng.bit_generator.state == np.random.default_rng(spawn_seed(11, i)).bit_generator.state
-            order, keys = sample_draws(rng, n, edges)
+        for i in range(start, start + 9):
+            order, keys = numpy_draws(11, i, n, edges)
+            rng = np.random.default_rng(spawn_seed(11, i))
+            assert [order.tolist(), keys.tolist()] == [rng.permutation(n).tolist(), rng.integers(0, 2**32, edges).tolist()]
             if i < 2**64:
                 work.mh[:] = work.mt[:] = -1
                 assert compiled_kernel.sample(work, i) >= 0
@@ -183,3 +184,6 @@ class TestSampleGenerators:
         # where there is one)
         (last,) = iter_samples(small_graph, 1, seed=5, start=2**64 - 1)
         assert list(iter_samples(small_graph, 3, seed=5, start=2**64 - 2))[1] == last
+        # a run that starts past uint64 is numpy's draws for its own indices
+        alone = [next(iter_samples(small_graph, 1, seed=5, start=i)) for i in (2**64 + 3, 2**64 + 4)]
+        assert list(iter_samples(small_graph, 2, seed=5, start=2**64 + 3)) == alone
