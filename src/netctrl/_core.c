@@ -1,7 +1,8 @@
-/* The compiled core: three entry points over caller-owned arrays. None
- * keeps state between calls, and netctrl_sample and netctrl_draw
- * allocate nothing (netctrl_sample's scratch comes from the caller), so
- * calls on different arrays may run at once.
+/* The compiled core. netctrl_sample and netctrl_draw work in the
+ * caller's arrays and allocate nothing (netctrl_sample's scratch comes
+ * from the caller); netctrl_tokenize allocates the labels it returns,
+ * which netctrl_free releases. None keeps state between calls, so calls on
+ * different arrays may run at once.
  *
  * netctrl_sample: all of MatchingState.complete() in one call, which is
  * one whole sample of the sampler.
@@ -90,14 +91,20 @@
  * line must hold exactly two tokens. Labels are interned in order of
  * first appearance with an open-addressing hash table.
  *
- * `lines` bounds the number of lines: the caller counts the line breaks
- * and adds one. It sizes the hash table; `ends` has room for 2 * lines
- * ids and `offsets`/`lengths` for 2 * lines labels. Writes each edge
- * line's (tail, head) ids to `ends`, each label's byte offset and length
- * to `offsets`/`lengths`, and the label count to `*labels`. Returns the
+ * Writes each edge line's (tail, head) ids to `ends`, which has room for
+ * 2 * ((size + 1) / 4) of them: an edge line takes at least four bytes,
+ * two tokens, a blank and a line break, and the last line may end
+ * without its break. The labels come back in two arrays from malloc,
+ * which grow as the labels need them and become the caller's, who
+ * releases each with netctrl_free: `*packed`, each label's bytes followed
+ * by '\n' (a label never holds a line break), in order of first
+ * appearance, and `*offsets`, where each label starts, with one entry past
+ * the last, so that label i is packed[offsets[i]..offsets[i + 1] - 1).
+ * The hash table grows fourfold when it is half full, so it too is sized
+ * by the labels. Writes the label count to `*labels` and returns the
  * number of edge lines; -1 when a line does not hold two tokens (the
- * caller's line loop then reports it) or when more than `lines` lines
- * hold edges; -2 when the hash table cannot be allocated.
+ * caller's line loop then reports it), -2 when memory runs out. On -1 and
+ * -2 no array is the caller's and both pointers are NULL.
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -236,22 +243,120 @@ static const unsigned char kind[256] = {
     [0x1c] = BREAK, [0x1d] = BREAK, [0x1e] = BREAK,
 };
 
-int64_t netctrl_tokenize(const char *text, int64_t size, int64_t lines, int64_t *ends,
-                         int64_t *offsets, int64_t *lengths, int64_t *labels)
+/* an array that grows: room for `room` elements at `data` */
+struct grown {
+    void *data;
+    int64_t room;
+};
+
+/* make room for `need` elements of `width` bytes, doubling; -1 without memory */
+static int reserve(struct grown *a, int64_t need, size_t width)
+{
+    int64_t room = a->room;
+    if (need <= room)
+        return 0;
+    while (room < need)
+        room *= 2;
+    void *data = realloc(a->data, (size_t)room * width);
+    if (!data)
+        return -1;
+    a->data = data;
+    a->room = room;
+    return 0;
+}
+
+/* FNV-1a, its high half folded onto the low bits that pick a slot */
+#define FNV_BASIS 14695981039346656037ULL
+#define FNV_STEP(h, byte) (((h) ^ (byte)) * 1099511628211ULL)
+#define FNV_FOLD(h) ((h) ^ (h) >> 32)
+
+static uint64_t label_hash(const unsigned char *s, int64_t length)
+{
+    uint64_t h = FNV_BASIS;
+    for (int64_t i = 0; i < length; i++)
+        h = FNV_STEP(h, s[i]);
+    return FNV_FOLD(h);
+}
+
+/* the labels interned so far and their hash table, at most half full.
+ * A slot holds 0 when empty, else a label id + 1 in its low ID_BITS bits
+ * and the label hash's high bits above them, which settle most
+ * mismatches without a look at the label */
+struct interned {
+    struct grown packed, offsets;
+    int64_t count;
+    uint64_t *table;
+    size_t mask;
+};
+
+#define ID_BITS 40
+#define ID_MASK ((UINT64_C(1) << ID_BITS) - 1)
+
+/* the id of label s[0..length), whose label_hash is h, interned if new;
+ * -2 without memory */
+static int64_t intern(struct interned *t, const unsigned char *s, int64_t length, uint64_t h)
+{
+    const char *packed = t->packed.data;
+    const int64_t *offsets = t->offsets.data;
+    uint64_t entry;
+    size_t slot = h & t->mask;
+    for (; (entry = t->table[slot]) != 0; slot = (slot + 1) & t->mask) {
+        int64_t id = (int64_t)(entry & ID_MASK) - 1;
+        if ((entry & ~ID_MASK) == (h & ~ID_MASK) && offsets[id + 1] - offsets[id] - 1 == length
+            && memcmp(packed + offsets[id], s, (size_t)length) == 0)
+            return id;
+    }
+    int64_t id = t->count, at = offsets[id];
+    if (id == (int64_t)ID_MASK || reserve(&t->packed, at + length + 1, 1)
+        || reserve(&t->offsets, id + 2, sizeof *offsets))
+        return -2;
+    char *into = (char *)t->packed.data + at;
+    memcpy(into, s, (size_t)length);
+    into[length] = '\n';
+    ((int64_t *)t->offsets.data)[id + 1] = at + length + 1;
+    t->table[slot] = (h & ~ID_MASK) | (uint64_t)++t->count;
+    if (2 * (size_t)t->count > t->mask) {
+        /* a table four times the size, with every label put back: fewer
+         * rounds of putting back than doubling */
+        size_t mask = 4 * t->mask + 3;
+        uint64_t *table = calloc(mask + 1, sizeof *table);
+        if (!table)
+            return -2;
+        packed = t->packed.data;
+        offsets = t->offsets.data;
+        for (int64_t i = 0; i < t->count; i++) {
+            h = label_hash((const unsigned char *)packed + offsets[i], offsets[i + 1] - offsets[i] - 1);
+            size_t k = h & mask;
+            while (table[k])
+                k = (k + 1) & mask;
+            table[k] = (h & ~ID_MASK) | (uint64_t)(i + 1);
+        }
+        free(t->table);
+        t->table = table;
+        t->mask = mask;
+    }
+    return id;
+}
+
+int64_t netctrl_tokenize(const char *text, int64_t size, int64_t *ends, char **packed_out,
+                         int64_t **offsets_out, int64_t *labels)
 {
     const unsigned char *p = (const unsigned char *)text, *end = p + size;
-    /* at most 2 * lines labels: a power of two at least twice that keeps
-     * the table at most half full; a slot holds a label id + 1, 0 if empty */
-    size_t mask = 1;
-    while (mask < 4 * (size_t)lines)
-        mask <<= 1;
-    int64_t *table = calloc(mask--, sizeof *table);
-    int64_t edges = 0, count = 0;
-    if (!table)
-        return -2;
+    enum { FIRST_ROOM = 1024 };
+    struct interned t = {
+        { malloc(FIRST_ROOM), FIRST_ROOM }, { malloc(FIRST_ROOM * sizeof(int64_t)), FIRST_ROOM },
+        0, calloc(FIRST_ROOM, sizeof(uint64_t)), FIRST_ROOM - 1,
+    };
+    int64_t edges = 0;
+    if (!t.packed.data || !t.offsets.data || !t.table) {
+        edges = -2;
+        goto done;
+    }
+    ((int64_t *)t.offsets.data)[0] = 0;
     while (p < end) {
         const unsigned char *start[2];
         int64_t length[2];
+        uint64_t hash[2];
         int tokens = 0;
         for (;;) {
             while (p < end && kind[*p] == BLANK)
@@ -259,8 +364,9 @@ int64_t netctrl_tokenize(const char *text, int64_t size, int64_t lines, int64_t 
             if (p == end || kind[*p] == BREAK)
                 break;
             const unsigned char *token = p;
+            uint64_t h = FNV_BASIS; /* label_hash, as the token is read */
             while (p < end && kind[*p] == WORD)
-                p++;
+                h = FNV_STEP(h, *p++);
             if (tokens == 0 && (*token == '#' || *token == '%')) {
                 while (p < end && kind[*p] != BREAK)
                     p++;
@@ -271,43 +377,43 @@ int64_t netctrl_tokenize(const char *text, int64_t size, int64_t lines, int64_t 
                 goto done;
             }
             start[tokens] = token;
+            hash[tokens] = FNV_FOLD(h);
             length[tokens++] = p - token;
         }
         p += p < end;
         if (tokens == 0)
             continue;
-        if (tokens == 1 || edges == lines) {
+        if (tokens == 1) {
             edges = -1;
             goto done;
         }
         for (int k = 0; k < 2; k++) {
-            /* FNV-1a */
-            uint64_t h = 14695981039346656037ULL;
-            for (int64_t i = 0; i < length[k]; i++)
-                h = (h ^ start[k][i]) * 1099511628211ULL;
-            size_t slot = (h ^ h >> 32) & mask;
-            int64_t id;
-            for (;; slot = (slot + 1) & mask) {
-                id = table[slot] - 1;
-                if (id < 0) {
-                    id = count++;
-                    table[slot] = id + 1;
-                    offsets[id] = start[k] - (const unsigned char *)text;
-                    lengths[id] = length[k];
-                    break;
-                }
-                if (lengths[id] == length[k]
-                    && memcmp(text + offsets[id], start[k], (size_t)length[k]) == 0)
-                    break;
+            int64_t id = intern(&t, start[k], length[k], hash[k]);
+            if (id < 0) {
+                edges = -2;
+                goto done;
             }
             ends[2 * edges + k] = id;
         }
         edges++;
     }
 done:
-    free(table);
-    *labels = count;
+    free(t.table);
+    if (edges < 0) {
+        free(t.packed.data);
+        free(t.offsets.data);
+        t.packed.data = t.offsets.data = NULL;
+        t.count = 0;
+    }
+    *packed_out = t.packed.data;
+    *offsets_out = t.offsets.data;
+    *labels = t.count;
     return edges;
+}
+
+void netctrl_free(void *p)
+{
+    free(p);
 }
 
 /* SeedSequence with numpy's default pool of four uint32 words */

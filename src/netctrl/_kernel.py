@@ -5,7 +5,8 @@ the whole of ``MatchingState.complete()`` (scan order, completing pass,
 inverse check and free in-roles) in one call, which for a sampler's
 sample first draws its node order and scan keys as numpy does,
 ``netctrl_draw``, those draws alone, and ``netctrl_tokenize``, the
-edge-list tokenizer. ``core()`` returns a ``Core`` holding all three, or
+edge-list tokenizer, whose label arrays ``netctrl_free`` releases once
+they are copied. ``core()`` returns a ``Core`` holding all three, or
 None when the library cannot be had: no ``cc`` on the PATH, a cache
 directory that cannot be written, a build that fails or a library that
 will not load. ``MatchingState.complete`` then runs the Python search,
@@ -43,9 +44,6 @@ import numpy as np
 _UNSET = object()
 # the loaded core, None when it cannot be had, _UNSET until the first call
 _kernel = _UNSET
-
-# maps every ASCII line break of str.splitlines to \n, for counting lines
-_BREAKS_TO_NEWLINE = bytes.maketrans(b"\r\x0b\x0c\x1c\x1d\x1e", b"\n" * 6)
 
 # what netctrl_sample returns in place of a pair count when mh and mt are
 # not inverses, or hold another number of pairs
@@ -110,14 +108,14 @@ class Workspace:
 
 
 class Core:
-    """The three entry points of a loaded ``_core.c``.
+    """The three entry points of a loaded ``_core.c``, and its ``netctrl_free``.
 
     Raw addresses are passed in place of ``ndarray.ctypes.data_as`` and
     ndpointer argtypes, which leave reference-cycle garbage behind on
     every call.
     """
 
-    __slots__ = ("_sample", "_draw", "_tokenize")
+    __slots__ = ("_sample", "_draw", "_tokenize", "_free")
 
     def __init__(self, library: ctypes.CDLL):
         self._sample = library.netctrl_sample
@@ -130,8 +128,11 @@ class Core:
         )
         self._draw.restype = None
         self._tokenize = library.netctrl_tokenize
-        self._tokenize.argtypes = (ctypes.c_char_p,) + (ctypes.c_int64,) * 2 + (ctypes.c_void_p,) * 4
+        self._tokenize.argtypes = (ctypes.c_char_p, ctypes.c_int64) + (ctypes.c_void_p,) * 4
         self._tokenize.restype = ctypes.c_int64
+        self._free = library.netctrl_free
+        self._free.argtypes = (ctypes.c_void_p,)
+        self._free.restype = None
 
     def sample(self, work: Workspace, index: int | None = None) -> int:
         """Complete the workspace's matching in place; the number of pairs or ``BREACH``.
@@ -164,28 +165,31 @@ class Core:
         self._draw(words.ctypes.data, words.size, index, spawn, order.size, order.ctypes.data, keys.size, keys.ctypes.data)
 
     def tokenize(self, data: bytes):
-        """``(ends, offsets, lengths)`` of ASCII edge-list bytes, or None.
+        """``(ends, packed, offsets)`` of ASCII edge-list bytes, or None.
 
         ``ends`` holds the (tail, head) label ids of every edge line in
-        line order, and label i is ``data[offsets[i]:offsets[i] + lengths[i]]``,
-        in order of first appearance. None when a line that is neither
-        blank nor a comment does not hold two tokens.
+        line order. ``packed`` holds each label's bytes followed by a
+        ``\\n``, in order of first appearance, and label i is
+        ``packed[offsets[i]:offsets[i + 1] - 1]``; ``offsets`` has one
+        entry past the last label. Only the labels are copied, never the
+        text. None when a line that is neither blank nor a comment does not
+        hold two tokens.
         """
-        # a bound on the line count: \r\n counts twice
-        lines = data.translate(_BREAKS_TO_NEWLINE).count(b"\n") + 1
-        ends = np.empty(2 * lines, dtype=np.int64)
-        offsets = np.empty(2 * lines, dtype=np.int64)
-        lengths = np.empty(2 * lines, dtype=np.int64)
+        # room for every edge line's ids: a line takes at least four bytes
+        ends = np.empty((len(data) + 1) // 4 * 2, dtype=np.int64)
+        packed, offsets = ctypes.c_void_p(), ctypes.c_void_p()
         labels = ctypes.c_int64()
-        edges = self._tokenize(
-            data, len(data), lines, ends.ctypes.data, offsets.ctypes.data,
-            lengths.ctypes.data, ctypes.addressof(labels),
-        )
+        edges = self._tokenize(data, len(data), ends.ctypes.data, *map(ctypes.byref, (packed, offsets, labels)))
         if edges == -2:
-            raise MemoryError("no memory for the tokenizer's hash table")
+            raise MemoryError("no memory for the tokenizer's labels")
         if edges < 0:
             return None
-        return ends[:2 * edges], offsets[:labels.value], lengths[:labels.value]
+        try:
+            offsets_array = np.frombuffer(ctypes.string_at(offsets, 8 * (labels.value + 1)), dtype=np.int64)
+            return ends[:2 * edges], ctypes.string_at(packed, int(offsets_array[-1])), offsets_array
+        finally:
+            self._free(packed)
+            self._free(offsets)
 
 
 def core() -> Core | None:

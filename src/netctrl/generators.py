@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError, shown
-from .graph import DirectedGraph, degrees
+from .graph import DirectedGraph, _Labels, degrees
 from .seeding import check_int, check_real, check_seed
 
 __all__ = [
@@ -112,9 +112,8 @@ def gen_directed_ba(params: BaParams) -> DirectedGraph:
                 edges.append((new, old))
             repeated.append(old)
             repeated.append(new)
-    labels = [str(i) for i in range(n)]
     provenance = (f"ba n={n} m={m} m0={m0} p={p} seed={params.seed}",)
-    return DirectedGraph(labels, edges, provenance=provenance)
+    return DirectedGraph(_Labels(n), edges, provenance=provenance)
 
 
 def gen_directed_er(n: int, l: int, seed: int = 0) -> DirectedGraph:
@@ -137,9 +136,8 @@ def gen_directed_er(n: int, l: int, seed: int = 0) -> DirectedGraph:
     # pair k is (u, v) for u, r = divmod(k, n - 1), skipping v = u
     u, r = np.divmod(np.asarray(chosen, dtype=np.int64), max(n - 1, 1))
     edges = np.column_stack((u, r + (r >= u)))
-    labels = [str(i) for i in range(n)]
     provenance = (f"er n={n} l={l} seed={seed}",)
-    return DirectedGraph(labels, edges, provenance=provenance)
+    return DirectedGraph(_Labels(n), edges, provenance=provenance)
 
 
 def reverse_edges(graph: DirectedGraph, params: ReversalParams) -> ReversalResult:
@@ -171,5 +169,6 @@ def reverse_edges(graph: DirectedGraph, params: ReversalParams) -> ReversalResul
     provenance = graph.provenance + (
         f"reverse r={r} seed={params.seed} reversed={reversed_count} skipped={skipped}",
     )
-    out = DirectedGraph(graph.labels, pairs, provenance=provenance)
+    # the input's own label store: its labels are neither checked nor cut again
+    out = DirectedGraph(graph._labels, pairs, provenance=provenance)
     return ReversalResult(graph=out, reversed_count=reversed_count, skipped_count=skipped)

@@ -72,6 +72,50 @@ def _node_indices(values, n: int) -> np.ndarray:
     return array.astype(np.int64, copy=False)  # a uint64 past int64 wraps negative
 
 
+def _cut_labels(packed: bytes | None, count: int) -> tuple[str, ...]:
+    """Every label of a store, as strings: split out of its packed bytes, or
+    the numbers 0..count-1 when it has none."""
+    if packed is None:
+        return tuple(map(str, range(count)))
+    return tuple(packed.decode("ascii").split("\n")[:-1])
+
+
+class _Labels:
+    """A graph's node labels as the library makes them: unique strings by
+    construction, so ``DirectedGraph`` checks none of them, and cut into
+    Python strings only when something reads them.
+
+    A store of ``count`` labels holds the tokenizer's ``packed`` bytes,
+    where each label is followed by a ``\\n`` and label i starts at
+    ``offsets[i]``; or the ``strings`` themselves; or neither, for a
+    generator's labels ``str(0)..str(count - 1)``. ``strings()`` cuts them
+    all once and keeps them, and a graph derived from another shares its
+    store.
+    """
+
+    __slots__ = ("count", "_packed", "_offsets", "_strings")
+
+    def __init__(self, count: int, packed: bytes | None = None, offsets=None, strings=None):
+        self.count = count
+        self._packed = packed
+        self._offsets = offsets
+        self._strings = strings
+
+    def strings(self) -> tuple[str, ...]:
+        if self._strings is None:
+            self._strings = _cut_labels(self._packed, self.count)
+        return self._strings
+
+    def string(self, node: int) -> str:
+        """Label ``node``, an int in 0..count-1, cut alone."""
+        if self._strings is not None:
+            return self._strings[node]
+        if self._packed is None:
+            return str(node)
+        start, stop = self._offsets[node:node + 2].tolist()
+        return self._packed[start:stop - 1].decode("ascii")
+
+
 class DirectedGraph:
     """Immutable directed graph stored as numpy edge arrays.
 
@@ -82,10 +126,14 @@ class DirectedGraph:
     order. All arrays are read-only.
 
     Construction validates that node indices are dense and labels are
-    unique. A (tail, head) pair given more than once is kept at its first
-    position only, and ``duplicate_count`` tallies the repeats dropped (0
-    for generated graphs). ``provenance`` holds free-form header lines,
-    e.g. generator parameters, that serialization emits as comments.
+    unique. Labels the library made itself (parsed, generated, or shared
+    with the graph a transform started from) are unique by construction:
+    they are not checked again, nor made strings before ``labels`` or
+    ``label_of`` reads them. A (tail, head) pair given more than once is
+    kept at its first position only, and ``duplicate_count`` tallies the
+    repeats dropped (0 for generated graphs). ``provenance`` holds
+    free-form header lines, e.g. generator parameters, that serialization
+    emits as comments.
     """
 
     __slots__ = (
@@ -108,19 +156,20 @@ class DirectedGraph:
         *,
         provenance: tuple[str, ...] = (),
     ):
-        try:
-            labels = tuple(str(s) for s in labels)
-        except TypeError:
-            raise ValueError(f"node labels must be a sequence, got {labels!r}") from None
-        n = len(labels)
+        if not isinstance(labels, _Labels):
+            try:
+                strings = tuple(str(s) for s in labels)
+            except TypeError:
+                raise ValueError(f"node labels must be a sequence, got {labels!r}") from None
+            if len(set(strings)) != len(strings):
+                raise ValueError("node labels must be unique")
+            labels = _Labels(len(strings), strings=strings)
+        n = labels.count
         if n < 1:
             raise ValueError("graph needs at least one node")
-        if len(set(labels)) != n:
-            raise ValueError("node labels must be unique")
         pairs = _int64_array(edges, ValueError, "edge ends", pairs=True)
-        outside = np.flatnonzero(((pairs < 0) | (pairs >= n)).any(axis=1))
-        if outside.size:
-            tail, head = pairs[outside[0]].tolist()
+        if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
+            tail, head = pairs[((pairs < 0) | (pairs >= n)).any(axis=1)][0].tolist()
             raise ValueError(f"edge ({tail}, {head}) out of range for {n} nodes")
         tails, heads = pairs.T.copy()
         # one key per edge, tail * n + head: sorted, it answers has_edge
@@ -159,7 +208,7 @@ class DirectedGraph:
 
     @property
     def node_count(self) -> int:
-        return len(self._labels)
+        return self._labels.count
 
     @property
     def edge_count(self) -> int:
@@ -172,10 +221,17 @@ class DirectedGraph:
 
     @property
     def labels(self) -> tuple[str, ...]:
-        return self._labels
+        """The node labels in index order, cut into strings on first use."""
+        return self._labels.strings()
 
     def label_of(self, node: int) -> str:
-        return self._labels[node]
+        """The label of one node index, cut alone; UsageError unless ``node``
+        is an integer in ``0..N-1``."""
+        n = self._labels.count
+        index = _node_indices(node, n)
+        if index.ndim or not 0 <= index < n:
+            raise UsageError(f"node index must be an integer in 0..{n - 1}, got {shown(node)}")
+        return self._labels.string(int(index))
 
     def has_edge(self, tail, head):
         """Whether tail -> head is an edge; element-wise on arrays.
@@ -184,7 +240,7 @@ class DirectedGraph:
         Indices outside ``0..N-1`` are never edges. Raises UsageError on
         anything but integers.
         """
-        n = len(self._labels)
+        n = self._labels.count
         tail = _node_indices(tail, n)
         head = _node_indices(head, n)
         key = tail * n + head
@@ -197,10 +253,10 @@ class DirectedGraph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, DirectedGraph):
             return NotImplemented
-        return self._labels == other._labels and np.array_equal(self._keys, other._keys)
+        return self.labels == other.labels and np.array_equal(self._keys, other._keys)
 
     def __hash__(self):
-        return hash((self._labels, self._keys.tobytes()))
+        return hash((self.labels, self._keys.tobytes()))
 
     def __repr__(self) -> str:
         return f"DirectedGraph(nodes={self.node_count}, edges={self.edge_count})"
@@ -244,27 +300,34 @@ def parse_edge_list(text: str) -> DirectedGraph:
     loads; other text, and text with a line the core rejects, goes through
     the line loop, which gives the same graph or reports the line.
     """
-    labels, pairs = (_intern_compiled(text) if text.isascii() else None) or _intern_lines(text)
-    if not labels:
+    return _parse(text.encode("ascii") if text.isascii() else text)
+
+
+def _parse(text: str | bytes) -> DirectedGraph:
+    """``parse_edge_list`` of a str, or of ASCII bytes, which the compiled
+    tokenizer reads when it loads and does not reject."""
+    found = _intern_compiled(text) if isinstance(text, bytes) else None
+    if found is None:
+        found = _intern_lines(text if isinstance(text, str) else text.decode("ascii"))
+    labels, pairs = found
+    if not labels.count:
         raise IngestionError("no edges found in input")
     return DirectedGraph(labels, pairs)
 
 
-def _intern_compiled(text: str) -> tuple[list[str], np.ndarray] | None:
+def _intern_compiled(data: bytes) -> tuple[_Labels, np.ndarray] | None:
     """The labels in first-appearance order and the (tail, head) id pairs in
     line order, from the compiled tokenizer; None when it is not at hand or
-    rejects a line."""
+    rejects a line. The labels stay packed bytes until they are read."""
     compiled = _kernel.core()
-    found = None if compiled is None else compiled.tokenize(text.encode("ascii"))
+    found = None if compiled is None else compiled.tokenize(data)
     if found is None:
         return None
-    ends, offsets, lengths = found
-    # ASCII: byte offsets are character offsets
-    labels = [text[a:b] for a, b in zip(offsets.tolist(), (offsets + lengths).tolist())]
-    return labels, ends.reshape(-1, 2)
+    ends, packed, offsets = found
+    return _Labels(offsets.size - 1, packed, offsets), ends.reshape(-1, 2)
 
 
-def _intern_lines(text: str) -> tuple[list[str], np.ndarray]:
+def _intern_lines(text: str) -> tuple[_Labels, np.ndarray]:
     """``_intern_compiled``'s result from a loop over the lines, which also
     serves text that is not ASCII; raises IngestionError on a line that
     does not hold two tokens."""
@@ -280,7 +343,8 @@ def _intern_lines(text: str) -> tuple[list[str], np.ndarray]:
             )
         ends.append(label_index.setdefault(tokens[0], len(label_index)))
         ends.append(label_index.setdefault(tokens[1], len(label_index)))
-    return list(label_index), np.array(ends, dtype=np.int64).reshape(-1, 2)
+    labels = tuple(label_index)
+    return _Labels(len(labels), strings=labels), np.array(ends, dtype=np.int64).reshape(-1, 2)
 
 
 def read_text(path) -> str:
@@ -296,8 +360,19 @@ def read_text(path) -> str:
 
 
 def read_edge_list(path) -> DirectedGraph:
-    """Parse an edge-list file; unreadable or non-UTF-8 files raise IngestionError."""
-    return parse_edge_list(read_text(path))
+    """Parse an edge-list file; unreadable or non-UTF-8 files raise IngestionError.
+
+    An ASCII file goes to the compiled tokenizer as it was read; other
+    files are decoded as ``read_text`` decodes them (the line loop splits
+    their lines the same with or without universal newlines).
+    """
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        text = None if data.isascii() else data.decode("utf-8-sig")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IngestionError(f"cannot read {path}: {exc}") from exc
+    return _parse(data) if text is None else parse_edge_list(text)
 
 
 def to_edge_list(graph: DirectedGraph) -> str:

@@ -21,9 +21,11 @@ from netctrl import (
     read_edge_list,
     to_edge_list,
 )
-from netctrl.cli import RunConfig, _build_parser, _config_from_args, main, run
+from netctrl import graph as graph_module
+from netctrl.cli import RunConfig, _build_graph, _build_parser, _config_from_args, main, run
 
 from naive import naive_draw
+from test_golden import CASES
 
 
 def config_from_echo(echo: dict) -> RunConfig:
@@ -566,6 +568,10 @@ def test_missing_required_option_is_one_usage_line(capsys, argv, flag):
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
+def refuse_to_cut(*args):
+    raise AssertionError("every label was cut")
+
+
 @pytest.mark.parametrize(
     "name",
     [
@@ -581,3 +587,28 @@ def test_golden_report_regenerates_from_its_echoed_config(name):
     else:
         echo = json.loads(text.split("\n")[1].removeprefix("# config "))
     assert run(config_from_echo(echo)) == text
+
+
+@pytest.mark.parametrize("core", ["compiled", "python"])
+@pytest.mark.parametrize("name", ["sample-ba60-dedupe.json", "sweep-r-ba60.csv"])
+def test_sample_and_sweep_r_never_cut_a_label(name, core, compiled_kernel, monkeypatch, tmp_path):
+    # neither report prints a label: with every label cut refused, a
+    # generated graph gives the golden and a parsed one the report of a run
+    # that may cut them
+    monkeypatch.setattr(_kernel, "_kernel", compiled_kernel if core == "compiled" else None)
+    argv = CASES[name]
+    gen = argv.index("--gen")
+    g = _build_graph(_config_from_args(_build_parser(0).parse_args(argv)))
+    path = tmp_path / "graph.txt"
+    path.write_text("".join(f"node{u} node{v}\n" for u, v in g.edges), encoding="ascii")
+    parsed = argv[:gen] + ["--input", str(path)] + argv[gen + 2:]
+
+    def report(args: list[str], name: str) -> bytes:
+        out = tmp_path / name
+        assert main(args + ["--out", str(out)]) == 0
+        return out.read_bytes()
+
+    uncut = report(parsed, "uncut")
+    monkeypatch.setattr(graph_module, "_cut_labels", refuse_to_cut)
+    assert report(parsed, "parsed") == uncut
+    assert report(argv, "generated") == (GOLDEN_DIR / name).read_bytes()

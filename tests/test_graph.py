@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from netctrl import graph as graph_module
 from netctrl import (
     DirectedGraph,
     BaParams,
@@ -17,6 +18,7 @@ from netctrl import (
     gen_directed_ba,
     gen_directed_er,
     parse_edge_list,
+    read_edge_list,
     reverse_edges,
     to_edge_list,
 )
@@ -282,6 +284,47 @@ def test_has_edge_answers_false_past_int64(tail, head, expected):
     assert (found.tolist() if isinstance(found, np.ndarray) else found) == expected
 
 
+def label_stores() -> dict[str, DirectedGraph]:
+    """A graph of three nodes for each way the library makes labels, and
+    one from a caller's list. Made afresh, so that none has cut its labels."""
+    parsed = parse_edge_list("a b\nb c\n")
+    return {
+        "parsed": parsed,
+        "parsed-non-ascii": parse_edge_list("α β\nβ γ\n"),
+        "generated": gen_directed_er(3, 2, seed=1),
+        "reversed": reverse_edges(parsed, ReversalParams(r=1.0, seed=0)).graph,
+        "given": DirectedGraph(["a", "b", "c"], [(0, 1), (1, 2)]),
+    }
+
+
+def refuse_to_cut(*args):
+    raise AssertionError("every label was cut")
+
+
+@pytest.mark.parametrize("kind", sorted(label_stores()))
+@pytest.mark.parametrize(
+    "node",
+    [-1, 3, 2**70, -(2**70), np.uint64(2**64 - 1), 1.0, "1", True, None, np.array([1])],
+    ids=["minus-one", "n", "past-int64", "negative-past-int64", "uint64-past-int64",
+         "float", "string", "bool", "None", "array"],
+)
+def test_label_of_refuses_what_is_not_a_node_index(kind, node):
+    # a tuple index would read -1 as the last label, True as node 1, and
+    # end in a bare IndexError or TypeError on the rest
+    g = label_stores()[kind]
+    with pytest.raises(UsageError, match="node ind"):
+        g.label_of(node)
+
+
+@pytest.mark.parametrize("kind", sorted(label_stores()))
+def test_label_of_cuts_one_label(kind, monkeypatch):
+    g = label_stores()[kind]
+    with monkeypatch.context() as patch:
+        patch.setattr(graph_module, "_cut_labels", refuse_to_cut)
+        labels = [g.label_of(0), g.label_of(np.int64(1)), g.label_of(np.uint8(2))]
+    assert tuple(labels) == g.labels
+
+
 @settings(max_examples=60)
 @given(digraphs())
 def test_degree_sums_match_edge_count(g):
@@ -463,3 +506,86 @@ def test_non_ascii_text_and_a_missing_core_take_the_line_loop(monkeypatch):
     # a library that will not load leaves the core None
     monkeypatch.setattr(_kernel, "_kernel", None)
     assert parse_edge_list("a b\r\nb c\r\n").edges == ((0, 1), (1, 2))
+
+
+def test_tokenizer_agrees_on_a_ten_kilobyte_label(compiled_kernel):
+    long = "x" * 10240
+    for text in (f"{long} b\nb {long}\n", f"a b\nb {long}", f"{long} {long}"):
+        assert_tokenizer_agrees_with_the_line_loop(compiled_kernel, text)
+
+
+def test_tokenizer_agrees_on_fifty_thousand_distinct_labels(compiled_kernel):
+    # the hash table and the label buffers grow many times over
+    text = "".join(f"t{i} h{i}\n" for i in range(25000)) + "t7 h24999\n"
+    assert_tokenizer_agrees_with_the_line_loop(compiled_kernel, text)
+
+
+@pytest.mark.parametrize("text", ["a b", "a b\nb c", "a b\nc d", "# note\na bb\nbb ccc"])
+def test_tokenizer_agrees_on_a_last_label_with_no_line_break(compiled_kernel, text):
+    assert_tokenizer_agrees_with_the_line_loop(compiled_kernel, text)
+
+
+def test_a_parsed_graph_keeps_its_labels_and_not_the_text(compiled_kernel, monkeypatch, tmp_path):
+    monkeypatch.setattr(_kernel, "_kernel", compiled_kernel)
+    path = tmp_path / "commented.txt"
+    path.write_text("# " + "c" * 100_000 + "\nab cd\ncd ab\n", encoding="ascii")
+    g = read_edge_list(path)
+    assert g.labels == ("ab", "cd")
+    assert len(g._labels._packed) == len("ab\ncd\n")
+
+
+# Labels the library makes are not checked again, so each kind of graph
+# must equal the one the public constructor builds, with every check, from
+# its labels as a list and its pairs.
+PARSED_LABELS = ["a", "b", "10", "x%", "é", "β"]
+
+
+@st.composite
+def parsed_texts(draw):
+    """Edge-list text with repeats and self-loops: ASCII, or with a
+    non-ASCII label, which takes the line loop."""
+    labels = PARSED_LABELS if draw(st.booleans()) else PARSED_LABELS[:4]
+    pairs = draw(st.lists(st.tuples(st.sampled_from(labels), st.sampled_from(labels)), min_size=1, max_size=12))
+    gaps = [draw(st.sampled_from([" ", "\t", "  "])) for _ in pairs]
+    return "".join(f"{t}{gap}{h}\n" for (t, h), gap in zip(pairs, gaps))
+
+
+def assert_equals_its_public_twin(g, pairs=None):
+    """``g`` equals the graph the public constructor builds from its labels
+    and ``pairs`` (its own edges when None), in every array and flag."""
+    pairs = np.column_stack([g.tails, g.heads]) if pairs is None else pairs
+    twin = DirectedGraph(list(g.labels), pairs, provenance=g.provenance)
+    assert g == twin and hash(g) == hash(twin)
+    assert g.labels == twin.labels and g.provenance == twin.provenance
+    assert g.duplicate_count == twin.duplicate_count
+    for name in ("tails", "heads", "out_ptr", "out_heads", "in_ptr", "in_tails", "_keys"):
+        mine, theirs = getattr(g, name), getattr(twin, name)
+        assert mine.dtype == theirs.dtype and mine.tolist() == theirs.tolist()
+        assert not mine.flags.writeable and not theirs.flags.writeable
+
+
+def line_pairs(text: str) -> list[tuple[int, int]]:
+    """Every line's (tail, head) ids, repeats included, interned as the parser does."""
+    index: dict[str, int] = {}
+    return [tuple(index.setdefault(label, len(index)) for label in line.split()) for line in text.splitlines()]
+
+
+@settings(max_examples=150, deadline=None)
+@given(parsed_texts(), st.integers(0, 2**32 - 1))
+def test_parsed_and_reversed_graphs_equal_their_public_twins(compiled_kernel, text, seed):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_kernel, "_kernel", compiled_kernel)
+        g = parse_edge_list(text)
+    assert_equals_its_public_twin(g, line_pairs(text))
+    for r in (0.0, 0.5, 1.0):
+        assert_equals_its_public_twin(reverse_edges(g, ReversalParams(r=r, seed=seed)).graph)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(4, 40), st.integers(1, 3), st.floats(0, 1), st.integers(0, 2**32 - 1))
+def test_generated_graphs_equal_their_public_twins(n, m, p, seed):
+    ba = gen_directed_ba(BaParams(n=n, m_attach=m, m0=m, p=p, seed=seed))
+    er = gen_directed_er(n, n * m, seed=seed)
+    for g in (ba, er):
+        assert_equals_its_public_twin(g)
+        assert_equals_its_public_twin(reverse_edges(g, ReversalParams(r=0.5, seed=seed)).graph)
