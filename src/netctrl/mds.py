@@ -11,6 +11,8 @@ nodes stay unmatched.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -174,6 +176,59 @@ def preferential_mds(graph: DirectedGraph, order: NodeOrder, m: int) -> MdsResul
     return drivers(graph, state.matching, order)
 
 
+class _Sampler:
+    """Samples of one graph and seed in one workspace, one ``complete()``
+    call each: a call returns sample i's ``(drivers, n_d,
+    perfect_matching, avg_degree_d)``, and raises ValidationError when
+    its n_d is not that of the sampler's samples before it. ``tot`` holds
+    the graph's total degrees and ``empty`` its empty matching; both are
+    only read, so samplers on other threads may share them.
+    """
+
+    __slots__ = ("graph", "seed", "tot", "empty", "work", "n_d")
+
+    def __init__(self, graph: DirectedGraph, seed: int, tot: np.ndarray, empty: Matching):
+        self.graph, self.seed, self.tot, self.empty = graph, seed, tot, empty
+        self.work = _kernel.Workspace(graph, seed)
+        self.n_d = None
+
+    def drawn(self, i: int):
+        """Sample i, whose draws the compiled pass makes (``seeding.compiled_draws``):
+        an index below 2**64."""
+        work = self.work
+        # the pass writes the state's order to work.order
+        return self._finished(MatchingState._drawn(self.graph, i, self.empty, work), work.order)
+
+    def numpy_drawn(self, i: int):
+        """Sample i, drawn by numpy (``seeding.numpy_draws``)."""
+        graph = self.graph
+        perm, keys = numpy_draws(self.seed, i, graph.node_count, graph.edge_count)
+        return self._finished(MatchingState._sampling(graph, perm, keys, self.empty, self.work), perm)
+
+    def _finished(self, state: MatchingState, order: np.ndarray):
+        # the completing pass ends with every free tail failing its search,
+        # which is the Berge certificate of maximality
+        free = state.complete()
+        sample = _driver_set(*free, order.item(0), self.tot)
+        self.n_d = _agreed(self.n_d, sample[1])
+        return sample
+
+
+def _agreed(before: int | None, n_d: int) -> int:
+    """``n_d``, a sample's driver count, when it is ``before``, the count
+    of the samples before it (None before the first); ValidationError
+    otherwise: the matching number is one, so every sample has one n_d."""
+    if before not in (None, n_d):
+        raise ValidationError("sampled driver-set sizes disagree; matching engine is broken")
+    return n_d
+
+
+def _check_stream(count, seed, start=0) -> tuple[int, int, int]:
+    """``(count, seed, start)`` of a sample stream, the seed checked first."""
+    seed = check_seed(seed)
+    return check_int(count, "sample count", low=1), seed, check_int(start, "first sample index", low=0)
+
+
 def _sample_stream(graph: DirectedGraph, count: int, seed: int, start: int = 0):
     """Yield ``(drivers, n_d, perfect_matching, avg_degree_d)`` per sample.
 
@@ -189,35 +244,17 @@ def _sample_stream(graph: DirectedGraph, count: int, seed: int, start: int = 0):
     the rest. Nothing of a sample outlives its iteration but the compiled
     pass's workspace.
     """
-    seed = check_seed(seed)
-    count = check_int(count, "sample count", low=1)
-    start = check_int(start, "first sample index", low=0)
-    n, edges = graph.node_count, graph.edge_count
+    count, seed, start = _check_stream(count, seed, start)
     tot = degrees(graph).total_degree
 
     def draw():
-        n_d = None
-        work = _kernel.Workspace(graph, seed)
-        empty = Matching(np.full(n, -1))
-
-        def finished(state, order):
-            # the completing pass ends with every free tail failing its
-            # search, which is the Berge certificate of maximality
-            nonlocal n_d
-            free = state.complete()  # a drawn state's order is written here
-            sample = _driver_set(*free, order.item(0), tot)
-            if n_d not in (None, sample[1]):
-                raise ValidationError("sampled driver-set sizes disagree; matching engine is broken")
-            n_d = sample[1]
-            return sample
-
+        sampler = _Sampler(graph, seed, tot, Matching(np.full(graph.node_count, -1)))
         # the core draws indices start .. stop - 1, numpy the rest
         stop = max(start, min(start + count, 1 << 64)) if compiled_draws() else start
         for i in range(start, stop):
-            yield finished(MatchingState._drawn(graph, i, empty, work), work.order)
+            yield sampler.drawn(i)
         for i in range(stop, start + count):
-            perm, keys = numpy_draws(seed, i, n, edges)
-            yield finished(MatchingState._sampling(graph, perm, keys, empty, work), perm)
+            yield sampler.numpy_drawn(i)
 
     return draw()
 
@@ -229,12 +266,124 @@ def iter_samples(
 
     Sample i depends only on (seed, i), so ``start=i, count=1`` replays
     one sample in isolation. Raises UsageError on a bad seed, count or
-    start and ValidationError when two samples disagree on n_d.
+    start and ValidationError when two samples disagree on n_d. The
+    stream runs on the calling thread.
     """
     return (
         MdsSample(tuple(drivers_.tolist()), n_d, perfect, kd)
         for drivers_, n_d, perfect, kd in _sample_stream(graph, count, seed, start)
     )
+
+
+# The work of a sample stream, in samples x out-CSR slots, from which
+# sample_mds draws it on threads: where two threads first beat one on a
+# 2-core machine (BA N=10^3 at 50 samples, about 10^5, ran even; ER
+# N=10^4 at 5 samples, 10^5, gained; CHANGES.md has the figures). Below
+# it, starting the workers and handing their results back costs more
+# than they save.
+_THREADS_BREAK_EVEN_SAMPLED_SLOTS = 100_000
+
+# the most samples in a worker's block: blocks of a few samples' work let
+# the workers share the range evenly, and keep the results held small
+_MAX_BLOCK = 64
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the system has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _stream_workers(graph: DirectedGraph, count: int) -> int:
+    """How many threads ``sample_mds`` runs samples 0 .. count - 1 on; 1 is
+    the calling thread alone.
+
+    Threads run a stream whose work reaches the break-even, one per usable
+    CPU and no more than the count, when the compiled pass draws every
+    sample (each call then releases the GIL for the whole sample).
+    """
+    if count * graph.edge_count < _THREADS_BREAK_EVEN_SAMPLED_SLOTS or count > 1 << 64:
+        return 1
+    workers = min(_usable_cpus(), count)
+    return workers if workers > 1 and compiled_draws() is not None else 1
+
+
+def _threaded_samples(graph: DirectedGraph, count: int, seed: int, workers: int, digest):
+    """Yield ``(n_d, avg_degree_d, digest(drivers) or None)`` of samples
+    0 .. count - 1 in index order, drawn by the compiled pass on
+    ``workers`` threads.
+
+    Each worker has a workspace of its own and takes the next block of
+    consecutive indices; the calling thread only waits for the finished
+    blocks and yields them in index order. A worker takes a block only
+    while fewer than ``2 * workers`` blocks are taken and not yet yielded,
+    so the results held are bounded by that many blocks, not by the count;
+    the slack lets a worker run ahead of a slow one. The first exception
+    of a worker, or of the caller (an interrupt, or the generator closed),
+    sets a stop that each worker reads before its next sample; a worker's
+    exception is raised here, and every worker is joined before this
+    returns or raises.
+    """
+    tot = degrees(graph).total_degree
+    empty = Matching(np.full(graph.node_count, -1))
+    block = max(1, min(_MAX_BLOCK, count // (4 * workers)))
+    blocks = -(-count // block)
+    ready = threading.Condition()
+    done: dict[int, list] = {}  # finished blocks not yet yielded
+    taken = 0  # blocks handed to workers
+    yielded = 0  # blocks yielded
+    failure: BaseException | None = None
+    stop = False
+
+    def work(sampler: _Sampler) -> None:
+        nonlocal taken, failure, stop
+        try:
+            while True:
+                with ready:
+                    while not stop and taken < blocks and taken >= yielded + 2 * workers:
+                        ready.wait()
+                    if stop or taken == blocks:
+                        return
+                    b = taken
+                    taken += 1
+                results = []
+                for i in range(b * block, min(b * block + block, count)):
+                    if stop:
+                        return
+                    drivers_, n_d, _, kd = sampler.drawn(i)
+                    results.append((n_d, kd, digest(drivers_) if digest else None))
+                with ready:
+                    done[b] = results
+                    ready.notify_all()
+        except BaseException as exc:  # raised again in the calling thread
+            with ready:
+                if failure is None:
+                    failure = exc
+                stop = True
+                ready.notify_all()
+
+    threads = []
+    try:
+        for sampler in [_Sampler(graph, seed, tot, empty) for _ in range(workers)]:
+            threads.append(threading.Thread(target=work, args=(sampler,), name="netctrl-sampler", daemon=True))
+            threads[-1].start()
+        for b in range(blocks):
+            with ready:
+                yielded = b
+                ready.notify_all()
+                while b not in done and failure is None:
+                    ready.wait()
+                if failure is not None:
+                    raise failure
+                results = done.pop(b)
+            yield from results
+    finally:
+        with ready:
+            stop = True
+            ready.notify_all()
+        for thread in threads:
+            thread.join()
 
 
 def sample_mds(graph: DirectedGraph, count: int, seed: int, dedupe: bool = False) -> SampleSummary:
@@ -244,32 +393,55 @@ def sample_mds(graph: DirectedGraph, count: int, seed: int, dedupe: bool = False
     order with independently shuffled neighbor scans; sample i's random
     stream is derived from ``spawn_seed(seed, i)``, so any sample is
     reproducible in isolation (see ``iter_samples``). Samples are folded
-    into running statistics as they are drawn, so memory does not grow
-    with ``count``. Samples are not forced to be distinct; with ``dedupe``
-    the summary reports how many distinct driver sets occurred (duplicates
-    stay in the aggregate), counted by a 16-byte digest per distinct set.
+    into running statistics in index order as they are drawn, so memory
+    does not grow with ``count``. Samples are not forced to be distinct;
+    with ``dedupe`` the summary reports how many distinct driver sets
+    occurred (duplicates stay in the aggregate), counted by a 16-byte
+    digest per distinct set.
+
+    A long enough stream on a graph with the compiled core is drawn on one
+    thread per usable CPU (``_stream_workers``); the summary is the same
+    as on one.
     """
     count = check_int(count, "sample count")
+    count, seed, _ = _check_stream(count, seed)
+    digest = None
     if dedupe:
         # imported here: loading hashlib adds about 4 ms to every start of
         # the command line tool, and only --dedupe needs it
         from hashlib import blake2b
+
+        def digest(drivers_: np.ndarray) -> bytes:
+            return blake2b(drivers_.tobytes(), digest_size=16).digest()
+
+    workers = _stream_workers(graph, count)
+    if workers > 1:
+        samples = _threaded_samples(graph, count, seed, workers, digest)
+    else:
+        samples = (
+            (n_d, kd, digest(drivers_) if digest else None)
+            for drivers_, n_d, _, kd in _sample_stream(graph, count, seed)
+        )
     kd_sum = 0.0
     kd_min = math.inf
     kd_max = -math.inf
-    digests: set[bytes] | None = set() if dedupe else None
-    n_d = 0
-    for drivers_, n_d, _, kd in _sample_stream(graph, count, seed):
-        kd_sum += kd
-        kd_min = min(kd_min, kd)
-        kd_max = max(kd_max, kd)
-        if digests is not None:
-            digests.add(blake2b(drivers_.tobytes(), digest_size=16).digest())
+    digests: set[bytes] = set()
+    n_d = None
+    try:
+        for sample_n_d, kd, key in samples:
+            n_d = _agreed(n_d, sample_n_d)  # across workers too
+            kd_sum += kd
+            kd_min = min(kd_min, kd)
+            kd_max = max(kd_max, kd)
+            if key is not None:
+                digests.add(key)
+    finally:
+        samples.close()
     return SampleSummary(
         sample_count=count,
         n_d=n_d,
         mean_kd=kd_sum / count,
         min_kd=kd_min,
         max_kd=kd_max,
-        distinct_driver_sets=None if digests is None else len(digests),
+        distinct_driver_sets=len(digests) if dedupe else None,
     )

@@ -24,7 +24,7 @@ from netctrl import (
 from netctrl import graph as graph_module
 from netctrl.cli import RunConfig, _build_graph, _build_parser, _config_from_args, main, run
 
-from naive import naive_draw
+from failing_cores import NoMemory
 from test_golden import CASES
 
 
@@ -146,14 +146,6 @@ class TestAnalyze:
         assert "Traceback" not in captured.err
 
     def test_out_of_memory_is_one_line(self, capsys, monkeypatch):
-        class NoMemory:
-            """A compiled core whose sampling pass finds no memory."""
-
-            draw = staticmethod(naive_draw)
-
-            def sample(self, work, index=None):
-                raise MemoryError("no memory for the completing pass")
-
         monkeypatch.setattr(_kernel, "_kernel", NoMemory())
         code = main(["sample", "--gen", "er:n=20,l=30", "--samples", "2"])
         captured = capsys.readouterr()

@@ -155,3 +155,18 @@ def test_two_processes_building_at_once_both_succeed(cache, tmp_path):
     for out in outs:
         assert out.read_bytes() == (GOLDEN_DIR / GOLDEN).read_bytes()
     assert sorted(p.name for p in cache.iterdir()) == [library_name()]
+
+
+@needs_cc
+def test_two_workspaces_on_two_threads_match_a_serial_run(tmp_path):
+    # the driver that CI also builds with ThreadSanitizer: netctrl_sample
+    # and netctrl_draw on two pthreads, one workspace each, over one graph
+    driver = tmp_path / "two_workspaces"
+    subprocess.run(
+        ["cc", "-std=c99", "-O1", "-pthread", "-o", str(driver),
+         str(Path(__file__).parent / "c" / "two_workspaces.c"), str(SRC / "_core.c")],
+        check=True, capture_output=True, timeout=120,
+    )
+    done = subprocess.run([str(driver)], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "two_workspaces: 24 samples on two threads match the serial run\n"

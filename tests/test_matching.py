@@ -30,6 +30,7 @@ from netctrl.matching import _completing_pass, _scan_order
 from netctrl.mds import NodeOrder, drivers, iter_samples
 
 from corpus import matching_of
+from failing_cores import BreachingCore
 from oracles import brute_force_max_matching_size, enumerate_maximum_matchings
 from naive import (
     NaiveState,
@@ -185,12 +186,6 @@ class TestVerifyMaximum:
     def test_inverse_breach_in_a_sample_rejected(self, path3, monkeypatch, capsys):
         # the sampler takes no snapshot: the pass's own check reports the
         # breach, and the state raises
-        class BreachingCore:
-            draw = staticmethod(naive_draw)
-
-            def sample(self, work, index=None):
-                return _kernel.BREACH
-
         monkeypatch.setattr(_kernel, "_kernel", BreachingCore())
         with pytest.raises(ValidationError, match="not the inverse"):
             list(iter_samples(path3, 1, seed=0))

@@ -1,6 +1,11 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,10 +27,17 @@ from netctrl import (
     preferential_mds,
     sample_mds,
 )
-from netctrl import _kernel
+from netctrl import _kernel, mds
+from netctrl.cli import main
+from netctrl.seeding import compiled_draws
 
 from corpus import matching_of
+from failing_cores import BreachingCore, NoMemory
 from oracles import brute_force_max_matching_size, enumerate_driver_sets
+from test_golden import CASES, GOLDEN_DIR
+
+# the directory holding the netctrl package
+SRC = Path(mds.__file__).parent.parent
 
 
 def intern_order(graph):
@@ -193,9 +205,12 @@ class TestSampling:
         assert list(iter_samples(g, 5, seed=8, start=20)) == run[20:]
         assert len({s.drivers for s in run}) > 1  # the samples do differ
 
-    def test_memory_does_not_grow_with_the_sample_count(self):
+    def test_memory_does_not_grow_with_the_sample_count(self, monkeypatch):
         # a kept witness would cost about 7 kB per sample here, so 200
-        # samples would peak near ten times higher than 10
+        # samples would peak near ten times higher than 10. On one thread:
+        # test_memory_on_threads_does_not_grow_with_the_sample_count
+        # takes the threaded path, which holds a workspace per thread
+        monkeypatch.setattr(mds, "_usable_cpus", lambda: 1)
         g = gen_directed_ba(BaParams(n=300, m_attach=2, m0=3, p=0.5, seed=1))
 
         def peak(count: int) -> int:
@@ -373,3 +388,304 @@ def test_drivers_are_the_in_roles_the_matching_leaves_free(compiled, request, fi
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_kernel, "_kernel", core)
         agrees()
+
+
+# --- samples on threads --------------------------------------------------
+
+
+@pytest.fixture
+def on_threads(monkeypatch):
+    """``on_threads(w)``: sample_mds draws every stream of two or more
+    samples on ``w`` threads (``w`` usable CPUs and no break-even), and
+    ``started`` counts the streams drawn on threads."""
+    started = []
+    threaded = mds._threaded_samples
+
+    def counted(*args):
+        started.append(args[3])  # the worker count
+        return threaded(*args)
+
+    def set_workers(workers: int) -> list:
+        monkeypatch.setattr(mds, "_THREADS_BREAK_EVEN_SAMPLED_SLOTS", 0)
+        monkeypatch.setattr(mds, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(mds, "_threaded_samples", counted)
+        return started
+
+    return set_workers
+
+
+SAMPLING_GOLDENS = sorted(name for name in CASES if name.startswith(("sample", "sweep")))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_goldens_on_threads(compiled_kernel, on_threads, monkeypatch, tmp_path, name, workers):
+    # the sweeps reach the threaded path through stats._measure_point
+    monkeypatch.setattr(_kernel, "_kernel", compiled_kernel)
+    started = on_threads(workers)
+    before = threading.active_count()
+    out = tmp_path / name
+    assert main(CASES[name] + ["--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN_DIR / name).read_bytes()
+    assert threading.active_count() == before
+    assert bool(started) == (workers > 1 and name in SAMPLING_GOLDENS)
+    assert all(w == workers for w in started)
+
+
+@st.composite
+def ba_or_er(draw):
+    n = draw(st.integers(min_value=4, max_value=300))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    if draw(st.booleans()):
+        m = draw(st.sampled_from([1, 2, 3]))
+        return gen_directed_ba(BaParams(n=n, m_attach=m, p=draw(st.floats(0.0, 1.0)), seed=seed))
+    return gen_directed_er(n, draw(st.integers(min_value=n // 2, max_value=3 * n)), seed=seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    ba_or_er(),
+    st.integers(min_value=2, max_value=150),
+    st.integers(min_value=0, max_value=2**64),
+    st.sampled_from([2, 3]),
+    st.booleans(),
+)
+def test_threaded_and_serial_summaries_are_equal(compiled_kernel, g, count, seed, workers, dedupe):
+    # counts of every residue: blocks are count // (4 * workers) samples,
+    # so 2..150 samples give blocks of 1 to 18 and a last block cut short
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_kernel, "_kernel", compiled_kernel)
+        patch.setattr(mds, "_usable_cpus", lambda: 1)
+        serial = sample_mds(g, count, seed, dedupe)
+        patch.setattr(mds, "_THREADS_BREAK_EVEN_SAMPLED_SLOTS", 0)
+        patch.setattr(mds, "_usable_cpus", lambda: workers)
+        assert mds._stream_workers(g, count) == min(workers, count)
+        assert sample_mds(g, count, seed, dedupe) == serial
+
+
+def test_the_rest_stays_on_the_calling_thread(compiled_kernel, on_threads, monkeypatch):
+    g = gen_directed_er(200, 400, seed=2)
+    monkeypatch.setattr(_kernel, "_kernel", compiled_kernel)
+    started = on_threads(2)
+    assert mds._stream_workers(g, 2) == 2
+    list(iter_samples(g, 50, seed=1))  # the lazy public stream
+    assert mds._stream_workers(g, 1) == 1  # one sample
+    assert mds._stream_workers(g, 2**64 + 1) == 1  # indices past 2**64 - 1
+    monkeypatch.setattr(mds, "_THREADS_BREAK_EVEN_SAMPLED_SLOTS", 801)
+    assert mds._stream_workers(g, 2) == 1  # 2 samples x 400 slots, below the break-even
+    monkeypatch.setattr(mds, "_THREADS_BREAK_EVEN_SAMPLED_SLOTS", 800)
+    assert mds._stream_workers(g, 2) == 2
+    monkeypatch.setattr(mds, "_usable_cpus", lambda: 1)
+    assert mds._stream_workers(g, 50) == 1
+    monkeypatch.setattr(mds, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(mds, "compiled_draws", lambda: None)  # numpy's draws
+    assert mds._stream_workers(g, 50) == 1
+    monkeypatch.setattr(mds, "compiled_draws", compiled_draws)
+    monkeypatch.setattr(_kernel, "_kernel", None)  # the Python core
+    assert mds._stream_workers(g, 50) == 1
+    sample_mds(g, 50, seed=1)
+    assert not started
+
+
+def test_affinity_of_one_cpu_starts_no_thread(tmp_path):
+    # a child interpreter samples with all its CPUs, then with one
+    if not hasattr(os, "sched_setaffinity"):
+        pytest.skip("no CPU affinity on this system")
+    script = tmp_path / "one_cpu.py"
+    script.write_text(
+        "import os, threading\n"
+        "import netctrl\n"
+        "from netctrl import mds\n"
+        "from netctrl.seeding import compiled_draws\n"
+        "started = []\n"
+        "start = threading.Thread.start\n"
+        "threading.Thread.start = lambda thread: started.append(thread) or start(thread)\n"
+        "mds._THREADS_BREAK_EVEN_SAMPLED_SLOTS = 0\n"
+        "g = netctrl.gen_directed_er(200, 400, seed=1)\n"
+        "all_cpus = netctrl.sample_mds(g, 20, 1)\n"
+        "with_all = len(started)\n"
+        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "assert netctrl.sample_mds(g, 20, 1) == all_cpus\n"
+        "print(with_all, len(started), compiled_draws() is not None, len(os.sched_getaffinity(0)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    with_all, with_one, compiled, cpus_left = done.stdout.split()
+    assert cpus_left == "1"
+    assert with_one == with_all  # no thread started on one CPU
+    if compiled == "True":  # and one thread per CPU with all of them
+        assert int(with_all) == min(len(os.sched_getaffinity(0)), 20)
+
+
+def test_memory_on_threads_does_not_grow_with_the_sample_count(compiled_kernel, on_threads, monkeypatch):
+    # the results the workers hand back are held a few blocks at a time
+    monkeypatch.setattr(_kernel, "_kernel", compiled_kernel)
+    started = on_threads(2)
+    g = gen_directed_ba(BaParams(n=300, m_attach=2, m0=3, p=0.5, seed=1))
+
+    def peak(count: int) -> int:
+        sample_mds(g, 2, seed=0)  # warm the graph's cached arrays
+        tracemalloc.start()
+        try:
+            sample_mds(g, count, seed=3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    few, many = peak(10), peak(2000)
+    assert len(started) == 4
+    assert many <= 1.5 * few, f"peak {many} B at 2000 samples vs {few} B at 10"
+
+
+class CountingCore:
+    """The compiled core, counting its sampling calls, that fails in the
+    call of sample ``index`` with ``fail(work, pairs)``'s result or
+    exception, once another sample has started."""
+
+    def __init__(self, core, index: int | None, fail):
+        self.core, self.index, self.fail = core, index, fail
+        self.draw = core.draw
+        self.calls = 0
+        self.other_started = threading.Event()
+
+    def sample(self, work, index=None):
+        self.calls += 1
+        if index != self.index:
+            self.other_started.set()
+            return self.core.sample(work, index)
+        assert self.other_started.wait(timeout=60)
+        return self.fail(work, self.core.sample(work, index))
+
+
+def no_memory(work, size):
+    raise MemoryError("no memory for the completing pass")
+
+
+def one_pair_short(work, size):
+    return size - 1  # n_d one higher than every other sample's
+
+
+@pytest.mark.parametrize(
+    "fail, error",
+    [
+        (lambda work, size: _kernel.BREACH, ValidationError),
+        (no_memory, MemoryError),
+        (one_pair_short, ValidationError),
+        (lambda work, size: [][0], IndexError),
+    ],
+    ids=["breach", "no-memory", "n_d-within", "other"],
+)
+def test_a_failing_worker_stops_the_others_and_raises_here(compiled_kernel, on_threads, monkeypatch, fail, error):
+    # the first sample fails once the other worker has started its block
+    # of 64 samples
+    core = CountingCore(compiled_kernel, 0, fail)
+    monkeypatch.setattr(_kernel, "_kernel", core)
+    started = on_threads(2)
+    before = threading.active_count()
+    g = gen_directed_er(1000, 2000, seed=3)
+    with pytest.raises(error):
+        sample_mds(g, 5000, seed=1, dedupe=True)
+    assert started and threading.active_count() == before
+    # the other worker read the stop before its next sample, not at the
+    # end of its block
+    assert core.calls < 64
+
+
+def test_n_d_disagreeing_across_workers_raises(compiled_kernel, on_threads, monkeypatch):
+    # each worker agrees with itself, and the second one to sample reads
+    # every n_d one higher: the calling thread's fold sees it
+    monkeypatch.setattr(_kernel, "_kernel", compiled_kernel)
+    on_threads(2)
+    drawn = mds._Sampler.drawn
+    both_sampling = threading.Barrier(2, timeout=60)
+    first: dict = {}
+    seen: set = set()
+
+    def drifting(sampler, i):
+        drivers_, n_d, perfect, kd = drawn(sampler, i)
+        if sampler not in seen:
+            seen.add(sampler)
+            first.setdefault("sampler", sampler)
+            both_sampling.wait()
+        return drivers_, n_d + (sampler is not first["sampler"]), perfect, kd
+
+    monkeypatch.setattr(mds._Sampler, "drawn", drifting)
+    before = threading.active_count()
+    with pytest.raises(ValidationError, match="sampled driver-set sizes disagree"):
+        sample_mds(gen_directed_er(60, 120, seed=3), 200, seed=1)
+    assert threading.active_count() == before
+
+
+def test_an_interrupt_while_folding_stops_every_worker(compiled_kernel, on_threads, monkeypatch):
+    class Interrupting(float):
+        """A <k_D> whose fold in the calling thread is interrupted."""
+
+        def __radd__(self, other):
+            raise KeyboardInterrupt
+
+    core = CountingCore(compiled_kernel, None, None)
+    monkeypatch.setattr(_kernel, "_kernel", core)
+    on_threads(2)
+    drawn = mds._Sampler.drawn
+
+    def interrupting(sampler, i):
+        drivers_, n_d, perfect, kd = drawn(sampler, i)
+        return drivers_, n_d, perfect, Interrupting(kd) if i == 5 else kd
+
+    monkeypatch.setattr(mds._Sampler, "drawn", interrupting)
+    before = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        sample_mds(gen_directed_er(1000, 2000, seed=3), 5000, seed=1)
+    assert threading.active_count() == before
+    assert core.calls < 5000
+
+
+@pytest.mark.parametrize(
+    "core, code, line",
+    [(BreachingCore, 4, "netctrl: validation error:"), (NoMemory, 1, "netctrl: error: out of memory: ")],
+    ids=["breach", "no-memory"],
+)
+def test_a_failing_sample_on_threads_is_one_line(on_threads, monkeypatch, capsys, core, code, line):
+    monkeypatch.setattr(_kernel, "_kernel", core())
+    started = on_threads(2)
+    before = threading.active_count()
+    assert main(["sample", "--gen", "er:n=20,l=30", "--samples", "2"]) == code
+    captured = capsys.readouterr()
+    assert started == [2]
+    assert threading.active_count() == before
+    assert captured.out == ""
+    assert captured.err.startswith(line)
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
+def test_many_workers_with_rapid_switching_draw_each_index_once(compiled_kernel, on_threads, monkeypatch):
+    # more workers than CPUs, the interpreter switching threads every
+    # microsecond: a block taken twice or lost would repeat or skip an
+    # index, change the summary, or leave the calling thread waiting
+    monkeypatch.setattr(_kernel, "_kernel", compiled_kernel)
+    g = gen_directed_ba(BaParams(n=80, m_attach=2, m0=3, p=0.5, seed=5))
+    on_threads(1)
+    serial = sample_mds(g, 3001, seed=9, dedupe=True)
+    on_threads(6)
+    drawn = mds._Sampler.drawn
+    indices = []
+
+    def recorded(sampler, i):
+        indices.append(i)
+        return drawn(sampler, i)
+
+    monkeypatch.setattr(mds._Sampler, "drawn", recorded)
+    result = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        caller = threading.Thread(target=lambda: result.append(sample_mds(g, 3001, seed=9, dedupe=True)))
+        caller.start()
+        caller.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not caller.is_alive()
+    assert result == [serial]
+    assert sorted(indices) == list(range(3001))
