@@ -5,11 +5,15 @@
  * different arrays may run at once.
  *
  * netctrl_sample: all of MatchingState.complete() in one call, which is
- * one whole sample of the sampler.
+ * one whole sample of the sampler. Its memory is one struct
+ * netctrl_workspace, which the caller fills once per graph: the graph's
+ * CSR, the arrays named below and the seed whose samples it draws.
  *
- * 0. Draws. With `seed` non-NULL, the call first draws sample `index` of
- *    that seed (`words` uint32 words) into `order` and `keys`, as
- *    netctrl_draw does; with `seed` NULL it reads them as given.
+ * 0. Draws and start. With `drawn` non-zero, the call first draws sample
+ *    `index` of the workspace's seed (`words` uint32 words at `seed`)
+ *    into `order` and `keys`, as netctrl_draw does, and starts from the
+ *    empty matching, whatever `mh` and `mt` held; with `drawn` zero it
+ *    reads all four as given.
  * 1. Scan order. Each tail's slice of the out-CSR `heads` is written to
  *    `scan` in ascending order of its slots' `keys`, equal keys in slot
  *    order: numpy's argsort(kind="stable") order. The slice is sorted in
@@ -29,16 +33,17 @@
  *    pass counted; NETCTRL_BREACH when it fails.
  * 4. The free in-roles, in ascending order, to `free_heads`, and the sum
  *    of their total degrees (out-degree from `ptr`, in-degree from
- *    `in_ptr`) to `*degree_sum`. The sum is exact, so the caller's
+ *    `in_ptr`) to `degree_sum`. The sum is exact, so the caller's
  *    sum / count is the mean numpy would give, bit for bit.
  *
  * The caller checks the inputs: `ptr` and `in_ptr` are CSR row pointers
  * of n + 1 entries over the same ptr[n] edges, `heads` holds indices in
  * 0..n-1, slices are shorter than 2^32 slots, given `keys` are in
- * 0..2^32-1 and a given `order` is a permutation of 0..n-1, and
- * `mh`/`mt` hold a matching and its inverse (-1 when free), updated in
- * place. `scan` holds ptr[n] entries; scratch: `mark`, `trail` and
- * `free_heads` n, `stack` 3 * n. Returns the number of matched pairs or
+ * 0..2^32-1, a given `order` is a permutation of 0..n-1, given
+ * `mh`/`mt` hold a matching and its inverse (-1 when free), and a
+ * workspace that draws has a seed. `mh` and `mt` are updated in place.
+ * `scan` holds ptr[n] entries; scratch: `mark`, `trail` and `free_heads`
+ * n, `stack` 3 * n. Returns the number of matched pairs or
  * NETCTRL_BREACH.
  *
  * netctrl_draw: a sample's node order and scan keys, as numpy draws them.
@@ -159,14 +164,30 @@ static void sort_slice(const int64_t *key, const int64_t *head, int64_t size, in
 void netctrl_draw(const uint32_t *seed, int64_t words, uint64_t index, int64_t spawn,
                   int64_t n, int64_t *order, int64_t edges, int64_t *keys);
 
-int64_t netctrl_sample(int64_t n, const int64_t *ptr, const int64_t *heads,
-                       const int64_t *in_ptr, int64_t *keys, int64_t *order,
-                       int64_t *mh, int64_t *mt, int64_t *scan, unsigned char *mark,
-                       int64_t *trail, int64_t *stack, int64_t *free_heads, int64_t *degree_sum,
-                       const uint32_t *seed, int64_t words, uint64_t index)
+/* the memory of netctrl_sample on one graph; _kernel._Struct declares
+ * the same fields in the same order */
+struct netctrl_workspace {
+    int64_t n;
+    const int64_t *ptr, *heads, *in_ptr;
+    int64_t *keys, *order, *mh, *mt, *scan;
+    unsigned char *mark;
+    int64_t *trail, *stack, *free_heads;
+    int64_t degree_sum;
+    const uint32_t *seed;
+    int64_t words;
+};
+
+int64_t netctrl_sample(struct netctrl_workspace *w, int64_t drawn, uint64_t index)
 {
-    if (seed)
-        netctrl_draw(seed, words, index, 1, n, order, ptr[n], keys);
+    const int64_t n = w->n, *ptr = w->ptr, *heads = w->heads, *in_ptr = w->in_ptr;
+    int64_t *keys = w->keys, *order = w->order, *mh = w->mh, *mt = w->mt, *scan = w->scan;
+    int64_t *trail = w->trail, *stack = w->stack, *free_heads = w->free_heads;
+    unsigned char *mark = w->mark;
+    if (drawn) {
+        netctrl_draw(w->seed, w->words, index, 1, n, order, ptr[n], keys);
+        for (int64_t v = 0; v < n; v++)
+            mh[v] = mt[v] = -1;
+    }
     for (int64_t u = 0; u < n; u++) {
         int64_t lo = ptr[u];
         sort_slice(keys + lo, heads + lo, ptr[u + 1] - lo, scan + lo);
@@ -231,7 +252,7 @@ int64_t netctrl_sample(int64_t n, const int64_t *ptr, const int64_t *heads,
     }
     if (bad || pairs != size)
         return NETCTRL_BREACH;
-    *degree_sum = sum;
+    w->degree_sum = sum;
     return size;
 }
 

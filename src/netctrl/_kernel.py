@@ -3,10 +3,14 @@
 The library has three entry points (see ``_core.c``): ``netctrl_sample``,
 the whole of ``MatchingState.complete()`` (scan order, completing pass,
 inverse check and free in-roles) in one call, which for a sampler's
-sample first draws its node order and scan keys as numpy does,
-``netctrl_draw``, those draws alone, and ``netctrl_tokenize``, the
-edge-list tokenizer, whose label arrays ``netctrl_free`` releases once
-they are copied. ``core()`` returns a ``Core`` holding all three, or
+sample first draws its node order and scan keys as numpy does and
+starts from the empty matching, ``netctrl_draw``, those draws alone, and
+``netctrl_tokenize``, the edge-list tokenizer, whose label arrays
+``netctrl_free`` releases once they are copied. ``netctrl_sample`` takes
+the address of a ``Workspace``'s C struct, filled once per workspace,
+a flag that says whether the call draws, and the sample index: three
+arguments for ctypes to convert on each call, where one per array made
+seventeen. ``core()`` returns a ``Core`` holding all three, or
 None when the library cannot be had: no ``cc`` on the PATH, a cache
 directory that cannot be written, a build that fails or a library that
 will not load. ``MatchingState.complete`` then runs the Python search,
@@ -55,25 +59,40 @@ def seed_words(seed: int) -> np.ndarray:
     return np.array([seed >> s & 0xFFFFFFFF for s in range(0, max(seed.bit_length(), 1), 32)], dtype=np.uint32)
 
 
+class _Struct(ctypes.Structure):
+    """``struct netctrl_workspace`` of ``_core.c``, field for field."""
+
+    _fields_ = (
+        [("n", ctypes.c_int64)]
+        + [(name, ctypes.c_void_p) for name in (
+            "ptr", "heads", "in_ptr", "keys", "order", "mh", "mt", "scan", "mark", "trail", "stack", "free_heads",
+        )]
+        + [("degree_sum", ctypes.c_int64), ("seed", ctypes.c_void_p), ("words", ctypes.c_int64)]
+    )
+
+
 class Workspace:
     """All the memory of ``Core.sample`` on one graph, owned by the caller.
 
-    The caller fills the inputs: the matching ``mh``/``mt`` (-1 where a
-    role is free), which the call completes in place, and, unless the call
-    draws them, ``order``, the order in which free tails are searched, and
-    ``keys``, one scan key per out-CSR slot. The call writes ``scan``,
-    each tail's heads in key order with equal keys in slot order,
-    ``free_heads[:n - pairs]``, the free in-roles in ascending order, and
-    ``degree_sum[0]``, the sum of their total degrees, which
-    ``complete()`` returns copies of: every reported driver set is read
-    off them. ``keys`` and ``scan`` are the only per-slot arrays: the sort
-    works in ``scan`` itself. The graph's CSR arrays and ``seed``'s words,
-    the seed whose samples a call may draw, are held here too, and every
-    address is taken once, in the constructor. One call at a time may use
-    a workspace; calls on workspaces of their own may run at once.
+    The caller fills the inputs of a call that draws nothing: the
+    matching ``mh``/``mt`` (-1 where a role is free), which the call
+    completes in place, ``order``, the order in which free tails are
+    searched, and ``keys``, one scan key per out-CSR slot. A call that
+    draws writes ``order`` and ``keys`` itself, from ``seed``, and starts
+    from the empty matching whatever ``mh`` and ``mt`` hold. The call
+    writes ``scan``, each tail's heads in key order with equal keys in
+    slot order, ``free_heads[:n - pairs]``, the free in-roles in ascending
+    order, and ``degree_sum``, the sum of their total degrees: every
+    reported driver set is read off them, and they hold until the next
+    call. ``keys`` and ``scan`` are the only per-slot arrays: the sort
+    works in ``scan`` itself. The C struct the call takes holds the
+    graph's CSR arrays, these arrays, the call's scratch and ``seed``'s
+    words; it is filled once, here, so that a call passes one address.
+    One call at a time may use a workspace; calls on workspaces of their
+    own may run at once.
     """
 
-    __slots__ = ("order", "keys", "mh", "mt", "scan", "free_heads", "degree_sum", "_arrays", "_args", "_drawn")
+    __slots__ = ("n", "seed", "order", "keys", "mh", "mt", "scan", "free_heads", "_arrays", "_struct", "_address")
 
     def __init__(self, graph, seed: int | None = None):
         n, edges = graph.node_count, graph.out_heads.size
@@ -81,30 +100,30 @@ class Workspace:
         for array in graph_arrays:
             if array.dtype != np.int64 or not array.flags.c_contiguous:
                 raise ValueError("the graph's CSR arrays must be contiguous int64")
+        self.n, self.seed = n, seed
         self.order = np.empty(n, dtype=np.int64)
         self.keys = np.empty(edges, dtype=np.int64)
         self.mh = np.empty(n, dtype=np.int64)
         self.mt = np.empty(n, dtype=np.int64)
         self.scan = np.empty(edges, dtype=np.int64)
         self.free_heads = np.empty(n, dtype=np.int64)
-        self.degree_sum = np.zeros(1, dtype=np.int64)
-        # in the order of netctrl_sample's parameters; mark, trail and
-        # stack are its scratch
+        words = seed_words(seed if seed is not None else 0)
+        # in the order of the struct's pointers; mark, trail and stack are
+        # the call's scratch. Held here, so that no address outlives its array
         self._arrays = graph_arrays + (
             self.keys, self.order, self.mh, self.mt, self.scan,
             np.empty(n, dtype=np.uint8),        # mark
             np.empty(n, dtype=np.int64),        # trail
             np.empty(3 * n, dtype=np.int64),    # stack
-            self.free_heads, self.degree_sum,
+            self.free_heads, words,
         )
-        # no seed: the call reads order and keys
-        self._args = (n,) + tuple(a.ctypes.data for a in self._arrays) + (None, 0, 0)
-        # the seed's words: the call draws them, given the sample index
-        self._drawn = None
-        if seed is not None:
-            words = seed_words(seed)
-            self._arrays += (words,)
-            self._drawn = self._args[:-3] + (words.ctypes.data, words.size)
+        self._struct = _Struct(n, *(a.ctypes.data for a in self._arrays[:-1]), 0, words.ctypes.data, words.size)
+        self._address = ctypes.addressof(self._struct)
+
+    @property
+    def degree_sum(self) -> int:
+        """The sum of the total degrees of the last call's free in-roles."""
+        return self._struct.degree_sum
 
 
 class Core:
@@ -119,7 +138,7 @@ class Core:
 
     def __init__(self, library: ctypes.CDLL):
         self._sample = library.netctrl_sample
-        self._sample.argtypes = (ctypes.c_int64,) + (ctypes.c_void_p,) * 14 + (ctypes.c_int64, ctypes.c_uint64)
+        self._sample.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_uint64)
         self._sample.restype = ctypes.c_int64
         self._draw = library.netctrl_draw
         self._draw.argtypes = (
@@ -139,13 +158,15 @@ class Core:
 
         With ``index``, a sample index in 0..2**64-1 of the seed ``work``
         was made with, the call first draws that sample's node order and
-        scan keys into ``work.order`` and ``work.keys``, as ``draw`` does.
-        With a pair count, ``work`` holds the scan, the free in-roles and
-        their degree sum.
+        scan keys into ``work.order`` and ``work.keys``, as ``draw`` does,
+        and starts from the empty matching. With a pair count, ``work``
+        holds the scan, the free in-roles and their degree sum.
         """
         if index is None:
-            return self._sample(*work._args)
-        return self._sample(*work._drawn, index)
+            return self._sample(work._address, 0, 0)
+        if work.seed is None:
+            raise ValueError("a workspace made without a seed draws no sample")
+        return self._sample(work._address, 1, index)
 
     def draw(self, seed: int, index: int, order: np.ndarray, keys: np.ndarray, spawn: bool = True) -> None:
         """Fill ``order`` with ``permutation(order.size)`` and then ``keys``

@@ -4,8 +4,10 @@ Every run echoes its full configuration (seed included) so the report can
 be regenerated byte-identically. Single-graph analyses emit JSON, sweeps
 emit CSV by default, and generated or transformed networks emit edge-list
 text with their parameters as header comments. ``_COMMANDS`` and
-``_OPTIONS`` declare each command's options once: the parser is built from
-them, and ``run()`` enforces them for every caller.
+``_OPTIONS`` declare each command's options once: the parsers are built
+from them, and ``run()`` enforces them for every caller. ``main`` builds
+the parser of the command it runs alone, and the parser of every
+command only to print help or a usage error (``_parse``).
 """
 
 from __future__ import annotations
@@ -263,7 +265,18 @@ def run(config: RunConfig) -> str:
     return _json_report(config, payload, graph)
 
 
+def _add_options(parser: argparse.ArgumentParser, takes, default_seed: int) -> None:
+    """Add one command's options to its parser, ``--seed`` and ``--out`` last."""
+    for field in takes:
+        flag, settings = _OPTIONS[field]
+        parser.add_argument(flag, dest=field, **settings)
+    parser.add_argument("--seed", type=int, default=default_seed,
+                        help="random seed (default: NETCTRL_SEED or 0)")
+    parser.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
+
+
 def _build_parser(default_seed: int) -> argparse.ArgumentParser:
+    """The parser of every command, which prints all help and every usage error."""
     parser = argparse.ArgumentParser(
         prog="netctrl",
         description="Driver-node analysis of directed networks via maximum matching.",
@@ -272,14 +285,41 @@ def _build_parser(default_seed: int) -> argparse.ArgumentParser:
     for name, (summary, takes, _) in _COMMANDS.items():
         # an option left out stays out of the namespace, so RunConfig holds
         # every default but the seed's and the sweeps' format
-        p = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
-        for field in takes:
-            flag, settings = _OPTIONS[field]
-            p.add_argument(flag, dest=field, **settings)
-        p.add_argument("--seed", type=int, default=default_seed,
-                       help="random seed (default: NETCTRL_SEED or 0)")
-        p.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
+        _add_options(sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS), takes, default_seed)
     return parser
+
+
+class _Reparse(Exception):
+    """The one-command parser met an error: the full parser parses again."""
+
+
+class _OneCommandParser(argparse.ArgumentParser):
+    """A parser that raises ``_Reparse`` where argparse would print an error and exit."""
+
+    def error(self, message):
+        raise _Reparse
+
+
+def _parse(argv: list[str], default_seed: int) -> argparse.Namespace:
+    """``argv`` parsed as the full parser parses it.
+
+    A command's parser alone builds in a fraction of the time of all
+    seven, and gives the same namespace on every argv it takes: the full
+    parser hands everything after the command to that command's parser.
+    It has no ``-h``, so that a request for help is an error to it; every
+    error, a missing or unknown command and help go to the full parser,
+    which prints its message and exits with its code.
+    """
+    if argv and argv[0] in _COMMANDS:
+        parser = _OneCommandParser(prog=f"netctrl {argv[0]}", add_help=False, argument_default=argparse.SUPPRESS)
+        _add_options(parser, _COMMANDS[argv[0]][1], default_seed)
+        try:
+            args = parser.parse_args(argv[1:])
+            args.command = argv[0]
+            return args
+        except _Reparse:
+            pass
+    return _build_parser(default_seed).parse_args(argv)
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -290,8 +330,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def main(argv=None) -> int:
     try:
-        parser = _build_parser(_default_seed())
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv), _default_seed())
         text = run(_config_from_args(args))
         out = getattr(args, "out", None)
         if out:

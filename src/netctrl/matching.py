@@ -126,16 +126,17 @@ class MatchingState:
         if perm.size != n:
             raise UsageError(f"order covers {perm.size} nodes, graph has {n}")
         rank = np.argsort(perm)  # the inverse permutation
-        self._start(graph, perm, rank[graph.out_heads], Matching(np.full(n, -1)), None)
+        self._start(graph, perm, rank[graph.out_heads], _unmatched(n), None)
 
     @classmethod
     def _sampling(
-        cls, graph: DirectedGraph, perm: np.ndarray, keys: np.ndarray, start: Matching, work=None
+        cls, graph: DirectedGraph, perm: np.ndarray, keys: np.ndarray, start: Matching | None = None, work=None
     ) -> MatchingState:
-        """A state with no node active that starts from ``start``, for a
-        permutation and scan keys that the library made itself (the
-        sampler's draws, or the Berge pass's node indices and zero keys), as
-        int64 arrays; none is checked, and ``start``'s pairs must be edges.
+        """A state with no node active that starts from ``start``, the
+        empty matching when None, for a permutation and scan keys that the
+        library made itself (numpy's draws of a sample, or the Berge pass's
+        node indices and zero keys), as int64 arrays; none is checked, and
+        ``start``'s pairs must be edges.
 
         ``work``, a ``_kernel.Workspace`` of the graph, is the memory of the
         compiled pass: ``complete()`` copies the state into it, calls, and
@@ -143,33 +144,51 @@ class MatchingState:
         turns with one workspace. Without, ``complete()`` makes one.
         """
         state = cls.__new__(cls)
-        state._start(graph, perm, keys, start, work)
+        if start is None:
+            matched = _unmatched(graph.node_count)
+        else:
+            matched = start.head_by_tail, start.tail_by_head, start.size
+        state._start(graph, perm, keys, matched, work)
         return state
 
     @classmethod
-    def _drawn(cls, graph: DirectedGraph, index: int, start: Matching, work) -> MatchingState:
-        """A sampling state whose permutation and scan keys the compiled
-        pass draws itself: those of sample ``index`` of the seed ``work``
-        was made with, into ``work.order`` and ``work.keys``, where they
-        stay until the workspace's next call. Only for the core that
-        ``seeding.compiled_draws`` returns, and an index below 2**64.
+    def _drawn(cls, graph: DirectedGraph, work) -> MatchingState:
+        """A sampling state for a whole stream on the workspace ``work``,
+        which copies nothing.
+
+        Before each ``complete()``, ``_restart(index)`` makes it sample
+        ``index`` of the seed ``work`` was made with: the compiled pass
+        draws that sample's permutation and scan keys into ``work.order``
+        and ``work.keys``, starts from the empty matching and completes it
+        in ``work.mh`` and ``work.mt``, which are the state's matching. Only
+        for the core that ``seeding.compiled_draws`` returns, and indices
+        below 2**64.
         """
         state = cls.__new__(cls)
-        state._start(graph, None, None, start, work)
-        state._index = index
+        state._start(graph, None, None, (work.mh, work.mt, 0), work)
         return state
 
-    def _start(self, graph: DirectedGraph, perm, keys, start: Matching, work) -> None:
-        """Set up a state with no node active that starts from ``start``."""
+    def _restart(self, index: int) -> None:
+        """Make a drawn state sample ``index`` at its next ``complete()``.
+
+        Its size reads 0 until then, the empty matching's, as a new
+        state's does, since the call starts from the empty matching.
+        """
+        self._index = index
+        self._size = 0
+
+    def _start(self, graph: DirectedGraph, perm, keys, matched: tuple, work) -> None:
+        """Set up a state with no node active that starts from ``matched``,
+        ``(head_by_tail, tail_by_head, size)`` of a matching."""
         self.graph = graph
         # the sample index whose draws the compiled pass makes, or None
         # when the state holds its permutation and keys
         self._index = None
-        # start's read-only arrays, never written: complete() replaces them
-        # with copies, and _augment with lists, which it indexes faster
-        self._mh = start.head_by_tail  # tail -> matched head
-        self._mt = start.tail_by_head  # head -> matched tail
-        self._size = start.size
+        # tail -> matched head, head -> matched tail. Only a drawn state's
+        # call writes these arrays, which are its workspace's; for every
+        # other state complete() replaces them with copies, and _augment
+        # with lists, which it indexes faster
+        self._mh, self._mt, self._size = matched
         self._work = work  # the compiled pass's memory, made by complete() when None
         self._perm = perm
         self._admitted = 0  # the nodes of _perm active so far, a prefix
@@ -251,6 +270,12 @@ class MatchingState:
         (``_scan_order``'s order), checks the matching against its inverse
         and lists the free in-roles, and in ``_augment`` otherwise, which
         reads them off its checked snapshot.
+
+        A drawn state (``_drawn``) copies nothing: its matching is the
+        workspace's, and ``free`` is a view of ``work.free_heads``, both
+        valid until the workspace's next call. Every other state copies
+        its matching into the workspace and the matching and ``free`` out,
+        so that they are its own.
         """
         self._admitted = self.graph.node_count  # no node is left to admit
         compiled = _kernel.core()
@@ -261,20 +286,24 @@ class MatchingState:
             free = np.flatnonzero(self.matching.tail_by_head < 0)
             return free, int(degrees(self.graph).total_degree[free].sum())
         work = self._work
-        if work is None:
-            work = self._work = _kernel.Workspace(self.graph)
         if self._index is None:
+            if work is None:
+                work = self._work = _kernel.Workspace(self.graph)
             work.order[:] = self._perm
             work.keys[:] = self._keys
-        work.mh[:] = self._mh  # arrays, or _augment's lists
-        work.mt[:] = self._mt
+            work.mh[:] = self._mh  # arrays, or _augment's lists
+            work.mt[:] = self._mt
         size = compiled.sample(work, self._index)
         if size < 0:
             raise ValidationError(
                 "the completing pass left tail_by_head not the inverse of head_by_tail, or a wrong pair count"
             )
-        self._mh, self._mt, self._size = work.mh.copy(), work.mt.copy(), size
-        return work.free_heads[:work.mh.size - size].copy(), int(work.degree_sum[0])
+        self._size = size
+        free = work.free_heads[:work.n - size]
+        if self._index is not None:
+            return free, work.degree_sum
+        self._mh, self._mt = work.mh.copy(), work.mt.copy()
+        return free.copy(), work.degree_sum
 
     # --- internals ----------------------------------------------------
 
@@ -354,6 +383,14 @@ class MatchingState:
                 break
         self._size += found
         return last
+
+
+def _unmatched(n: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """``(head_by_tail, tail_by_head, size)`` of the empty matching on n
+    nodes: one read-only array of -1s serves both sides."""
+    empty = np.full(n, -1, dtype=np.int64)
+    empty.flags.writeable = False
+    return empty, empty, 0
 
 
 def _scan_order(graph: DirectedGraph, keys: np.ndarray) -> np.ndarray:

@@ -181,29 +181,37 @@ class _Sampler:
     call each: a call returns sample i's ``(drivers, n_d,
     perfect_matching, avg_degree_d)``, and raises ValidationError when
     its n_d is not that of the sampler's samples before it. ``tot`` holds
-    the graph's total degrees and ``empty`` its empty matching; both are
-    only read, so samplers on other threads may share them.
+    the graph's total degrees; it is only read, so samplers on other
+    threads may share it.
+
+    A sample whose draws the compiled pass makes costs that one call and
+    no copy: the sampler keeps one drawn state on its workspace for every
+    such sample, and ``drivers`` is then a view of the workspace's free
+    in-roles, which the sampler's next sample overwrites. A sample drawn
+    by numpy takes a state of its own, which copies.
     """
 
-    __slots__ = ("graph", "seed", "tot", "empty", "work", "n_d")
+    __slots__ = ("graph", "seed", "tot", "work", "state", "n_d")
 
-    def __init__(self, graph: DirectedGraph, seed: int, tot: np.ndarray, empty: Matching):
-        self.graph, self.seed, self.tot, self.empty = graph, seed, tot, empty
+    def __init__(self, graph: DirectedGraph, seed: int, tot: np.ndarray):
+        self.graph, self.seed, self.tot = graph, seed, tot
         self.work = _kernel.Workspace(graph, seed)
+        self.state = MatchingState._drawn(graph, self.work)
         self.n_d = None
 
     def drawn(self, i: int):
         """Sample i, whose draws the compiled pass makes (``seeding.compiled_draws``):
         an index below 2**64."""
-        work = self.work
-        # the pass writes the state's order to work.order
-        return self._finished(MatchingState._drawn(self.graph, i, self.empty, work), work.order)
+        state = self.state
+        state._restart(i)
+        # the pass writes the sample's order to work.order
+        return self._finished(state, self.work.order)
 
     def numpy_drawn(self, i: int):
         """Sample i, drawn by numpy (``seeding.numpy_draws``)."""
         graph = self.graph
         perm, keys = numpy_draws(self.seed, i, graph.node_count, graph.edge_count)
-        return self._finished(MatchingState._sampling(graph, perm, keys, self.empty, self.work), perm)
+        return self._finished(MatchingState._sampling(graph, perm, keys, work=self.work), perm)
 
     def _finished(self, state: MatchingState, order: np.ndarray):
         # the completing pass ends with every free tail failing its search,
@@ -241,14 +249,15 @@ def _sample_stream(graph: DirectedGraph, count: int, seed: int, start: int = 0):
     stream's definition, so a sample is the same on every CPU. The
     compiled pass makes those draws itself for every index below 2**64
     when its draws are numpy's (``seeding.compiled_draws``); numpy makes
-    the rest. Nothing of a sample outlives its iteration but the compiled
-    pass's workspace.
+    the rest. ``drivers`` may be a view of the compiled pass's workspace,
+    valid until the next sample is drawn; nothing else of a sample
+    outlives its iteration.
     """
     count, seed, start = _check_stream(count, seed, start)
     tot = degrees(graph).total_degree
 
     def draw():
-        sampler = _Sampler(graph, seed, tot, Matching(np.full(graph.node_count, -1)))
+        sampler = _Sampler(graph, seed, tot)
         # the core draws indices start .. stop - 1, numpy the rest
         stop = max(start, min(start + count, 1 << 64)) if compiled_draws() else start
         for i in range(start, stop):
@@ -326,7 +335,6 @@ def _threaded_samples(graph: DirectedGraph, count: int, seed: int, workers: int,
     returns or raises.
     """
     tot = degrees(graph).total_degree
-    empty = Matching(np.full(graph.node_count, -1))
     block = max(1, min(_MAX_BLOCK, count // (4 * workers)))
     blocks = -(-count // block)
     ready = threading.Condition()
@@ -365,7 +373,7 @@ def _threaded_samples(graph: DirectedGraph, count: int, seed: int, workers: int,
 
     threads = []
     try:
-        for sampler in [_Sampler(graph, seed, tot, empty) for _ in range(workers)]:
+        for sampler in [_Sampler(graph, seed, tot) for _ in range(workers)]:
             threads.append(threading.Thread(target=work, args=(sampler,), name="netctrl-sampler", daemon=True))
             threads[-1].start()
         for b in range(blocks):

@@ -4,7 +4,11 @@
  * workspace each, over one shared read-only graph (netctrl.mds). This
  * driver does the same with two pthreads and compares every result
  * with a serial run: each sample's pair count, free in-roles and their
- * degree sum, and each index's netctrl_draw output. Built with
+ * degree sum, and each index's netctrl_draw output. Each thread keeps
+ * one workspace for all its samples, so each drawn call starts with the
+ * last sample's matching in `mh` and `mt`; every drawn call must equal
+ * a call in a second workspace handed -1s and netctrl_draw's order and
+ * keys, which is the empty start the drawn call makes itself. Built with
  * ThreadSanitizer, it reports any write the two threads share:
  *
  *     cc -std=c99 -fsanitize=thread -O1 -g -pthread \
@@ -20,11 +24,19 @@
 #include <stdlib.h>
 #include <string.h>
 
-int64_t netctrl_sample(int64_t n, const int64_t *ptr, const int64_t *heads,
-                       const int64_t *in_ptr, int64_t *keys, int64_t *order,
-                       int64_t *mh, int64_t *mt, int64_t *scan, unsigned char *mark,
-                       int64_t *trail, int64_t *stack, int64_t *free_heads, int64_t *degree_sum,
-                       const uint32_t *seed, int64_t words, uint64_t index);
+/* as declared in _core.c */
+struct netctrl_workspace {
+    int64_t n;
+    const int64_t *ptr, *heads, *in_ptr;
+    int64_t *keys, *order, *mh, *mt, *scan;
+    unsigned char *mark;
+    int64_t *trail, *stack, *free_heads;
+    int64_t degree_sum;
+    const uint32_t *seed;
+    int64_t words;
+};
+
+int64_t netctrl_sample(struct netctrl_workspace *w, int64_t drawn, uint64_t index);
 void netctrl_draw(const uint32_t *seed, int64_t words, uint64_t index, int64_t spawn,
                   int64_t n, int64_t *order, int64_t edges, int64_t *keys);
 
@@ -36,17 +48,20 @@ static const uint32_t SEED[] = {12345u, 7u};
 static int64_t out_ptr[NODES + 1], out_heads[EDGES], in_ptr[NODES + 1];
 
 /* what one sample gives: its pairs, free in-roles and their degree sum,
- * and the draws of its index */
+ * the draws of its index, and whether the drawn call equals the given
+ * one */
 struct result {
     int64_t pairs, degree_sum;
     int64_t free_heads[NODES];
     int64_t order[NODES], keys[EDGES];
+    int as_given;
 };
 
-struct workspace {
+/* the arrays a workspace points to */
+struct arrays {
     int64_t keys[EDGES], order[NODES], mh[NODES], mt[NODES], scan[EDGES];
     unsigned char mark[NODES];
-    int64_t trail[NODES], stack[3 * NODES], free_heads[NODES], degree_sum;
+    int64_t trail[NODES], stack[3 * NODES], free_heads[NODES];
 };
 
 static void build_graph(void)
@@ -75,16 +90,35 @@ static void build_graph(void)
         out_heads[fill[tails[e]]++] = heads[e];
 }
 
-static void run(struct workspace *w, uint64_t index, struct result *r)
+static struct netctrl_workspace workspace(struct arrays *a)
 {
-    for (int64_t v = 0; v < NODES; v++)
-        w->mh[v] = w->mt[v] = -1;
-    r->pairs = netctrl_sample(NODES, out_ptr, out_heads, in_ptr, w->keys, w->order, w->mh, w->mt,
-                              w->scan, w->mark, w->trail, w->stack, w->free_heads, &w->degree_sum,
-                              SEED, 2, index);
-    r->degree_sum = w->degree_sum;
-    memcpy(r->free_heads, w->free_heads, sizeof r->free_heads);
+    struct netctrl_workspace w = {
+        NODES, out_ptr, out_heads, in_ptr, a->keys, a->order, a->mh, a->mt, a->scan,
+        a->mark, a->trail, a->stack, a->free_heads, 0, SEED, 2,
+    };
+    return w;
+}
+
+/* sample `index` drawn in `drawn`, and the same sample from a call in
+ * `given` handed -1s and netctrl_draw's order and keys */
+static void run(struct netctrl_workspace *drawn, struct netctrl_workspace *given, uint64_t index,
+                struct result *r)
+{
+    r->pairs = netctrl_sample(drawn, 1, index);
+    r->degree_sum = drawn->degree_sum;
+    memcpy(r->free_heads, drawn->free_heads, sizeof r->free_heads);
     netctrl_draw(SEED, 2, index, 1, NODES, r->order, EDGES, r->keys);
+
+    memcpy(given->order, r->order, sizeof r->order);
+    memcpy(given->keys, r->keys, sizeof r->keys);
+    for (int64_t v = 0; v < NODES; v++)
+        given->mh[v] = given->mt[v] = -1;
+    int64_t pairs = netctrl_sample(given, 0, 0), unmatched = NODES - pairs;
+    r->as_given = pairs == r->pairs && pairs >= 0 && given->degree_sum == r->degree_sum
+        && !memcmp(given->free_heads, drawn->free_heads, (size_t)unmatched * sizeof *given->free_heads)
+        && !memcmp(given->mh, drawn->mh, NODES * sizeof *given->mh)
+        && !memcmp(given->mt, drawn->mt, NODES * sizeof *given->mt)
+        && !memcmp(given->scan, drawn->scan, EDGES * sizeof *given->scan);
 }
 
 static struct result serial[SAMPLES], threaded[2][SAMPLES];
@@ -92,12 +126,13 @@ static struct result serial[SAMPLES], threaded[2][SAMPLES];
 static void *sampler(void *arg)
 {
     struct result *out = arg;
-    struct workspace *w = malloc(sizeof *w);
-    if (!w)
+    struct arrays *a = malloc(2 * sizeof *a);
+    if (!a)
         return NULL;
+    struct netctrl_workspace drawn = workspace(&a[0]), given = workspace(&a[1]);
     for (uint64_t i = 0; i < SAMPLES; i++)
-        run(w, i, &out[i]);
-    free(w);
+        run(&drawn, &given, i, &out[i]);
+    free(a);
     return out;
 }
 
@@ -106,7 +141,8 @@ static int same(const struct result *a, const struct result *b)
     int64_t unmatched = NODES - a->pairs;
     return a->pairs == b->pairs && a->pairs >= 0 && a->degree_sum == b->degree_sum
         && !memcmp(a->free_heads, b->free_heads, (size_t)unmatched * sizeof a->free_heads[0])
-        && !memcmp(a->order, b->order, sizeof a->order) && !memcmp(a->keys, b->keys, sizeof a->keys);
+        && !memcmp(a->order, b->order, sizeof a->order) && !memcmp(a->keys, b->keys, sizeof a->keys)
+        && a->as_given && b->as_given;
 }
 
 int main(void)

@@ -21,6 +21,7 @@ from netctrl import (
     read_edge_list,
     to_edge_list,
 )
+from netctrl import cli
 from netctrl import graph as graph_module
 from netctrl.cli import RunConfig, _build_graph, _build_parser, _config_from_args, main, run
 
@@ -500,6 +501,62 @@ def test_each_command_accepts_its_flags():
     for command, flags in COMMAND_FLAGS.items():
         accepted = {flag for action in sub.choices[command]._actions for flag in action.option_strings}
         assert accepted == flags | {"-h", "--help", "--seed", "--out"}, command
+
+
+def exit_of(capsys, parse, argv) -> tuple:
+    """``(exit code, stdout, stderr)`` of a parse that ends the process."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+# help, no command and an unknown one, and per command a help request, an
+# unknown option, a bad --samples type, a missing option value and a bad
+# --format choice (an unknown option to the commands without --format)
+PARSER_EXITS = [["-h"], ["--help"], [], ["frobnicate"], ["frobnicate", "--gen", "er:n=5,l=3"]] + [
+    [command] + tail
+    for command in COMMAND_FLAGS
+    for tail in (["-h"], ["--he"], ["--gen", "er:n=5,l=3", "--help"], ["--bogus"], ["--samples", "many"],
+                 ["--out"], ["--format", "xml"])
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_EXITS, ids=" ".join)
+def test_help_and_usage_errors_are_the_full_parsers(capsys, monkeypatch, argv):
+    # main parses with the running command's parser alone, and hands help
+    # and every error to the full parser: each message and exit code is its
+    monkeypatch.delenv("NETCTRL_SEED", raising=False)
+    expected = exit_of(capsys, _build_parser(0).parse_args, argv)
+    assert exit_of(capsys, main, argv) == expected
+    assert expected[0] == (0 if expected[1] else 2)
+
+
+def refuse_to_build(default_seed):
+    raise AssertionError("the full parser was built")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--input", "g.txt", "--order", "desc", "--seed", "3", "--out", "r.json"],
+        ["preferential", "--gen", "er:n=6,l=5", "--m", "3", "--order=random"],
+        ["sample", "--gen", "er:n=6,l=5", "--samp", "7", "--dedupe", "--seed=9"],
+        ["generate", "--gen", "ba:n=20,m=2,m0=3"],
+        ["reverse", "--input", "g.txt", "--R", "-0.5"],
+        ["sweep-p", "--gen", "ba:n=20,m=2,m0=3", "--grid", "0,0.5", "--samples", "2", "--format", "json"],
+        ["sweep-r", "--input", "g.txt", "--grid", "0,1", "--input", "h.txt"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_the_running_commands_parser_gives_the_full_parsers_config(monkeypatch, argv):
+    # repeated, abbreviated and --flag=value options, and a negative value;
+    # the full parser is not built on the way
+    expected = _build_parser(4).parse_args(argv)
+    monkeypatch.setattr(cli, "_build_parser", refuse_to_build)
+    args = cli._parse(argv, 4)
+    assert vars(args) == vars(expected)
+    assert _config_from_args(args) == _config_from_args(expected)
 
 
 # a valid config of each command, and a value other than RunConfig's default for each field

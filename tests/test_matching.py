@@ -27,7 +27,8 @@ from netctrl.cli import main
 from netctrl.generators import BaParams, gen_directed_ba, gen_directed_er
 from netctrl.graph import degrees
 from netctrl.matching import _completing_pass, _scan_order
-from netctrl.mds import NodeOrder, drivers, iter_samples
+from netctrl.mds import NodeOrder, drivers, iter_samples, sample_mds
+from netctrl.seeding import numpy_draws
 
 from corpus import matching_of
 from failing_cores import BreachingCore
@@ -655,6 +656,51 @@ def test_states_taking_turns_with_one_workspace_keep_their_own_matchings(compile
         assert state.matching == matching
         assert free.tolist() == copied.tolist()
         assert free.tolist() == np.flatnonzero(matching.tail_by_head < 0).tolist()
+
+
+def test_a_drawn_state_copies_nothing_and_starts_each_sample_empty(compiled_kernel, monkeypatch):
+    # one drawn state serves every index on its workspace: its matching is
+    # the workspace's, its free in-roles a view of work.free_heads, and
+    # each sample equals that of a state handed numpy's draws, which copies
+    monkeypatch.setattr(_kernel, "_kernel", compiled_kernel)
+    g = gen_directed_er(60, 120, seed=3)
+    work = _kernel.Workspace(g, 5)
+    state = MatchingState._drawn(g, work)
+    for i in range(4):
+        state._restart(i)
+        assert state.size == 0
+        free, degree_sum = state.complete()
+        assert np.shares_memory(free, work.free_heads)
+        assert state._mh is work.mh and state._mt is work.mt
+        given_ = MatchingState._sampling(g, *numpy_draws(5, i, g.node_count, g.edge_count))
+        given_free, given_sum = given_.complete()
+        assert not np.shares_memory(given_free, given_._work.free_heads)
+        assert not np.shares_memory(given_._mh, given_._work.mh)
+        assert (free.tolist(), degree_sum, state.size) == (given_free.tolist(), given_sum, given_.size)
+        assert state.matching == given_.matching
+    with pytest.raises(ValueError, match="without a seed"):
+        compiled_kernel.sample(_kernel.Workspace(g), 0)
+
+
+def test_the_sampler_completes_one_state_from_size_zero_per_sample(compiled_kernel, monkeypatch):
+    # what a probe around complete() sees: one call per sample, each from
+    # the empty matching, so the pairs it adds are the sample's
+    monkeypatch.setattr(_kernel, "_kernel", compiled_kernel)
+    g = gen_directed_ba(BaParams(n=80, m_attach=2, m0=3, p=0.5, seed=5))
+    complete = MatchingState.complete
+    calls = []
+
+    def probed(state):
+        before = state.size
+        result = complete(state)
+        calls.append((id(state), before, state.size))
+        return result
+
+    monkeypatch.setattr(MatchingState, "complete", probed)
+    summary = sample_mds(g, 20, seed=2)
+    assert len(calls) == 20
+    assert len({state for state, _, _ in calls}) == 1
+    assert {(before, after) for _, before, after in calls} == {(0, g.node_count - summary.n_d)}
 
 
 def free_in_roles(g, matching):
