@@ -178,42 +178,39 @@ def preferential_mds(graph: DirectedGraph, order: NodeOrder, m: int) -> MdsResul
 
 class _Sampler:
     """Samples of one graph and seed in one workspace, one ``complete()``
-    call each: a call returns sample i's ``(drivers, n_d,
+    call each: ``sample(i)`` returns sample i's ``(drivers, n_d,
     perfect_matching, avg_degree_d)``, and raises ValidationError when
     its n_d is not that of the sampler's samples before it. ``tot`` holds
     the graph's total degrees; it is only read, so samplers on other
     threads may share it.
 
-    A sample whose draws the compiled pass makes costs that one call and
-    no copy: the sampler keeps one drawn state on its workspace for every
-    such sample, and ``drivers`` is then a view of the workspace's free
-    in-roles, which the sampler's next sample overwrites. A sample drawn
-    by numpy takes a state of its own, which copies.
+    The compiled pass makes the draws of every index below 2**64 when its
+    draws are numpy's (``seeding.compiled_draws``). Such a sample costs
+    that one call and no copy: the sampler keeps one drawn state on its
+    workspace, and ``drivers`` is then a view of the workspace's free
+    in-roles, which the sampler's next sample overwrites. Numpy draws the
+    rest, and each such sample takes a state of its own, which copies.
     """
 
-    __slots__ = ("graph", "seed", "tot", "work", "state", "n_d")
+    __slots__ = ("graph", "seed", "tot", "work", "state", "drawn_below", "n_d")
 
     def __init__(self, graph: DirectedGraph, seed: int, tot: np.ndarray):
         self.graph, self.seed, self.tot = graph, seed, tot
         self.work = _kernel.Workspace(graph, seed)
         self.state = MatchingState._drawn(graph, self.work)
+        # the compiled pass draws the indices below this one, numpy the rest
+        self.drawn_below = 1 << 64 if compiled_draws() is not None else 0
         self.n_d = None
 
-    def drawn(self, i: int):
-        """Sample i, whose draws the compiled pass makes (``seeding.compiled_draws``):
-        an index below 2**64."""
-        state = self.state
-        state._restart(i)
-        # the pass writes the sample's order to work.order
-        return self._finished(state, self.work.order)
-
-    def numpy_drawn(self, i: int):
-        """Sample i, drawn by numpy (``seeding.numpy_draws``)."""
-        graph = self.graph
-        perm, keys = numpy_draws(self.seed, i, graph.node_count, graph.edge_count)
-        return self._finished(MatchingState._sampling(graph, perm, keys, work=self.work), perm)
-
-    def _finished(self, state: MatchingState, order: np.ndarray):
+    def sample(self, i: int):
+        if i < self.drawn_below:
+            state = self.state
+            state._restart(i)
+            order = self.work.order  # the pass writes the sample's order here
+        else:
+            graph = self.graph
+            order, keys = numpy_draws(self.seed, i, graph.node_count, graph.edge_count)
+            state = MatchingState._sampling(graph, order, keys, work=self.work)
         # the completing pass ends with every free tail failing its search,
         # which is the Berge certificate of maximality
         free = state.complete()
@@ -237,63 +234,18 @@ def _check_stream(count, seed, start=0) -> tuple[int, int, int]:
     return check_int(count, "sample count", low=1), seed, check_int(start, "first sample index", low=0)
 
 
-def _sample_stream(graph: DirectedGraph, count: int, seed: int, start: int = 0):
-    """Yield ``(drivers, n_d, perfect_matching, avg_degree_d)`` per sample.
-
-    ``drivers`` is an int64 array. Sample i draws from
-    ``default_rng(spawn_seed(seed, i))`` (``seeding.numpy_draws``): one
-    permutation for the node order, then one random key per out-CSR slot
-    that shuffles every tail's neighbor scan: each tail's heads in
-    ascending key order, and equal keys in slot order, which is the order
-    of the tail's edges in the input. That tie rule is part of the
-    stream's definition, so a sample is the same on every CPU. The
-    compiled pass makes those draws itself for every index below 2**64
-    when its draws are numpy's (``seeding.compiled_draws``); numpy makes
-    the rest. ``drivers`` may be a view of the compiled pass's workspace,
-    valid until the next sample is drawn; nothing else of a sample
-    outlives its iteration.
-    """
-    count, seed, start = _check_stream(count, seed, start)
-    tot = degrees(graph).total_degree
-
-    def draw():
-        sampler = _Sampler(graph, seed, tot)
-        # the core draws indices start .. stop - 1, numpy the rest
-        stop = max(start, min(start + count, 1 << 64)) if compiled_draws() else start
-        for i in range(start, stop):
-            yield sampler.drawn(i)
-        for i in range(stop, start + count):
-            yield sampler.numpy_drawn(i)
-
-    return draw()
-
-
-def iter_samples(
-    graph: DirectedGraph, count: int, seed: int, *, start: int = 0
-) -> Iterator[MdsSample]:
-    """Stream samples ``start .. start + count - 1`` of ``sample_mds``'s ensemble.
-
-    Sample i depends only on (seed, i), so ``start=i, count=1`` replays
-    one sample in isolation. Raises UsageError on a bad seed, count or
-    start and ValidationError when two samples disagree on n_d. The
-    stream runs on the calling thread.
-    """
-    return (
-        MdsSample(tuple(drivers_.tolist()), n_d, perfect, kd)
-        for drivers_, n_d, perfect, kd in _sample_stream(graph, count, seed, start)
-    )
-
-
 # The work of a sample stream, in samples x out-CSR slots, from which
-# sample_mds draws it on threads: where two threads first beat one on a
-# 2-core machine (BA N=10^3 at 50 samples, about 10^5, ran even; ER
-# N=10^4 at 5 samples, 10^5, gained; CHANGES.md has the figures). Below
-# it, starting the workers and handing their results back costs more
-# than they save.
+# sample_mds draws it with a sampler per CPU. Set where two threads first
+# beat one on a 2-core machine while the calling thread only waited for
+# them. With the calling thread drawing too, two samplers take 0.82-0.86x
+# the time of one on BA N=10^3 at 50 samples (about 10^5), 0.76x on ER
+# N=10^4 at 5 samples (10^5) and 0.89x on BA N=10^3 at 20 samples
+# (4 x 10^4), so the bound is conservative (CHANGES.md has the figures).
 _THREADS_BREAK_EVEN_SAMPLED_SLOTS = 100_000
 
-# the most samples in a worker's block: blocks of a few samples' work let
-# the workers share the range evenly, and keep the results held small
+# the most samples in a block of a stream on threads: blocks of a few
+# samples' work let the samplers share the range evenly, and keep the
+# results held small
 _MAX_BLOCK = 64
 
 
@@ -305,12 +257,13 @@ def _usable_cpus() -> int:
 
 
 def _stream_workers(graph: DirectedGraph, count: int) -> int:
-    """How many threads ``sample_mds`` runs samples 0 .. count - 1 on; 1 is
-    the calling thread alone.
+    """How many samplers ``sample_mds`` draws samples 0 .. count - 1 with:
+    the calling thread and one thread for each sampler past the first.
 
-    Threads run a stream whose work reaches the break-even, one per usable
+    A stream whose work reaches the break-even has one sampler per usable
     CPU and no more than the count, when the compiled pass draws every
-    sample (each call then releases the GIL for the whole sample).
+    sample (each call then releases the GIL for the whole sample); every
+    other stream has one, the calling thread.
     """
     if count * graph.edge_count < _THREADS_BREAK_EVEN_SAMPLED_SLOTS or count > 1 << 64:
         return 1
@@ -318,31 +271,52 @@ def _stream_workers(graph: DirectedGraph, count: int) -> int:
     return workers if workers > 1 and compiled_draws() is not None else 1
 
 
-def _threaded_samples(graph: DirectedGraph, count: int, seed: int, workers: int, digest):
-    """Yield ``(n_d, avg_degree_d, digest(drivers) or None)`` of samples
-    0 .. count - 1 in index order, drawn by the compiled pass on
-    ``workers`` threads.
+def _samples(graph: DirectedGraph, count: int, seed: int, start: int, workers: int, keep):
+    """Yield ``keep(drivers, n_d, perfect_matching, avg_degree_d)`` of
+    samples ``start .. start + count - 1`` in index order, drawn by
+    ``workers`` samplers: the calling thread and ``workers - 1`` threads.
 
-    Each worker has a workspace of its own and takes the next block of
-    consecutive indices; the calling thread only waits for the finished
-    blocks and yields them in index order. A worker takes a block only
-    while fewer than ``2 * workers`` blocks are taken and not yet yielded,
-    so the results held are bounded by that many blocks, not by the count;
-    the slack lets a worker run ahead of a slow one. The first exception
-    of a worker, or of the caller (an interrupt, or the generator closed),
-    sets a stop that each worker reads before its next sample; a worker's
-    exception is raised here, and every worker is joined before this
-    returns or raises.
+    Sample i draws from ``default_rng(spawn_seed(seed, i))``
+    (``seeding.numpy_draws``): one permutation for the node order, then
+    one random key per out-CSR slot that shuffles every tail's neighbor
+    scan: each tail's heads in ascending key order, and equal keys in slot
+    order, which is the order of the tail's edges in the input. That tie
+    rule is part of the stream's definition, so a sample is the same on
+    every CPU. ``drivers`` is an int64 array that may be a view of a
+    sampler's workspace, valid only inside ``keep``; nothing else of a
+    sample outlives that call.
+
+    Each sampler has a workspace of its own and takes the next free block
+    of consecutive indices, but only while fewer than ``2 * workers``
+    blocks are taken and not yet yielded: the results held are bounded by
+    that many blocks, not by the count, and the slack lets a sampler run
+    ahead of a slow one. The calling thread takes a block whenever the
+    block it must yield next is not finished. When it took that block, it
+    yields each sample as it is drawn; otherwise it holds the block's
+    results, as a thread does. One sampler takes the whole range as one
+    block and starts no thread.
+
+    The first exception of a thread, or of the caller (an interrupt, or
+    the generator closed), sets a stop that each sampler reads before its
+    next sample; a thread's exception is raised here, and every thread is
+    joined before this returns or raises.
     """
     tot = degrees(graph).total_degree
-    block = max(1, min(_MAX_BLOCK, count // (4 * workers)))
+    block = max(1, min(_MAX_BLOCK, count // (4 * workers))) if workers > 1 else count
     blocks = -(-count // block)
     ready = threading.Condition()
     done: dict[int, list] = {}  # finished blocks not yet yielded
-    taken = 0  # blocks handed to workers
+    taken = 0  # blocks taken by a sampler
     yielded = 0  # blocks yielded
     failure: BaseException | None = None
     stop = False
+
+    def draw(sampler: _Sampler, b: int):
+        """Block b's kept samples, up to a stop."""
+        for i in range(start + b * block, start + min(b * block + block, count)):
+            if stop:
+                return
+            yield keep(*sampler.sample(i))
 
     def work(sampler: _Sampler) -> None:
         nonlocal taken, failure, stop
@@ -355,12 +329,7 @@ def _threaded_samples(graph: DirectedGraph, count: int, seed: int, workers: int,
                         return
                     b = taken
                     taken += 1
-                results = []
-                for i in range(b * block, min(b * block + block, count)):
-                    if stop:
-                        return
-                    drivers_, n_d, _, kd = sampler.drawn(i)
-                    results.append((n_d, kd, digest(drivers_) if digest else None))
+                results = list(draw(sampler, b))
                 with ready:
                     done[b] = results
                     ready.notify_all()
@@ -373,25 +342,59 @@ def _threaded_samples(graph: DirectedGraph, count: int, seed: int, workers: int,
 
     threads = []
     try:
-        for sampler in [_Sampler(graph, seed, tot) for _ in range(workers)]:
-            threads.append(threading.Thread(target=work, args=(sampler,), name="netctrl-sampler", daemon=True))
-            threads[-1].start()
+        for _ in range(workers - 1):
+            sampler = _Sampler(graph, seed, tot)
+            thread = threading.Thread(target=work, args=(sampler,), name="netctrl-sampler", daemon=True)
+            thread.start()
+            threads.append(thread)  # once started, so that only started threads are joined
+        sampler = _Sampler(graph, seed, tot)
         for b in range(blocks):
-            with ready:
-                yielded = b
-                ready.notify_all()
-                while b not in done and failure is None:
-                    ready.wait()
-                if failure is not None:
-                    raise failure
-                results = done.pop(b)
+            while True:
+                with ready:
+                    yielded = b
+                    ready.notify_all()
+                    while failure is None and b not in done and taken >= min(blocks, b + 2 * workers):
+                        ready.wait()
+                    if failure is not None:
+                        raise failure
+                    if b in done:
+                        results = done.pop(b)
+                        break
+                    mine = taken
+                    taken += 1
+                if mine == b:
+                    results = draw(sampler, b)  # drawn as it is yielded
+                    break
+                drawn = list(draw(sampler, mine))
+                with ready:
+                    done[mine] = drawn
             yield from results
+            if failure is not None:  # a thread failed: the caller's block may have stopped short
+                raise failure
     finally:
         with ready:
             stop = True
             ready.notify_all()
         for thread in threads:
             thread.join()
+
+
+def iter_samples(
+    graph: DirectedGraph, count: int, seed: int, *, start: int = 0
+) -> Iterator[MdsSample]:
+    """Stream samples ``start .. start + count - 1`` of ``sample_mds``'s ensemble.
+
+    Sample i depends only on (seed, i), so ``start=i, count=1`` replays
+    one sample in isolation. Raises UsageError on a bad seed, count or
+    start and ValidationError when two samples disagree on n_d. The
+    stream runs on the calling thread, one sample per ``next()``.
+    """
+    count, seed, start = _check_stream(count, seed, start)
+
+    def keep(drivers_: np.ndarray, n_d: int, perfect: bool, kd: float) -> MdsSample:
+        return MdsSample(tuple(drivers_.tolist()), n_d, perfect, kd)
+
+    return _samples(graph, count, seed, start, 1, keep)
 
 
 def sample_mds(graph: DirectedGraph, count: int, seed: int, dedupe: bool = False) -> SampleSummary:
@@ -407,29 +410,21 @@ def sample_mds(graph: DirectedGraph, count: int, seed: int, dedupe: bool = False
     occurred (duplicates stay in the aggregate), counted by a 16-byte
     digest per distinct set.
 
-    A long enough stream on a graph with the compiled core is drawn on one
-    thread per usable CPU (``_stream_workers``); the summary is the same
-    as on one.
+    A long enough stream on a graph with the compiled core is drawn by the
+    calling thread and one more thread per usable CPU past the first
+    (``_stream_workers``); the summary is the same as on one.
     """
     count = check_int(count, "sample count")
     count, seed, _ = _check_stream(count, seed)
-    digest = None
     if dedupe:
         # imported here: loading hashlib adds about 4 ms to every start of
         # the command line tool, and only --dedupe needs it
         from hashlib import blake2b
 
-        def digest(drivers_: np.ndarray) -> bytes:
-            return blake2b(drivers_.tobytes(), digest_size=16).digest()
+    def keep(drivers_: np.ndarray, n_d: int, perfect: bool, kd: float):
+        return n_d, kd, blake2b(drivers_.tobytes(), digest_size=16).digest() if dedupe else None
 
-    workers = _stream_workers(graph, count)
-    if workers > 1:
-        samples = _threaded_samples(graph, count, seed, workers, digest)
-    else:
-        samples = (
-            (n_d, kd, digest(drivers_) if digest else None)
-            for drivers_, n_d, _, kd in _sample_stream(graph, count, seed)
-        )
+    samples = _samples(graph, count, seed, 0, _stream_workers(graph, count), keep)
     kd_sum = 0.0
     kd_min = math.inf
     kd_max = -math.inf
@@ -437,7 +432,7 @@ def sample_mds(graph: DirectedGraph, count: int, seed: int, dedupe: bool = False
     n_d = None
     try:
         for sample_n_d, kd, key in samples:
-            n_d = _agreed(n_d, sample_n_d)  # across workers too
+            n_d = _agreed(n_d, sample_n_d)  # across samplers too
             kd_sum += kd
             kd_min = min(kd_min, kd)
             kd_max = max(kd_max, kd)

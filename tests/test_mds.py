@@ -29,6 +29,7 @@ from netctrl import (
 )
 from netctrl import _kernel, mds
 from netctrl.cli import main
+from netctrl.matching import MatchingState
 from netctrl.seeding import compiled_draws
 
 from corpus import matching_of
@@ -396,19 +397,21 @@ def test_drivers_are_the_in_roles_the_matching_leaves_free(compiled, request, fi
 @pytest.fixture
 def on_threads(monkeypatch):
     """``on_threads(w)``: sample_mds draws every stream of two or more
-    samples on ``w`` threads (``w`` usable CPUs and no break-even), and
-    ``started`` counts the streams drawn on threads."""
+    samples with ``w`` samplers (``w`` usable CPUs and no break-even), and
+    ``started`` holds the sampler count of each stream that starts
+    threads."""
     started = []
-    threaded = mds._threaded_samples
+    stream = mds._samples
 
-    def counted(*args):
-        started.append(args[3])  # the worker count
-        return threaded(*args)
+    def counted(graph, count, seed, start, workers, keep):
+        if workers > 1:
+            started.append(workers)
+        return stream(graph, count, seed, start, workers, keep)
 
     def set_workers(workers: int) -> list:
         monkeypatch.setattr(mds, "_THREADS_BREAK_EVEN_SAMPLED_SLOTS", 0)
         monkeypatch.setattr(mds, "_usable_cpus", lambda: workers)
-        monkeypatch.setattr(mds, "_threaded_samples", counted)
+        monkeypatch.setattr(mds, "_samples", counted)
         return started
 
     return set_workers
@@ -487,6 +490,55 @@ def test_the_rest_stays_on_the_calling_thread(compiled_kernel, on_threads, monke
     assert not started
 
 
+def test_the_first_sample_of_a_long_stream_is_one_complete_call(monkeypatch):
+    # the stream on the calling thread is one block of all its samples,
+    # yielded one by one as they are drawn, not drawn ahead
+    g = gen_directed_er(200, 400, seed=2)
+    complete = MatchingState.complete
+    calls = []
+
+    def counted(state):
+        calls.append(state)
+        return complete(state)
+
+    monkeypatch.setattr(MatchingState, "complete", counted)
+    first = next(iter_samples(g, 10**6, seed=1))
+    assert len(calls) == 1
+    assert first == next(iter_samples(g, 1, seed=1))
+
+
+def test_the_calling_thread_draws_while_the_thread_waits_on_it(compiled_kernel, on_threads, monkeypatch):
+    # every sample of the started thread waits until the calling thread has
+    # drawn one: a caller that only waited for the thread's blocks would
+    # leave the thread to time out
+    monkeypatch.setattr(_kernel, "_kernel", compiled_kernel)
+    g = gen_directed_ba(BaParams(n=80, m_attach=2, m0=3, p=0.5, seed=5))
+    on_threads(1)
+    serial = sample_mds(g, 200, seed=4, dedupe=True)
+    started = on_threads(2)
+    caller = threading.current_thread()
+    drawn_here = threading.Event()
+    sample = mds._Sampler.sample
+
+    def waiting(sampler, i):
+        if threading.current_thread() is not caller:
+            assert drawn_here.wait(timeout=60), "the calling thread drew no sample"
+        drawn = sample(sampler, i)
+        if threading.current_thread() is caller:
+            drawn_here.set()
+        return drawn
+
+    monkeypatch.setattr(mds._Sampler, "sample", waiting)
+    threads = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda thread: threads.append(thread) or start(thread))
+    before = threading.active_count()
+    assert sample_mds(g, 200, seed=4, dedupe=True) == serial
+    assert started == [2]
+    assert [thread.name for thread in threads] == ["netctrl-sampler"]
+    assert threading.active_count() == before
+
+
 def test_affinity_of_one_cpu_starts_no_thread(tmp_path):
     # a child interpreter samples with all its CPUs, then with one
     if not hasattr(os, "sched_setaffinity"):
@@ -514,8 +566,8 @@ def test_affinity_of_one_cpu_starts_no_thread(tmp_path):
     with_all, with_one, compiled, cpus_left = done.stdout.split()
     assert cpus_left == "1"
     assert with_one == with_all  # no thread started on one CPU
-    if compiled == "True":  # and one thread per CPU with all of them
-        assert int(with_all) == min(len(os.sched_getaffinity(0)), 20)
+    if compiled == "True":  # and one thread per CPU past the caller's with all of them
+        assert int(with_all) == min(len(os.sched_getaffinity(0)), 20) - 1
 
 
 def test_memory_on_threads_does_not_grow_with_the_sample_count(compiled_kernel, on_threads, monkeypatch):
@@ -597,20 +649,20 @@ def test_n_d_disagreeing_across_workers_raises(compiled_kernel, on_threads, monk
     # every n_d one higher: the calling thread's fold sees it
     monkeypatch.setattr(_kernel, "_kernel", compiled_kernel)
     on_threads(2)
-    drawn = mds._Sampler.drawn
+    sample = mds._Sampler.sample
     both_sampling = threading.Barrier(2, timeout=60)
     first: dict = {}
     seen: set = set()
 
     def drifting(sampler, i):
-        drivers_, n_d, perfect, kd = drawn(sampler, i)
+        drivers_, n_d, perfect, kd = sample(sampler, i)
         if sampler not in seen:
             seen.add(sampler)
             first.setdefault("sampler", sampler)
             both_sampling.wait()
         return drivers_, n_d + (sampler is not first["sampler"]), perfect, kd
 
-    monkeypatch.setattr(mds._Sampler, "drawn", drifting)
+    monkeypatch.setattr(mds._Sampler, "sample", drifting)
     before = threading.active_count()
     with pytest.raises(ValidationError, match="sampled driver-set sizes disagree"):
         sample_mds(gen_directed_er(60, 120, seed=3), 200, seed=1)
@@ -627,13 +679,13 @@ def test_an_interrupt_while_folding_stops_every_worker(compiled_kernel, on_threa
     core = CountingCore(compiled_kernel, None, None)
     monkeypatch.setattr(_kernel, "_kernel", core)
     on_threads(2)
-    drawn = mds._Sampler.drawn
+    sample = mds._Sampler.sample
 
     def interrupting(sampler, i):
-        drivers_, n_d, perfect, kd = drawn(sampler, i)
+        drivers_, n_d, perfect, kd = sample(sampler, i)
         return drivers_, n_d, perfect, Interrupting(kd) if i == 5 else kd
 
-    monkeypatch.setattr(mds._Sampler, "drawn", interrupting)
+    monkeypatch.setattr(mds._Sampler, "sample", interrupting)
     before = threading.active_count()
     with pytest.raises(KeyboardInterrupt):
         sample_mds(gen_directed_er(1000, 2000, seed=3), 5000, seed=1)
@@ -669,14 +721,14 @@ def test_many_workers_with_rapid_switching_draw_each_index_once(compiled_kernel,
     on_threads(1)
     serial = sample_mds(g, 3001, seed=9, dedupe=True)
     on_threads(6)
-    drawn = mds._Sampler.drawn
+    sample = mds._Sampler.sample
     indices = []
 
     def recorded(sampler, i):
         indices.append(i)
-        return drawn(sampler, i)
+        return sample(sampler, i)
 
-    monkeypatch.setattr(mds._Sampler, "drawn", recorded)
+    monkeypatch.setattr(mds._Sampler, "sample", recorded)
     result = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
