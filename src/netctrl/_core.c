@@ -1,7 +1,7 @@
-/* The compiled core. netctrl_sample and netctrl_draw work in the
- * caller's arrays and allocate nothing (netctrl_sample's scratch comes
- * from the caller); netctrl_tokenize allocates the labels it returns,
- * which netctrl_free releases. None keeps state between calls, so calls on
+/* The compiled core. Every entry point writes only into the caller's
+ * arrays (netctrl_sample's scratch comes from the caller too), and no
+ * memory outlives a call: netctrl_tokenize's hash table is its own and
+ * freed before it returns. None keeps state between calls, so calls on
  * different arrays may run at once.
  *
  * netctrl_sample: all of MatchingState.complete() in one call, which is
@@ -99,17 +99,20 @@
  * Writes each edge line's (tail, head) ids to `ends`, which has room for
  * 2 * ((size + 1) / 4) of them: an edge line takes at least four bytes,
  * two tokens, a blank and a line break, and the last line may end
- * without its break. The labels come back in two arrays from malloc,
- * which grow as the labels need them and become the caller's, who
- * releases each with netctrl_free: `*packed`, each label's bytes followed
- * by '\n' (a label never holds a line break), in order of first
- * appearance, and `*offsets`, where each label starts, with one entry past
- * the last, so that label i is packed[offsets[i]..offsets[i + 1] - 1).
- * The hash table grows fourfold when it is half full, so it too is sized
- * by the labels. Writes the label count to `*labels` and returns the
- * number of edge lines; -1 when a line does not hold two tokens (the
- * caller's line loop then reports it), -2 when memory runs out. On -1 and
- * -2 no array is the caller's and both pointers are NULL.
+ * without its break. Writes the labels to two more arrays of the
+ * caller's, sized by the text as `ends` is: `packed`, of size + 1 bytes,
+ * each label's bytes followed by '\n' (a label never holds a line break),
+ * in order of first appearance, and `offsets`, of one entry more than
+ * `ends`, where each label starts, with one entry past the last, so that
+ * label i is packed[offsets[i]..offsets[i + 1] - 1). Both bounds hold:
+ * a new label's bytes and its '\n' take no more room than its token and
+ * the byte after it in the text, which only the last token may lack, and
+ * an edge line adds at most two labels. The hash table is the one array
+ * the call allocates: it grows fourfold when it is half full, so it is
+ * sized by the labels, and it is freed before the call returns. Writes
+ * the label count to `*labels` and returns the number of edge lines; -1
+ * when a line does not hold two tokens (the caller's line loop then
+ * reports it), -2 when there is no memory for the hash table.
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -264,28 +267,6 @@ static const unsigned char kind[256] = {
     [0x1c] = BREAK, [0x1d] = BREAK, [0x1e] = BREAK,
 };
 
-/* an array that grows: room for `room` elements at `data` */
-struct grown {
-    void *data;
-    int64_t room;
-};
-
-/* make room for `need` elements of `width` bytes, doubling; -1 without memory */
-static int reserve(struct grown *a, int64_t need, size_t width)
-{
-    int64_t room = a->room;
-    if (need <= room)
-        return 0;
-    while (room < need)
-        room *= 2;
-    void *data = realloc(a->data, (size_t)room * width);
-    if (!data)
-        return -1;
-    a->data = data;
-    a->room = room;
-    return 0;
-}
-
 /* FNV-1a, its high half folded onto the low bits that pick a slot */
 #define FNV_BASIS 14695981039346656037ULL
 #define FNV_STEP(h, byte) (((h) ^ (byte)) * 1099511628211ULL)
@@ -304,8 +285,8 @@ static uint64_t label_hash(const unsigned char *s, int64_t length)
  * and the label hash's high bits above them, which settle most
  * mismatches without a look at the label */
 struct interned {
-    struct grown packed, offsets;
-    int64_t count;
+    char *packed;
+    int64_t *offsets, count;
     uint64_t *table;
     size_t mask;
 };
@@ -317,8 +298,8 @@ struct interned {
  * -2 without memory */
 static int64_t intern(struct interned *t, const unsigned char *s, int64_t length, uint64_t h)
 {
-    const char *packed = t->packed.data;
-    const int64_t *offsets = t->offsets.data;
+    char *packed = t->packed;
+    int64_t *offsets = t->offsets;
     uint64_t entry;
     size_t slot = h & t->mask;
     for (; (entry = t->table[slot]) != 0; slot = (slot + 1) & t->mask) {
@@ -328,13 +309,11 @@ static int64_t intern(struct interned *t, const unsigned char *s, int64_t length
             return id;
     }
     int64_t id = t->count, at = offsets[id];
-    if (id == (int64_t)ID_MASK || reserve(&t->packed, at + length + 1, 1)
-        || reserve(&t->offsets, id + 2, sizeof *offsets))
+    if (id == (int64_t)ID_MASK)
         return -2;
-    char *into = (char *)t->packed.data + at;
-    memcpy(into, s, (size_t)length);
-    into[length] = '\n';
-    ((int64_t *)t->offsets.data)[id + 1] = at + length + 1;
+    memcpy(packed + at, s, (size_t)length);
+    packed[at + length] = '\n';
+    offsets[id + 1] = at + length + 1;
     t->table[slot] = (h & ~ID_MASK) | (uint64_t)++t->count;
     if (2 * (size_t)t->count > t->mask) {
         /* a table four times the size, with every label put back: fewer
@@ -343,8 +322,6 @@ static int64_t intern(struct interned *t, const unsigned char *s, int64_t length
         uint64_t *table = calloc(mask + 1, sizeof *table);
         if (!table)
             return -2;
-        packed = t->packed.data;
-        offsets = t->offsets.data;
         for (int64_t i = 0; i < t->count; i++) {
             h = label_hash((const unsigned char *)packed + offsets[i], offsets[i + 1] - offsets[i] - 1);
             size_t k = h & mask;
@@ -359,21 +336,16 @@ static int64_t intern(struct interned *t, const unsigned char *s, int64_t length
     return id;
 }
 
-int64_t netctrl_tokenize(const char *text, int64_t size, int64_t *ends, char **packed_out,
-                         int64_t **offsets_out, int64_t *labels)
+int64_t netctrl_tokenize(const char *text, int64_t size, int64_t *ends, char *packed,
+                         int64_t *offsets, int64_t *labels)
 {
     const unsigned char *p = (const unsigned char *)text, *end = p + size;
-    enum { FIRST_ROOM = 1024 };
-    struct interned t = {
-        { malloc(FIRST_ROOM), FIRST_ROOM }, { malloc(FIRST_ROOM * sizeof(int64_t)), FIRST_ROOM },
-        0, calloc(FIRST_ROOM, sizeof(uint64_t)), FIRST_ROOM - 1,
-    };
+    enum { FIRST_SLOTS = 1024 };
+    struct interned t = {packed, offsets, 0, calloc(FIRST_SLOTS, sizeof(uint64_t)), FIRST_SLOTS - 1};
     int64_t edges = 0;
-    if (!t.packed.data || !t.offsets.data || !t.table) {
-        edges = -2;
-        goto done;
-    }
-    ((int64_t *)t.offsets.data)[0] = 0;
+    if (!t.table)
+        return -2;
+    offsets[0] = 0;
     while (p < end) {
         const unsigned char *start[2];
         int64_t length[2];
@@ -420,21 +392,8 @@ int64_t netctrl_tokenize(const char *text, int64_t size, int64_t *ends, char **p
     }
 done:
     free(t.table);
-    if (edges < 0) {
-        free(t.packed.data);
-        free(t.offsets.data);
-        t.packed.data = t.offsets.data = NULL;
-        t.count = 0;
-    }
-    *packed_out = t.packed.data;
-    *offsets_out = t.offsets.data;
     *labels = t.count;
     return edges;
-}
-
-void netctrl_free(void *p)
-{
-    free(p);
 }
 
 /* SeedSequence with numpy's default pool of four uint32 words */

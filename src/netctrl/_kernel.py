@@ -5,8 +5,8 @@ the whole of ``MatchingState.complete()`` (scan order, completing pass,
 inverse check and free in-roles) in one call, which for a sampler's
 sample first draws its node order and scan keys as numpy does and
 starts from the empty matching, ``netctrl_draw``, those draws alone, and
-``netctrl_tokenize``, the edge-list tokenizer, whose label arrays
-``netctrl_free`` releases once they are copied. ``netctrl_sample`` takes
+``netctrl_tokenize``, the edge-list tokenizer. Each writes only into
+arrays the caller owns. ``netctrl_sample`` takes
 the address of a ``Workspace``'s C struct, filled once per workspace,
 a flag that says whether the call draws, and the sample index: three
 arguments for ctypes to convert on each call, where one per array made
@@ -127,14 +127,14 @@ class Workspace:
 
 
 class Core:
-    """The three entry points of a loaded ``_core.c``, and its ``netctrl_free``.
+    """The three entry points of a loaded ``_core.c``.
 
     Raw addresses are passed in place of ``ndarray.ctypes.data_as`` and
     ndpointer argtypes, which leave reference-cycle garbage behind on
     every call.
     """
 
-    __slots__ = ("_sample", "_draw", "_tokenize", "_free")
+    __slots__ = ("_sample", "_draw", "_tokenize")
 
     def __init__(self, library: ctypes.CDLL):
         self._sample = library.netctrl_sample
@@ -149,9 +149,6 @@ class Core:
         self._tokenize = library.netctrl_tokenize
         self._tokenize.argtypes = (ctypes.c_char_p, ctypes.c_int64) + (ctypes.c_void_p,) * 4
         self._tokenize.restype = ctypes.c_int64
-        self._free = library.netctrl_free
-        self._free.argtypes = (ctypes.c_void_p,)
-        self._free.restype = None
 
     def sample(self, work: Workspace, index: int | None = None) -> int:
         """Complete the workspace's matching in place; the number of pairs or ``BREACH``.
@@ -166,6 +163,8 @@ class Core:
             return self._sample(work._address, 0, 0)
         if work.seed is None:
             raise ValueError("a workspace made without a seed draws no sample")
+        if not 0 <= index < 1 << 64:
+            raise ValueError("the sample index must be within uint64")
         return self._sample(work._address, 1, index)
 
     def draw(self, seed: int, index: int, order: np.ndarray, keys: np.ndarray, spawn: bool = True) -> None:
@@ -192,25 +191,25 @@ class Core:
         line order. ``packed`` holds each label's bytes followed by a
         ``\\n``, in order of first appearance, and label i is
         ``packed[offsets[i]:offsets[i + 1] - 1]``; ``offsets`` has one
-        entry past the last label. Only the labels are copied, never the
-        text. None when a line that is neither blank nor a comment does not
-        hold two tokens.
+        entry past the last label. Both are copies of the used prefixes
+        of arrays sized by the text, and the text is never copied. None
+        when a line that is neither blank nor a comment does not hold two
+        tokens.
         """
-        # room for every edge line's ids: a line takes at least four bytes
+        # room for every edge line's ids (a line takes four bytes or more),
+        # for each new label's bytes and \n (no more than its token and the
+        # byte after it) and for an offset per id and one past the last
         ends = np.empty((len(data) + 1) // 4 * 2, dtype=np.int64)
-        packed, offsets = ctypes.c_void_p(), ctypes.c_void_p()
-        labels = ctypes.c_int64()
-        edges = self._tokenize(data, len(data), ends.ctypes.data, *map(ctypes.byref, (packed, offsets, labels)))
+        packed = np.empty(len(data) + 1, dtype=np.uint8)
+        offsets = np.empty(ends.size + 1, dtype=np.int64)
+        labels = np.empty(1, dtype=np.int64)
+        edges = self._tokenize(data, len(data), *(a.ctypes.data for a in (ends, packed, offsets, labels)))
         if edges == -2:
-            raise MemoryError("no memory for the tokenizer's labels")
+            raise MemoryError("no memory for the tokenizer's hash table")
         if edges < 0:
             return None
-        try:
-            offsets_array = np.frombuffer(ctypes.string_at(offsets, 8 * (labels.value + 1)), dtype=np.int64)
-            return ends[:2 * edges], ctypes.string_at(packed, int(offsets_array[-1])), offsets_array
-        finally:
-            self._free(packed)
-            self._free(offsets)
+        offsets = offsets[:labels[0] + 1].copy()
+        return ends[:2 * edges], packed[:offsets[-1]].tobytes(), offsets
 
 
 def core() -> Core | None:

@@ -19,7 +19,7 @@ from typing import Iterator
 import numpy as np
 
 from . import _kernel
-from .errors import UsageError, ValidationError
+from .errors import UsageError, ValidationError, shown
 from .graph import DirectedGraph, _int64_array, degrees
 from .matching import Matching, MatchingState, _completing_pass
 from .seeding import check_int, check_seed, compiled_draws, numpy_draws
@@ -406,9 +406,9 @@ def sample_mds(graph: DirectedGraph, count: int, seed: int, dedupe: bool = False
     reproducible in isolation (see ``iter_samples``). Samples are folded
     into running statistics in index order as they are drawn, so memory
     does not grow with ``count``. Samples are not forced to be distinct;
-    with ``dedupe`` the summary reports how many distinct driver sets
-    occurred (duplicates stay in the aggregate), counted by a 16-byte
-    digest per distinct set.
+    with ``dedupe``, a bool, the summary reports how many distinct
+    driver sets occurred (duplicates stay in the aggregate), counted by a
+    16-byte digest per distinct set.
 
     A long enough stream on a graph with the compiled core is drawn by the
     calling thread and one more thread per usable CPU past the first
@@ -416,6 +416,8 @@ def sample_mds(graph: DirectedGraph, count: int, seed: int, dedupe: bool = False
     """
     count = check_int(count, "sample count")
     count, seed, _ = _check_stream(count, seed)
+    if not isinstance(dedupe, (bool, np.bool_)):  # a string or a list would read as true
+        raise UsageError(f"dedupe must be a bool, got {shown(dedupe)}")
     if dedupe:
         # imported here: loading hashlib adds about 4 ms to every start of
         # the command line tool, and only --dedupe needs it

@@ -189,6 +189,9 @@ NAN = float("nan")
         (lambda: sample_mds(PATH3, [10**5000], 1), "sample count must be an integer, got a list too long to print"),
         (lambda: BaParams(n=10**5000), "n=an integer of 16610 bits gives more node pairs than int64 indexes"),
         (lambda: gen_directed_er(10**5000, 1), "n=an integer of 16610 bits gives more node pairs than int64 indexes"),
+        # any truthy value would turn deduplication on
+        (lambda: sample_mds(PATH3, 1, 1, dedupe="no"), "dedupe must be a bool, got no"),
+        (lambda: sample_mds(PATH3, 1, 1, dedupe=[1]), "dedupe must be a bool, got [1]"),
     ],
     ids=[
         "iter_samples-count", "sample_mds-count", "iter_samples-start", "preferential_mds-negative-m",
@@ -200,6 +203,7 @@ NAN = float("nan")
         "sweep_r-grid-past-float", "preferential_mds-m-past-str", "BaParams-n-past-str",
         "sample_mds-seed-past-str", "gen_directed_er-l-past-str", "sample_mds-count-list-past-str",
         "BaParams-pair-space-past-str", "gen_directed_er-pair-space-past-str",
+        "sample_mds-dedupe-str", "sample_mds-dedupe-list",
     ],
 )
 def test_entry_points_refuse_values_outside_their_domain(call, message):
@@ -225,12 +229,13 @@ def test_entry_points_refuse_values_outside_their_domain(call, message):
         lambda: gen_directed_er(1, 0),
         lambda: gen_directed_er(5, 0),
         lambda: gen_directed_er(5, 20),
+        lambda: sample_mds(PATH3, 1, 1, dedupe=np.True_),
     ],
     ids=[
         "iter_samples-count-1-start-0", "preferential_mds-m-0", "preferential_mds-m-N",
         "sweep_r-grid-ends", "sweep_p-grid-ends", "BaParams-m_attach-1", "BaParams-m0-m_attach",
         "BaParams-p-1", "ReversalParams-r-0", "ReversalParams-r-1", "gen_directed_er-n-1",
-        "gen_directed_er-l-0", "gen_directed_er-l-capacity",
+        "gen_directed_er-l-0", "gen_directed_er-l-capacity", "sample_mds-dedupe-numpy-bool",
     ],
 )
 def test_entry_points_accept_the_ends_of_each_domain(call):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import string
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -525,6 +527,27 @@ def test_tokenizer_agrees_on_a_last_label_with_no_line_break(compiled_kernel, te
     assert_tokenizer_agrees_with_the_line_loop(compiled_kernel, text)
 
 
+@pytest.mark.parametrize("final", [False, True], ids=["no-final-break", "final-break"])
+@pytest.mark.parametrize("brk", ["\n", "\r"], ids=["lf", "cr"])
+@pytest.mark.parametrize("width", [1, 2])
+def test_tokenizer_fills_its_label_buffers_on_the_densest_text(compiled_kernel, width, brk, final):
+    # every token a new label between one-byte separators: each label's
+    # bytes and \n fill its token and the byte after it, so the packed
+    # labels take the whole text, and one byte more when it ends in a
+    # label. One-byte labels also fill the ids and offsets, two per
+    # four-byte line
+    chars = string.ascii_letters + string.digits
+    labels = list(chars) if width == 1 else [a + b for a in chars for b in chars]
+    text = brk.join(f"{t} {h}" for t, h in zip(labels[::2], labels[1::2])) + brk * final
+    assert_tokenizer_agrees_with_the_line_loop(compiled_kernel, text)
+    ends, packed, offsets = compiled_kernel.tokenize(text.encode("ascii"))
+    assert packed == "".join(label + "\n" for label in labels).encode("ascii")
+    assert len(packed) == len(text) + (not final)
+    assert offsets.size == len(labels) + 1 and ends.size == len(labels)
+    if width == 1 and not final:
+        assert ends.size == (len(text) + 1) // 4 * 2
+
+
 def test_a_parsed_graph_keeps_its_labels_and_not_the_text(compiled_kernel, monkeypatch, tmp_path):
     monkeypatch.setattr(_kernel, "_kernel", compiled_kernel)
     path = tmp_path / "commented.txt"
@@ -532,6 +555,9 @@ def test_a_parsed_graph_keeps_its_labels_and_not_the_text(compiled_kernel, monke
     g = read_edge_list(path)
     assert g.labels == ("ab", "cd")
     assert len(g._labels._packed) == len("ab\ncd\n")
+    # a copy of the labels' offsets, not a view of the text-sized buffer
+    offsets = g._labels._offsets
+    assert offsets.tolist() == [0, 3, 6] and offsets.base is None
 
 
 # Labels the library makes are not checked again, so each kind of graph

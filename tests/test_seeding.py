@@ -134,7 +134,7 @@ class TestCompiledStates:
     def test_equal_numpys_on_any_seed_and_start(self, compiled_kernel, seed, start):
         assert compiled_draws_of(compiled_kernel, seed, start, 17, 5) == numpy_draws_of(seed, start, 17, 5)
 
-    def test_indices_past_uint64_are_refused(self, compiled_kernel):
+    def test_indices_past_uint64_are_refused(self, compiled_kernel, small_graph):
         order, keys = np.empty(3, dtype=np.int64), np.empty(2, dtype=np.int64)
         compiled_kernel.draw(5, 2**64 - 1, order, keys)  # the last index
         with pytest.raises(ValueError, match="within uint64"):
@@ -143,6 +143,12 @@ class TestCompiledStates:
             compiled_kernel.draw(-5, 0, order, keys)
         with pytest.raises(ValueError, match="int64"):
             compiled_kernel.draw(5, 0, order.astype(np.int32), keys)
+        # a sample call too: ctypes would wrap 2**64 + 3 to sample 3 and -1 to 2**64 - 1
+        work = _kernel.Workspace(small_graph, 5)
+        assert compiled_kernel.sample(work, 2**64 - 1) >= 0  # the last index
+        for index in (2**64 + 3, -1):
+            with pytest.raises(ValueError, match="within uint64"):
+                compiled_kernel.sample(work, index)
 
 
 class TestSampleGenerators:
