@@ -11,7 +11,7 @@
  *
  * 0. Draws and start. With `drawn` non-zero, the call first draws sample
  *    `index` of the workspace's seed (`words` uint32 words at `seed`)
- *    into `order` and `keys`, as netctrl_draw does, and starts from the
+ *    into `order` and `keys`, as defined below, and starts from the
  *    empty matching, whatever `mh` and `mt` held; with `drawn` zero it
  *    reads all four as given.
  * 1. Scan order. Each tail's slice of the out-CSR `heads` is written to
@@ -46,44 +46,29 @@
  * n, `stack` 3 * n. Returns the number of matched pairs or
  * NETCTRL_BREACH.
  *
- * netctrl_draw: a sample's node order and scan keys, as numpy draws them.
- *
- * Sample i of a seed draws numpy.random.default_rng(spawn_seed(seed, i))
- * .permutation(n) for its node order, then .integers(0, 2**32, size=edges,
- * dtype=int64) for its scan keys: that is the definition of the
- * sampler's stream. Its integer code is reproduced here from numpy 2.x
- * (numpy/random/bit_generator.pyx, _generator.pyx, _bounded_integers.pyx,
- * distributions.c and pcg64.h):
+ * The draws of step 0 define the sampler's stream, and
+ * seeding.sample_draws makes the same ones: sample i of a seed takes the
+ * 32-bit halves of the raw outputs of PCG64(spawn_seed(seed, i)), low
+ * half first. numpy promises that bit generator's stream across its
+ * releases (NEP 19), so no release can move the samples. The halves give
+ * numpy 2.x's permutation(n) and integers(0, 2**32, size=edges,
+ * dtype=int64) of default_rng(spawn_seed(seed, i)), bit for bit, and the
+ * code follows numpy's (numpy/random/bit_generator.pyx, _generator.pyx,
+ * _bounded_integers.pyx, distributions.c and pcg64.h):
  * 1. spawn_seed(seed, i): a SeedSequence over the seed's little-endian
  *    uint32 words (`words` of them in `seed`, as numpy splits an int),
  *    padded with zeros to the pool size because a spawn key is given,
  *    then the words of i (one, or two from 2^32 on); its
  *    generate_state(1, uint64) is the child seed.
- * 2. default_rng(child): a SeedSequence over the child's words, whose
+ * 2. PCG64(child): a SeedSequence over the child's words, whose
  *    generate_state(4, uint64) gives PCG64's initial state and stream
  *    (high word first), then pcg_setseq_128_srandom_r's two LCG steps.
  *    Each 64-bit output is one LCG step and the XSL-RR output function.
- *    next_uint32 hands out an output's low half first and keeps its high
- *    half for the next call, across both draws; next_uint64 neither reads
- *    nor clears that half.
- * 3. permutation(n): Fisher-Yates from the top over 0..n-1. For i from
- *    n - 1 down to 1, j = random_interval(i), and order[i] and order[j]
- *    swap. random_interval takes the smallest mask 2^k - 1 >= i and draws
- *    masked next_uint32 values (next_uint64 ones for i >= 2^32) until one
- *    is at most i.
- * 4. integers(0, 2**32): a range of exactly 2^32 values takes one
- *    next_uint32 per key.
- * Writes order[0..n) and keys[0..edges). With spawn = 0, step 2 runs on
- * the child seed `index` itself, so that it can be checked on any child;
- * `seed` is then not read.
- *
- * numpy does not promise a Generator's stream across its releases (NEP
- * 19). So the sampler compares one small draw of this function with
- * numpy's once per process (seeding.compiled_draws) and draws with numpy
- * when they differ, and with numpy too for indices past 2^64 - 1. The
- * 64-bit branch of random_interval needs more than 2^32 nodes, which no
- * workspace holds in memory: it follows numpy's code and no test reaches
- * it. The 128-bit LCG step is unsigned __int128 arithmetic where the
+ * 3. The node order: Fisher-Yates from the top over 0..n-1. For i from
+ *    n - 1 down to 1, j is the first half that is at most i once masked
+ *    by the smallest 2^k - 1 >= i, and order[i] and order[j] swap.
+ * 4. The scan keys: the next `edges` halves, one each.
+ * The 128-bit LCG step is unsigned __int128 arithmetic where the
  * compiler has it and 64-bit products of 32-bit halves where it does not.
  *
  * netctrl_tokenize: the edge-list tokenizer of parse_edge_list.
@@ -164,8 +149,8 @@ static void sort_slice(const int64_t *key, const int64_t *head, int64_t size, in
         scan[i] = head[word[i] & 0xffffffffu];
 }
 
-void netctrl_draw(const uint32_t *seed, int64_t words, uint64_t index, int64_t spawn,
-                  int64_t n, int64_t *order, int64_t edges, int64_t *keys);
+static void draw(const uint32_t *seed, int64_t words, uint64_t index, int64_t n, int64_t *order, int64_t edges,
+                 int64_t *keys);
 
 /* the memory of netctrl_sample on one graph; _kernel._Struct declares
  * the same fields in the same order */
@@ -187,7 +172,7 @@ int64_t netctrl_sample(struct netctrl_workspace *w, int64_t drawn, uint64_t inde
     int64_t *trail = w->trail, *stack = w->stack, *free_heads = w->free_heads;
     unsigned char *mark = w->mark;
     if (drawn) {
-        netctrl_draw(w->seed, w->words, index, 1, n, order, ptr[n], keys);
+        draw(w->seed, w->words, index, n, order, ptr[n], keys);
         for (int64_t v = 0; v < n; v++)
             mh[v] = mt[v] = -1;
     }
@@ -488,7 +473,7 @@ typedef struct {
 
 static const u128 MULTIPLIER = {2549297995355413924ULL, 4865540595714422341ULL};
 
-/* default_rng(child)'s generator */
+/* PCG64(child) */
 static pcg64 seeded_pcg64(uint64_t child)
 {
     static const u128 ONE = {0, 1};
@@ -546,23 +531,23 @@ static uint64_t spawn_seed(const uint32_t *seed, int64_t words, uint64_t index)
     return child;
 }
 
-void netctrl_draw(const uint32_t *seed, int64_t words, uint64_t index, int64_t spawn,
-                  int64_t n, int64_t *order, int64_t edges, int64_t *keys)
+/* sample `index`'s node order and scan keys, as the header defines the stream */
+static void draw(const uint32_t *seed, int64_t words, uint64_t index, int64_t n, int64_t *order, int64_t edges,
+                 int64_t *keys)
 {
-    pcg64 g = seeded_pcg64(spawn ? spawn_seed(seed, words, index) : index);
+    pcg64 g = seeded_pcg64(spawn_seed(seed, words, index));
     for (int64_t i = 0; i < n; i++)
         order[i] = i;
-    /* numpy's shuffle: Fisher-Yates from the top, each j drawn by
-     * random_interval(i), a masked rejection with the smallest mask
-     * 2^k - 1 >= i: 32-bit draws up to i = 2^32 - 1, 64-bit ones above.
-     * Branch-free: one draw per turn, and a rejected draw swaps i with
-     * itself and keeps i, since whether a draw is rejected is as random
-     * as the draws */
+    /* Fisher-Yates from the top, each j the first half at most i under
+     * the smallest mask 2^k - 1 >= i (numpy's random_interval(i)).
+     * Branch-free: one half per turn, and a rejected half swaps i with
+     * itself and keeps i, since whether a half is rejected is as random
+     * as the halves */
     uint64_t mask = (uint64_t)(n > 1 ? n - 1 : 0);
     for (int shift = 1; shift < 64; shift <<= 1)
         mask |= mask >> shift;
     for (int64_t i = n - 1; i > 0;) {
-        uint64_t value = ((uint64_t)i >> 32 ? next_uint64(&g) : next_uint32(&g)) & mask;
+        uint64_t value = next_uint32(&g) & mask;
         int64_t accept = value <= (uint64_t)i, j = accept ? (int64_t)value : i, t = order[i];
         order[i] = order[j];
         order[j] = t;
@@ -570,7 +555,7 @@ void netctrl_draw(const uint32_t *seed, int64_t words, uint64_t index, int64_t s
         /* the smallest mask for the next i */
         mask >>= (uint64_t)i <= mask >> 1;
     }
-    /* a range of exactly 2^32 values: one next_uint32 per key */
+    /* one half per key */
     for (int64_t k = 0; k < edges; k++)
         keys[k] = next_uint32(&g);
 }

@@ -1,22 +1,22 @@
 """The compiled core: ``_core.c``, built on first use and loaded with ctypes.
 
-The library has three entry points (see ``_core.c``): ``netctrl_sample``,
+The library has two entry points (see ``_core.c``): ``netctrl_sample``,
 the whole of ``MatchingState.complete()`` (scan order, completing pass,
 inverse check and free in-roles) in one call, which for a sampler's
-sample first draws its node order and scan keys as numpy does and
-starts from the empty matching, ``netctrl_draw``, those draws alone, and
-``netctrl_tokenize``, the edge-list tokenizer. Each writes only into
-arrays the caller owns. ``netctrl_sample`` takes
-the address of a ``Workspace``'s C struct, filled once per workspace,
-a flag that says whether the call draws, and the sample index: three
-arguments for ctypes to convert on each call, where one per array made
-seventeen. ``core()`` returns a ``Core`` holding all three, or
-None when the library cannot be had: no ``cc`` on the PATH, a cache
-directory that cannot be written, a build that fails or a library that
-will not load. ``MatchingState.complete`` then runs the Python search,
-``parse_edge_list`` its line loop and the sampler numpy's draws, which
-give the same results. Setting ``_kernel`` to None forces every Python
-path.
+sample first draws its node order and scan keys as
+``seeding.sample_draws`` defines them and starts from the empty
+matching, and ``netctrl_tokenize``, the edge-list tokenizer. Each writes
+only into arrays the caller owns. ``netctrl_sample`` takes the address
+of a ``Workspace``'s C struct, filled once per workspace, a flag that
+says whether the call draws, and the sample index: three arguments for
+ctypes to convert on each call, where one per array made seventeen.
+``core()`` returns a ``Core`` holding both, or None when the library
+cannot be had: no ``cc`` on the PATH, a cache directory that cannot be
+written, a build that fails or a library that will not load.
+``MatchingState.complete`` then runs the Python search,
+``parse_edge_list`` its line loop and the sampler ``sample_draws``,
+which give the same results. Setting ``_kernel`` to None forces every
+Python path.
 
 The library is compiled with ``cc -O2 -shared -fPIC`` into
 ``${XDG_CACHE_HOME:-~/.cache}/netctrl/_core-<hash of the source>.so``,
@@ -127,25 +127,19 @@ class Workspace:
 
 
 class Core:
-    """The three entry points of a loaded ``_core.c``.
+    """The two entry points of a loaded ``_core.c``.
 
     Raw addresses are passed in place of ``ndarray.ctypes.data_as`` and
     ndpointer argtypes, which leave reference-cycle garbage behind on
     every call.
     """
 
-    __slots__ = ("_sample", "_draw", "_tokenize")
+    __slots__ = ("_sample", "_tokenize")
 
     def __init__(self, library: ctypes.CDLL):
         self._sample = library.netctrl_sample
         self._sample.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_uint64)
         self._sample.restype = ctypes.c_int64
-        self._draw = library.netctrl_draw
-        self._draw.argtypes = (
-            ctypes.c_void_p, ctypes.c_int64, ctypes.c_uint64, ctypes.c_int64,
-            ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
-        )
-        self._draw.restype = None
         self._tokenize = library.netctrl_tokenize
         self._tokenize.argtypes = (ctypes.c_char_p, ctypes.c_int64) + (ctypes.c_void_p,) * 4
         self._tokenize.restype = ctypes.c_int64
@@ -155,9 +149,10 @@ class Core:
 
         With ``index``, a sample index in 0..2**64-1 of the seed ``work``
         was made with, the call first draws that sample's node order and
-        scan keys into ``work.order`` and ``work.keys``, as ``draw`` does,
-        and starts from the empty matching. With a pair count, ``work``
-        holds the scan, the free in-roles and their degree sum.
+        scan keys into ``work.order`` and ``work.keys``, as
+        ``seeding.sample_draws`` does, and starts from the empty matching.
+        With a pair count, ``work`` holds the scan, the free in-roles and
+        their degree sum.
         """
         if index is None:
             return self._sample(work._address, 0, 0)
@@ -166,23 +161,6 @@ class Core:
         if not 0 <= index < 1 << 64:
             raise ValueError("the sample index must be within uint64")
         return self._sample(work._address, 1, index)
-
-    def draw(self, seed: int, index: int, order: np.ndarray, keys: np.ndarray, spawn: bool = True) -> None:
-        """Fill ``order`` with ``permutation(order.size)`` and then ``keys``
-        with ``integers(0, 2**32, size=keys.size, dtype=np.int64)`` of
-        ``default_rng(spawn_seed(seed, index))``, bit for bit.
-
-        With ``spawn`` False the generator is ``default_rng(index)``, and
-        ``seed`` is not read. ``seed`` is a non-negative int, ``index`` an
-        int in 0..2**64-1, and both arrays contiguous int64.
-        """
-        for array in (order, keys):
-            if array.dtype != np.int64 or array.ndim != 1 or not array.flags.c_contiguous:
-                raise ValueError("order and keys must be contiguous one-dimensional int64 arrays")
-        if seed < 0 or not 0 <= index < 1 << 64:
-            raise ValueError("the seed must be non-negative and the sample index within uint64")
-        words = seed_words(seed)
-        self._draw(words.ctypes.data, words.size, index, spawn, order.size, order.ctypes.data, keys.size, keys.ctypes.data)
 
     def tokenize(self, data: bytes):
         """``(ends, packed, offsets)`` of ASCII edge-list bytes, or None.

@@ -134,9 +134,9 @@ class MatchingState:
     ) -> MatchingState:
         """A state with no node active that starts from ``start``, the
         empty matching when None, for a permutation and scan keys that the
-        library made itself (numpy's draws of a sample, or the Berge pass's
-        node indices and zero keys), as int64 arrays; none is checked, and
-        ``start``'s pairs must be edges.
+        library made itself (the stream's draws of a sample, or the Berge
+        pass's node indices and zero keys), as int64 arrays; none is
+        checked, and ``start``'s pairs must be edges.
 
         ``work``, a ``_kernel.Workspace`` of the graph, is the memory of the
         compiled pass: ``complete()`` copies the state into it, calls, and
@@ -161,8 +161,7 @@ class MatchingState:
         draws that sample's permutation and scan keys into ``work.order``
         and ``work.keys``, starts from the empty matching and completes it
         in ``work.mh`` and ``work.mt``, which are the state's matching. Only
-        for the core that ``seeding.compiled_draws`` returns, and indices
-        below 2**64.
+        with the compiled core, and for indices below 2**64.
         """
         state = cls.__new__(cls)
         state._start(graph, None, None, (work.mh, work.mt, 0), work)

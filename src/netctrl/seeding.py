@@ -2,10 +2,9 @@
 
 Sweeps and samplers derive one child seed per grid point or sample index
 so every part of a run is replayable in isolation. Sample i of a seed
-draws from ``numpy.random.default_rng(spawn_seed(seed, i))``, first its
-node order and then its scan keys (``numpy_draws``); that is the
-definition of the stream. The compiled core draws the same numbers
-itself, and ``compiled_draws`` says whether it may.
+draws from the raw outputs of ``PCG64(spawn_seed(seed, i))``, first its
+node order and then its scan keys (``sample_draws``); that is the
+definition of the stream. The compiled core makes the same draws itself.
 """
 
 from __future__ import annotations
@@ -16,14 +15,9 @@ import operator
 
 import numpy as np
 
-from . import _kernel
 from .errors import UsageError, shown
 
-__all__ = ["check_int", "check_real", "check_seed", "spawn_seed", "numpy_draws", "compiled_draws"]
-
-# the compiled core whose draws were last compared with numpy's, and
-# whether they agreed
-_checked: tuple = (None, False)
+__all__ = ["check_int", "check_real", "check_seed", "spawn_seed", "sample_draws"]
 
 
 def _in_domain(number, value, what: str, noun: str, low, high):
@@ -88,32 +82,46 @@ def spawn_seed(seed: int, index: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def numpy_draws(seed: int, index: int, n: int, edges: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sample ``index``'s draws from ``default_rng(spawn_seed(seed, index))``:
-    a permutation of the ``n`` nodes, its node order, and then one scan
-    key in 0..2**32-1 for each of its ``edges`` out-CSR slots, as int64
-    arrays. ``seed`` must have passed ``check_seed``."""
-    rng = np.random.default_rng(spawn_seed(seed, index))
-    return rng.permutation(n), rng.integers(0, 1 << 32, size=edges, dtype=np.int64)
+def sample_draws(seed: int, index: int, n: int, edges: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sample ``index``'s node order, a permutation of the ``n`` nodes,
+    and then its ``edges`` scan keys, one per out-CSR slot, each in
+    0..2**32-1, as int64 arrays. ``seed`` must have passed ``check_seed``.
 
-
-def compiled_draws():
-    """The compiled core when it draws samples as numpy does, else None.
-
-    The core reproduces ``numpy_draws`` in C, but numpy does not promise
-    a Generator's stream across its releases (NEP 19). So the first call
-    with a core compares one small sample's draws both ways, and when
-    they differ the samplers keep numpy's draws for the rest of the
-    process. The sample's seed has five words and its index two, and its
-    permutation of 33 nodes rejects draws and leaves half a word buffered
-    for its 7 keys.
+    This is the definition of the stream. The draws are the 32-bit halves
+    of the raw outputs of ``PCG64(spawn_seed(seed, index))``, low half
+    first. The order is a Fisher-Yates pass from the top over 0..n-1: for
+    each i from n - 1 down to 1, j is the first unread half that is at
+    most i once masked by the smallest 2**k - 1 >= i, and the nodes at i
+    and j swap. The keys are the next ``edges`` halves. These are numpy
+    2.x's ``permutation(n)`` and ``integers(0, 2**32, size=edges)`` of
+    ``default_rng(spawn_seed(seed, index))``, bit for bit, but only the
+    bit generator's stream is promised across numpy releases (NEP 19), so
+    the halves are read here. ``_core.c`` makes the same draws.
     """
-    global _checked
-    kernel = _kernel.core()
-    if kernel is not None and _checked[0] is not kernel:
-        seed, index, n, edges = 2**128 + 7, 2**32 + 2, 33, 7
-        order, keys = np.empty(n, dtype=np.int64), np.empty(edges, dtype=np.int64)
-        kernel.draw(seed, index, order, keys)
-        expected = numpy_draws(seed, index, n, edges)
-        _checked = (kernel, np.array_equal(order, expected[0]) and np.array_equal(keys, expected[1]))
-    return kernel if kernel is not None and _checked[1] else None
+    bits = np.random.PCG64(spawn_seed(seed, index))
+    picks = []  # j for i = n - 1, n - 2, ..., 1
+    halves = iter(())
+    i = n - 1
+    while i > 0:
+        mask = (1 << i.bit_length()) - 1
+        for half in halves:
+            j = half & mask
+            if j <= i:
+                picks.append(j)
+                i -= 1
+                if i == mask >> 1:  # the next i takes a smaller mask
+                    break
+        else:  # about 1.4 halves a node: a masked half is past i less than half the time
+            halves = iter(_halves(bits, i + i // 2 + 2).tolist())
+    order = list(range(n))
+    for i, j in zip(range(n - 1, 0, -1), picks):
+        order[i], order[j] = order[j], order[i]
+    rest = np.array(list(halves), dtype=np.uint32)
+    keys = np.concatenate((rest, _halves(bits, edges - rest.size)))[:edges]
+    return np.array(order, dtype=np.int64), keys.astype(np.int64)
+
+
+def _halves(bits: np.random.PCG64, count: int) -> np.ndarray:
+    """The 32-bit halves of ``bits``' next ``ceil(count / 2)`` raw
+    outputs, none for a count below 1, low half first."""
+    return bits.random_raw(max(0, -(-count // 2))).astype("<u8", copy=False).view("<u4")

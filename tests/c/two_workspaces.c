@@ -4,11 +4,12 @@
  * workspace each, over one shared read-only graph (netctrl.mds). This
  * driver does the same with two pthreads and compares every result
  * with a serial run: each sample's pair count, free in-roles and their
- * degree sum, and each index's netctrl_draw output. Each thread keeps
- * one workspace for all its samples, so each drawn call starts with the
- * last sample's matching in `mh` and `mt`; every drawn call must equal
- * a call in a second workspace handed -1s and netctrl_draw's order and
- * keys, which is the empty start the drawn call makes itself. Built with
+ * degree sum, and the order and keys its drawn call writes. Each thread
+ * keeps one workspace for all its samples, so each drawn call starts
+ * with the last sample's matching in `mh` and `mt`; every drawn call
+ * must equal a call in a second workspace handed -1s and the drawn
+ * call's order and keys, which is the empty start the drawn call makes
+ * itself. Built with
  * ThreadSanitizer, it reports any write the two threads share:
  *
  *     cc -std=c99 -fsanitize=thread -O1 -g -pthread \
@@ -37,8 +38,6 @@ struct netctrl_workspace {
 };
 
 int64_t netctrl_sample(struct netctrl_workspace *w, int64_t drawn, uint64_t index);
-void netctrl_draw(const uint32_t *seed, int64_t words, uint64_t index, int64_t spawn,
-                  int64_t n, int64_t *order, int64_t edges, int64_t *keys);
 
 /* a random graph with a hub, so that both of the core's slice sorts run */
 enum { NODES = 600, RANDOM_EDGES = 900, HUB_EDGES = 120, EDGES = RANDOM_EDGES + HUB_EDGES, SAMPLES = 24 };
@@ -48,8 +47,8 @@ static const uint32_t SEED[] = {12345u, 7u};
 static int64_t out_ptr[NODES + 1], out_heads[EDGES], in_ptr[NODES + 1];
 
 /* what one sample gives: its pairs, free in-roles and their degree sum,
- * the draws of its index, and whether the drawn call equals the given
- * one */
+ * the order and keys drawn for its index, and whether the drawn call
+ * equals the given one */
 struct result {
     int64_t pairs, degree_sum;
     int64_t free_heads[NODES];
@@ -100,14 +99,15 @@ static struct netctrl_workspace workspace(struct arrays *a)
 }
 
 /* sample `index` drawn in `drawn`, and the same sample from a call in
- * `given` handed -1s and netctrl_draw's order and keys */
+ * `given` handed -1s and the order and keys the drawn call wrote */
 static void run(struct netctrl_workspace *drawn, struct netctrl_workspace *given, uint64_t index,
                 struct result *r)
 {
     r->pairs = netctrl_sample(drawn, 1, index);
     r->degree_sum = drawn->degree_sum;
     memcpy(r->free_heads, drawn->free_heads, sizeof r->free_heads);
-    netctrl_draw(SEED, 2, index, 1, NODES, r->order, EDGES, r->keys);
+    memcpy(r->order, drawn->order, sizeof r->order);
+    memcpy(r->keys, drawn->keys, sizeof r->keys);
 
     memcpy(given->order, r->order, sizeof r->order);
     memcpy(given->keys, r->keys, sizeof r->keys);

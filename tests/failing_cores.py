@@ -1,20 +1,15 @@
 """Compiled cores that fail on purpose, for the tests of how a failing
-sample is reported: each draws as numpy does (``naive_draw``), so the
-sampler takes it for a core whose draws it may use, and then fails in
-``sample``, the call that completes a matching."""
+sample is reported: the sampler takes each for the compiled core, and it
+fails in ``sample``, the call that completes a matching."""
 
 from __future__ import annotations
 
 from netctrl import _kernel
 
-from naive import naive_draw
-
 
 class BreachingCore:
     """A core whose completing pass reports a breach: a matching that is
     not the inverse of its tail_by_head, or a wrong pair count."""
-
-    draw = staticmethod(naive_draw)
 
     def sample(self, work, index=None):
         return _kernel.BREACH
@@ -22,8 +17,6 @@ class BreachingCore:
 
 class NoMemory:
     """A core whose sampling pass finds no memory."""
-
-    draw = staticmethod(naive_draw)
 
     def sample(self, work, index=None):
         raise MemoryError("no memory for the completing pass")

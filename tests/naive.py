@@ -10,8 +10,8 @@ check. The reversal flips one edge at a time against a live edge set;
 tests compare its edges and tallies with the vectorized transform. The
 adjacency arrays come from stable argsorts and binary searches, as
 ``DirectedGraph`` once built them; tests compare them with its CSR. The
-seeding reads each sample's PCG64 state off a generator numpy seeds
-itself; tests compare it with the compiled core's.
+seeding draws each sample with the methods of a Generator that numpy
+seeds itself; tests compare it with the stream's definition.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from netctrl import DirectedGraph, ReversalParams, ValidationError
-from netctrl.seeding import numpy_draws
+from netctrl.seeding import spawn_seed
 
 from oracles import out_lists
 
@@ -155,12 +155,9 @@ def naive_csr(graph: DirectedGraph) -> tuple[list[int], list[int], list[int], li
     )
 
 
-def naive_draw(seed: int, index: int, order: np.ndarray, keys: np.ndarray, spawn: bool = True) -> None:
-    """``Core.draw`` from numpy: fill ``order`` and then ``keys`` with the
-    draws of ``default_rng(spawn_seed(seed, index))`` (``default_rng(index)``
-    without ``spawn``)."""
-    if spawn:
-        order[:], keys[:] = numpy_draws(seed, index, order.size, keys.size)
-    else:
-        rng = np.random.default_rng(index)
-        order[:], keys[:] = rng.permutation(order.size), rng.integers(0, 1 << 32, size=keys.size, dtype=np.int64)
+def naive_draw(seed: int, index: int, n: int, edges: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sample ``index``'s node order and scan keys as numpy 2.x's Generator
+    methods draw them: ``permutation(n)`` and then ``integers(0, 2**32,
+    size=edges, dtype=np.int64)`` of ``default_rng(spawn_seed(seed, index))``."""
+    rng = np.random.default_rng(spawn_seed(seed, index))
+    return rng.permutation(n), rng.integers(0, 1 << 32, size=edges, dtype=np.int64)

@@ -186,12 +186,15 @@ NAN = float("nan")
             "seed must be a non-negative integer, got a negative integer of 16610 bits",
         ),
         (lambda: gen_directed_er(10, 10**5000), "l must be an integer in [0, 90], got an integer of 16610 bits"),
-        (lambda: sample_mds(PATH3, [10**5000], 1), "sample count must be an integer, got a list too long to print"),
+        (lambda: sample_mds(PATH3, [10**5000], 1), "sample count must be an integer >= 1, got a list too long to print"),
         (lambda: BaParams(n=10**5000), "n=an integer of 16610 bits gives more node pairs than int64 indexes"),
         (lambda: gen_directed_er(10**5000, 1), "n=an integer of 16610 bits gives more node pairs than int64 indexes"),
         # any truthy value would turn deduplication on
         (lambda: sample_mds(PATH3, 1, 1, dedupe="no"), "dedupe must be a bool, got no"),
         (lambda: sample_mds(PATH3, 1, 1, dedupe=[1]), "dedupe must be a bool, got [1]"),
+        # both streams check the seed before the count
+        (lambda: sample_mds(PATH3, "x", -1), "seed must be a non-negative integer, got -1"),
+        (lambda: iter_samples(PATH3, "x", -1), "seed must be a non-negative integer, got -1"),
     ],
     ids=[
         "iter_samples-count", "sample_mds-count", "iter_samples-start", "preferential_mds-negative-m",
@@ -203,7 +206,8 @@ NAN = float("nan")
         "sweep_r-grid-past-float", "preferential_mds-m-past-str", "BaParams-n-past-str",
         "sample_mds-seed-past-str", "gen_directed_er-l-past-str", "sample_mds-count-list-past-str",
         "BaParams-pair-space-past-str", "gen_directed_er-pair-space-past-str",
-        "sample_mds-dedupe-str", "sample_mds-dedupe-list",
+        "sample_mds-dedupe-str", "sample_mds-dedupe-list", "sample_mds-seed-before-count",
+        "iter_samples-seed-before-count",
     ],
 )
 def test_entry_points_refuse_values_outside_their_domain(call, message):

@@ -160,7 +160,7 @@ def test_two_processes_building_at_once_both_succeed(cache, tmp_path):
 @needs_cc
 def test_two_workspaces_on_two_threads_match_a_serial_run(tmp_path):
     # the driver that CI also builds with ThreadSanitizer: netctrl_sample
-    # and netctrl_draw on two pthreads, one workspace each, over one graph
+    # with its draws on two pthreads, one workspace each, over one graph
     driver = tmp_path / "two_workspaces"
     subprocess.run(
         ["cc", "-std=c99", "-O1", "-pthread", "-o", str(driver),

@@ -1,32 +1,33 @@
-"""The compiled core's draws against numpy's, and the samplers' fallback.
+"""The sample stream's definition, and the compiled core's draws against it.
 
-Sample i of a seed draws ``permutation(n)`` and then
-``integers(0, 2**32, size=L, dtype=np.int64)`` from
-``default_rng(spawn_seed(seed, i))``. The compiled sample call makes the
-same draws itself, and a core whose draws differ from numpy's leaves the
-samplers on numpy's draws.
+Sample i of a seed takes the 32-bit halves of the raw outputs of
+``PCG64(spawn_seed(seed, i))``, low half first (``seeding.sample_draws``):
+a Fisher-Yates pass from the top gives its node order, and the next
+halves its scan keys. Those are numpy 2.x's ``permutation(n)`` and
+``integers(0, 2**32, size=L, dtype=np.int64)`` of
+``default_rng(spawn_seed(seed, i))``, which the committed goldens were
+made with. The compiled sample call makes the same draws itself, and the
+tests read them off its workspace.
 """
 
 from __future__ import annotations
-
-from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netctrl import _kernel, gen_directed_er, iter_samples, read_edge_list, sample_mds
+from netctrl import DirectedGraph, _kernel, cli, gen_directed_er, iter_samples, read_edge_list, sample_mds
 from netctrl.cli import _build_graph, _build_parser, _config_from_args, main
 from netctrl.matching import _scan_order
-from netctrl.seeding import compiled_draws, numpy_draws
+from netctrl.seeding import sample_draws
 
 from naive import naive_draw
 from test_golden import CASES, EDGE_LISTS, GOLDEN_DIR
 
-# indices whose spawn key is one word, two words, and the last index the
-# compiled core draws
-EDGE_INDICES = (0, 2**32 - 1, 2**32, 2**64 - 1)
+# indices whose spawn key is one word, two words, the last index the
+# compiled core draws and the first one past it
+EDGE_INDICES = (0, 2**32 - 1, 2**32, 2**64 - 1, 2**64)
 
 # node counts 0, 1, 2, and powers of two and one past them: a permutation
 # of 2**k + 1 nodes rejects about half the draws of its first step
@@ -35,11 +36,12 @@ node_counts = st.one_of(
     st.integers(min_value=1, max_value=12).map(lambda k: 2**k),
     st.integers(min_value=1, max_value=12).map(lambda k: 2**k + 1),
 )
-indices = st.one_of(st.sampled_from(EDGE_INDICES), st.integers(min_value=0, max_value=2**64 - 1))
+# every index the compiled core draws, and some past them
+indices = st.one_of(st.sampled_from(EDGE_INDICES), st.integers(min_value=0, max_value=2**70))
 
 
-def numpy_lists(seed: int, index: int, n: int, edges: int) -> list:
-    return [draws.tolist() for draws in numpy_draws(seed, index, n, edges)]
+def as_lists(draws) -> list:
+    return [array.tolist() for array in draws]
 
 
 @settings(max_examples=300, deadline=None)
@@ -49,35 +51,59 @@ def numpy_lists(seed: int, index: int, n: int, edges: int) -> list:
     node_counts,
     st.integers(min_value=0, max_value=41),  # 0, odd and even key counts
 )
-def test_compiled_draws_are_numpys(compiled_kernel, seed, index, n, edges):
-    order, keys = np.empty(n, dtype=np.int64), np.empty(edges, dtype=np.int64)
-    compiled_kernel.draw(seed, index, order, keys)
-    assert [order.tolist(), keys.tolist()] == numpy_lists(seed, index, n, edges)
+def test_the_stream_is_numpys_generator_draws(seed, index, n, edges):
+    # the definition equals the Generator methods the goldens were made with
+    order, keys = sample_draws(seed, index, n, edges)
+    assert order.dtype == keys.dtype == np.int64
+    assert as_lists((order, keys)) == as_lists(naive_draw(seed, index, n, edges))
+
+
+# every index the compiled core draws
+drawn_indices = st.one_of(st.sampled_from(EDGE_INDICES[:-1]), st.integers(min_value=0, max_value=2**64 - 1))
+
+
+def drawn_graph(n: int, graph_seed: int, data) -> DirectedGraph:
+    """A graph of n nodes and 0 to 41 edges: odd and even key counts."""
+    return gen_directed_er(n, data.draw(st.integers(min_value=0, max_value=min(41, n * (n - 1)))), seed=graph_seed)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**256),
+    drawn_indices,
+    node_counts.filter(lambda n: n >= 1),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.data(),
+)
+def test_compiled_draws_are_numpys(compiled_kernel, seed, index, n, graph_seed, data):
+    # the order and keys that the sample call writes are the stream's
+    g = drawn_graph(n, graph_seed, data)
+    work = _kernel.Workspace(g, seed)
+    assert compiled_kernel.sample(work, index) >= 0
+    assert as_lists((work.order, work.keys)) == as_lists(sample_draws(seed, index, n, g.edge_count))
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(min_value=0, max_value=2**256),
-    indices,
+    drawn_indices,
     node_counts.filter(lambda n: 2 <= n <= 1025),
     st.integers(min_value=0, max_value=2**32 - 1),
     st.data(),
 )
 def test_the_sample_call_draws_as_numpy_and_completes_on_its_draws(compiled_kernel, seed, index, n, graph_seed, data):
-    # the call's own draws are numpy's, and the call that draws gives the
-    # scan and the matching of a call handed numpy's draws
-    edges = data.draw(st.integers(min_value=0, max_value=min(3 * n, n * (n - 1))))
-    g = gen_directed_er(n, edges, seed=graph_seed)
+    # the call that draws gives the scan and the matching of a call handed
+    # the stream's draws
+    g = drawn_graph(n, graph_seed, data)
     drawn = _kernel.Workspace(g, seed)
-    drawn.mh[:] = drawn.mt[:] = -1
     size = compiled_kernel.sample(drawn, index)
-    order, keys = numpy_lists(seed, index, n, edges)
-    assert [drawn.order.tolist(), drawn.keys.tolist()] == [order, keys]
+    order, keys = sample_draws(seed, index, n, g.edge_count)
+    assert as_lists((drawn.order, drawn.keys)) == as_lists((order, keys))
     given_ = _kernel.Workspace(g)
     given_.order[:], given_.keys[:] = order, keys
     given_.mh[:] = given_.mt[:] = -1
     assert compiled_kernel.sample(given_) == size
-    assert drawn.scan.tolist() == given_.scan.tolist() == g.out_heads[_scan_order(g, np.array(keys, dtype=np.int64))].tolist()
+    assert drawn.scan.tolist() == given_.scan.tolist() == g.out_heads[_scan_order(g, keys)].tolist()
     assert drawn.mh.tolist() == given_.mh.tolist()
 
 
@@ -99,65 +125,45 @@ def test_both_cores_give_the_same_samples_on_every_golden_input(compiled_kernel,
     assert runs[0] == runs[1]
 
 
-class CountingCore:
-    """The compiled core, counting its draws and its sample calls; with
-    ``skew``, its draws swap the first two nodes of every order, and a
-    sample call that would draw for itself fails."""
+class NoDraws:
+    """A numpy Generator whose ``permutation`` and ``integers`` raise.
+    numpy's Generator is an immutable type, so ``np.random.default_rng``
+    hands these out in its place."""
 
-    def __init__(self, kernel, skew: bool = False):
-        self.kernel = kernel
-        self.skew = skew
-        self.calls = Counter()
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
 
-    def draw(self, seed, index, order, keys, spawn=True):
-        self.calls["draw"] += 1
-        self.kernel.draw(seed, index, order, keys, spawn)
-        if self.skew:
-            order[:2] = order[1::-1].copy()
-
-    def sample(self, work, index=None):
-        self.calls["sample" if index is None else "drawn sample"] += 1
-        assert not (self.skew and index is not None), "a core whose draws disagree drew a sample"
-        return self.kernel.sample(work, index)
-
-    def tokenize(self, data):
-        return self.kernel.tokenize(data)
+    def __getattr__(self, name: str):
+        if name in ("permutation", "integers"):
+            raise AssertionError(f"a sample called Generator.{name}")
+        return getattr(self._rng, name)
 
 
-@pytest.mark.parametrize("name", ["sample-ba60-dedupe.json", "sweep-r-ba60.csv"])
-def test_draws_that_disagree_leave_the_samplers_on_numpys(compiled_kernel, monkeypatch, tmp_path, name):
-    # the one check finds the skewed draws, every sample then takes numpy's
-    # draws into the compiled pass, and the report is the Python core's
-    skewed = CountingCore(compiled_kernel, skew=True)
-    reports = []
-    for kernel in (skewed, None):
-        monkeypatch.setattr(_kernel, "_kernel", kernel)
-        out = tmp_path / f"{len(reports)}-{name}"
+@pytest.mark.parametrize("core", ["compiled", "python"])
+def test_no_sample_calls_a_generator_method(core, request, monkeypatch, tmp_path):
+    kernel = request.getfixturevalue("compiled_kernel") if core == "compiled" else None
+    monkeypatch.setattr(_kernel, "_kernel", kernel)
+    # the graphs first: the generators draw with Generator methods
+    graphs = golden_inputs()
+
+    def samples():
+        return {
+            name: (
+                list(iter_samples(g, 20, seed=3)),
+                list(iter_samples(g, 4, seed=3, start=2**64 - 2)),
+                sample_mds(g, 30, seed=3, dedupe=True),
+            )
+            for name, g in graphs.items()
+        }
+
+    expected = samples()
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda *args, **kwargs: NoDraws(default_rng(*args, **kwargs)))
+    monkeypatch.setattr(np.random, "Generator", NoDraws)
+    assert samples() == expected
+    # the reports too; reverse_edges, which sweep-r runs, draws with Generator.random
+    for name in ("sample-ba60-dedupe.json", "sweep-r-ba60.csv"):
+        monkeypatch.setattr(cli, "_build_graph", lambda config, g=graphs[name]: g)
+        out = tmp_path / name
         assert main(CASES[name] + ["--out", str(out)]) == 0
-        reports.append(out.read_bytes())
-    assert reports[0] == reports[1] == (GOLDEN_DIR / name).read_bytes()
-    samples = 40 if name.startswith("sample") else 30
-    assert skewed.calls == {"draw": 1, "sample": samples}
-
-
-def test_draws_are_checked_once_per_core_and_not_to_read_a_graph(compiled_kernel, monkeypatch):
-    core = CountingCore(compiled_kernel)
-    monkeypatch.setattr(_kernel, "_kernel", core)
-    g = read_edge_list(GOLDEN_DIR / "generate-er30.txt")
-    assert core.calls == {}
-    assert compiled_draws() is core
-    sample_mds(g, 5, seed=1)
-    sample_mds(g, 5, seed=2)
-    assert core.calls == {"draw": 1, "drawn sample": 10}
-
-
-def test_a_core_that_draws_as_numpy_passes_the_check(monkeypatch):
-    # as the stub cores of the other tests do; without a core, none draws
-    class NumpyDraws:
-        draw = staticmethod(naive_draw)
-
-    stub = NumpyDraws()
-    monkeypatch.setattr(_kernel, "_kernel", stub)
-    assert compiled_draws() is stub
-    monkeypatch.setattr(_kernel, "_kernel", None)
-    assert compiled_draws() is None
+        assert out.read_bytes() == (GOLDEN_DIR / name).read_bytes()

@@ -28,14 +28,13 @@ from netctrl.generators import BaParams, gen_directed_ba, gen_directed_er
 from netctrl.graph import degrees
 from netctrl.matching import _completing_pass, _scan_order
 from netctrl.mds import NodeOrder, drivers, iter_samples, sample_mds
-from netctrl.seeding import numpy_draws
+from netctrl.seeding import sample_draws
 
 from corpus import matching_of
 from failing_cores import BreachingCore
 from oracles import brute_force_max_matching_size, enumerate_maximum_matchings
 from naive import (
     NaiveState,
-    naive_draw,
     naive_matching,
     naive_max_matching_pairs,
     naive_preferential_pairs,
@@ -158,8 +157,6 @@ class TestVerifyMaximum:
         # tail holds it, and says nothing: the state's snapshot compares
         # its inverse with the one derived from head_by_tail
         class StrayCore:
-            draw = staticmethod(naive_draw)
-
             def sample(self, work, index=None):
                 work.mt[0] = 0
                 return 0
@@ -661,7 +658,7 @@ def test_states_taking_turns_with_one_workspace_keep_their_own_matchings(compile
 def test_a_drawn_state_copies_nothing_and_starts_each_sample_empty(compiled_kernel, monkeypatch):
     # one drawn state serves every index on its workspace: its matching is
     # the workspace's, its free in-roles a view of work.free_heads, and
-    # each sample equals that of a state handed numpy's draws, which copies
+    # each sample equals that of a state handed the stream's draws, which copies
     monkeypatch.setattr(_kernel, "_kernel", compiled_kernel)
     g = gen_directed_er(60, 120, seed=3)
     work = _kernel.Workspace(g, 5)
@@ -672,7 +669,7 @@ def test_a_drawn_state_copies_nothing_and_starts_each_sample_empty(compiled_kern
         free, degree_sum = state.complete()
         assert np.shares_memory(free, work.free_heads)
         assert state._mh is work.mh and state._mt is work.mt
-        given_ = MatchingState._sampling(g, *numpy_draws(5, i, g.node_count, g.edge_count))
+        given_ = MatchingState._sampling(g, *sample_draws(5, i, g.node_count, g.edge_count))
         given_free, given_sum = given_.complete()
         assert not np.shares_memory(given_free, given_._work.free_heads)
         assert not np.shares_memory(given_._mh, given_._work.mh)

@@ -30,7 +30,6 @@ from netctrl import (
 from netctrl import _kernel, mds
 from netctrl.cli import main
 from netctrl.matching import MatchingState
-from netctrl.seeding import compiled_draws
 
 from corpus import matching_of
 from failing_cores import BreachingCore, NoMemory
@@ -481,11 +480,10 @@ def test_the_rest_stays_on_the_calling_thread(compiled_kernel, on_threads, monke
     monkeypatch.setattr(mds, "_usable_cpus", lambda: 1)
     assert mds._stream_workers(g, 50) == 1
     monkeypatch.setattr(mds, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(mds, "compiled_draws", lambda: None)  # numpy's draws
-    assert mds._stream_workers(g, 50) == 1
-    monkeypatch.setattr(mds, "compiled_draws", compiled_draws)
     monkeypatch.setattr(_kernel, "_kernel", None)  # the Python core
     assert mds._stream_workers(g, 50) == 1
+    sampler = mds._Sampler(g, 1, None)
+    assert (sampler.work, sampler.state) == (None, None)  # the Python search reads no workspace
     sample_mds(g, 50, seed=1)
     assert not started
 
@@ -548,7 +546,7 @@ def test_affinity_of_one_cpu_starts_no_thread(tmp_path):
         "import os, threading\n"
         "import netctrl\n"
         "from netctrl import mds\n"
-        "from netctrl.seeding import compiled_draws\n"
+        "from netctrl import _kernel\n"
         "started = []\n"
         "start = threading.Thread.start\n"
         "threading.Thread.start = lambda thread: started.append(thread) or start(thread)\n"
@@ -558,7 +556,7 @@ def test_affinity_of_one_cpu_starts_no_thread(tmp_path):
         "with_all = len(started)\n"
         "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
         "assert netctrl.sample_mds(g, 20, 1) == all_cpus\n"
-        "print(with_all, len(started), compiled_draws() is not None, len(os.sched_getaffinity(0)))\n"
+        "print(with_all, len(started), _kernel.core() is not None, len(os.sched_getaffinity(0)))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     done = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, env=env, timeout=120)
@@ -597,7 +595,6 @@ class CountingCore:
 
     def __init__(self, core, index: int | None, fail):
         self.core, self.index, self.fail = core, index, fail
-        self.draw = core.draw
         self.calls = 0
         self.other_started = threading.Event()
 

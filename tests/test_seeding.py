@@ -1,9 +1,10 @@
 """The samplers' seeding: one seed check, and the compiled core's draws
-against the ones numpy gives ``default_rng(spawn_seed(seed, i))``.
+against the stream's definition, ``seeding.sample_draws``.
 
-Sample i of a seed is defined by numpy's seeding and draws; with the
-compiled core the sampler derives each sample's PCG64 state and makes its
-draws in C, so every draw and every sample must come out the same.
+Sample i of a seed is defined by the raw outputs of
+``PCG64(spawn_seed(seed, i))``; with the compiled core the sampler derives
+each sample's PCG64 state and makes its draws in C, so every draw and
+every sample must come out the same.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from netctrl import (
     sweep_p,
     sweep_r,
 )
-from netctrl.seeding import check_seed, numpy_draws, spawn_seed
+from netctrl.seeding import check_seed, sample_draws, spawn_seed
 
 from naive import naive_draw
 
@@ -37,22 +38,24 @@ SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64, 2**128 - 1, 2**128, 2**200 + 3)
 INDICES = (0, 1, 2**32 - 1, 2**32, 2**40)
 
 
-# node counts and key counts that a draw is checked at: a permutation of
-# 2**k + 1 nodes rejects draws, and an odd one of a power of two nodes
-# leaves half a word buffered for the keys, as does an odd key count
-SHAPES = ((1, 0), (2, 3), (16, 4), (17, 5))
+# graphs of the node and edge counts that a draw is checked at: a
+# permutation of 2**k + 1 nodes rejects draws, and an odd one of a power
+# of two nodes leaves half a word for the keys, as does an odd key count
+GRAPHS = tuple(gen_directed_er(n, edges, seed=0) for n, edges in ((1, 0), (2, 1), (16, 4), (17, 5)))
 
 
-def compiled_draws_of(kernel, seed: int, index: int, n: int, edges: int, spawn: bool = True) -> list:
-    order, keys = np.empty(n, dtype=np.int64), np.empty(edges, dtype=np.int64)
-    kernel.draw(seed, index, order, keys, spawn)
-    return [order.tolist(), keys.tolist()]
+def compiled_draws_of(kernel, graph, seed: int, index: int) -> list:
+    """The order and keys that the compiled sample call draws."""
+    work = _kernel.Workspace(graph, seed)
+    assert kernel.sample(work, index) >= 0
+    return [work.order.tolist(), work.keys.tolist()]
 
 
-def numpy_draws_of(seed: int, index: int, n: int, edges: int, spawn: bool = True) -> list:
-    order, keys = np.empty(n, dtype=np.int64), np.empty(edges, dtype=np.int64)
-    naive_draw(seed, index, order, keys, spawn)
-    return [order.tolist(), keys.tolist()]
+def defined_draws_of(graph, seed: int, index: int) -> list:
+    """The stream's order and keys, which are numpy's Generator draws."""
+    drawn = [draws.tolist() for draws in sample_draws(seed, index, graph.node_count, graph.edge_count)]
+    assert drawn == [draws.tolist() for draws in naive_draw(seed, index, graph.node_count, graph.edge_count)]
+    return drawn
 
 
 @pytest.fixture
@@ -112,38 +115,23 @@ class TestCheckSeed:
 
 
 class TestCompiledStates:
-    """Each sample's PCG64 state, derived in C, read through its draws."""
+    """Each sample's PCG64 state, derived in C, read through the draws of its sample call."""
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_equal_numpys_on_every_seed_and_index(self, compiled_kernel, seed):
         # 2**32 - 1 and 2**32 take one key word and two
         for i in INDICES + (2**64 - 1,):
-            for n, edges in SHAPES:
-                assert compiled_draws_of(compiled_kernel, seed, i, n, edges) == numpy_draws_of(seed, i, n, edges)
-
-    def test_the_child_step_alone_on_one_and_two_word_children(self, compiled_kernel):
-        # a child seed below 2**32 is one entropy word, which no search over
-        # (seed, i) reaches; 2**64 - 1 is the last child
-        for child in (0, 1, 12345, 2**31, 2**32 - 2, 2**32, 2**63, 2**64 - 1):
-            for n, edges in SHAPES:
-                drawn = compiled_draws_of(compiled_kernel, 0, child, n, edges, spawn=False)
-                assert drawn == numpy_draws_of(0, child, n, edges, spawn=False)
+            for g in GRAPHS:
+                assert compiled_draws_of(compiled_kernel, g, seed, i) == defined_draws_of(g, seed, i)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(min_value=0, max_value=2**256), st.integers(min_value=0, max_value=2**64 - 1))
     def test_equal_numpys_on_any_seed_and_start(self, compiled_kernel, seed, start):
-        assert compiled_draws_of(compiled_kernel, seed, start, 17, 5) == numpy_draws_of(seed, start, 17, 5)
+        g = GRAPHS[-1]
+        assert compiled_draws_of(compiled_kernel, g, seed, start) == defined_draws_of(g, seed, start)
 
     def test_indices_past_uint64_are_refused(self, compiled_kernel, small_graph):
-        order, keys = np.empty(3, dtype=np.int64), np.empty(2, dtype=np.int64)
-        compiled_kernel.draw(5, 2**64 - 1, order, keys)  # the last index
-        with pytest.raises(ValueError, match="within uint64"):
-            compiled_kernel.draw(5, 2**64, order, keys)
-        with pytest.raises(ValueError, match="non-negative"):
-            compiled_kernel.draw(-5, 0, order, keys)
-        with pytest.raises(ValueError, match="int64"):
-            compiled_kernel.draw(5, 0, order.astype(np.int32), keys)
-        # a sample call too: ctypes would wrap 2**64 + 3 to sample 3 and -1 to 2**64 - 1
+        # ctypes would wrap 2**64 + 3 to sample 3 and -1 to 2**64 - 1
         work = _kernel.Workspace(small_graph, 5)
         assert compiled_kernel.sample(work, 2**64 - 1) >= 0  # the last index
         for index in (2**64 + 3, -1):
@@ -154,15 +142,14 @@ class TestCompiledStates:
 class TestSampleGenerators:
     @pytest.mark.parametrize("start", [0, 2**32 - 7, 2**64 - 3])
     def test_each_generator_draws_as_numpys_own(self, compiled_kernel, small_graph, start):
-        # the compiled sample call draws each index's order and keys as
-        # numpy's own generator does; from 2**64 - 3 the run passes uint64,
-        # where the stream takes numpy's draws
+        # the stream and the compiled sample call draw each index's order
+        # and keys as numpy's own generator does; from 2**64 - 3 the run
+        # passes uint64, where the compiled core draws no sample
         work = _kernel.Workspace(small_graph, 11)
         n, edges = small_graph.node_count, small_graph.edge_count
         for i in range(start, start + 9):
-            order, keys = numpy_draws(11, i, n, edges)
-            rng = np.random.default_rng(spawn_seed(11, i))
-            assert [order.tolist(), keys.tolist()] == [rng.permutation(n).tolist(), rng.integers(0, 2**32, edges).tolist()]
+            order, keys = sample_draws(11, i, n, edges)
+            assert [order.tolist(), keys.tolist()] == [draws.tolist() for draws in naive_draw(11, i, n, edges)]
             if i < 2**64:
                 work.mh[:] = work.mt[:] = -1
                 assert compiled_kernel.sample(work, i) >= 0
@@ -186,10 +173,10 @@ class TestSampleGenerators:
             assert alone == run[i]
         assert list(iter_samples(small_graph, 4, seed=5, start=254)) == run[-4:]
         # the last uint64 index alone and as the middle of a run whose last
-        # index passes uint64, which numpy draws (the core draws the others
-        # where there is one)
+        # index passes uint64, which sample_draws draws (the core draws the
+        # others where there is one)
         (last,) = iter_samples(small_graph, 1, seed=5, start=2**64 - 1)
         assert list(iter_samples(small_graph, 3, seed=5, start=2**64 - 2))[1] == last
-        # a run that starts past uint64 is numpy's draws for its own indices
+        # a run that starts past uint64 draws its own indices
         alone = [next(iter_samples(small_graph, 1, seed=5, start=i)) for i in (2**64 + 3, 2**64 + 4)]
         assert list(iter_samples(small_graph, 2, seed=5, start=2**64 + 3)) == alone
