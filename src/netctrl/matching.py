@@ -126,45 +126,41 @@ class MatchingState:
         if perm.size != n:
             raise UsageError(f"order covers {perm.size} nodes, graph has {n}")
         rank = np.argsort(perm)  # the inverse permutation
-        self._start(graph, perm, rank[graph.out_heads], _unmatched(n), None)
+        self._start(graph, perm, rank[graph.out_heads], _unmatched(n))
 
     @classmethod
     def _sampling(
-        cls, graph: DirectedGraph, perm: np.ndarray, keys: np.ndarray, start: Matching | None = None, work=None
+        cls, graph: DirectedGraph, perm: np.ndarray, keys: np.ndarray, start: Matching | None = None
     ) -> MatchingState:
         """A state with no node active that starts from ``start``, the
         empty matching when None, for a permutation and scan keys that the
         library made itself (the stream's draws of a sample, or the Berge
         pass's node indices and zero keys), as int64 arrays; none is
         checked, and ``start``'s pairs must be edges.
-
-        ``work``, a ``_kernel.Workspace`` of the graph, is the memory of the
-        compiled pass: ``complete()`` copies the state into it, calls, and
-        copies the matching and the free in-roles out, so states may take
-        turns with one workspace. Without, ``complete()`` makes one.
         """
         state = cls.__new__(cls)
         if start is None:
             matched = _unmatched(graph.node_count)
         else:
             matched = start.head_by_tail, start.tail_by_head, start.size
-        state._start(graph, perm, keys, matched, work)
+        state._start(graph, perm, keys, matched)
         return state
 
     @classmethod
     def _drawn(cls, graph: DirectedGraph, work) -> MatchingState:
-        """A sampling state for a whole stream on the workspace ``work``,
-        which copies nothing.
+        """A sampling state for a whole stream on the workspace ``work``.
 
         Before each ``complete()``, ``_restart(index)`` makes it sample
         ``index`` of the seed ``work`` was made with: the compiled pass
         draws that sample's permutation and scan keys into ``work.order``
-        and ``work.keys``, starts from the empty matching and completes it
-        in ``work.mh`` and ``work.mt``, which are the state's matching. Only
-        with the compiled core, and for indices below 2**64.
+        and ``work.keys``, which are the state's, starts from the empty
+        matching and completes it in ``work.mh`` and ``work.mt``, which are
+        its matching. Only with the compiled core, and for indices below
+        2**64.
         """
         state = cls.__new__(cls)
-        state._start(graph, None, None, (work.mh, work.mt, 0), work)
+        state._start(graph, work.order, work.keys, (work.mh, work.mt, 0))
+        state._work = work  # no other state holds a workspace
         return state
 
     def _restart(self, index: int) -> None:
@@ -176,19 +172,19 @@ class MatchingState:
         self._index = index
         self._size = 0
 
-    def _start(self, graph: DirectedGraph, perm, keys, matched: tuple, work) -> None:
+    def _start(self, graph: DirectedGraph, perm, keys, matched: tuple) -> None:
         """Set up a state with no node active that starts from ``matched``,
         ``(head_by_tail, tail_by_head, size)`` of a matching."""
         self.graph = graph
-        # the sample index whose draws the compiled pass makes, or None
-        # when the state holds its permutation and keys
+        # the sample index whose draws the compiled pass writes into a
+        # drawn state's _perm and _keys, or None when they were given
         self._index = None
         # tail -> matched head, head -> matched tail. Only a drawn state's
-        # call writes these arrays, which are its workspace's; for every
-        # other state complete() replaces them with copies, and _augment
-        # with lists, which it indexes faster
+        # call writes the arrays given here, which are its workspace's;
+        # every other state's compiled pass replaces them with the arrays
+        # of the workspace it completes in, and _augment with lists, which
+        # it indexes faster
         self._mh, self._mt, self._size = matched
-        self._work = work  # the compiled pass's memory, made by complete() when None
         self._perm = perm
         self._admitted = 0  # the nodes of _perm active so far, a prefix
         # one key per out-CSR slot, each in 0..2**32-1: a tail's heads are
@@ -270,11 +266,13 @@ class MatchingState:
         and lists the free in-roles, and in ``_augment`` otherwise, which
         reads them off its checked snapshot.
 
-        A drawn state (``_drawn``) copies nothing: its matching is the
-        workspace's, and ``free`` is a view of ``work.free_heads``, both
-        valid until the workspace's next call. Every other state copies
-        its matching into the workspace and the matching and ``free`` out,
-        so that they are its own.
+        The compiled pass copies nothing out: the state's matching is then
+        the workspace's ``mh`` and ``mt``, and ``free`` a view of its
+        ``free_heads``. A drawn state (``_drawn``) keeps its workspace for
+        the whole stream, so they hold until its next call. Every other
+        state copies its matching into a workspace of its own for the one
+        call and keeps none of it but those three arrays, which no later
+        call writes.
         """
         self._admitted = self.graph.node_count  # no node is left to admit
         compiled = _kernel.core()
@@ -284,25 +282,21 @@ class MatchingState:
             self._augment(self._perm.tolist())
             free = np.flatnonzero(self.matching.tail_by_head < 0)
             return free, int(degrees(self.graph).total_degree[free].sum())
-        work = self._work
         if self._index is None:
-            if work is None:
-                work = self._work = _kernel.Workspace(self.graph)
+            work = _kernel.Workspace(self.graph)
             work.order[:] = self._perm
             work.keys[:] = self._keys
             work.mh[:] = self._mh  # arrays, or _augment's lists
             work.mt[:] = self._mt
+        else:
+            work = self._work
         size = compiled.sample(work, self._index)
         if size < 0:
             raise ValidationError(
                 "the completing pass left tail_by_head not the inverse of head_by_tail, or a wrong pair count"
             )
-        self._size = size
-        free = work.free_heads[:work.n - size]
-        if self._index is not None:
-            return free, work.degree_sum
-        self._mh, self._mt = work.mh.copy(), work.mt.copy()
-        return free.copy(), work.degree_sum
+        self._mh, self._mt, self._size = work.mh, work.mt, size
+        return work.free_heads[:work.n - size], work.degree_sum
 
     # --- internals ----------------------------------------------------
 

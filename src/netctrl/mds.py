@@ -186,37 +186,34 @@ class _Sampler:
 
     With the compiled core, its pass makes the draws of every index below
     2**64. Such a sample costs that one call and no copy: the sampler
-    keeps one drawn state on its workspace, and ``drivers`` is then a
-    view of the workspace's free in-roles, which the sampler's next
-    sample overwrites. ``seeding.sample_draws`` draws the rest, and each
-    such sample takes a state of its own, which copies; without the
-    compiled core the sampler makes no workspace, which the Python search
-    never reads.
+    keeps one drawn state on a workspace of its own, and ``drivers`` is
+    then a view of the workspace's free in-roles, which the sampler's
+    next sample overwrites. ``seeding.sample_draws`` draws the rest, and
+    each such sample takes a state of its own, which completes in a
+    workspace of its own; without the compiled core the sampler makes no
+    workspace, which the Python search never reads.
     """
 
-    __slots__ = ("graph", "seed", "tot", "work", "state", "n_d")
+    __slots__ = ("graph", "seed", "tot", "state", "n_d")
 
     def __init__(self, graph: DirectedGraph, seed: int, tot: np.ndarray):
         self.graph, self.seed, self.tot = graph, seed, tot
-        self.work = self.state = None  # the compiled pass's workspace and drawn state
+        self.state = None  # the drawn state, on the compiled pass's workspace
         if _kernel.core() is not None:
-            self.work = _kernel.Workspace(graph, seed)
-            self.state = MatchingState._drawn(graph, self.work)
+            self.state = MatchingState._drawn(graph, _kernel.Workspace(graph, seed))
         self.n_d = None
 
     def sample(self, i: int):
         if self.state is not None and i < 1 << 64:
             state = self.state
             state._restart(i)
-            order = self.work.order  # the pass writes the sample's order here
         else:
             graph = self.graph
-            order, keys = sample_draws(self.seed, i, graph.node_count, graph.edge_count)
-            state = MatchingState._sampling(graph, order, keys, work=self.work)
+            state = MatchingState._sampling(graph, *sample_draws(self.seed, i, graph.node_count, graph.edge_count))
         # the completing pass ends with every free tail failing its search,
         # which is the Berge certificate of maximality
         free = state.complete()
-        sample = _driver_set(*free, order.item(0), self.tot)
+        sample = _driver_set(*free, state._perm.item(0), self.tot)
         self.n_d = _agreed(self.n_d, sample[1])
         return sample
 

@@ -634,31 +634,31 @@ def test_compiled_scan_order_is_numpys_at_every_slice_length(compiled_kernel):
     assert work.free_heads[:n - size].tolist() == np.flatnonzero(work.mt < 0).tolist()
 
 
-def test_states_taking_turns_with_one_workspace_keep_their_own_matchings(compiled_kernel):
-    # the sampler completes every sample on one workspace: a finished
-    # state's matching and free in-roles must not follow the next sample's
+@pytest.mark.parametrize("core", ["compiled", "python"])
+def test_a_completed_state_keeps_what_its_own_pass_wrote(core, request, monkeypatch):
+    # a state keeps the matching and free in-roles its complete() wrote:
+    # the passes after it, a Berge check's and a sample's past 2**64 - 1,
+    # write into memory of their own
+    kernel = request.getfixturevalue("compiled_kernel") if core == "compiled" else None
+    monkeypatch.setattr(_kernel, "_kernel", kernel)
     g = gen_directed_er(60, 120, seed=3)
-    work = _kernel.Workspace(g)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(_kernel, "_kernel", compiled_kernel)
-        states = []
-        for seed in range(4):
-            rng = np.random.default_rng(seed)
-            state = MatchingState._sampling(
-                g, rng.permutation(g.node_count), shuffled_keys(g, rng), empty_matching(g.node_count), work
-            )
-            free, _ = state.complete()
-            states.append((state, state.matching, free, free.copy()))
-    for state, matching, free, copied in states:
-        assert state.matching == matching
-        assert free.tolist() == copied.tolist()
-        assert free.tolist() == np.flatnonzero(matching.tail_by_head < 0).tolist()
+    state = MatchingState(g, NodeOrder(np.random.default_rng(3).permutation(g.node_count)))
+    for _ in range(10):
+        state.extend_with_node()
+    free, _ = state.complete()
+    matching, copied = state.matching, free.copy()
+    assert verify_maximum(g, max_matching(g, intern_order(g)))
+    [later] = iter_samples(g, 1, seed=3, start=2**64)
+    assert later.drivers != tuple(copied.tolist())  # the later pass wrote another matching
+    assert state.matching == matching
+    assert free.tolist() == copied.tolist() == np.flatnonzero(matching.tail_by_head < 0).tolist()
 
 
 def test_a_drawn_state_copies_nothing_and_starts_each_sample_empty(compiled_kernel, monkeypatch):
     # one drawn state serves every index on its workspace: its matching is
     # the workspace's, its free in-roles a view of work.free_heads, and
-    # each sample equals that of a state handed the stream's draws, which copies
+    # each sample equals that of a state handed the stream's draws, which
+    # completes in a workspace of its own
     monkeypatch.setattr(_kernel, "_kernel", compiled_kernel)
     g = gen_directed_er(60, 120, seed=3)
     work = _kernel.Workspace(g, 5)
@@ -671,8 +671,9 @@ def test_a_drawn_state_copies_nothing_and_starts_each_sample_empty(compiled_kern
         assert state._mh is work.mh and state._mt is work.mt
         given_ = MatchingState._sampling(g, *sample_draws(5, i, g.node_count, g.edge_count))
         given_free, given_sum = given_.complete()
-        assert not np.shares_memory(given_free, given_._work.free_heads)
-        assert not np.shares_memory(given_._mh, given_._work.mh)
+        for given_array in (given_._mh, given_._mt, given_free):
+            for array in (work.mh, work.mt, work.free_heads):
+                assert not np.shares_memory(given_array, array)
         assert (free.tolist(), degree_sum, state.size) == (given_free.tolist(), given_sum, given_.size)
         assert state.matching == given_.matching
     with pytest.raises(ValueError, match="without a seed"):
