@@ -1,4 +1,5 @@
-/* The compiled core. Every entry point writes only into the caller's
+/* The compiled core: three entry points, netctrl_sample, netctrl_tokenize
+ * and netctrl_build. Every entry point writes only into the caller's
  * arrays (netctrl_sample's scratch comes from the caller too), and no
  * memory outlives a call: netctrl_tokenize's hash table is its own and
  * freed before it returns. None keeps state between calls, so calls on
@@ -82,22 +83,42 @@
  * first appearance with an open-addressing hash table.
  *
  * Writes each edge line's (tail, head) ids to `ends`, which has room for
- * 2 * ((size + 1) / 4) of them: an edge line takes at least four bytes,
- * two tokens, a blank and a line break, and the last line may end
- * without its break. Writes the labels to two more arrays of the
- * caller's, sized by the text as `ends` is: `packed`, of size + 1 bytes,
- * each label's bytes followed by '\n' (a label never holds a line break),
- * in order of first appearance, and `offsets`, of one entry more than
- * `ends`, where each label starts, with one entry past the last, so that
- * label i is packed[offsets[i]..offsets[i + 1] - 1). Both bounds hold:
- * a new label's bytes and its '\n' take no more room than its token and
- * the byte after it in the text, which only the last token may lack, and
- * an edge line adds at most two labels. The hash table is the one array
+ * two ids per line the text can hold: the caller counts them as the
+ * smaller of its line breaks + 1 (the last line may end without its
+ * break) and (size + 1) / 4 (an edge line takes at least four bytes, two
+ * tokens, a blank and a line break). Writes the labels to two more
+ * arrays of the caller's: `packed`, of size + 1 bytes, each label's bytes
+ * followed by '\n' (a label never holds a line break), in order of first
+ * appearance, and `offsets`, of one entry more than `ends`, where each
+ * label starts, with one entry past the last, so that label i is
+ * packed[offsets[i]..offsets[i + 1] - 1). Both bounds hold: a new label's
+ * bytes and its '\n' take no more room than its token and the byte after
+ * it in the text, which only the last token may lack, and an edge line
+ * adds at most two labels. The hash table is the one array
  * the call allocates: it grows fourfold when it is half full, so it is
  * sized by the labels, and it is freed before the call returns. Writes
  * the label count to `*labels` and returns the number of edge lines; -1
  * when a line does not hold two tokens (the caller's line loop then
  * reports it), -2 when there is no memory for the hash table.
+ *
+ * netctrl_build: every array of a DirectedGraph of `n` nodes, built from
+ * `count` (tail, head) pairs into one int64 buffer of the caller's, of
+ * 5 * count + 2 * n + 2 entries laid out as
+ *   tails[count] heads[count] out_ptr[n + 1] out_heads[count]
+ *   in_ptr[n + 1] in_tails[count] keys[count]
+ * (graph._layout names the same regions). The caller writes the pairs to
+ * `tails` and `heads`. A pair given more than once is kept at its first
+ * position only: the call moves the kept pairs to the front of `tails` and
+ * `heads`, in input order, and writes the other regions for them. Each
+ * CSR row (out_heads of a tail, in_tails of a head) keeps input order, as
+ * the scan's tie rule needs, and `keys` holds tail * n + head of every
+ * kept pair in ascending order. Each array is built with counting sorts;
+ * `keys` is the in-CSR, which is ordered by head, sorted stably by tail.
+ * Repeats are found in the out-rows by a stamp per head. The unused
+ * regions hold the scratch, so the call allocates nothing. Checks its
+ * inputs: n in 1..MAX_NODES (so that every key fits int64), count >= 0
+ * and every id in 0..n-1. Returns the number of pairs kept, or -1 when a
+ * check fails, with the buffer's contents undefined.
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -379,6 +400,82 @@ done:
     free(t.table);
     *labels = t.count;
     return edges;
+}
+
+/* the largest n whose keys tail * n + head, up to n * n - 1, fit int64 */
+#define MAX_NODES INT64_C(3037000499)
+
+int64_t netctrl_build(int64_t n, int64_t count, int64_t *buffer)
+{
+    if (n < 1 || n > MAX_NODES || count < 0)
+        return -1;
+    int64_t *tails = buffer, *heads = tails + count, *out_ptr = heads + count, *out_heads = out_ptr + n + 1;
+    int64_t *in_ptr = out_heads + count, *in_tails = in_ptr + n + 1, *keys = in_tails + count;
+    /* scratch: each tail's pair ids in `keys`, a stamp per head in `in_ptr` */
+    int64_t *rows = keys, *stamp = in_ptr;
+
+    /* out-degrees over every pair, repeats included, as row starts */
+    for (int64_t u = 0; u <= n; u++)
+        out_ptr[u] = 0;
+    for (int64_t e = 0; e < count; e++) {
+        if (tails[e] < 0 || tails[e] >= n || heads[e] < 0 || heads[e] >= n)
+            return -1;
+        out_ptr[tails[e] + 1]++;
+    }
+    for (int64_t u = 0; u < n; u++)
+        out_ptr[u + 1] += out_ptr[u];
+    /* each tail's pair ids in input order; out_ptr[u] ends as row u's end */
+    for (int64_t e = 0; e < count; e++)
+        rows[out_ptr[tails[e]]++] = e;
+    /* the out-CSR of the first occurrences: a head already stamped with
+     * its row's tail is a repeat, marked by a tail of -1 */
+    for (int64_t v = 0; v < n; v++)
+        stamp[v] = -1;
+    int64_t kept = 0;
+    for (int64_t u = 0, start = 0; u < n; u++) {
+        int64_t end = out_ptr[u];
+        out_ptr[u] = kept;
+        for (int64_t i = start; i < end; i++) {
+            int64_t e = rows[i], v = heads[e];
+            if (stamp[v] == u) {
+                tails[e] = -1;
+                continue;
+            }
+            stamp[v] = u;
+            out_heads[kept++] = v;
+        }
+        start = end;
+    }
+    out_ptr[n] = kept;
+    if (kept < count)
+        for (int64_t e = 0, k = 0; e < count; e++)
+            if (tails[e] >= 0) {
+                tails[k] = tails[e];
+                heads[k++] = heads[e];
+            }
+
+    /* the in-CSR: in_ptr[v] is row v's cursor, then its end, shifted back */
+    for (int64_t v = 0; v <= n; v++)
+        in_ptr[v] = 0;
+    for (int64_t e = 0; e < kept; e++)
+        in_ptr[heads[e] + 1]++;
+    for (int64_t v = 0; v < n; v++)
+        in_ptr[v + 1] += in_ptr[v];
+    for (int64_t e = 0; e < kept; e++)
+        in_tails[in_ptr[heads[e]]++] = tails[e];
+    for (int64_t v = n; v > 0; v--)
+        in_ptr[v] = in_ptr[v - 1];
+    in_ptr[0] = 0;
+
+    /* the keys: the in-CSR's pairs, by head, placed stably by tail, with
+     * out_ptr as the cursors and then shifted back */
+    for (int64_t v = 0; v < n; v++)
+        for (int64_t j = in_ptr[v]; j < in_ptr[v + 1]; j++)
+            keys[out_ptr[in_tails[j]]++] = in_tails[j] * n + v;
+    for (int64_t u = n; u > 0; u--)
+        out_ptr[u] = out_ptr[u - 1];
+    out_ptr[0] = 0;
+    return kept;
 }
 
 /* SeedSequence with numpy's default pool of four uint32 words */

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError, shown
-from .graph import DirectedGraph, _Labels, degrees
+from .graph import DirectedGraph, _edge_buffer, _Labels, degrees
 from .seeding import check_int, check_real, check_seed
 
 __all__ = [
@@ -151,8 +151,8 @@ def reverse_edges(graph: DirectedGraph, params: ReversalParams) -> ReversalResul
     """
     rng = np.random.default_rng(params.seed)
     r = params.r
+    n, tails, heads, keys = graph.node_count, graph.tails, graph.heads, graph._keys
     tot = degrees(graph).total_degree
-    tails, heads = graph.tails, graph.heads
     eligible = np.flatnonzero(tot[tails] < tot[heads])
     # one draw per eligible edge, in edge order: the same stream as one
     # scalar draw per edge. Flipping in one step is exact, because a flip
@@ -160,15 +160,24 @@ def reverse_edges(graph: DirectedGraph, params: ReversalParams) -> ReversalResul
     # never flip to the same pair, and (v, u) runs from higher to lower
     # degree, so it is never flipped away itself.
     flips = eligible[rng.random(eligible.size) < r]
-    collides = graph.has_edge(heads[flips], tails[flips])
-    flips = flips[~collides]
-    pairs = np.column_stack((tails, heads))
-    pairs[flips] = pairs[flips, ::-1]
-    reversed_count = int(flips.size)
+    flipped_tails, flipped_heads = heads[flips], tails[flips]
+    # a flip collides when its reversed key is one of the input's sorted keys
+    flipped = flipped_tails * n + flipped_heads
+    collides = keys.take(np.searchsorted(keys, flipped), mode="clip") == flipped
     skipped = int(np.count_nonzero(collides))
+    if skipped:
+        kept = ~collides
+        flips, flipped_tails, flipped_heads = flips[kept], flipped_tails[kept], flipped_heads[kept]
+    count = tails.size
+    buffer = _edge_buffer(n, count)
+    buffer[:count] = tails
+    buffer[count:2 * count] = heads
+    buffer[flips] = flipped_tails
+    buffer[count:2 * count][flips] = flipped_heads
+    reversed_count = int(flips.size)
     provenance = graph.provenance + (
         f"reverse r={r} seed={params.seed} reversed={reversed_count} skipped={skipped}",
     )
-    # the input's own label store: its labels are neither checked nor cut again
-    out = DirectedGraph(graph._labels, pairs, provenance=provenance)
+    # the input's own label store and node indices: neither is checked again
+    out = DirectedGraph._built(graph._labels, buffer, count, provenance)
     return ReversalResult(graph=out, reversed_count=reversed_count, skipped_count=skipped)

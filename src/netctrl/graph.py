@@ -31,9 +31,10 @@ __all__ = [
 _COMMENT_PREFIXES = ("#", "%")
 
 
-def _int64_array(values, error: type[Exception], what: str, pairs: bool = False) -> np.ndarray:
+def _int64_array(values, error: type[Exception], what: str, pairs: bool = False, copy: bool = True) -> np.ndarray:
     """A new int64 array of ``values``, an array or an iterable: flat, or
     one (tail, head) row per pair when ``pairs`` (an empty input is no pairs).
+    Without ``copy``, an int64 array comes back as it is.
 
     Raises ``error`` when a non-empty input holds anything but integers (the
     cast would cut floats and parse strings), integers past int64 (the cast
@@ -56,7 +57,7 @@ def _int64_array(values, error: type[Exception], what: str, pairs: bool = False)
         array = array.reshape(shape)
     if array.ndim != len(shape) or array.shape[1:] != shape[1:]:
         raise error(f"{what} must be integers in {layout}")
-    return array.astype(np.int64)
+    return array.astype(np.int64, copy=copy)
 
 
 def _node_indices(values, n: int) -> np.ndarray:
@@ -116,6 +117,64 @@ class _Labels:
         return self._packed[start:stop - 1].decode("ascii")
 
 
+# the most nodes whose edge keys, tail * n + head up to n * n - 1, fit int64
+# (MAX_NODES in _core.c)
+_MAX_NODES = 3037000499
+
+
+def _edge_buffer(n: int, count: int) -> np.ndarray:
+    """The one int64 buffer of a graph of ``n`` nodes built from ``count``
+    pairs, as ``_layout`` lays it out: the caller writes the tails to
+    ``[:count]`` and the heads to ``[count:2 * count]``, and the build
+    writes the rest."""
+    return np.empty(5 * count + 2 * n + 2, dtype=np.int64)
+
+
+def _layout(buffer: np.ndarray, n: int, count: int, kept: int) -> tuple[np.ndarray, ...]:
+    """``(tails, heads, out_ptr, out_heads, in_ptr, in_tails, keys)`` of a
+    built buffer, as views: regions of ``count``, ``count``, ``n + 1``,
+    ``count``, ``n + 1``, ``count`` and ``count`` entries, each edge array
+    holding the ``kept`` pairs (``netctrl_build`` in ``_core.c`` writes the
+    same regions)."""
+    starts = (0, count, 2 * count, 2 * count + n + 1, 3 * count + n + 1, 3 * count + 2 * n + 2, 4 * count + 2 * n + 2)
+    sizes = (kept, kept, n + 1, kept, n + 1, kept, kept)
+    return tuple(buffer[start:start + size] for start, size in zip(starts, sizes))
+
+
+def _build_arrays(n: int, count: int, buffer: np.ndarray) -> int:
+    """``netctrl_build`` with numpy, the fallback and the reference: the
+    number of pairs kept, with the buffer's regions written as it writes
+    them, or -1 when a node index lies outside 0..n-1."""
+    ends = buffer[:2 * count]
+    if count and (ends.min() < 0 or ends.max() >= n):
+        return -1
+    tails, heads = buffer[:count], buffer[count:2 * count]
+    # one key per pair, tail * n + head: sorted, it answers has_edge and
+    # equality, and equal neighbours are a repeated pair
+    given = tails * n + heads
+    keys = np.sort(given)
+    if (keys[1:] == keys[:-1]).any():
+        # keep each pair at its first position, in input order
+        keys, first = np.unique(given, return_index=True)
+        first.sort()
+        tails[:first.size], heads[:first.size] = tails[first], heads[first]
+    kept = keys.size
+    tails, heads, out_ptr, out_heads, in_ptr, in_tails, key_region = _layout(buffer, n, count, kept)
+    # Each row keeps input order: the keys row * width + slot are unique
+    # (width is the edge count, at least 1), so sorting them orders the
+    # slots by row and, within a row, by slot. The row pointers are
+    # prefix sums of the row lengths.
+    width = max(kept, 1)
+    slots = np.arange(kept)
+    out_heads[:] = heads[np.sort(tails * width + slots) % width]
+    in_tails[:] = tails[np.sort(heads * width + slots) % width]
+    out_ptr[0] = in_ptr[0] = 0
+    np.cumsum(np.bincount(tails, minlength=n), out=out_ptr[1:])
+    np.cumsum(np.bincount(heads, minlength=n), out=in_ptr[1:])
+    key_region[:] = keys
+    return kept
+
+
 class DirectedGraph:
     """Immutable directed graph stored as numpy edge arrays.
 
@@ -123,7 +182,8 @@ class DirectedGraph:
     ``out_heads`` are the out-adjacency as compressed sparse rows (the
     heads of tail u are ``out_heads[out_ptr[u]:out_ptr[u + 1]]``), and
     ``in_ptr`` and ``in_tails`` the in-adjacency; each row keeps input
-    order. All arrays are read-only.
+    order. All arrays are read-only views of one int64 buffer, which the
+    compiled ``netctrl_build`` writes, or the numpy build without it.
 
     Construction validates that node indices are dense and labels are
     unique. Labels the library made itself (parsed, generated, or shared
@@ -167,44 +227,44 @@ class DirectedGraph:
         n = labels.count
         if n < 1:
             raise ValueError("graph needs at least one node")
-        pairs = _int64_array(edges, ValueError, "edge ends", pairs=True)
-        if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
+        if n > _MAX_NODES:
+            raise ValueError(f"{n} nodes have more node pairs than int64 edge keys index")
+        pairs = _int64_array(edges, ValueError, "edge ends", pairs=True, copy=False)
+        count = pairs.shape[0]
+        buffer = _edge_buffer(n, count)
+        buffer[:count] = pairs[:, 0]
+        buffer[count:2 * count] = pairs[:, 1]
+        if not self._build(labels, buffer, count, provenance):
             tail, head = pairs[((pairs < 0) | (pairs >= n)).any(axis=1)][0].tolist()
             raise ValueError(f"edge ({tail}, {head}) out of range for {n} nodes")
-        tails, heads = pairs.T.copy()
-        # one key per edge, tail * n + head: sorted, it answers has_edge
-        # and equality, and equal neighbours are a repeated pair
-        given = tails * n + heads
-        keys = np.sort(given)
-        if (keys[1:] == keys[:-1]).any():
-            # keep each pair at its first position, in input order
-            keys, first = np.unique(given, return_index=True)
-            first.sort()
-            tails, heads = tails[first], heads[first]
-        # Each row keeps input order: the keys row * width + slot are unique
-        # (width is the edge count, at least 1), so sorting them orders the
-        # slots by row and, within a row, by slot. The row pointers are
-        # prefix sums of the row lengths.
-        width = max(tails.size, 1)
-        slots = np.arange(tails.size)
-        out_rows = np.sort(tails * width + slots) % width
-        in_rows = np.sort(heads * width + slots) % width
-        out_ptr = np.zeros(n + 1, dtype=np.int64)
-        in_ptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(tails, minlength=n), out=out_ptr[1:])
-        np.cumsum(np.bincount(heads, minlength=n), out=in_ptr[1:])
+
+    @classmethod
+    def _built(cls, labels: _Labels, buffer: np.ndarray, count: int, provenance: tuple[str, ...]) -> DirectedGraph:
+        """A graph of the library's own ``labels`` and of ``count`` pairs
+        that ``buffer`` (``_edge_buffer``) holds, all node indices: no
+        check is made again."""
+        graph = cls.__new__(cls)
+        if not graph._build(labels, buffer, count, provenance):
+            raise ValueError(f"edge ends out of range for {labels.count} nodes")
+        return graph
+
+    def _build(self, labels: _Labels, buffer: np.ndarray, count: int, provenance) -> bool:
+        """Take the arrays built in ``buffer``; False, and nothing taken,
+        when a node index lies outside 0..N-1."""
+        # compiled when the core is loaded, else with numpy: the same arrays
+        compiled = _kernel.loaded()
+        n = labels.count
+        kept = _build_arrays(n, count, buffer) if compiled is None else compiled.build(n, count, buffer)
+        if kept < 0:
+            return False
+        buffer.flags.writeable = False  # and so every view of it
+        self.tails, self.heads, self.out_ptr, self.out_heads, self.in_ptr, self.in_tails, self._keys = _layout(
+            buffer, n, count, kept
+        )
         self._labels = labels
-        self._keys = keys
-        self.tails = tails
-        self.heads = heads
-        self.out_ptr = out_ptr
-        self.out_heads = heads[out_rows]
-        self.in_ptr = in_ptr
-        self.in_tails = tails[in_rows]
-        for array in (keys, tails, heads, self.out_ptr, self.out_heads, self.in_ptr, self.in_tails):
-            array.flags.writeable = False
-        self.duplicate_count = given.size - keys.size
+        self.duplicate_count = count - kept
         self.provenance = tuple(provenance)
+        return True
 
     @property
     def node_count(self) -> int:
@@ -273,8 +333,9 @@ class DegreeView:
 
 def degrees(graph: DirectedGraph) -> DegreeView:
     """Exact in/out/total degrees for every node, from the CSR row pointers."""
-    out = np.diff(graph.out_ptr)
-    inc = np.diff(graph.in_ptr)
+    out_ptr, in_ptr = graph.out_ptr, graph.in_ptr
+    out = out_ptr[1:] - out_ptr[:-1]
+    inc = in_ptr[1:] - in_ptr[:-1]
     return DegreeView(in_degree=inc, out_degree=out, total_degree=inc + out)
 
 

@@ -271,8 +271,8 @@ class MatchingState:
         ``free_heads``. A drawn state (``_drawn``) keeps its workspace for
         the whole stream, so they hold until its next call. Every other
         state copies its matching into a workspace of its own for the one
-        call and keeps none of it but those three arrays, which no later
-        call writes.
+        call, which no later call writes, and keeps those three arrays,
+        views that keep the workspace's one buffer alive with them.
         """
         self._admitted = self.graph.node_count  # no node is left to admit
         compiled = _kernel.core()

@@ -1,13 +1,23 @@
 """Compiled cores that fail on purpose, for the tests of how a failing
 sample is reported: the sampler takes each for the compiled core, and it
-fails in ``sample``, the call that completes a matching."""
+fails in ``sample``, the call that completes a matching. Each builds
+graphs as the library does without a compiled core."""
 
 from __future__ import annotations
 
 from netctrl import _kernel
+from netctrl.graph import _build_arrays
 
 
-class BreachingCore:
+class NumpyBuild:
+    """A stand-in core's ``build``: the numpy build, which gives the
+    compiled build's arrays."""
+
+    def build(self, n, count, buffer):
+        return _build_arrays(n, count, buffer)
+
+
+class BreachingCore(NumpyBuild):
     """A core whose completing pass reports a breach: a matching that is
     not the inverse of its tail_by_head, or a wrong pair count."""
 
@@ -15,7 +25,7 @@ class BreachingCore:
         return _kernel.BREACH
 
 
-class NoMemory:
+class NoMemory(NumpyBuild):
     """A core whose sampling pass finds no memory."""
 
     def sample(self, work, index=None):

@@ -17,6 +17,7 @@ from netctrl import (
     gen_directed_ba,
     gen_directed_er,
     max_matching,
+    _kernel,
     reverse_edges,
 )
 
@@ -222,3 +223,38 @@ def test_reverse_edges_equals_the_edge_by_edge_reference(g, r, seed):
     assert result.graph.duplicate_count == 0 and result.graph.edge_count == g.edge_count
     assert result.graph.edges == edges
     assert (result.reversed_count, result.skipped_count) == (reversed_count, skipped)
+
+
+@st.composite
+def reversal_inputs(draw):
+    """A dense ER graph, whose flips collide, or a BA graph, whose flips
+    mostly do not."""
+    if draw(st.booleans()):
+        return draw(dense_er_graphs())
+    m = draw(st.integers(min_value=1, max_value=3))
+    n = draw(st.integers(min_value=m + 1, max_value=60))
+    p = draw(st.floats(min_value=0.0, max_value=1.0))
+    return gen_directed_ba(BaParams(n=n, m_attach=m, m0=m, p=p, seed=draw(st.integers(0, 2**32 - 1))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(reversal_inputs(), st.integers(min_value=0, max_value=2**32 - 1))
+def test_reverse_edges_gives_the_same_graph_and_tallies_on_both_cores(compiled_kernel, g, seed):
+    # the compiled build and the numpy build of the flipped pairs, and the
+    # collisions read off the input's sorted keys, agree with the reference
+    for r in (0.0, 0.5, 1.0):
+        params = ReversalParams(r=r, seed=seed)
+        results = []
+        for core in (compiled_kernel, None):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(_kernel, "_kernel", core)
+                results.append(reverse_edges(g, params))
+        compiled, numpy_built = results
+        edges, reversed_count, skipped = naive_reverse_edges(g, params)
+        for result in results:
+            assert result.graph.edges == edges and result.graph.duplicate_count == 0
+            assert (result.reversed_count, result.skipped_count) == (reversed_count, skipped)
+        assert compiled.graph == numpy_built.graph and hash(compiled.graph) == hash(numpy_built.graph)
+        assert compiled.graph.provenance == numpy_built.graph.provenance
+        for name in ("tails", "heads", "out_ptr", "out_heads", "in_ptr", "in_tails", "_keys"):
+            assert getattr(compiled.graph, name).tolist() == getattr(numpy_built.graph, name).tolist(), name

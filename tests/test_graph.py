@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import string
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from netctrl import (
     to_edge_list,
 )
 
+from failing_cores import NumpyBuild
 from naive import naive_csr
 
 
@@ -496,7 +498,7 @@ def test_compiled_tokenizer_agrees_on_thousands_of_labels(compiled_kernel):
 
 
 def test_non_ascii_text_and_a_missing_core_take_the_line_loop(monkeypatch):
-    class Refuses:
+    class Refuses(NumpyBuild):
         def tokenize(self, data):
             raise AssertionError("the compiled tokenizer ran")
 
@@ -615,3 +617,114 @@ def test_generated_graphs_equal_their_public_twins(n, m, p, seed):
     for g in (ba, er):
         assert_equals_its_public_twin(g)
         assert_equals_its_public_twin(reverse_edges(g, ReversalParams(r=0.5, seed=seed)).graph)
+
+
+GRAPH_ARRAYS = ("tails", "heads", "out_ptr", "out_heads", "in_ptr", "in_tails", "_keys")
+
+
+def built_both_ways(core, n: int, pairs) -> list[DirectedGraph]:
+    """The graph of labels 0..n-1 and ``pairs``, built by the compiled
+    ``netctrl_build`` and by the numpy build."""
+    graphs = []
+    for compiled in (core, None):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_kernel, "_kernel", compiled)
+            graphs.append(DirectedGraph([str(i) for i in range(n)], pairs))
+    return graphs
+
+
+def assert_builds_agree(core, n: int, pairs) -> None:
+    compiled, numpy_built = built_both_ways(core, n, pairs)
+    for name in GRAPH_ARRAYS:
+        mine, theirs = getattr(compiled, name), getattr(numpy_built, name)
+        assert mine.dtype == theirs.dtype == np.int64 and mine.tolist() == theirs.tolist(), name
+        assert not mine.flags.writeable and not theirs.flags.writeable
+    assert compiled.duplicate_count == numpy_built.duplicate_count
+    assert compiled == numpy_built and hash(compiled) == hash(numpy_built)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair_lists(max_n=9))
+@example((1, []))  # one node, no edge
+@example((1, [(0, 0), (0, 0), (0, 0)]))  # one node, a repeated self-loop
+@example((5, [(0, 1), (0, 1), (2, 2), (1, 0), (2, 2), (0, 1)]))  # repeats, self-loops, isolated 3 and 4
+@example((4, [(3, 0), (2, 0), (1, 0), (3, 0), (0, 3)]))  # a row against input order
+def test_compiled_build_equals_numpys_on_pairs_with_repeats(compiled_kernel, case):
+    n, pairs = case
+    assert_builds_agree(compiled_kernel, n, pairs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(digraphs(max_n=12))
+@example(DirectedGraph(["0", "1", "2"], []))
+def test_compiled_build_equals_numpys_on_simple_graphs(compiled_kernel, g):
+    assert_builds_agree(compiled_kernel, g.node_count, list(g.edges))
+
+
+def test_compiled_build_refuses_what_the_constructor_refuses(compiled_kernel, monkeypatch):
+    # the builders check the node indices themselves, with the same message
+    # on both engines; a node count past MAX_NODES is refused before either
+    for core in (compiled_kernel, None):
+        monkeypatch.setattr(_kernel, "_kernel", core)
+        with pytest.raises(ValueError, match=r"edge \(1, 3\) out of range for 3 nodes"):
+            DirectedGraph(["a", "b", "c"], [(0, 1), (1, 3)])
+        with pytest.raises(ValueError, match=r"edge \(-1, 0\) out of range"):
+            DirectedGraph(["a", "b"], [(-1, 0)])
+        with pytest.raises(ValueError, match="more node pairs than int64"):
+            DirectedGraph(graph_module._Labels(graph_module._MAX_NODES + 1), [])
+    buffer = graph_module._edge_buffer(3, 1)
+    buffer[:2] = (0, 3)
+    assert compiled_kernel.build(3, 1, buffer) == graph_module._build_arrays(3, 1, buffer.copy()) == -1
+    assert compiled_kernel.build(graph_module._MAX_NODES + 1, 0, buffer) == -1
+
+
+def tokenized_capacity(core, text: str) -> int:
+    """How many ids the tokenizer's ``ends`` buffer had room for."""
+    ends, _, _ = core.tokenize(text.encode("ascii"))
+    return (ends if ends.base is None else ends.base).size
+
+
+@pytest.mark.parametrize(
+    "text, lines",
+    [
+        ("a b", 1),  # a last line of three bytes, no line break
+        ("ab cd\nx y", 2),
+        ("# only\n\n% comments\n\n", 5),
+        ("a b\r\nb c\r\n", 2),  # \r\n is a break and a blank line; the text bounds it first
+        ("aa bb\r\ncc dd\r\n", 3),
+        ("a b\n" * 300, 300),  # both bounds: ids for every line, exactly
+        ("\n" * 4000 + "a b", 1001),  # far more lines than edges: the text bounds them
+        ("longer_label another\n" * 50 + "x y\x0bz w\x0cu v\x1cs t", 54),  # every kind of break counts
+    ],
+    ids=["three-bytes", "last-line-unbroken", "comments-only", "crlf", "crlf-long", "full",
+         "lines-past-edges", "other-breaks"],
+)
+def test_tokenizer_sizes_its_ids_by_the_line_count(compiled_kernel, text, lines):
+    # two ids per line, where a line is at most the line breaks + 1 and an
+    # edge line takes four bytes or more
+    assert lines == min(sum(text.count(b) for b in "\n\r\x0b\x0c\x1c\x1d\x1e") + 1, (len(text) + 1) // 4)
+    assert_tokenizer_agrees_with_the_line_loop(compiled_kernel, text)
+    assert tokenized_capacity(compiled_kernel, text) == 2 * lines
+
+
+def test_reading_an_edge_list_takes_little_more_than_the_graph(compiled_kernel, monkeypatch, tmp_path):
+    # numpy reports its buffers to tracemalloc. Past the text and the
+    # graph's own arrays, a read holds the tokenizer's ids and label
+    # offsets (16 bytes per line each), its packed labels (a byte per text
+    # byte) and a few small arrays: a slack of one text, 32 bytes per line
+    # and 64 KiB. Buffers sized by the text at 8 bytes per text byte, or a
+    # build that keeps a dozen edge-long temporaries, do not fit
+    monkeypatch.setattr(_kernel, "_kernel", compiled_kernel)
+    text = to_edge_list(gen_directed_er(10_000, 20_000, seed=5))
+    path = tmp_path / "er.txt"
+    path.write_text(text, encoding="ascii")
+    lines = text.count("\n") + 1
+    tracemalloc.start()
+    try:
+        g = read_edge_list(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    own = g.tails.base.nbytes + len(g._labels._packed) + g._labels._offsets.nbytes
+    slack = len(text) + 32 * lines + 64 * 1024
+    assert peak <= own + len(text) + slack, f"peak {peak} B, graph {own} B, text {len(text)} B"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ctypes
 import inspect
 import json
 import os
@@ -31,7 +32,7 @@ from netctrl.mds import NodeOrder, drivers, iter_samples, sample_mds
 from netctrl.seeding import sample_draws
 
 from corpus import matching_of
-from failing_cores import BreachingCore
+from failing_cores import BreachingCore, NumpyBuild
 from oracles import brute_force_max_matching_size, enumerate_maximum_matchings
 from naive import (
     NaiveState,
@@ -156,7 +157,7 @@ class TestVerifyMaximum:
         # a completing pass that leaves head 0 reading matched while no
         # tail holds it, and says nothing: the state's snapshot compares
         # its inverse with the one derived from head_by_tail
-        class StrayCore:
+        class StrayCore(NumpyBuild):
             def sample(self, work, index=None):
                 work.mt[0] = 0
                 return 0
@@ -837,3 +838,41 @@ def test_tie_order_does_not_follow_numpys_cpu_dispatch():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120, check=True
     )
     assert json.loads(child.stdout) == [tied_outcome(n) for n in (5, 40, 2000)]
+
+
+@pytest.mark.parametrize("core", ["compiled", "python"])
+def test_a_workspace_is_one_buffer_its_struct_points_into(compiled_kernel, monkeypatch, core):
+    # on graphs of either build, each struct pointer is its array's address,
+    # every array but the graph's lies in the workspace's one buffer (mark
+    # as n bytes, the seed as its uint32 words), and no two arrays overlap
+    monkeypatch.setattr(_kernel, "_kernel", compiled_kernel if core == "compiled" else None)
+    seed = 2**70 + 3
+    for g in (DirectedGraph(["a"], []), gen_directed_er(37, 90, seed=2),
+              gen_directed_ba(BaParams(n=50, m_attach=2, m0=3, p=0.5, seed=1))):
+        work = _kernel.Workspace(g, seed)
+        s = work._struct
+        n, e = g.node_count, g.edge_count
+        arrays = {
+            "ptr": g.out_ptr, "heads": g.out_heads, "in_ptr": g.in_ptr, "keys": work.keys, "order": work.order,
+            "mh": work.mh, "mt": work.mt, "scan": work.scan, "free_heads": work.free_heads,
+        }
+        for field, array in arrays.items():
+            # numpy gives an empty view no address of its own
+            assert getattr(s, field) == array.ctypes.data or not array.size, field
+        nbytes = {
+            "ptr": 8 * (n + 1), "heads": 8 * e, "in_ptr": 8 * (n + 1), "keys": 8 * e, "order": 8 * n, "mh": 8 * n,
+            "mt": 8 * n, "scan": 8 * e, "mark": n, "trail": 8 * n, "stack": 24 * n, "free_heads": 8 * n,
+            "seed": 4 * s.words,
+        }
+        for field, array in arrays.items():
+            assert array.nbytes == nbytes[field], field
+        ranges = sorted((getattr(s, field), getattr(s, field) + size, field) for field, size in nbytes.items() if size)
+        for (_, end, first), (start, _, second) in zip(ranges, ranges[1:]):
+            assert end <= start, f"{first} overlaps {second}"
+        buffer = work._arrays[-1]
+        low, high = buffer.ctypes.data, buffer.ctypes.data + buffer.nbytes
+        for field in ("keys", "order", "mh", "mt", "scan", "mark", "trail", "stack", "free_heads", "seed"):
+            assert low <= getattr(s, field) and getattr(s, field) + nbytes[field] <= high, field
+        words = np.ctypeslib.as_array((ctypes.c_uint32 * s.words).from_address(s.seed))
+        assert words.tolist() == _kernel.seed_words(seed).tolist() == [3, 0, 64]
+        assert (s.n, s.degree_sum) == (n, 0)

@@ -598,6 +598,9 @@ class CountingCore:
         self.calls = 0
         self.other_started = threading.Event()
 
+    def build(self, n, count, buffer):
+        return self.core.build(n, count, buffer)
+
     def sample(self, work, index=None):
         self.calls += 1
         if index != self.index:
