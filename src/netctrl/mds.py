@@ -236,10 +236,14 @@ def _check_stream(count, seed, start=0) -> tuple[int, int, int]:
 # The work of a sample stream, in samples x out-CSR slots, from which
 # sample_mds draws it with a sampler per CPU. Set where two threads first
 # beat one on a 2-core machine while the calling thread only waited for
-# them. With the calling thread drawing too, two samplers take 0.82-0.86x
-# the time of one on BA N=10^3 at 50 samples (about 10^5), 0.76x on ER
-# N=10^4 at 5 samples (10^5) and 0.89x on BA N=10^3 at 20 samples
-# (4 x 10^4), so the bound is conservative (CHANGES.md has the figures).
+# them. With each sampler pinned to a CPU of its own, two samplers take
+# (medians of 40-60 alternating rounds on a 2-vCPU VM whose cpusets
+# balance no load) 0.70x the time of one on BA N=10^3 at 50 samples
+# (about 10^5), 0.77x at 20 samples (4 x 10^4) and 0.86x at 10 (2 x 10^4,
+# upper quartile 1.06x); on ER N=10^4, 0.68x at 5 samples (10^5), 0.81x
+# at 3 and 0.73x at 2 (4 x 10^4). Unpinned, the same streams took
+# 1.02-1.23x. So the bound is conservative; it stays here so that a sweep's
+# points (2 x 10^4 each on BA N=10^3) keep one sampler.
 _THREADS_BREAK_EVEN_SAMPLED_SLOTS = 100_000
 
 # the most samples in a block of a stream on threads: blocks of a few
@@ -249,10 +253,22 @@ _MAX_BLOCK = 64
 
 
 def _usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity mask where the system has one."""
+    """The CPUs this process may run on: its affinity mask where the system
+    has one. A stream on threads pins each sampler to one CPU of the
+    calling thread's mask, and restores the caller's mask when it ends
+    (``_samples``)."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _pin(cpus) -> None:
+    """Run the calling thread on ``cpus`` only; where the system refuses,
+    it runs where it did."""
+    try:
+        os.sched_setaffinity(0, cpus)
+    except OSError:
+        pass
 
 
 def _stream_workers(graph: DirectedGraph, count: int) -> int:
@@ -262,7 +278,9 @@ def _stream_workers(graph: DirectedGraph, count: int) -> int:
     A stream whose work reaches the break-even has one sampler per usable
     CPU and no more than the count, when the compiled pass draws every
     sample (each call then releases the GIL for the whole sample); every
-    other stream has one, the calling thread.
+    other stream has one, the calling thread. Each sampler runs pinned to
+    one CPU of the calling thread's affinity mask, and the caller's mask
+    is restored when the stream ends (``_samples``).
     """
     if count * graph.edge_count < _THREADS_BREAK_EVEN_SAMPLED_SLOTS or count > 1 << 64:
         return 1
@@ -295,6 +313,16 @@ def _samples(graph: DirectedGraph, count: int, seed: int, start: int, workers: i
     results, as a thread does. One sampler takes the whole range as one
     block and starts no thread.
 
+    With more than one, sampler k (the calling thread is sampler 0) runs
+    pinned to CPU ``mask[k % len(mask)]`` of the calling thread's affinity
+    mask, read once as a sorted list, from before it takes its first
+    block: where the kernel balances no load across CPUs (a cpuset with
+    ``sched_load_balance`` 0), a started thread stays on the CPU of the
+    thread that made it, and the samplers would take turns on one CPU.
+    The calling thread gets its mask back once every thread is joined,
+    on every way out. Without ``os.sched_setaffinity``, or where a pin
+    raises OSError, the samplers run unpinned.
+
     The first exception of a thread, or of the caller (an interrupt, or
     the generator closed), sets a stop that each sampler reads before its
     next sample; a thread's exception is raised here, and every thread is
@@ -309,6 +337,7 @@ def _samples(graph: DirectedGraph, count: int, seed: int, start: int, workers: i
     yielded = 0  # blocks yielded
     failure: BaseException | None = None
     stop = False
+    mask = sorted(os.sched_getaffinity(0)) if workers > 1 and hasattr(os, "sched_setaffinity") else None
 
     def draw(sampler: _Sampler, b: int):
         """Block b's kept samples, up to a stop."""
@@ -317,9 +346,11 @@ def _samples(graph: DirectedGraph, count: int, seed: int, start: int, workers: i
                 return
             yield keep(*sampler.sample(i))
 
-    def work(sampler: _Sampler) -> None:
+    def work(sampler: _Sampler, k: int) -> None:
         nonlocal taken, failure, stop
         try:
+            if mask:
+                _pin({mask[k % len(mask)]})
             while True:
                 with ready:
                     while not stop and taken < blocks and taken >= yielded + 2 * workers:
@@ -341,12 +372,14 @@ def _samples(graph: DirectedGraph, count: int, seed: int, start: int, workers: i
 
     threads = []
     try:
-        for _ in range(workers - 1):
+        for k in range(1, workers):
             sampler = _Sampler(graph, seed, tot)
-            thread = threading.Thread(target=work, args=(sampler,), name="netctrl-sampler", daemon=True)
+            thread = threading.Thread(target=work, args=(sampler, k), name="netctrl-sampler", daemon=True)
             thread.start()
             threads.append(thread)  # once started, so that only started threads are joined
         sampler = _Sampler(graph, seed, tot)
+        if mask:
+            _pin({mask[0]})
         for b in range(blocks):
             while True:
                 with ready:
@@ -376,6 +409,8 @@ def _samples(graph: DirectedGraph, count: int, seed: int, start: int, workers: i
             ready.notify_all()
         for thread in threads:
             thread.join()
+        if mask:
+            _pin(mask)
 
 
 def iter_samples(
@@ -416,7 +451,9 @@ def sample_mds(graph: DirectedGraph, count: int, seed: int, dedupe: bool = False
 
     A long enough stream on a graph with the compiled core is drawn by the
     calling thread and one more thread per usable CPU past the first
-    (``_stream_workers``); the summary is the same as on one.
+    (``_stream_workers``), each sampler pinned to one CPU of the calling
+    thread's affinity mask, which is restored when the stream ends; the
+    summary is the same as on one.
     """
     count, seed, _ = _check_stream(count, seed)
     if not isinstance(dedupe, (bool, np.bool_)):  # a string or a list would read as true

@@ -1,8 +1,23 @@
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from netctrl import DirectedGraph, _kernel
+
+
+@pytest.fixture(autouse=True)
+def gives_the_cpus_back():
+    """Every test ends on the CPUs it began on: a sample stream on threads
+    pins its calling thread to one CPU while it runs, and must restore
+    the thread's mask on every way out."""
+    if not hasattr(os, "sched_getaffinity"):
+        yield
+        return
+    mask = os.sched_getaffinity(0)
+    yield
+    assert os.sched_getaffinity(0) == mask, "the test left the calling thread pinned"
 
 
 @pytest.fixture

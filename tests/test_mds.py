@@ -393,6 +393,14 @@ def test_drivers_are_the_in_roles_the_matching_leaves_free(compiled, request, fi
 # --- samples on threads --------------------------------------------------
 
 
+def affinity():
+    """The calling thread's CPUs, or None on a system without affinity masks."""
+    return os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+
+
+needs_affinity = pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this system")
+
+
 @pytest.fixture
 def on_threads(monkeypatch):
     """``on_threads(w)``: sample_mds draws every stream of two or more
@@ -568,6 +576,85 @@ def test_affinity_of_one_cpu_starts_no_thread(tmp_path):
         assert int(with_all) == min(len(os.sched_getaffinity(0)), 20) - 1
 
 
+@needs_affinity
+@pytest.mark.parametrize("workers", [2, 3, 5])
+def test_each_sampler_runs_on_one_cpu_of_the_mask(compiled_kernel, on_threads, monkeypatch, workers):
+    # every sampler records its CPUs at its first sample and waits there
+    # until all have; past the mask's CPU count, samplers share its CPUs
+    monkeypatch.setattr(_kernel, "_kernel", compiled_kernel)
+    g = gen_directed_ba(BaParams(n=80, m_attach=2, m0=3, p=0.5, seed=5))
+    on_threads(1)
+    serial = sample_mds(g, 200, seed=4, dedupe=True)
+    started = on_threads(workers)
+    sample = mds._Sampler.sample
+    all_sampling = threading.Barrier(workers, timeout=60)
+    masks = {}
+
+    def recorded(sampler, i):
+        if sampler not in masks:
+            masks[sampler] = os.sched_getaffinity(0)
+            all_sampling.wait()
+        assert os.sched_getaffinity(0) == masks[sampler]  # and stays there
+        return sample(sampler, i)
+
+    monkeypatch.setattr(mds._Sampler, "sample", recorded)
+    mask = os.sched_getaffinity(0)
+    assert sample_mds(g, 200, seed=4, dedupe=True) == serial
+    assert started == [workers]
+    assert os.sched_getaffinity(0) == mask  # the caller's CPUs back
+    assert len(masks) == workers
+    assert all(len(cpus) == 1 and cpus <= mask for cpus in masks.values())
+    assert len(set().union(*masks.values())) == min(workers, len(mask))
+
+
+@needs_affinity
+def test_closing_a_threaded_stream_early_gives_the_caller_its_cpus_back(compiled_kernel, monkeypatch):
+    monkeypatch.setattr(_kernel, "_kernel", compiled_kernel)
+    g = gen_directed_er(200, 400, seed=2)
+    mask = os.sched_getaffinity(0)
+    before = threading.active_count()
+    samples = mds._samples(g, 1000, 1, 0, 2, lambda drivers_, n_d, perfect, kd: n_d)
+    next(samples)
+    assert os.sched_getaffinity(0) == {min(mask)}  # the calling thread is sampler 0
+    samples.close()
+    assert os.sched_getaffinity(0) == mask
+    assert threading.active_count() == before
+
+
+@needs_affinity
+@pytest.mark.parametrize("refusal", ["raising", "missing"])
+def test_samplers_the_system_will_not_pin_run_unpinned(compiled_kernel, on_threads, monkeypatch, refusal):
+    monkeypatch.setattr(_kernel, "_kernel", compiled_kernel)
+    g = gen_directed_er(200, 400, seed=2)
+    on_threads(1)
+    serial = sample_mds(g, 100, seed=3, dedupe=True)
+    started = on_threads(2)
+    mask = os.sched_getaffinity(0)
+    refused = []
+
+    def refuse(pid, cpus):
+        refused.append(cpus)
+        raise OSError(22, "Invalid argument")
+
+    if refusal == "raising":
+        monkeypatch.setattr(os, "sched_setaffinity", refuse)
+    else:
+        monkeypatch.delattr(os, "sched_setaffinity")
+    sample = mds._Sampler.sample
+    masks = set()
+
+    def recorded(sampler, i):
+        masks.add(frozenset(os.sched_getaffinity(0)))
+        return sample(sampler, i)
+
+    monkeypatch.setattr(mds._Sampler, "sample", recorded)
+    assert sample_mds(g, 100, seed=3, dedupe=True) == serial
+    assert started == [2]
+    assert masks == {frozenset(mask)}
+    assert os.sched_getaffinity(0) == mask
+    assert len(refused) == (3 if refusal == "raising" else 0)  # two pins and the restore
+
+
 def test_memory_on_threads_does_not_grow_with_the_sample_count(compiled_kernel, on_threads, monkeypatch):
     # the results the workers hand back are held a few blocks at a time
     monkeypatch.setattr(_kernel, "_kernel", compiled_kernel)
@@ -635,10 +722,12 @@ def test_a_failing_worker_stops_the_others_and_raises_here(compiled_kernel, on_t
     monkeypatch.setattr(_kernel, "_kernel", core)
     started = on_threads(2)
     before = threading.active_count()
+    mask = affinity()
     g = gen_directed_er(1000, 2000, seed=3)
     with pytest.raises(error):
         sample_mds(g, 5000, seed=1, dedupe=True)
     assert started and threading.active_count() == before
+    assert affinity() == mask
     # the other worker read the stop before its next sample, not at the
     # end of its block
     assert core.calls < 64
@@ -664,9 +753,11 @@ def test_n_d_disagreeing_across_workers_raises(compiled_kernel, on_threads, monk
 
     monkeypatch.setattr(mds._Sampler, "sample", drifting)
     before = threading.active_count()
+    mask = affinity()
     with pytest.raises(ValidationError, match="sampled driver-set sizes disagree"):
         sample_mds(gen_directed_er(60, 120, seed=3), 200, seed=1)
     assert threading.active_count() == before
+    assert affinity() == mask
 
 
 def test_an_interrupt_while_folding_stops_every_worker(compiled_kernel, on_threads, monkeypatch):
@@ -687,10 +778,12 @@ def test_an_interrupt_while_folding_stops_every_worker(compiled_kernel, on_threa
 
     monkeypatch.setattr(mds._Sampler, "sample", interrupting)
     before = threading.active_count()
+    mask = affinity()
     with pytest.raises(KeyboardInterrupt):
         sample_mds(gen_directed_er(1000, 2000, seed=3), 5000, seed=1)
     assert threading.active_count() == before
     assert core.calls < 5000
+    assert affinity() == mask
 
 
 @pytest.mark.parametrize(
