@@ -40,7 +40,7 @@ import numpy as np
 
 from . import _kernel
 from .errors import UsageError, ValidationError
-from .graph import DirectedGraph, _int64_array, degrees
+from .graph import DirectedGraph, _int64_array
 
 __all__ = ["Matching", "MatchingState", "max_matching", "verify_maximum"]
 
@@ -238,10 +238,9 @@ class MatchingState:
         mark[node] = 0
         self._stamp += 1
         stays_free = self._augment((node,)) < 0  # makes self._ptr
-        # a second augmenting path can only involve the new in-role (it ends
-        # there, or routes through it when the first path claimed it), so the
-        # rescan is needed exactly when that in-role has an active edge, and
-        # it stops at its first success
+        # with no active edge into the new in-role the matching grows by one
+        # at most, and the first augment tried that; otherwise the rescan
+        # runs, and it stops at its first success
         g = self.graph
         if any(mark[t] != _INACTIVE for t in g.in_tails[g.in_ptr[node]:g.in_ptr[node + 1]].tolist()):
             root = self._augment(self._free_scan, first_only=True)
@@ -281,7 +280,8 @@ class MatchingState:
             self._stamp += 1
             self._augment(self._perm.tolist())
             free = np.flatnonzero(self.matching.tail_by_head < 0)
-            return free, int(degrees(self.graph).total_degree[free].sum())
+            out_ptr, in_ptr = self.graph.out_ptr, self.graph.in_ptr
+            return free, int((out_ptr[free + 1] - out_ptr[free] + in_ptr[free + 1] - in_ptr[free]).sum())
         if self._index is None:
             work = _kernel.Workspace(self.graph)
             work.order[:] = self._perm

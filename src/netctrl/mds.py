@@ -127,8 +127,7 @@ def drivers(graph: DirectedGraph, matching: Matching, order: NodeOrder) -> MdsRe
     added, free = _completing_pass(graph, matching)
     if added:
         raise ValidationError("matching is not maximum; driver extraction needs a maximum matching")
-    tot = degrees(graph).total_degree
-    driver_set, n_d, perfect, avg_kd = _driver_set(*free, order.permutation[0], tot)
+    driver_set, n_d, perfect, avg_kd = _driver_set(*free, order.permutation[0], graph)
     return MdsResult(
         drivers=tuple(driver_set.tolist()),
         n_d=n_d,
@@ -140,19 +139,21 @@ def drivers(graph: DirectedGraph, matching: Matching, order: NodeOrder) -> MdsRe
 
 
 def _driver_set(
-    free: np.ndarray, degree_sum: int, first: int, tot: np.ndarray
+    free: np.ndarray, degree_sum: int, first: int, graph: DirectedGraph
 ) -> tuple[np.ndarray, int, bool, float]:
     """``(drivers, n_d, perfect_matching, avg_degree_d)`` of a maximum matching.
 
     ``free`` holds the in-roles the matching leaves free, in ascending
     order, and ``degree_sum`` the sum of their total degrees. They are the
     drivers; when the matching is perfect, ``first`` (the order's first
-    node) is the one driver. ``tot`` holds the total degrees. They are
-    integers, so the mean is numpy's ``tot[drivers].mean()`` bit for bit.
+    node) is the one driver, its degree read off the graph's CSR row
+    pointers. Degrees are integers, so the mean is numpy's mean of the
+    drivers' total degrees bit for bit.
     """
     if free.size:
         return free, free.size, False, degree_sum / free.size
-    return np.array([first], dtype=np.int64), 1, True, float(tot[first])
+    kd = graph.out_ptr[first + 1] - graph.out_ptr[first] + graph.in_ptr[first + 1] - graph.in_ptr[first]
+    return np.array([first], dtype=np.int64), 1, True, float(kd)
 
 
 def preferential_mds(graph: DirectedGraph, order: NodeOrder, m: int) -> MdsResult:
@@ -180,9 +181,8 @@ class _Sampler:
     """Samples of one graph and seed in one workspace, one ``complete()``
     call each: ``sample(i)`` returns sample i's ``(drivers, n_d,
     perfect_matching, avg_degree_d)``, and raises ValidationError when
-    its n_d is not that of the sampler's samples before it. ``tot`` holds
-    the graph's total degrees; it is only read, so samplers on other
-    threads may share it.
+    its n_d is not that of the sampler's samples before it. Samplers on
+    other threads share only the graph, which they only read, and the seed.
 
     With the compiled core, its pass makes the draws of every index below
     2**64. Such a sample costs that one call and no copy: the sampler
@@ -194,10 +194,10 @@ class _Sampler:
     workspace, which the Python search never reads.
     """
 
-    __slots__ = ("graph", "seed", "tot", "state", "n_d")
+    __slots__ = ("graph", "seed", "state", "n_d")
 
-    def __init__(self, graph: DirectedGraph, seed: int, tot: np.ndarray):
-        self.graph, self.seed, self.tot = graph, seed, tot
+    def __init__(self, graph: DirectedGraph, seed: int):
+        self.graph, self.seed = graph, seed
         self.state = None  # the drawn state, on the compiled pass's workspace
         if _kernel.core() is not None:
             self.state = MatchingState._drawn(graph, _kernel.Workspace(graph, seed))
@@ -213,7 +213,7 @@ class _Sampler:
         # the completing pass ends with every free tail failing its search,
         # which is the Berge certificate of maximality
         free = state.complete()
-        sample = _driver_set(*free, state._perm.item(0), self.tot)
+        sample = _driver_set(*free, state._perm.item(0), self.graph)
         self.n_d = _agreed(self.n_d, sample[1])
         return sample
 
@@ -243,7 +243,7 @@ def _check_stream(count, seed, start=0) -> tuple[int, int, int]:
 # upper quartile 1.06x); on ER N=10^4, 0.68x at 5 samples (10^5), 0.81x
 # at 3 and 0.73x at 2 (4 x 10^4). Unpinned, the same streams took
 # 1.02-1.23x. So the bound is conservative; it stays here so that a sweep's
-# points (2 x 10^4 each on BA N=10^3) keep one sampler.
+# points (20 samples x 1,997 slots, about 4 x 10^4, on BA N=10^3) keep one sampler.
 _THREADS_BREAK_EVEN_SAMPLED_SLOTS = 100_000
 
 # the most samples in a block of a stream on threads: blocks of a few
@@ -282,7 +282,7 @@ def _stream_workers(graph: DirectedGraph, count: int) -> int:
     one CPU of the calling thread's affinity mask, and the caller's mask
     is restored when the stream ends (``_samples``).
     """
-    if count * graph.edge_count < _THREADS_BREAK_EVEN_SAMPLED_SLOTS or count > 1 << 64:
+    if count * graph.edge_count < _THREADS_BREAK_EVEN_SAMPLED_SLOTS:
         return 1
     workers = min(_usable_cpus(), count)
     return workers if workers > 1 and _kernel.core() is not None else 1
@@ -328,7 +328,6 @@ def _samples(graph: DirectedGraph, count: int, seed: int, start: int, workers: i
     next sample; a thread's exception is raised here, and every thread is
     joined before this returns or raises.
     """
-    tot = degrees(graph).total_degree
     block = max(1, min(_MAX_BLOCK, count // (4 * workers))) if workers > 1 else count
     blocks = -(-count // block)
     ready = threading.Condition()
@@ -373,11 +372,11 @@ def _samples(graph: DirectedGraph, count: int, seed: int, start: int, workers: i
     threads = []
     try:
         for k in range(1, workers):
-            sampler = _Sampler(graph, seed, tot)
+            sampler = _Sampler(graph, seed)
             thread = threading.Thread(target=work, args=(sampler, k), name="netctrl-sampler", daemon=True)
             thread.start()
             threads.append(thread)  # once started, so that only started threads are joined
-        sampler = _Sampler(graph, seed, tot)
+        sampler = _Sampler(graph, seed)
         if mask:
             _pin({mask[0]})
         for b in range(blocks):

@@ -343,10 +343,14 @@ def sampled_graphs(draw, corpus):
 @given(st.data(), st.integers(min_value=0, max_value=2**32 - 1))
 def test_compiled_and_python_samplers_agree(compiled_kernel, fixture_corpus, data, seed):
     # driver tuples, n_d, the perfect-matching flag and <k_D>, the last
-    # compared with ==: the compiled pass sums the degrees exactly
+    # compared with ==: the compiled pass sums the degrees exactly. On both
+    # cores <k_D> is numpy's mean of the drivers' total degrees, bit for
+    # bit, also for the one driver of a perfect matching (the cycles)
     g = data.draw(sampled_graphs(fixture_corpus))
     compiled, python = samples_both_ways(compiled_kernel, g, 4, seed)
     assert compiled == python
+    tot = degrees(g).total_degree
+    assert all(kd == tot[list(drivers_)].mean() for drivers_, _, _, kd in compiled + python)
 
 
 def test_samplers_agree_on_a_hub(compiled_kernel):
@@ -480,7 +484,6 @@ def test_the_rest_stays_on_the_calling_thread(compiled_kernel, on_threads, monke
     assert mds._stream_workers(g, 2) == 2
     list(iter_samples(g, 50, seed=1))  # the lazy public stream
     assert mds._stream_workers(g, 1) == 1  # one sample
-    assert mds._stream_workers(g, 2**64 + 1) == 1  # indices past 2**64 - 1
     monkeypatch.setattr(mds, "_THREADS_BREAK_EVEN_SAMPLED_SLOTS", 801)
     assert mds._stream_workers(g, 2) == 1  # 2 samples x 400 slots, below the break-even
     monkeypatch.setattr(mds, "_THREADS_BREAK_EVEN_SAMPLED_SLOTS", 800)
@@ -490,7 +493,7 @@ def test_the_rest_stays_on_the_calling_thread(compiled_kernel, on_threads, monke
     monkeypatch.setattr(mds, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(_kernel, "_kernel", None)  # the Python core
     assert mds._stream_workers(g, 50) == 1
-    sampler = mds._Sampler(g, 1, None)
+    sampler = mds._Sampler(g, 1)
     assert sampler.state is None  # the Python search reads no workspace
     sample_mds(g, 50, seed=1)
     assert not started
@@ -731,6 +734,51 @@ def test_a_failing_worker_stops_the_others_and_raises_here(compiled_kernel, on_t
     # the other worker read the stop before its next sample, not at the
     # end of its block
     assert core.calls < 64
+
+
+@needs_affinity
+def test_a_thread_failing_while_the_caller_draws_the_last_block_raises_here(
+    compiled_kernel, on_threads, monkeypatch
+):
+    # 16 samples on two samplers are 8 blocks of 2. The started thread
+    # fails in its pin, once the calling thread draws index 14, and that
+    # sample waits until the thread has exited: the calling thread has
+    # taken every block itself, so it learns of the failure only after its
+    # last block stops short, and must not fold 15 samples as 16
+    monkeypatch.setattr(_kernel, "_kernel", compiled_kernel)
+    on_threads(2)
+    caller = threading.current_thread()
+    drawing_14 = threading.Event()
+    threads = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda thread: threads.append(thread) or start(thread))
+    pin = mds._pin
+
+    def failing(cpus):
+        if threading.current_thread() is caller:
+            return pin(cpus)
+        assert drawing_14.wait(timeout=60), "the calling thread never drew index 14"
+        raise RuntimeError("the started sampler failed")
+
+    sample = mds._Sampler.sample
+    indices = []
+
+    def waiting(sampler, i):
+        indices.append(i)
+        if i == 14:
+            drawing_14.set()
+            threads[0].join(timeout=60)
+        return sample(sampler, i)
+
+    monkeypatch.setattr(mds, "_pin", failing)
+    monkeypatch.setattr(mds._Sampler, "sample", waiting)
+    before = threading.active_count()
+    mask = affinity()
+    with pytest.raises(RuntimeError, match="the started sampler failed"):
+        sample_mds(gen_directed_er(60, 120, seed=3), 16, seed=1)
+    assert indices == list(range(15))  # all drawn by the calling thread, index 15 not
+    assert threading.active_count() == before
+    assert affinity() == mask
 
 
 def test_n_d_disagreeing_across_workers_raises(compiled_kernel, on_threads, monkeypatch):
