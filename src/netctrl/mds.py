@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import os
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -234,16 +235,18 @@ def _check_stream(count, seed, start=0) -> tuple[int, int, int]:
 
 
 # The work of a sample stream, in samples x out-CSR slots, from which
-# sample_mds draws it with a sampler per CPU. Set where two threads first
-# beat one on a 2-core machine while the calling thread only waited for
-# them. With each sampler pinned to a CPU of its own, two samplers take
-# (medians of 40-60 alternating rounds on a 2-vCPU VM whose cpusets
-# balance no load) 0.70x the time of one on BA N=10^3 at 50 samples
-# (about 10^5), 0.77x at 20 samples (4 x 10^4) and 0.86x at 10 (2 x 10^4,
-# upper quartile 1.06x); on ER N=10^4, 0.68x at 5 samples (10^5), 0.81x
-# at 3 and 0.73x at 2 (4 x 10^4). Unpinned, the same streams took
-# 1.02-1.23x. So the bound is conservative; it stays here so that a sweep's
-# points (20 samples x 1,997 slots, about 4 x 10^4, on BA N=10^3) keep one sampler.
+# sample_mds draws it with a sampler per CPU, and of a sweep, from which
+# its grid points run at once. Set where two threads first beat one on a
+# 2-core machine while the calling thread only waited for them. With each
+# sampler pinned to a CPU of its own, two samplers take (medians of 40-60
+# alternating rounds on a 2-vCPU VM whose cpusets balance no load) 0.70x
+# the time of one on BA N=10^3 at 50 samples (about 10^5), 0.77x at 20
+# samples (4 x 10^4) and 0.86x at 10 (2 x 10^4, upper quartile 1.06x); on
+# ER N=10^4, 0.68x at 5 samples (10^5), 0.81x at 3 and 0.73x at 2
+# (4 x 10^4). Unpinned, the same streams took 1.02-1.23x. So the bound is
+# conservative for one stream; a sweep whose points each fall below it
+# (20 samples x 1,997 slots, about 4 x 10^4, on BA N=10^3) runs its points
+# at once instead, one sampler each, once they reach it together.
 _THREADS_BREAK_EVEN_SAMPLED_SLOTS = 100_000
 
 # the most samples in a block of a stream on threads: blocks of a few
@@ -254,9 +257,9 @@ _MAX_BLOCK = 64
 
 def _usable_cpus() -> int:
     """The CPUs this process may run on: its affinity mask where the system
-    has one. A stream on threads pins each sampler to one CPU of the
-    calling thread's mask, and restores the caller's mask when it ends
-    (``_samples``)."""
+    has one. Samplers on threads are each pinned to one CPU of the calling
+    thread's mask, and the caller's mask is restored when they end
+    (``_samplers``)."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -271,27 +274,109 @@ def _pin(cpus) -> None:
         pass
 
 
-def _stream_workers(graph: DirectedGraph, count: int) -> int:
-    """How many samplers ``sample_mds`` draws samples 0 .. count - 1 with:
-    the calling thread and one thread for each sampler past the first.
-
-    A stream whose work reaches the break-even has one sampler per usable
-    CPU and no more than the count, when the compiled pass draws every
-    sample (each call then releases the GIL for the whole sample); every
-    other stream has one, the calling thread. Each sampler runs pinned to
-    one CPU of the calling thread's affinity mask, and the caller's mask
-    is restored when the stream ends (``_samples``).
-    """
-    if count * graph.edge_count < _THREADS_BREAK_EVEN_SAMPLED_SLOTS:
+def _pool_workers(work: int, tasks: int) -> int:
+    """How many samplers share ``tasks`` tasks of ``work`` samples x
+    out-CSR slots in all: one per usable CPU and no more than the tasks
+    when the work reaches the break-even and the compiled pass draws every
+    sample (each call then releases the GIL for the whole sample); one,
+    the calling thread, otherwise."""
+    if work < _THREADS_BREAK_EVEN_SAMPLED_SLOTS:
         return 1
-    workers = min(_usable_cpus(), count)
+    workers = min(_usable_cpus(), tasks)
     return workers if workers > 1 and _kernel.core() is not None else 1
+
+
+def _stream_workers(graph: DirectedGraph, count: int) -> int:
+    """How many samplers ``sample_mds`` draws samples 0 .. count - 1 with
+    (``_pool_workers``): a sample is a task."""
+    return _pool_workers(count * graph.edge_count, count)
+
+
+def _sweep_workers(points: int, point_work: int) -> int:
+    """How many samplers a sweep runs its ``points`` grid points on, one
+    point at a time each, when each point's stream is ``point_work``
+    samples x out-CSR slots (``_pool_workers``): a point is a task. A
+    point whose work reaches the break-even alone draws its stream on
+    threads, so the points of such a sweep run one after another on the
+    calling thread; a point below it starts no thread, so none nests."""
+    if point_work >= _THREADS_BREAK_EVEN_SAMPLED_SLOTS:
+        return 1
+    return _pool_workers(points * point_work, points)
+
+
+class _Team:
+    """What the samplers of one ``_samplers`` run share: a condition to
+    wait on, the first failure, and the stop that it or the run's end sets."""
+
+    __slots__ = ("ready", "failure", "stop")
+
+    def __init__(self):
+        self.ready = threading.Condition()
+        self.failure: BaseException | None = None
+        self.stop = False
+
+
+@contextmanager
+def _samplers(workers: int, work):
+    """Run ``work(team)`` on ``workers - 1`` started threads while the body
+    of the ``with`` runs on the calling thread; yields their ``_Team``.
+
+    With more than one sampler, sampler k (the calling thread is sampler
+    0) runs pinned to CPU ``mask[k % len(mask)]`` of the calling thread's
+    affinity mask, read once as a sorted list, from before it starts its
+    work: where the kernel balances no load across CPUs (a cpuset with
+    ``sched_load_balance`` 0), a started thread stays on the CPU of the
+    thread that made it, and the samplers would take turns on one CPU.
+    Without ``os.sched_setaffinity``, or where a pin raises OSError, the
+    samplers run unpinned. One sampler starts no thread and pins nothing.
+
+    The first exception of a thread is kept as ``team.failure`` and sets
+    ``team.stop``, which the work reads between its steps; leaving the
+    body, on any way out, sets the stop too. Every thread is joined and
+    the calling thread gets its mask back before the ``with`` ends, and
+    a thread's failure is raised then if the body raised nothing.
+    """
+    team = _Team()
+    mask = sorted(os.sched_getaffinity(0)) if workers > 1 and hasattr(os, "sched_setaffinity") else None
+
+    def run(k: int) -> None:
+        try:
+            if mask:
+                _pin({mask[k % len(mask)]})
+            work(team)
+        except BaseException as exc:  # raised again in the calling thread
+            with team.ready:
+                if team.failure is None:
+                    team.failure = exc
+                team.stop = True
+                team.ready.notify_all()
+
+    threads = []
+    try:
+        for k in range(1, workers):
+            thread = threading.Thread(target=run, args=(k,), name="netctrl-sampler", daemon=True)
+            thread.start()
+            threads.append(thread)  # once started, so that only started threads are joined
+        if mask:
+            _pin({mask[0]})
+        yield team
+    finally:
+        with team.ready:
+            team.stop = True
+            team.ready.notify_all()
+        for thread in threads:
+            thread.join()
+        if mask:
+            _pin(mask)
+    if team.failure is not None:
+        raise team.failure
 
 
 def _samples(graph: DirectedGraph, count: int, seed: int, start: int, workers: int, keep):
     """Yield ``keep(drivers, n_d, perfect_matching, avg_degree_d)`` of
     samples ``start .. start + count - 1`` in index order, drawn by
-    ``workers`` samplers: the calling thread and ``workers - 1`` threads.
+    ``workers`` samplers (``_samplers``): the calling thread and
+    ``workers - 1`` threads.
 
     Sample i draws from ``PCG64(spawn_seed(seed, i))``
     (``seeding.sample_draws``): one permutation for the node order, then
@@ -313,103 +398,67 @@ def _samples(graph: DirectedGraph, count: int, seed: int, start: int, workers: i
     results, as a thread does. One sampler takes the whole range as one
     block and starts no thread.
 
-    With more than one, sampler k (the calling thread is sampler 0) runs
-    pinned to CPU ``mask[k % len(mask)]`` of the calling thread's affinity
-    mask, read once as a sorted list, from before it takes its first
-    block: where the kernel balances no load across CPUs (a cpuset with
-    ``sched_load_balance`` 0), a started thread stays on the CPU of the
-    thread that made it, and the samplers would take turns on one CPU.
-    The calling thread gets its mask back once every thread is joined,
-    on every way out. Without ``os.sched_setaffinity``, or where a pin
-    raises OSError, the samplers run unpinned.
-
     The first exception of a thread, or of the caller (an interrupt, or
-    the generator closed), sets a stop that each sampler reads before its
-    next sample; a thread's exception is raised here, and every thread is
-    joined before this returns or raises.
+    the generator closed), stops each sampler before its next sample; a
+    thread's exception is raised here, and every thread is joined, and
+    the caller's mask restored, before this returns or raises.
     """
     block = max(1, min(_MAX_BLOCK, count // (4 * workers))) if workers > 1 else count
     blocks = -(-count // block)
-    ready = threading.Condition()
     done: dict[int, list] = {}  # finished blocks not yet yielded
     taken = 0  # blocks taken by a sampler
     yielded = 0  # blocks yielded
-    failure: BaseException | None = None
-    stop = False
-    mask = sorted(os.sched_getaffinity(0)) if workers > 1 and hasattr(os, "sched_setaffinity") else None
 
-    def draw(sampler: _Sampler, b: int):
+    def draw(team: _Team, sampler: _Sampler, b: int):
         """Block b's kept samples, up to a stop."""
         for i in range(start + b * block, start + min(b * block + block, count)):
-            if stop:
+            if team.stop:
                 return
             yield keep(*sampler.sample(i))
 
-    def work(sampler: _Sampler, k: int) -> None:
-        nonlocal taken, failure, stop
-        try:
-            if mask:
-                _pin({mask[k % len(mask)]})
-            while True:
-                with ready:
-                    while not stop and taken < blocks and taken >= yielded + 2 * workers:
-                        ready.wait()
-                    if stop or taken == blocks:
-                        return
-                    b = taken
-                    taken += 1
-                results = list(draw(sampler, b))
-                with ready:
-                    done[b] = results
-                    ready.notify_all()
-        except BaseException as exc:  # raised again in the calling thread
+    def work(team: _Team) -> None:
+        nonlocal taken
+        sampler = _Sampler(graph, seed)
+        ready = team.ready
+        while True:
             with ready:
-                if failure is None:
-                    failure = exc
-                stop = True
+                while not team.stop and taken < blocks and taken >= yielded + 2 * workers:
+                    ready.wait()
+                if team.stop or taken == blocks:
+                    return
+                b = taken
+                taken += 1
+            results = list(draw(team, sampler, b))
+            with ready:
+                done[b] = results
                 ready.notify_all()
 
-    threads = []
-    try:
-        for k in range(1, workers):
-            sampler = _Sampler(graph, seed)
-            thread = threading.Thread(target=work, args=(sampler, k), name="netctrl-sampler", daemon=True)
-            thread.start()
-            threads.append(thread)  # once started, so that only started threads are joined
+    with _samplers(workers, work) as team:
         sampler = _Sampler(graph, seed)
-        if mask:
-            _pin({mask[0]})
+        ready = team.ready
         for b in range(blocks):
             while True:
                 with ready:
                     yielded = b
                     ready.notify_all()
-                    while failure is None and b not in done and taken >= min(blocks, b + 2 * workers):
+                    while team.failure is None and b not in done and taken >= min(blocks, b + 2 * workers):
                         ready.wait()
-                    if failure is not None:
-                        raise failure
+                    if team.failure is not None:
+                        raise team.failure
                     if b in done:
                         results = done.pop(b)
                         break
                     mine = taken
                     taken += 1
                 if mine == b:
-                    results = draw(sampler, b)  # drawn as it is yielded
+                    results = draw(team, sampler, b)  # drawn as it is yielded
                     break
-                drawn = list(draw(sampler, mine))
+                drawn = list(draw(team, sampler, mine))
                 with ready:
                     done[mine] = drawn
             yield from results
-            if failure is not None:  # a thread failed: the caller's block may have stopped short
-                raise failure
-    finally:
-        with ready:
-            stop = True
-            ready.notify_all()
-        for thread in threads:
-            thread.join()
-        if mask:
-            _pin(mask)
+            if team.failure is not None:  # a thread failed: the caller's block may have stopped short
+                raise team.failure
 
 
 def iter_samples(

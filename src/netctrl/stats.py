@@ -3,7 +3,11 @@
 Sweeps emit one row per knob value (attachment direction p or reversal
 probability R) with the edge-direction fraction f_hi_lo and the sampled
 mean driver degree, ready for CSV plotting. All randomness is derived from
-the sweep seed, one child seed per grid point.
+the sweep seed, one child seed per grid point, so a row does not depend on
+when or on which thread its point runs: with the compiled core, a sweep
+of small points runs several at once, one per usable CPU, and a sweep of
+large points runs them one at a time, each on a stream of samples that
+runs on every usable CPU.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import numpy as np
 from .errors import UndefinedStatisticError, UsageError
 from .generators import BaParams, ReversalParams, gen_directed_ba, reverse_edges
 from .graph import DirectedGraph, average_degree, degrees
-from .mds import MdsResult, sample_mds
+from .mds import MdsResult, _samplers, _sweep_workers, sample_mds
 from .seeding import check_int, check_real, spawn_seed
 
 __all__ = [
@@ -111,25 +115,60 @@ def _measure_point(knob: float, graph: DirectedGraph, samples: int, point_seed: 
     )
 
 
-def _sweep(grid, samples: int, seed: int, graph_at) -> list[SweepRow]:
+def _sweep(grid, samples: int, seed: int, point_edges: int, graph_at) -> list[SweepRow]:
     """One row per grid value, measured on ``graph_at(value, point_seed)``:
     a closure that finds its generator in this module when a point runs,
-    so a rebound binding (``bench/tracer.py`` wraps them) sees each call."""
-    rows = []
-    for i, knob in enumerate(_check_grid(grid, samples)):
-        point_seed = spawn_seed(seed, i)
-        rows.append(_measure_point(knob, graph_at(knob, point_seed), samples, point_seed))
+    so a rebound binding (``bench/tracer.py`` wraps them) sees each call.
+
+    Every point's graph has ``point_edges`` edges, so each point's stream
+    is ``samples * point_edges`` samples x out-CSR slots, and the points
+    run on ``mds._sweep_workers`` samplers (``mds._samplers``): each
+    sampler takes the next grid index, builds and measures that point and
+    stores its row at the index, so the rows are the same on any number
+    of samplers, and no more points are alive than there are samplers.
+    The first failure stops every sampler before its next point.
+    """
+    values = _check_grid(grid, samples)
+    rows: list[SweepRow | None] = [None] * len(values)
+    taken = 0  # grid indices taken by a sampler
+
+    def measure(team) -> None:
+        nonlocal taken
+        while True:
+            with team.ready:
+                if team.stop or taken == len(values):
+                    return
+                i = taken
+                taken += 1
+            point_seed = spawn_seed(seed, i)
+            rows[i] = _measure_point(values[i], graph_at(values[i], point_seed), samples, point_seed)
+
+    with _samplers(_sweep_workers(len(values), samples * point_edges), measure) as team:
+        measure(team)
     return rows
 
 
 def sweep_p(grid, ba_base: BaParams, samples: int = 1000, seed: int = 0) -> list[SweepRow]:
-    """For each attachment-direction p: generate, measure f_hi_lo, sample MDSs."""
-    return _sweep(grid, samples, seed, lambda p, s: gen_directed_ba(replace(ba_base, p=p, seed=s)))
+    """For each attachment-direction p: generate, measure f_hi_lo, sample MDSs.
+
+    Every point's graph has L = m0 + (n - m0) * m_attach edges. With the
+    compiled core, a sweep whose points together reach the sampler's
+    break-even while each alone falls below it runs its points at once,
+    one per usable CPU (``_sweep``); the rows are the same as on one.
+    """
+    edges = ba_base.m0 + (ba_base.n - ba_base.m0) * ba_base.m_attach
+    return _sweep(grid, samples, seed, edges, lambda p, s: gen_directed_ba(replace(ba_base, p=p, seed=s)))
 
 
 def sweep_r(graph: DirectedGraph, grid, samples: int = 1000, seed: int = 0) -> list[SweepRow]:
-    """For each reversal probability R: transform the graph and sample MDSs."""
-    return _sweep(grid, samples, seed, lambda r, s: reverse_edges(graph, ReversalParams(r=r, seed=s)).graph)
+    """For each reversal probability R: transform the graph and sample MDSs.
+
+    A reversal keeps the edge count, so every point's graph has the
+    input's. The points run at once on the terms of ``sweep_p``.
+    """
+    return _sweep(
+        grid, samples, seed, graph.edge_count, lambda r, s: reverse_edges(graph, ReversalParams(r=r, seed=s)).graph
+    )
 
 
 def sweep_rows_to_csv(rows) -> str:

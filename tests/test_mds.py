@@ -434,7 +434,8 @@ SAMPLING_GOLDENS = sorted(name for name in CASES if name.startswith(("sample", "
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_goldens_on_threads(compiled_kernel, on_threads, monkeypatch, tmp_path, name, workers):
-    # the sweeps reach the threaded path through stats._measure_point
+    # with no break-even, each sweep point's work reaches it alone, so the
+    # sweeps run their points one at a time, each on a stream on threads
     monkeypatch.setattr(_kernel, "_kernel", compiled_kernel)
     started = on_threads(workers)
     before = threading.active_count()

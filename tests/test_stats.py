@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import os
+import threading
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,8 +28,13 @@ from netctrl import (
     sweep_r,
     sweep_rows_to_csv,
 )
+from netctrl import _kernel, mds, stats
+from netctrl.cli import main
 from netctrl.generators import ReversalParams
+from netctrl.seeding import spawn_seed
 from netctrl.stats import SWEEP_CSV_HEADER
+
+from test_golden import CASES, GOLDEN_DIR
 
 
 @st.composite
@@ -171,3 +180,181 @@ class TestSweeps:
         rows = sweep_p(grid, base, samples=1, seed=29)
         pearson = float(np.corrcoef(grid, [row.f_hi_lo for row in rows])[0, 1])
         assert pearson >= 0.98
+
+
+# --- grid points at once ------------------------------------------------
+
+SWEEP_GOLDENS = sorted(name for name in CASES if name.startswith("sweep"))
+# every sweep golden: BA N=60, m=2, m0=3 (L = 117), 3 points of 10 samples
+GOLDEN_POINT_WORK = 10 * 117
+
+
+def affinity():
+    """The calling thread's CPUs, or None on a system without affinity masks."""
+    return os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+
+
+@pytest.fixture
+def sweep_on(compiled_kernel, monkeypatch):
+    """``sweep_on(w, break_even)``: the compiled core with ``w`` usable CPUs
+    and the sampler's break-even set; returns ``(threads, streams)``, the
+    threads started and the sampler count of each stream that starts
+    threads, both recorded from then on."""
+    monkeypatch.setattr(_kernel, "_kernel", compiled_kernel)
+    threads, streams = [], []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda thread: threads.append(thread) or start(thread))
+    stream = mds._samples
+
+    def counted(graph, count, seed, first, workers, keep):
+        if workers > 1:
+            streams.append(workers)
+        return stream(graph, count, seed, first, workers, keep)
+
+    monkeypatch.setattr(mds, "_samples", counted)
+
+    def set_workers(workers: int, break_even: int):
+        monkeypatch.setattr(mds, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(mds, "_THREADS_BREAK_EVEN_SAMPLED_SLOTS", break_even)
+        return threads, streams
+
+    return set_workers
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("name", SWEEP_GOLDENS)
+def test_sweep_goldens_with_points_at_once(sweep_on, tmp_path, name, workers):
+    # the break-even above one point's work and below the three points'
+    threads, streams = sweep_on(workers, 2 * GOLDEN_POINT_WORK)
+    before = threading.active_count()
+    mask = affinity()
+    out = tmp_path / name
+    assert main(CASES[name] + ["--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN_DIR / name).read_bytes()
+    assert [thread.name for thread in threads] == ["netctrl-sampler"] * (workers - 1)
+    assert not streams  # no point's stream starts a thread
+    assert threading.active_count() == before
+    assert affinity() == mask
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(min_value=4, max_value=150),
+    st.sampled_from([1, 2, 3]),
+    st.floats(0.0, 1.0),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.lists(st.floats(0.0, 1.0), min_size=2, max_size=7),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=0, max_value=2**64),
+    st.sampled_from([2, 3]),
+    st.booleans(),
+)
+def test_points_at_once_give_the_serial_rows(compiled_kernel, n, m, p, graph_seed, grid, samples, seed, workers, vary_p):
+    base = BaParams(n=n, m_attach=m, p=p, seed=graph_seed)
+    g = gen_directed_ba(base)
+    assert g.edge_count == base.m0 + (base.n - base.m0) * base.m_attach  # the edge count sweep_p takes
+
+    def sweep():
+        return sweep_p(grid, base, samples, seed) if vary_p else sweep_r(g, grid, samples, seed)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_kernel, "_kernel", compiled_kernel)
+        patch.setattr(mds, "_usable_cpus", lambda: 1)
+        serial = sweep()
+        # one point's work is below the break-even, and two points' reach it
+        patch.setattr(mds, "_THREADS_BREAK_EVEN_SAMPLED_SLOTS", samples * g.edge_count + 1)
+        patch.setattr(mds, "_usable_cpus", lambda: workers)
+        assert mds._sweep_workers(len(grid), samples * g.edge_count) == min(workers, len(grid))
+        assert sweep() == serial
+
+
+@pytest.mark.parametrize("failing", ["caller", "thread"])
+def test_a_failing_point_stops_the_sweep(sweep_on, monkeypatch, failing):
+    # the first two points meet, then the one on the failing sampler
+    # raises while the other is still measuring: the other ends its point
+    # after the stop and starts no third
+    g = gen_directed_ba(BaParams(n=100, m_attach=2, m0=3, p=0.5, seed=1))
+    grid = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]
+    threads, _ = sweep_on(2, 2 * 5 * g.edge_count)
+    index_of = {spawn_seed(7, i): i for i in range(len(grid))}
+    caller = threading.current_thread()
+    both_measuring = threading.Barrier(2, timeout=60)
+    started = []
+    sample = stats.sample_mds
+
+    def failing_point(graph, count, point_seed):
+        started.append(index_of[point_seed])
+        both_measuring.wait()
+        if (threading.current_thread() is caller) == (failing == "caller"):
+            raise RuntimeError("a point failed")
+        time.sleep(0.2)
+        return sample(graph, count, point_seed)
+
+    monkeypatch.setattr(stats, "sample_mds", failing_point)
+    before = threading.active_count()
+    mask = affinity()
+    with pytest.raises(RuntimeError, match="a point failed"):
+        sweep_r(g, grid, samples=5, seed=7)
+    assert sorted(started) == [0, 1]
+    assert len(threads) == 1
+    assert threading.active_count() == before
+    assert affinity() == mask
+
+
+def test_points_that_reach_the_break_even_each_run_on_threads(sweep_on):
+    g = gen_directed_ba(BaParams(n=100, m_attach=2, m0=3, p=0.5, seed=1))
+    threads, streams = sweep_on(3, 10 * g.edge_count)
+    rows = sweep_r(g, [0.0, 0.5, 1.0], samples=10, seed=2)
+    assert streams == [3, 3, 3]  # one stream of three samplers per point, in turn
+    assert len(threads) == 3 * 2
+    sweep_on(1, 10 * g.edge_count)
+    assert sweep_r(g, [0.0, 0.5, 1.0], samples=10, seed=2) == rows
+
+
+def test_small_sweeps_and_the_python_core_start_no_thread(sweep_on, monkeypatch):
+    g = gen_directed_ba(BaParams(n=100, m_attach=2, m0=3, p=0.5, seed=1))
+    base = BaParams(n=100, m_attach=2, m0=3, p=0.5, seed=1)
+    point_work = 10 * g.edge_count
+    threads, streams = sweep_on(2, 3 * point_work + 1)  # the three points' work is below it
+    sweep_r(g, [0.0, 0.5, 1.0], samples=10, seed=2)
+    sweep_p([0.0, 0.5, 1.0], base, samples=10, seed=2)
+    sweep_on(2, 2 * point_work)
+    assert mds._sweep_workers(3, point_work) == 2
+    monkeypatch.setattr(_kernel, "_kernel", None)  # the Python core
+    assert mds._sweep_workers(3, point_work) == 1
+    sweep_r(g, [0.0, 0.5, 1.0], samples=10, seed=2)
+    sweep_p([0.0, 0.5, 1.0], base, samples=10, seed=2)
+    assert not threads
+    assert not streams
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this system")
+@pytest.mark.parametrize("workers", [2, 3])
+def test_each_point_sampler_runs_on_one_cpu_of_the_mask(sweep_on, monkeypatch, workers):
+    # the first point of every sampler records its CPUs and waits there
+    # until all have; past the mask's CPU count, samplers share its CPUs
+    g = gen_directed_ba(BaParams(n=100, m_attach=2, m0=3, p=0.5, seed=1))
+    grid = [0.0, 0.25, 0.5, 0.75, 1.0]
+    sweep_on(1, 1)
+    serial = sweep_r(g, grid, samples=5, seed=3)
+    threads, _ = sweep_on(workers, 2 * 5 * g.edge_count)
+    all_measuring = threading.Barrier(workers, timeout=60)
+    cpus = {}
+    sample = stats.sample_mds
+
+    def recorded(graph, count, point_seed):
+        sampler = threading.current_thread()
+        if sampler not in cpus:
+            cpus[sampler] = os.sched_getaffinity(0)
+            all_measuring.wait()
+        assert os.sched_getaffinity(0) == cpus[sampler]  # and stays there
+        return sample(graph, count, point_seed)
+
+    monkeypatch.setattr(stats, "sample_mds", recorded)
+    mask = os.sched_getaffinity(0)
+    assert sweep_r(g, grid, samples=5, seed=3) == serial
+    assert len(threads) == workers - 1
+    assert os.sched_getaffinity(0) == mask  # the caller's CPUs back
+    assert len(cpus) == workers
+    assert all(len(pinned) == 1 and pinned <= mask for pinned in cpus.values())
+    assert len(set().union(*cpus.values())) == min(workers, len(mask))
