@@ -52,6 +52,13 @@ class BaParams:
         object.__setattr__(self, "m0", m0)
         object.__setattr__(self, "p", check_real(self.p, "p", low=0, high=1))
 
+    @property
+    def edge_count(self) -> int:
+        """L = m0 + (n - m0) * m_attach: the edges of every graph
+        ``gen_directed_ba`` grows from these parameters, whatever p and the
+        seed (the seed cycle, then m_attach edges per new node)."""
+        return self.m0 + (self.n - self.m0) * self.m_attach
+
 
 @dataclass(frozen=True)
 class ReversalParams:
@@ -90,8 +97,8 @@ def gen_directed_ba(params: BaParams) -> DirectedGraph:
     degree 2 and attachment weights are well defined); each new node then
     attaches m_attach edges to distinct existing nodes drawn proportionally
     to total degree, resampling on collision. Edge orientation is old->new
-    with probability p. L = m0 + (n - m0) * m_attach, deterministic given
-    the seed.
+    with probability p. The graph has ``params.edge_count`` edges and is
+    deterministic given the seed.
     """
     n, m, m0, p = params.n, params.m_attach, params.m0, params.p
     rng = np.random.default_rng(params.seed)

@@ -295,10 +295,19 @@ def _stream_workers(graph: DirectedGraph, count: int) -> int:
 def _sweep_workers(points: int, point_work: int) -> int:
     """How many samplers a sweep runs its ``points`` grid points on, one
     point at a time each, when each point's stream is ``point_work``
-    samples x out-CSR slots (``_pool_workers``): a point is a task. A
-    point whose work reaches the break-even alone draws its stream on
+    samples x out-CSR slots (``_pool_workers``): a point is a task.
+
+    A point whose work reaches the break-even draws its own stream on
     threads, so the points of such a sweep run one after another on the
-    calling thread; a point below it starts no thread, so none nests."""
+    calling thread. On them, points at once were no faster (medians of
+    alternating rounds in one process, 2-vCPU VM, points at once over
+    points in sequence): 1.07x on 5 points of 1,000 samples on BA
+    N=10^3 (quartiles 1.01-1.11; 5 points split 3 + 2 on two samplers,
+    while a stream's blocks split evenly), 1.04x on 5 points of 100
+    samples on ER N=10^4 (0.97-1.07), 1.00x on 11 points of 1,000
+    samples on BA N=2,000 (0.98-1.08); and they keep a point graph per
+    sampler alive instead of one. A point below the break-even starts no
+    thread of its own."""
     if point_work >= _THREADS_BREAK_EVEN_SAMPLED_SLOTS:
         return 1
     return _pool_workers(points * point_work, points)
@@ -416,9 +425,15 @@ def _samples(graph: DirectedGraph, count: int, seed: int, start: int, workers: i
                 return
             yield keep(*sampler.sample(i))
 
+    # the started threads' samplers are made here: a workspace made on a
+    # started thread came from that thread's malloc arena, and each
+    # stream faulted its pages in again (a median of 600 minor faults per
+    # `sample` command on ER N=10^4 at 10 samples, against 260-280 here)
+    spare = [_Sampler(graph, seed) for _ in range(workers - 1)]
+
     def work(team: _Team) -> None:
         nonlocal taken
-        sampler = _Sampler(graph, seed)
+        sampler = spare.pop()
         ready = team.ready
         while True:
             with ready:

@@ -151,13 +151,12 @@ def _sweep(grid, samples: int, seed: int, point_edges: int, graph_at) -> list[Sw
 def sweep_p(grid, ba_base: BaParams, samples: int = 1000, seed: int = 0) -> list[SweepRow]:
     """For each attachment-direction p: generate, measure f_hi_lo, sample MDSs.
 
-    Every point's graph has L = m0 + (n - m0) * m_attach edges. With the
+    Every point's graph has ``ba_base.edge_count`` edges. With the
     compiled core, a sweep whose points together reach the sampler's
     break-even while each alone falls below it runs its points at once,
     one per usable CPU (``_sweep``); the rows are the same as on one.
     """
-    edges = ba_base.m0 + (ba_base.n - ba_base.m0) * ba_base.m_attach
-    return _sweep(grid, samples, seed, edges, lambda p, s: gen_directed_ba(replace(ba_base, p=p, seed=s)))
+    return _sweep(grid, samples, seed, ba_base.edge_count, lambda p, s: gen_directed_ba(replace(ba_base, p=p, seed=s)))
 
 
 def sweep_r(graph: DirectedGraph, grid, samples: int = 1000, seed: int = 0) -> list[SweepRow]:

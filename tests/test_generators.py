@@ -198,9 +198,10 @@ def test_er_graph_shape(n, seed):
 def test_ba_graph_shape(m, extra, p, seed):
     m0 = m + extra
     n = m0 + 1 + seed % 40
-    g = gen_directed_ba(BaParams(n=n, m_attach=m, m0=m0, p=p, seed=seed))
+    params = BaParams(n=n, m_attach=m, m0=m0, p=p, seed=seed)
+    g = gen_directed_ba(params)
     assert g.node_count == n
-    assert g.edge_count == m0 + (n - m0) * m and g.duplicate_count == 0
+    assert g.edge_count == params.edge_count == m0 + (n - m0) * m and g.duplicate_count == 0
 
 
 @st.composite

@@ -611,6 +611,25 @@ def test_each_sampler_runs_on_one_cpu_of_the_mask(compiled_kernel, on_threads, m
     assert len(set().union(*masks.values())) == min(workers, len(mask))
 
 
+def test_every_sampler_of_a_stream_is_made_on_the_calling_thread(compiled_kernel, on_threads, monkeypatch):
+    # made on a started thread, a workspace came from that thread's malloc
+    # arena, and each stream faulted its pages in again
+    monkeypatch.setattr(_kernel, "_kernel", compiled_kernel)
+    g = gen_directed_er(200, 400, seed=2)
+    started = on_threads(3)
+    made = []
+    init = mds._Sampler.__init__
+
+    def recorded(sampler, graph, seed):
+        made.append(threading.get_ident())
+        init(sampler, graph, seed)
+
+    monkeypatch.setattr(mds._Sampler, "__init__", recorded)
+    sample_mds(g, 50, seed=1)
+    assert started == [3]
+    assert made == [threading.get_ident()] * 3
+
+
 @needs_affinity
 def test_closing_a_threaded_stream_early_gives_the_caller_its_cpus_back(compiled_kernel, monkeypatch):
     monkeypatch.setattr(_kernel, "_kernel", compiled_kernel)

@@ -252,7 +252,7 @@ def test_sweep_goldens_with_points_at_once(sweep_on, tmp_path, name, workers):
 def test_points_at_once_give_the_serial_rows(compiled_kernel, n, m, p, graph_seed, grid, samples, seed, workers, vary_p):
     base = BaParams(n=n, m_attach=m, p=p, seed=graph_seed)
     g = gen_directed_ba(base)
-    assert g.edge_count == base.m0 + (base.n - base.m0) * base.m_attach  # the edge count sweep_p takes
+    assert g.edge_count == base.edge_count  # the edge count sweep_p takes
 
     def sweep():
         return sweep_p(grid, base, samples, seed) if vary_p else sweep_r(g, grid, samples, seed)
